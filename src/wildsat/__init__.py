@@ -71,10 +71,8 @@ from .sat import (
     SolverStats,
     Verdict,
     dpll_sat,
-    feasible_solver,
     final_012,
     final_e,
-    k_feasible,
     prob_final,
     test1,
     test2,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .engine import EngineConfig, Method, Policy, run
+from .engine import EngineConfig, Method, Policy, run, validate_config
 from .formulas import Clause, Cnf
 from .rows import RunStats
 from .sat import prob_final
@@ -70,18 +70,21 @@ def run_bench(
     policy: Policy = Policy.SOLVER,
 ) -> list[BenchRecord]:
     """Run the selected methods on one generated instance, sequentially so
-    the timings stay comparable."""
+    the timings stay comparable.
+
+    Every method/policy pair is checked with ``validate_config`` before any
+    of them runs; an invalid pair raises ValueError.
+    """
     cnf = gen_random_cnf(spec)
+    configs = [EngineConfig(method=method, policy=policy) for method in methods]
+    for config in configs:
+        validate_config(cnf, config)
     records = []
-    for method in methods:
-        use_policy = policy
-        if method == Method.CLAUSE_E and policy in (Policy.TEST1, Policy.TEST12):
-            use_policy = policy if spec.positive and policy == Policy.TEST1 else Policy.SOLVER
-        result = run(cnf, EngineConfig(method=method, policy=use_policy))
-        stats: RunStats = result.stats
+    for config in configs:
+        stats: RunStats = run(cnf, config).stats
         records.append(
             BenchRecord(
-                method=method.value,
+                method=stats.method,
                 policy=stats.policy,
                 rows=stats.rows,
                 models=stats.models,

@@ -220,12 +220,17 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "bench":
-        spec = GenSpec(args.w, args.h, args.lam, positive=args.positive, seed=args.seed)
         try:
             methods = [Method(m.strip()) for m in args.methods.split(",") if m.strip()]
         except ValueError as exc:
             p_bench.error(str(exc))
-        for record in run_bench(spec, methods, Policy(args.feasibility)):
+        try:
+            spec = GenSpec(args.w, args.h, args.lam, positive=args.positive, seed=args.seed)
+            records = run_bench(spec, methods, Policy(args.feasibility))
+        except ValueError as exc:
+            print(f"wildsat bench: error: {exc}", file=sys.stderr)
+            return 2
+        for record in records:
             print(record.as_line())
         return 0
 

@@ -128,8 +128,6 @@ class CardinalityFilter(SpModFilter):
         return self.find_witness(row) is not None
 
     def find_witness(self, row: Row012) -> tuple[int, ...] | None:
-        if len(row.ones()) > self.k:
-            return None
         return find_k_model(row, self.cnf, self.k)
 
 

@@ -52,6 +52,17 @@ class Clause:
         """Variables occurring negated."""
         return frozenset(-l for l in self.lits if l < 0)
 
+    @cached_property
+    def masks(self) -> tuple[int, int]:
+        """(pos, neg) variable bitmasks; bit v-1 stands for variable v."""
+        pos = neg = 0
+        for lit in self.lits:
+            if lit > 0:
+                pos |= 1 << (lit - 1)
+            else:
+                neg |= 1 << (-lit - 1)
+        return pos, neg
+
     def __len__(self) -> int:
         return len(self.lits)
 
@@ -81,6 +92,16 @@ class Cnf:
         for c in clauses:
             if any(abs(l) > self.num_vars for l in c.lits):
                 raise ValueError("literal outside 1..num_vars")
+
+    @classmethod
+    def _unchecked(cls, num_vars: int, clauses: tuple[Clause, ...]) -> "Cnf":
+        """A Cnf over Clause objects already known to lie within 1..num_vars,
+        built without re-running the validation of ``__post_init__``."""
+        cnf = object.__new__(cls)
+        object.__setattr__(cnf, "num_vars", num_vars)
+        object.__setattr__(cnf, "clauses", clauses)
+        object.__setattr__(cnf, "tautologies_dropped", 0)
+        return cnf
 
     @property
     def num_clauses(self) -> int:

@@ -1,15 +1,34 @@
-"""Feasibility and finality tests for rows, plus an internal DPLL solver.
+"""Feasibility and finality tests for rows, plus the internal solver.
 
 A row is feasible when it intersects the model set, final when it is
 contained in it.  A test answering "no" only when the row is certainly
 infeasible is weak; if its "yes" can also be trusted it is perfect.  The
 solver-backed test is perfect; Test 1 and Test 2 are cheap weak tests
 (Test 1 turns perfect on positive CNFs).
+
+The solver is one iterative DPLL over bitmasks, behind both ``dpll_sat`` and
+``find_k_model``.  A clause is its pair of (pos, neg) variable masks
+(``Clause.masks``, bit v-1 for variable v) and an assignment is two ints,
+``ones`` and ``zeros``.  Unit propagation makes passes over the clause masks
+until a pass finds no unit.  A node that survives it branches on the lowest
+variable of any unresolved clause, value 1 first, and saves the state of
+its 0 branch on a trail; backtracking pops the trail, so nothing is copied
+and there is no recursion limit.  Variables never forced stay 0.  With a
+cardinality bound k a node is also pruned when it holds more than k ones or
+too few free variables to reach k, and a model is completed by setting the
+lowest free variables to 1.  The model is thus a fixed function of the
+formula (and row), which the engine relies on when it reuses a parent's
+witness for its sons.
+
+Any ``SolverFn`` can replace ``dpll_sat`` in the engine.  It receives a plain
+``Cnf`` holding the base clauses followed by the row's clauses
+(``augment_cnf``) and returns a model or None.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 from .formulas import Clause, Cnf
@@ -40,88 +59,123 @@ class SolverStats:
 SolverFn = Callable[[Cnf], "tuple[int, ...] | None"]
 
 
-def dpll_sat(cnf: Cnf, stats: SolverStats | None = None) -> tuple[int, ...] | None:
-    """Complete DPLL with unit propagation.
+def _propagate(
+    clauses: list[tuple[int, int]], ones: int, zeros: int, full: int, stats: SolverStats
+) -> tuple[int, int, int] | None:
+    """Unit propagation to a fixpoint: (ones, zeros, open) with ``open`` the
+    free variables of the unresolved clauses, or None on a conflict."""
+    while True:
+        free = full & ~(ones | zeros)
+        open_ = 0
+        unit = False
+        for pos, neg in clauses:
+            if pos & ones or neg & zeros:
+                continue
+            lits = (pos | neg) & free
+            if not lits:
+                stats.conflicts += 1
+                return None
+            if lits & (lits - 1):
+                open_ |= lits
+                continue
+            if pos & lits:
+                ones |= lits
+            else:
+                zeros |= lits
+            free ^= lits
+            unit = True
+            stats.propagations += 1
+        if not unit:
+            return ones, zeros, open_
 
-    Branches on the lowest-indexed unassigned variable still occurring in an
-    unresolved clause, value 1 first; variables never forced stay 0.  Returns
-    a model as a bitstring, or None when unsatisfiable.
+
+def _search(
+    num_vars: int,
+    clauses: list[tuple[int, int]],
+    ones: int = 0,
+    zeros: int = 0,
+    k: int | None = None,
+    stats: SolverStats | None = None,
+) -> int | None:
+    """The ones mask of the first model in branching order, or None.
+
+    ``ones``/``zeros`` are the variables fixed beforehand; with ``k`` only
+    models with exactly k ones count.
     """
     if stats is None:
         stats = SolverStats()
-    assign: dict[int, bool] = {}
-
-    def simplify(clauses: list[list[int]], lit: int) -> list[list[int]] | None:
-        out = []
-        for c in clauses:
-            if lit in c:
-                continue
-            if -lit in c:
-                c = [x for x in c if x != -lit]
-                if not c:
-                    return None
-            out.append(c)
-        return out
-
-    def search(clauses: list[list[int]]) -> bool:
-        forced: list[int] = []
-        while True:
-            unit = next((c[0] for c in clauses if len(c) == 1), None)
-            if unit is None:
-                break
-            stats.propagations += 1
-            assign[abs(unit)] = unit > 0
-            forced.append(abs(unit))
-            clauses = simplify(clauses, unit)
-            if clauses is None:
-                stats.conflicts += 1
-                for v in forced:
-                    del assign[v]
-                return False
-        if not clauses:
-            return True
-        branch_var = min(abs(l) for c in clauses for l in c)
+    full = (1 << num_vars) - 1
+    trail: list[tuple[int, int]] = []  # (ones, zeros) of each pending 0 branch
+    while True:
+        node = _propagate(clauses, ones, zeros, full, stats)
+        if node is not None and k is not None:
+            n1 = node[0].bit_count()
+            if not n1 <= k <= n1 + (full & ~(node[0] | node[1])).bit_count():
+                node = None
+        if node is None:
+            if not trail:
+                return None
+            ones, zeros = trail.pop()
+            continue
+        ones, zeros, open_ = node
+        if not open_:
+            if k is not None:
+                free = full & ~(ones | zeros)
+                for _ in range(k - ones.bit_count()):
+                    low = free & -free
+                    ones |= low
+                    free ^= low
+            return ones
+        bit = open_ & -open_
         stats.decisions += 1
-        for val in (True, False):
-            assign[branch_var] = val
-            reduced = simplify(clauses, branch_var if val else -branch_var)
-            if reduced is None:
-                stats.conflicts += 1
-            elif search(reduced):
-                return True
-            del assign[branch_var]
-        for v in forced:
-            del assign[v]
-        return False
-
-    start = [list(c.lits) for c in cnf.clauses]
-    if any(not c for c in start):
-        return None
-    if not search(start):
-        return None
-    return tuple(1 if assign.get(v) else 0 for v in range(1, cnf.num_vars + 1))
+        trail.append((ones, zeros | bit))
+        ones |= bit
 
 
-def row_constraint_clauses(row: Row012 | Row012e) -> list[tuple[int, ...]]:
-    """The row as clauses: one unit per fixed slot, one clause per bubble."""
-    out: list[tuple[int, ...]] = []
+def _bits(ones: int, num_vars: int) -> tuple[int, ...]:
+    return tuple(ones >> i & 1 for i in range(num_vars))
+
+
+def dpll_sat(cnf: Cnf, stats: SolverStats | None = None) -> tuple[int, ...] | None:
+    """A model of the formula as a bitstring, or None when unsatisfiable."""
+    ones = _search(cnf.num_vars, [c.masks for c in cnf.clauses], stats=stats)
+    return None if ones is None else _bits(ones, cnf.num_vars)
+
+
+def find_k_model(
+    row: Row012, cnf: Cnf, k: int, stats: SolverStats | None = None
+) -> tuple[int, ...] | None:
+    """A model with exactly k ones inside the row, or None."""
+    if row.width != cnf.num_vars:
+        raise ValueError("row width does not match num_vars")
+    ones = zeros = 0
+    for i, s in enumerate(row.symbols):
+        if s == ONE:
+            ones |= 1 << i
+        elif s == ZERO:
+            zeros |= 1 << i
+    found = _search(row.width, [c.masks for c in cnf.clauses], ones, zeros, k, stats)
+    return None if found is None else _bits(found, row.width)
+
+
+@cache
+def _unit(lit: int) -> Clause:
+    return Clause((lit,))
+
+
+def row_constraint_clauses(row: Row012 | Row012e) -> tuple[Clause, ...]:
+    """The row as clauses: one unit per fixed variable, one clause per bubble.
+
+    Unit clauses are validated once per literal and then shared.
+    """
     if isinstance(row, Row012):
-        for var in range(1, row.width + 1):
-            v = row.value(var)
-            if v == ONE:
-                out.append((var,))
-            elif v == ZERO:
-                out.append((-var,))
-        return out
-    for var in range(1, row.width + 1):
-        v = row.slots[2 * (var - 1)]
-        if v == ONE:
-            out.append((var,))
-        elif v == ZERO:
-            out.append((-var,))
-    for members in row.bubbles:
-        out.append(tuple(_slot_lit(s) for s in members))
-    return out
+        return tuple(_unit(v if s == ONE else -v) for v, s in enumerate(row.symbols, 1) if s != TWO)
+    units = tuple(
+        _unit(v if s == ONE else -v)
+        for v, s in enumerate(row.slots[::2], 1)
+        if s == ONE or s == ZERO
+    )
+    return units + tuple(Clause(tuple(map(_slot_lit, members))) for members in row.bubbles)
 
 
 def _slot_lit(slot: int) -> int:
@@ -130,20 +184,19 @@ def _slot_lit(slot: int) -> int:
 
 
 def augment_cnf(cnf: Cnf, row: Row012 | Row012e) -> Cnf:
-    extra = tuple(Clause(c) for c in row_constraint_clauses(row))
-    return Cnf(cnf.num_vars, cnf.clauses + extra)
+    """The formula restricted to the row: its clauses followed by the row's.
+
+    The base clauses were validated when ``cnf`` was built, so only the
+    row's clauses are checked here.
+    """
+    if row.width != cnf.num_vars:
+        raise ValueError("row width does not match num_vars")
+    return Cnf._unchecked(cnf.num_vars, cnf.clauses + row_constraint_clauses(row))
 
 
 def find_model(row: Row012 | Row012e, cnf: Cnf, solver: SolverFn = dpll_sat) -> tuple[int, ...] | None:
     """A model of the formula inside the row, or None."""
-    if row.width != cnf.num_vars:
-        raise ValueError("row width does not match num_vars")
     return solver(augment_cnf(cnf, row))
-
-
-def feasible_solver(row: Row012 | Row012e, cnf: Cnf, solver: SolverFn = dpll_sat) -> Verdict:
-    """Perfect feasibility: is some member of the row a model?"""
-    return Verdict(find_model(row, cnf, solver) is not None, perfect=True)
 
 
 def clause_dead_in(row: Row012 | Row012e, clause: Clause) -> bool:
@@ -222,104 +275,6 @@ def final_e(row: Row012e, cnf: Cnf) -> bool:
     simply splits such a row once more, so only compression is affected.
     """
     return all(row_satisfies_clause(row, c) for c in cnf.clauses)
-
-
-def k_feasible(row: Row012, cnf: Cnf, k: int, stats: SolverStats | None = None) -> Verdict:
-    """Perfect test for a model of cardinality exactly k inside the row."""
-    return Verdict(find_k_model(row, cnf, k, stats) is not None, perfect=True)
-
-
-def find_k_model(
-    row: Row012, cnf: Cnf, k: int, stats: SolverStats | None = None
-) -> tuple[int, ...] | None:
-    """Branch-and-bound DPLL tracking the remaining budget of 1s."""
-    if k < 0 or k > row.width:
-        return None
-    if stats is None:
-        stats = SolverStats()
-    w = row.width
-    assign: dict[int, bool] = {}
-
-    def simplify(clauses: list[list[int]], lit: int) -> list[list[int]] | None:
-        out = []
-        for c in clauses:
-            if lit in c:
-                continue
-            if -lit in c:
-                c = [x for x in c if x != -lit]
-                if not c:
-                    return None
-            out.append(c)
-        return out
-
-    def ones_count() -> int:
-        return sum(1 for v in assign.values() if v)
-
-    def search(clauses: list[list[int]]) -> bool:
-        forced: list[int] = []
-        while True:
-            o = ones_count()
-            if o > k or o + (w - len(assign)) < k:
-                for v in forced:
-                    del assign[v]
-                return False
-            unit = next((c[0] for c in clauses if len(c) == 1), None)
-            if unit is None:
-                break
-            stats.propagations += 1
-            assign[abs(unit)] = unit > 0
-            forced.append(abs(unit))
-            clauses = simplify(clauses, unit)
-            if clauses is None:
-                stats.conflicts += 1
-                for v in forced:
-                    del assign[v]
-                return False
-        if not clauses:
-            return True  # bounds above guarantee k is reachable
-        branch_var = min(abs(l) for c in clauses for l in c)
-        stats.decisions += 1
-        for val in (True, False):
-            assign[branch_var] = val
-            reduced = simplify(clauses, branch_var if val else -branch_var)
-            if reduced is None:
-                stats.conflicts += 1
-            elif search(reduced):
-                return True
-            del assign[branch_var]
-        for v in forced:
-            del assign[v]
-        return False
-
-    clauses = [list(c.lits) for c in cnf.clauses]
-    try:
-        for unit in row_constraint_clauses(row):
-            lit = unit[0]
-            if abs(lit) in assign:
-                if assign[abs(lit)] != (lit > 0):
-                    return None
-                continue
-            assign[abs(lit)] = lit > 0
-            clauses = simplify(clauses, lit)
-            if clauses is None:
-                return None
-    except IndexError:  # pragma: no cover - rows yield unit constraints only
-        raise
-    if not search(clauses):
-        return None
-    u = [1 if assign.get(v) else 0 for v in range(1, w + 1)]
-    need = k - sum(u)
-    if need < 0:
-        return None
-    for v in range(1, w + 1):
-        if need == 0:
-            break
-        if v not in assign:
-            u[v - 1] = 1
-            need -= 1
-    if need != 0:
-        return None
-    return tuple(u)
 
 
 def prob_final(w: int, gamma: float, h: int, lam: int) -> float:

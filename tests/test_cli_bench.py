@@ -8,7 +8,7 @@ from conftest import PHI2_DIMACS
 from oracle import all_bitstrings, cnf_mask, evaluate_naive
 from wildsat.bench import BenchRecord, GenSpec, gen_random_cnf, run_bench
 from wildsat.cli import main
-from wildsat.engine import Method
+from wildsat.engine import Method, Policy
 from wildsat.formulas import parse_dimacs, serialize_dimacs
 from wildsat.rows import parse_rows
 from wildsat.sat import prob_final
@@ -59,6 +59,18 @@ class TestBench:
             assert rec.models == cnf_mask(gen_random_cnf(spec)).bit_count()
             expected = prob_final(spec.w, rec.gamma_avg, spec.h, spec.lam)
             assert abs(rec.prob - expected) < 1e-9
+
+    @pytest.mark.parametrize("policy", [Policy.TEST12, Policy.TEST1])
+    def test_invalid_pair_rejected_before_any_run(self, monkeypatch, policy):
+        # clause-e takes neither test12 nor, on a mixed CNF, test1; the pair
+        # is refused instead of silently run under another policy
+        import wildsat.bench
+
+        ran = []
+        monkeypatch.setattr(wildsat.bench, "run", lambda cnf, config: ran.append(config))
+        with pytest.raises(ValueError, match="clause-e"):
+            run_bench(GenSpec(8, 6, 3, seed=11), [Method.CLAUSE012, Method.CLAUSE_E], policy)
+        assert ran == []
 
     def test_line_format(self):
         rec = BenchRecord("clause-e", "solver", 3, 6, 1.0, 0.25, 0.01, 0)
@@ -146,6 +158,16 @@ class TestCli:
         assert len(lines) == 2
         assert lines[0].startswith("method=clause-012")
         assert lines[1].startswith("method=clause-e")
+
+    def test_bench_invalid_pair_exits_2_without_records(self, capsys):
+        assert main([
+            "bench", "--w", "8", "--h", "5", "--lambda", "3",
+            "--methods", "clause-012,clause-e", "--feasibility", "test12",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "clause-e" in captured.err
 
     def test_cardinality_flag(self, phi2_file, capsys):
         assert main([

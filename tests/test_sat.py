@@ -1,5 +1,5 @@
-"""DPLL, feasibility tests (solver, Test 1, Test 2), finality tests,
-k-cardinality feasibility and the finality probability formula."""
+"""The solver (dpll_sat, find_model, find_k_model), the weak tests (Test 1,
+Test 2), finality tests and the finality probability formula."""
 
 from __future__ import annotations
 
@@ -24,10 +24,10 @@ from wildsat.sat import test2 as weak_test2
 from wildsat.sat import (
     SolverStats,
     dpll_sat,
-    feasible_solver,
     final_012,
     final_e,
-    k_feasible,
+    find_k_model,
+    find_model,
     prob_final,
 )
 
@@ -77,17 +77,15 @@ class TestDpll:
 
 class TestFeasibleSolver:
     def test_full_row_on_phi2(self, phi2):
-        v = feasible_solver(Row012.full(5), phi2)
-        assert v.feasible and v.perfect
+        assert find_model(Row012.full(5), phi2) is not None
 
     def test_dead_clause_row(self):
         cnf = Cnf(3, (Clause((1, -2)),))
-        v = feasible_solver(row012("012"), cnf)  # x1=0, x2=1 kills the clause
-        assert not v.feasible
+        assert find_model(row012("012"), cnf) is None  # x1=0, x2=1 kills the clause
 
     def test_e_row_constraints_respected(self, phi2, table3):
-        assert feasible_solver(table3[11], phi2).feasible
-        assert not feasible_solver(table3[8], phi2).feasible
+        assert find_model(table3[11], phi2) is not None
+        assert find_model(table3[8], phi2) is None
 
     def test_random_agreement_with_brute_force(self):
         rng = random.Random(103)
@@ -96,7 +94,7 @@ class TestFeasibleSolver:
             cnf = random_cnf(rng, w, rng.randint(0, 10), rng.randint(1, min(3, w)))
             row = random_row012e(rng, w)
             expected = row_mask(w, row) & cnf_mask(cnf) != 0
-            assert feasible_solver(row, cnf).feasible == expected
+            assert (find_model(row, cnf) is not None) == expected
 
     def test_pluggable_decision_procedure(self, phi2):
         calls = []
@@ -105,9 +103,18 @@ class TestFeasibleSolver:
             calls.append(cnf)
             return dpll_sat(cnf)
 
-        assert feasible_solver(Row012.full(5), phi2, solver=fake_solver).feasible
+        assert find_model(Row012.full(5), phi2, solver=fake_solver) is not None
         assert len(calls) == 1
         assert len(calls[0].clauses) == len(phi2.clauses)  # full row adds nothing
+        # the plug sees the formula's clauses followed by the row's
+        find_model(row012("10222"), phi2, solver=fake_solver)
+        assert calls[1] == Cnf(5, phi2.clauses + (Clause((1,)), Clause((-2,))))
+
+    def test_width_mismatch_rejected(self, phi2):
+        with pytest.raises(ValueError):
+            find_model(Row012.full(4), phi2)
+        with pytest.raises(ValueError):
+            find_k_model(Row012.full(4), phi2, 2)
 
 
 class TestTest1:
@@ -231,12 +238,12 @@ class TestFinalE:
 class TestKFeasible:
     def test_too_many_ones_immediately_no(self):
         cnf = Cnf(4, ())
-        assert not k_feasible(row012("1112"), cnf, 2).feasible
+        assert find_k_model(row012("1112"), cnf, 2) is None
 
     def test_empty_cnf_all_two(self):
         cnf = Cnf(5, ())
         for k in range(6):
-            assert k_feasible(Row012.full(5), cnf, k).feasible
+            assert find_k_model(Row012.full(5), cnf, k) is not None
 
     def test_random_agreement_with_brute_force(self):
         rng = random.Random(139)
@@ -249,7 +256,32 @@ class TestKFeasible:
                 weight(u) == k
                 for u in models_of_mask(w, row_mask(w, row) & cnf_mask(cnf))
             )
-            assert k_feasible(row, cnf, k).feasible == expected
+            assert (find_k_model(row, cnf, k) is not None) == expected
+
+
+class TestDeepInstance:
+    """1,500 decision levels: the search keeps no recursion limit."""
+
+    W = 3000
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        return Cnf(self.W, tuple(Clause((2 * i - 1, 2 * i)) for i in range(1, self.W // 2 + 1)))
+
+    def test_dpll_sat(self, chain):
+        stats = SolverStats()
+        model = dpll_sat(chain, stats)
+        assert model is not None and evaluate(chain, model)
+        assert stats.decisions == self.W // 2
+
+    def test_find_model(self, chain):
+        model = find_model(Row012.full(self.W), chain)
+        assert model is not None and evaluate(chain, model)
+
+    def test_find_k_model(self, chain):
+        model = find_k_model(Row012.full(self.W), chain, self.W // 2)
+        assert model is not None and evaluate(chain, model)
+        assert weight(model) == self.W // 2
 
 
 class TestProbFinal:
