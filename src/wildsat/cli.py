@@ -18,7 +18,7 @@ from .engine import (
     run,
     validate_config,
 )
-from .formulas import Cnf, parse_dimacs, serialize_dimacs
+from .formulas import Cnf, DimacsError, parse_dimacs, serialize_dimacs
 from .rows import RowList, format_rows, parse_rows
 from .sat import prob_final
 
@@ -27,7 +27,10 @@ POLICIES = [p.value for p in Policy]
 
 
 def _load_cnf(path: str) -> Cnf:
-    return parse_dimacs(Path(path).read_text())
+    try:
+        return parse_dimacs(Path(path).read_text())
+    except DimacsError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_weights(path: str) -> list[int]:
@@ -43,6 +46,12 @@ def _load_weights(path: str) -> list[int]:
     if [s for s, _ in pairs] != list(range(1, len(pairs) + 1)):
         raise ValueError("weights file must cover slots 1..2w exactly once")
     return [v for _, v in pairs]
+
+
+def _error(command: str, exc: Exception) -> int:
+    """Report a bad input or request as one line on stderr; exit code 2."""
+    print(f"wildsat {command}: error: {exc}", file=sys.stderr)
+    return 2
 
 
 def _fmt_prob(p: float) -> str:
@@ -170,9 +179,24 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
 
+    if args.command in ("enumerate", "count", "count-k", "equiv"):
+        # malformed or unreadable inputs (DIMACS, row and weight files) and
+        # arguments the engine rejects: one line, not a traceback
+        try:
+            if args.command == "equiv":
+                cnf_a, cnf_b = _load_cnf(args.cnf_a), _load_cnf(args.cnf_b)
+                config = EngineConfig(method=Method(args.method), policy=Policy(args.feasibility))
+                for cnf in (cnf_a, cnf_b):
+                    validate_config(cnf, config)
+            else:
+                cnf = _load_cnf(args.cnf)
+                sub = {"enumerate": p_enum, "count": p_count, "count-k": p_ck}[args.command]
+                config = _build_config(args, sub, cnf)
+        except (OSError, ValueError) as exc:
+            return _error(args.command, exc)
+
     if args.command == "enumerate":
-        cnf = _load_cnf(args.cnf)
-        result = run(cnf, _build_config(args, p_enum, cnf))
+        result = run(cnf, config)
         text = format_rows(result)
         if args.out:
             Path(args.out).write_text(text)
@@ -183,23 +207,17 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "count":
-        cnf = _load_cnf(args.cnf)
-        result = run(cnf, _build_config(args, p_count, cnf))
-        print(result.total_models())
+        print(run(cnf, config).total_models())
         return 0
 
     if args.command == "count-k":
-        cnf = _load_cnf(args.cnf)
-        result = run(cnf, _build_config(args, p_ck, cnf))
-        print(count_by_cardinality(result))
+        print(count_by_cardinality(run(cnf, config)))
         return 0
 
     if args.command == "equiv":
-        cnf_a, cnf_b = _load_cnf(args.cnf_a), _load_cnf(args.cnf_b)
         if cnf_a.num_vars != cnf_b.num_vars:
             print("not equivalent: different variable counts")
             return 1
-        config = EngineConfig(method=Method(args.method), policy=Policy(args.feasibility))
         ra = run(cnf_a, config)
         rb = run(cnf_b, config)
         verdict = equivalent(ra, rb)
@@ -228,8 +246,7 @@ def main(argv: list[str] | None = None) -> int:
             spec = GenSpec(args.w, args.h, args.lam, positive=args.positive, seed=args.seed)
             records = run_bench(spec, methods, Policy(args.feasibility))
         except ValueError as exc:
-            print(f"wildsat bench: error: {exc}", file=sys.stderr)
-            return 2
+            return _error("bench", exc)
         for record in records:
             print(record.as_line())
         return 0

@@ -267,12 +267,19 @@ def filter_complement(complement_rows: RowList) -> ComplementFilter:
 # Split primitives
 
 
-def pending_clause(row: Row012 | Row012e, cnf: Cnf) -> int:
-    """Index of the first clause not yet settled by the row; h+1 when final."""
-    for i, clause in enumerate(cnf.clauses, start=1):
-        if not row_satisfies_clause(row, clause):
-            return i
-    return len(cnf.clauses) + 1
+def pending_clause(row: Row012 | Row012e, cnf: Cnf, start: int = 1) -> int:
+    """Index of the first clause not yet settled by the row; h+1 when final.
+
+    The scan begins at clause ``start``; the clauses before it are taken as
+    settled.  ``run`` passes a son its parent's pending clause: a son is a
+    subset of its parent, and a clause settled by the parent stays settled
+    in the son.
+    """
+    clauses = cnf.clauses
+    for i in range(start - 1, len(clauses)):
+        if not row_satisfies_clause(row, clauses[i]):
+            return i + 1
+    return len(clauses) + 1
 
 
 def varwise_degree(row: Row012) -> int:
@@ -439,8 +446,8 @@ def _run_varwise(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list[Row012
             genuine = True
             if not exact_filter and policy != Policy.SOLVER:
                 genuine = evaluate(cnf, u)
-            if genuine and isinstance(filt, CardinalityFilter):
-                assert weight(u) == filt.k
+            if genuine and isinstance(filt, CardinalityFilter) and weight(u) != filt.k:
+                raise RuntimeError(f"cardinality filter admitted a row of weight {weight(u)}, not {filt.k}")
             if genuine:
                 finals.append(row)
                 if obs:
@@ -515,8 +522,9 @@ def _run_clausewise(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
             ok, cwit = admit(cand, hint)
             if not ok:
                 continue
-            cpc = pending_clause(cand, cnf)
-            assert cpc > pc, "son degree must exceed the parent's"
+            cpc = pending_clause(cand, cnf, pc)
+            if cpc <= pc:
+                raise RuntimeError(f"son does not settle its parent's pending clause {pc}")
             sons.append((cand, cpc, cwit))
         if obs:
             obs.on_split(row, pc - 1, tuple(s for s, _, _ in sons), tuple(p - 1 for _, p, _ in sons))

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .rows import Row012
+from .rows import Row012, slot_of_lit
 
 
 class DimacsError(ValueError):
@@ -62,6 +62,14 @@ class Clause:
             else:
                 neg |= 1 << (-lit - 1)
         return pos, neg
+
+    @cached_property
+    def slot_mask(self) -> int:
+        """Literal-slot bitmask; bit ``slot_of_lit(l)`` stands for literal l."""
+        mask = 0
+        for lit in self.lits:
+            mask |= 1 << slot_of_lit(lit)
+        return mask
 
     def __len__(self) -> int:
         return len(self.lits)

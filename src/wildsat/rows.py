@@ -21,7 +21,8 @@ forces that slot to 1 (which may cascade further through complement slots).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 ZERO, ONE, TWO = 0, 1, 2
@@ -58,6 +59,24 @@ def slot_mate(slot: int) -> int:
 
 def slot_is_positive(slot: int) -> bool:
     return slot % 2 == 0
+
+
+def settles(ones: int, bubbles: Iterable[int], mask: int) -> bool:
+    """True when every member of an e-row sets some slot of ``mask`` to 1.
+
+    ``ones`` is the row's mask of slots holding 1 and ``bubbles`` holds one
+    slot mask per bubble: a slot of ``mask`` holds 1, or a bubble lies
+    inside ``mask`` (some slot of every bubble carries a 1).
+    """
+    return bool(ones & mask) or any(not b & ~mask for b in bubbles)
+
+
+def _slot_masks(slots: Sequence[int], groups: Iterable[Iterable[int]]) -> tuple[int, tuple[int, ...]]:
+    ones = 0
+    for s, v in enumerate(slots):
+        if v == ONE:
+            ones |= 1 << s
+    return ones, tuple(sum(1 << m for m in members) for members in groups)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +177,12 @@ class Row012e:
     width: int
     slots: tuple[int, ...]
     bubbles: tuple[tuple[int, ...], ...] = ()
+    # filled on first use by slot_masks.  A declared field, not a
+    # functools.cached_property: that one writes the instance __dict__,
+    # which materialises it and slows every later attribute read of the row.
+    _masks: tuple[int, tuple[int, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.slots) != 2 * self.width:
@@ -181,6 +206,16 @@ class Row012e:
             fixed_a, fixed_b = a in (ZERO, ONE), b in (ZERO, ONE)
             if fixed_a != fixed_b or (fixed_a and a == b):
                 raise ValueError(f"inconsistent slot pair for variable {var}")
+
+    @property
+    def slot_masks(self) -> tuple[int, tuple[int, ...]]:
+        """(mask of the slots holding 1, one slot mask per bubble); bit s
+        stands for slot s.  Cached per row; not part of its identity."""
+        masks = self._masks
+        if masks is None:
+            masks = _slot_masks(self.slots, self.bubbles)
+            object.__setattr__(self, "_masks", masks)
+        return masks
 
     @classmethod
     def full(cls, width: int) -> "Row012e":
@@ -284,6 +319,14 @@ class _EBuilder:
         b.slots = list(row.slots)
         b.groups = {k: set(m) for k, m in enumerate(row.bubbles)}
         b._next = len(row.bubbles)
+        return b
+
+    def copy(self) -> "_EBuilder":
+        b = _EBuilder.__new__(_EBuilder)
+        b.width = self.width
+        b.slots = self.slots.copy()
+        b.groups = {k: set(m) for k, m in self.groups.items()}
+        b._next = self._next
         return b
 
     def value(self, slot: int) -> int:
@@ -398,7 +441,8 @@ def purify(row: Row012e) -> list[Row012e]:
         except EmptyRowError:
             continue
         out.append(b.freeze())
-    assert out, "purification of a nonempty row produced nothing"
+    if not out:
+        raise RuntimeError("purification of a nonempty row produced nothing")
     return out
 
 
@@ -449,14 +493,6 @@ def expand_to_012(row: Row012e) -> list[Row012]:
 # ---------------------------------------------------------------------------
 # Imposing "at least one of these slots is 1" on a row
 
-def row_hits_slots(row: Row012e, slots: Sequence[int]) -> bool:
-    """True when every member of the row sets some listed slot to 1."""
-    sset = set(slots)
-    if any(row.slots[s] == ONE for s in sset):
-        return True
-    return any(set(m) <= sset for m in row.bubbles)
-
-
 def impose_on_slots(row: Row012e, slots: Sequence[int]) -> list[Row012e]:
     """Partition {u in row : u sets some listed slot to 1} into disjoint rows.
 
@@ -465,45 +501,47 @@ def impose_on_slots(row: Row012e, slots: Sequence[int]) -> list[Row012e]:
     free listed slots (they become one fresh bubble) or an existing bubble
     overlapping the listed slots (it shrinks to the overlap, releasing its
     other slots).  Before the next column, the previous column's slots are
-    pinned to 0.  Rows that already hit the slots are returned unchanged.
-    An empty result means no member hits the slots.
+    pinned to 0.  A row that already hits the slots (the rule of
+    ``settles``) is returned unchanged, and so is the remainder once its
+    pinned zeros cascade into a hit.  An empty result means no member hits
+    the slots.
+
+    One running builder carries the remainder from column to column.  Each
+    son is copied off it and frozen, and the remainder is frozen only when
+    it is a son itself, so every returned row is built and validated once
+    and no other row is built.
     """
+    mask = 0
+    for s in slots:
+        mask |= 1 << s
+    if settles(*row.slot_masks, mask):
+        return [row]
     sons: list[Row012e] = []
-    current: Row012e | None = row
-    while current is not None:
-        if row_hits_slots(current, slots):
-            sons.append(current)
-            break
-        first = next(
-            (s for s in slots if current.slots[s] == TWO or current.slots[s] >= _B),
-            None,
-        )
+    rest = _EBuilder.from_row(row)
+    cur = rest.slots
+    while True:
+        first = next((s for s in slots if cur[s] == TWO or cur[s] >= _B), None)
         if first is None:
-            break  # every listed slot is 0: remainder has no hitting member
-        if current.slots[first] == TWO:
-            column = [s for s in slots if current.slots[s] == TWO]
-            try:
-                b = _EBuilder.from_row(current)
-                b.new_bubble(column)
-                sons.append(b.freeze())
-            except EmptyRowError:
-                pass
-        else:
-            members = current.bubbles[current.slots[first] - _B]
-            column = [s for s in members if s in set(slots)]
-            try:
-                b = _EBuilder.from_row(current)
-                b.shrink_to(first, column)
-                sons.append(b.freeze())
-            except EmptyRowError:
-                pass
+            break  # every listed slot is 0: the remainder has no hitting member
+        son = rest.copy()
         try:
-            b = _EBuilder.from_row(current)
-            for s in column:
-                b.set_fixed(s, ZERO)
-            current = b.freeze()
+            if cur[first] == TWO:
+                column = [s for s in slots if cur[s] == TWO]
+                son.new_bubble(column)
+            else:
+                column = sorted(m for m in rest.groups[cur[first] - _B] if mask >> m & 1)
+                son.shrink_to(first, column)
+            sons.append(son.freeze())
         except EmptyRowError:
-            current = None
+            pass
+        try:
+            for s in column:
+                rest.set_fixed(s, ZERO)
+        except EmptyRowError:
+            break
+        if settles(*_slot_masks(cur, rest.groups.values()), mask):
+            sons.append(rest.freeze())
+            break
     return sons
 
 
@@ -665,11 +703,11 @@ def format_rows(rows: RowList) -> str:
 
 
 def parse_rows(text: str) -> RowList:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("rows "):
-        raise ValueError("missing 'rows w=<w> n=<n>' header")
-    fields = dict(part.split("=") for part in lines[0].split()[1:])
-    width, count = int(fields["w"]), int(fields["n"])
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()] or [""]
+    header = re.fullmatch(r"rows\s+w=(\d+)\s+n=(\d+)", lines[0])
+    if header is None:
+        raise ValueError(f"malformed header {lines[0]!r}: expected 'rows w=<w> n=<n>'")
+    width, count = int(header[1]), int(header[2])
     rows = []
     for ln in lines[1:]:
         toks = ln.split()

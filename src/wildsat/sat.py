@@ -32,7 +32,7 @@ from functools import cache
 from typing import Callable
 
 from .formulas import Clause, Cnf
-from .rows import ONE, TWO, ZERO, Row012, Row012e, slot_of_lit
+from .rows import ONE, TWO, ZERO, Row012, Row012e, settles, slot_of_lit
 
 
 @dataclass(frozen=True)
@@ -218,18 +218,18 @@ def row_satisfies_clause(row: Row012 | Row012e, clause: Clause) -> bool:
     """True when every member of the row satisfies the clause.
 
     For 012-rows this means some literal is already fixed true.  For e-rows
-    a bubble entirely inside the clause's literal slots also settles it,
-    since some slot of the bubble carries a 1.
+    it is the bitwise rule of ``rows.settles`` on the row's cached
+    ``slot_masks`` and the clause's ``slot_mask``: some literal slot of the
+    clause holds 1, or a bubble lies entirely inside the clause's slots
+    (some slot of the bubble carries a 1).  Splitting only narrows a row,
+    so a clause settled by a row stays settled in all its sons.
     """
     if isinstance(row, Row012):
         for lit in clause.lits:
             if row.value(abs(lit)) == (1 if lit > 0 else 0):
                 return True
         return False
-    cslots = {slot_of_lit(l) for l in clause.lits}
-    if any(row.slots[s] == ONE for s in cslots):
-        return True
-    return any(set(m) <= cslots for m in row.bubbles)
+    return settles(*row.slot_masks, clause.slot_mask)
 
 
 def test1(row: Row012 | Row012e, cnf: Cnf) -> Verdict:

@@ -221,3 +221,53 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
+
+
+class TestCliInputErrors:
+    """Malformed or missing inputs give one line on stderr and exit code 2."""
+
+    @staticmethod
+    def _one_line_error(capsys, command: str) -> str:
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"wildsat {command}: error: ")
+        return lines[0]
+
+    @pytest.mark.parametrize("command", ["enumerate", "count", "count-k", "equiv"])
+    def test_malformed_dimacs(self, command, phi2_file, tmp_path, capsys):
+        bad = tmp_path / "bad.cnf"
+        bad.write_text("p cnf 3 2\n1 2 0\n1 x 0\n")
+        files = [str(phi2_file), str(bad)] if command == "equiv" else [str(bad)]
+        assert main([command, *files]) == 2
+        line = self._one_line_error(capsys, command)
+        assert "bad.cnf: line 3: bad literal 'x'" in line
+
+    def test_missing_cnf_file(self, tmp_path, capsys):
+        assert main(["count", str(tmp_path / "absent.cnf")]) == 2
+        assert "absent.cnf" in self._one_line_error(capsys, "count")
+
+    @pytest.mark.parametrize("header", ["rows w=5", "rows foo"])
+    def test_malformed_row_file(self, header, phi2_file, tmp_path, capsys):
+        comp = tmp_path / "comp.rows"
+        comp.write_text(f"{header}\n2 2 2 2 2\n")
+        argv = ["enumerate", str(phi2_file), "--method", "var-012", "--complement", str(comp)]
+        assert main(argv) == 2
+        assert "rows w=<w> n=<n>" in self._one_line_error(capsys, "enumerate")
+
+    def test_malformed_weights_file(self, phi2_file, tmp_path, capsys):
+        wfile = tmp_path / "weights.txt"
+        wfile.write_text("1 2 3\n")
+        argv = ["enumerate", str(phi2_file), "--method", "clause-012", "--weights", str(wfile), "--bound", "1"]
+        assert main(argv) == 2
+        self._one_line_error(capsys, "enumerate")
+
+    def test_k_out_of_range(self, phi2_file, capsys):
+        assert main(["enumerate", str(phi2_file), "--method", "var-012", "--k", "9"]) == 2
+        assert "k must lie" in self._one_line_error(capsys, "enumerate")
+
+    def test_equiv_invalid_pair(self, phi2_file, capsys):
+        argv = ["equiv", str(phi2_file), str(phi2_file), "--method", "clause-e", "--feasibility", "test12"]
+        assert main(argv) == 2
+        assert "clause-e" in self._one_line_error(capsys, "equiv")

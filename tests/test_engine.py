@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EQ11_ROWS, row012
 from oracle import (
@@ -14,7 +16,9 @@ from oracle import (
     random_cnf,
     row_mask,
 )
+import wildsat.engine
 from wildsat.engine import (
+    CardinalityFilter,
     EngineConfig,
     EngineObserver,
     Method,
@@ -23,11 +27,13 @@ from wildsat.engine import (
     clausewise_e_split,
     pending_clause,
     run,
+    validate_config,
     varwise_degree,
     varwise_split,
 )
 from wildsat.formulas import Clause, Cnf
 from wildsat.rows import Row012, format_rows
+from wildsat.sat import row_satisfies_clause
 
 # Working-stack rows of the clause-wise 012 run on phi2, condensed to w=5.
 TABLE2 = {
@@ -61,6 +67,23 @@ class TestPendingClause:
 
     def test_all_two_row(self, phi2):
         assert pending_clause(Row012.full(5), phi2) == 1
+
+    def test_start_skips_the_earlier_clauses(self, phi2, table3):
+        h = len(phi2.clauses)
+        for row in [row012(text) for text, _ in TABLE2.values()] + list(table3.values()):
+            pc = pending_clause(row, phi2)
+            for start in range(1, h + 2):
+                unsettled = (
+                    i for i in range(start, h + 1)
+                    if not row_satisfies_clause(row, phi2.clauses[i - 1])
+                )
+                expected = next(unsettled, h + 1)
+                assert pending_clause(row, phi2, start) == expected
+                if start <= pc:
+                    assert expected == pc
+        # r2 = 02222 settles clauses 1 and 6 (x1 = 0): a scan from clause 6 skips to 7
+        assert pending_clause(t2(2), phi2, 6) == 7
+        assert pending_clause(t2(2), phi2, h + 1) == h + 1
 
 
 class TestVarwiseSplit:
@@ -319,6 +342,65 @@ class TestEngineInvariants:
         out = run(phi2, EngineConfig(method=Method.SCAN))
         assert_disjoint_cover(5, out.rows, cnf_mask(phi2))
         assert len(out.rows) == 6
+
+
+@st.composite
+def small_cnfs(draw) -> Cnf:
+    """Small CNFs, mixed or positive, with unit clauses and duplicate
+    clauses among them."""
+    w = draw(st.integers(1, 7))
+    positive = draw(st.booleans())
+    clauses = []
+    for _ in range(draw(st.integers(0, 10))):
+        vars_ = draw(st.lists(st.integers(1, w), min_size=1, max_size=min(4, w), unique=True))
+        clauses.append(tuple(v if positive or draw(st.booleans()) else -v for v in vars_))
+    for _ in range(draw(st.integers(0, 3)) if clauses else 0):
+        dup = clauses[draw(st.integers(0, len(clauses) - 1))]
+        clauses.insert(draw(st.integers(0, len(clauses))), dup)
+    return Cnf(w, tuple(clauses))
+
+
+class TestResumedPendingClause:
+    """run() scans a son's pending clause from its parent's; that must
+    agree with a fresh scan from clause 1."""
+
+    class FreshScan(EngineObserver):
+        def __init__(self, cnf):
+            self.cnf = cnf
+
+        def on_split(self, parent, parent_degree, sons, son_degrees):
+            for son, degree in zip(sons, son_degrees):
+                assert degree + 1 == pending_clause(son, self.cnf)
+
+    @given(small_cnfs())
+    @settings(max_examples=120, deadline=None)
+    def test_pushed_degree_matches_fresh_scan(self, cnf):
+        for method in (Method.CLAUSE012, Method.CLAUSE_E):
+            for policy in Policy:
+                config = EngineConfig(method=method, policy=policy)
+                try:
+                    validate_config(cnf, config)
+                except ValueError:
+                    continue
+                config.observer = self.FreshScan(cnf)
+                out = run(cnf, config)
+                assert_disjoint_cover(cnf.num_vars, out.rows, cnf_mask(cnf))
+
+    def test_son_missing_the_pending_clause_is_an_error(self, phi2, monkeypatch):
+        # a "son" equal to its parent does not settle the imposed clause
+        monkeypatch.setattr(wildsat.engine, "clausewise012_split", lambda row, clause: [row])
+        with pytest.raises(RuntimeError, match="pending clause"):
+            run(phi2, EngineConfig(method=Method.CLAUSE012, policy=Policy.NONE))
+
+
+class TestInvariantErrors:
+    def test_cardinality_filter_admitting_a_wrong_weight(self, phi2, monkeypatch):
+        # a k-feasibility check that admits everything lets rows of every
+        # weight reach the bottom; they must be refused, also under python -O
+        monkeypatch.setattr(wildsat.engine, "find_k_model", lambda row, cnf, k: (0,) * cnf.num_vars)
+        config = EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(phi2, 3))
+        with pytest.raises(RuntimeError, match="weight"):
+            run(phi2, config)
 
 
 class TestConfigValidation:

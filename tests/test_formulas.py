@@ -40,6 +40,10 @@ class TestClause:
         with pytest.raises(ValueError):
             Clause(())
 
+    def test_slot_mask(self):
+        # slots x1 ~x1 x2 ~x2 ...: x1 -> 0, ~x2 -> 3, x3 -> 4
+        assert Clause((1, -2, 3)).slot_mask == 0b11001
+
 
 class TestParseDimacs:
     def test_minimal(self):

@@ -121,6 +121,28 @@ class TestRow012eInvariants:
         with pytest.raises(EmptyRowError):
             b.set_fixed(0, 0)
 
+    def test_slot_masks(self):
+        r = erow("1 0 e1 2 2 e1 e2 2 2 e2", 5)
+        assert r.slot_masks == (0b1, (0b100100, 0b1001000000))
+
+    def test_cached_masks_are_not_part_of_identity(self):
+        a = erow("1 0 e1 2 2 e1 e2 2 2 e2", 5)
+        b = Row012e(a.width, a.slots, a.bubbles)
+        assert a.slot_masks  # cached on a only
+        assert a._masks is not None and b._masks is None
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert len({a, b}) == 1
+
+    def test_builder_copy_is_independent(self):
+        from wildsat.rows import _EBuilder
+
+        r = erow("e1 2 e1 2 2 2", 3)
+        b = _EBuilder.from_row(r)
+        c = b.copy()
+        c.set_fixed(0, 0)  # shrinks the bubble to slot 2, which takes the 1
+        assert b.freeze() == r
+        assert c.freeze() == erow("0 1 1 0 2 2", 3)
+
 
 class TestContains:
     def test_table3_final_row(self, table3):
@@ -363,6 +385,13 @@ class TestRowTextFormat:
     def test_header_mismatch(self):
         with pytest.raises(ValueError):
             parse_rows("rows w=2 n=3\n12\n")
+
+    @pytest.mark.parametrize(
+        "text", ["rows w=3\n", "rows foo\n", "rows w=x n=1\n", "rows w=3 n=1 n=2\n", "", "w=3 n=0\n"]
+    )
+    def test_malformed_header_named(self, text):
+        with pytest.raises(ValueError, match=r"'rows w=<w> n=<n>'"):
+            parse_rows(text)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)

@@ -29,6 +29,7 @@ from wildsat.sat import (
     find_k_model,
     find_model,
     prob_final,
+    row_satisfies_clause,
 )
 
 EQ11_MODELS = {
@@ -233,6 +234,24 @@ class TestFinalE:
             row = random_purified_row(rng, w)
             expected = row_mask(w, row) & ~cnf_mask(cnf) == 0
             assert final_e(row, cnf) == expected
+
+
+class TestRowSatisfiesClauseE:
+    def test_bitwise_rule_matches_slot_sets(self):
+        # the rule on slot sets: a clause slot holds 1, or a bubble lies
+        # inside the clause's slots
+        from wildsat.rows import slot_of_lit
+
+        rng = random.Random(149)
+        for _ in range(400):
+            w = rng.randint(1, 8)
+            row = random_row012e(rng, w, max_bubbles=4)
+            clause = random_cnf(rng, w, 1, rng.randint(1, min(4, w))).clauses[0]
+            cslots = {slot_of_lit(l) for l in clause.lits}
+            expected = any(row.slots[s] == 1 for s in cslots) or any(
+                set(m) <= cslots for m in row.bubbles
+            )
+            assert row_satisfies_clause(row, clause) == expected
 
 
 class TestKFeasible:
