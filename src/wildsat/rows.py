@@ -183,6 +183,10 @@ class Row012e:
     _masks: tuple[int, tuple[int, ...]] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    # filled on first use by read_masks, the same way
+    _read: tuple[int, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.slots) != 2 * self.width:
@@ -249,17 +253,48 @@ class Row012e:
             return 0
         return 2
 
+    @property
+    def read_masks(self) -> tuple[int, int]:
+        """(mask of the slots holding 0, mask of the bad pairs' positive
+        slots), from ``slot_masks``.  Cached per row like it.
+
+        ``even`` marks the positive slots.  A fixed variable's 0-slot is the
+        mate of its 1-slot, so the 0-slots are the 1-slots with every slot
+        swapped for its mate.  With ``bub`` the union of the bubble masks, a
+        variable is a bad pair when both its slots lie in ``bub``: a bubble
+        never covers both slots of one variable, so they lie in distinct
+        bubbles.
+        """
+        read = self._read
+        if read is None:
+            ones, bubbles = self.slot_masks
+            even = ((1 << 2 * self.width) - 1) // 3
+            bub = 0
+            for b in bubbles:
+                bub |= b
+            zeros = ((ones & even) << 1) | ((ones >> 1) & even)
+            read = (zeros, bub & (bub >> 1) & even)
+            object.__setattr__(self, "_read", read)
+        return read
+
     def bad_pairs(self) -> tuple[int, ...]:
-        """Variables whose two slots are covered by distinct bubbles."""
+        """Variables whose two slots are covered by distinct bubbles, in
+        increasing order (``purify`` instantiates them in this order).
+
+        Read off the bad-pair mask of ``read_masks``, where the bad
+        variables' positive slots are the set bits of
+        ``bub & (bub >> 1) & even`` (``bub``: the union of the bubbles).
+        """
+        m = self.read_masks[1]
         out = []
-        for var in range(1, self.width + 1):
-            a, b = self.slots[pos_slot(var)], self.slots[neg_slot(var)]
-            if a >= _B and b >= _B:
-                out.append(var)
+        while m:
+            low = m & -m
+            out.append(slot_var(low.bit_length() - 1))
+            m ^= low
         return tuple(out)
 
     def is_purified(self) -> bool:
-        return not self.bad_pairs()
+        return not self.read_masks[1]
 
     @property
     def free_count(self) -> int:
@@ -573,15 +608,35 @@ def intersect_e(r: Row012e, rho: Row012e) -> list[Row012e]:
 
 
 def intersection_card_ie(r: Row012e, rho: Row012e) -> int:
-    """Cardinality of the intersection by inclusion-exclusion over rho's bubbles.
+    """Cardinality of the intersection of two purified rows.
 
-    Each term pins a subset of rho's bubbles entirely to 0 inside r (after
-    applying rho's fixed slots) and takes the purified-row cardinality.
+    First a reject on the cached masks (``slot_masks``, ``read_masks``):
+    the result is 0 when a slot holds 1 in one row and 0 in the other, or
+    when a bubble of either row lies inside the other row's 0-slots (no
+    member of the other row sets any of its slots to 1).  Each test proves
+    the rows disjoint with a few bit operations.  Any other pair goes to
+    inclusion-exclusion over rho's bubbles: each term pins a subset of
+    rho's bubbles entirely to 0 inside r (after applying rho's fixed slots)
+    and takes the purified-row cardinality.  Emptiness that shows only
+    after cascades, such as a bubble shrunk to one slot that then clashes,
+    is left to that sum, which comes to 0.
     """
-    if not r.is_purified() or not rho.is_purified():
+    zeros_r, bad_r = r.read_masks
+    zeros_rho, bad_rho = rho.read_masks
+    if bad_r or bad_rho:
         raise PurityError("intersection_card_ie requires purified rows")
     if r.width != rho.width:
         raise ValueError("row widths differ")
+    ones_r, bubbles_r = r.slot_masks
+    ones_rho, bubbles_rho = rho.slot_masks
+    if ones_r & zeros_rho:
+        return 0
+    for b in bubbles_r:
+        if b & zeros_rho == b:
+            return 0
+    for b in bubbles_rho:
+        if b & zeros_r == b:
+            return 0
     try:
         base = _EBuilder.from_row(r)
         for s, v in enumerate(rho.slots):
@@ -703,13 +758,15 @@ def format_rows(rows: RowList) -> str:
 
 
 def parse_rows(text: str) -> RowList:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()] or [""]
+    lines = [ln.strip() for ln in text.lstrip().splitlines()] or [""]
     header = re.fullmatch(r"rows\s+w=(\d+)\s+n=(\d+)", lines[0])
     if header is None:
         raise ValueError(f"malformed header {lines[0]!r}: expected 'rows w=<w> n=<n>'")
     width, count = int(header[1]), int(header[2])
+    # a row of width 0 is an empty line; otherwise blank lines are skipped
+    body = lines[1:] if width == 0 else [ln for ln in lines[1:] if ln]
     rows = []
-    for ln in lines[1:]:
+    for ln in body:
         toks = ln.split()
         if len(toks) != width:
             raise ValueError(f"expected {width} tokens per row, got {len(toks)}")

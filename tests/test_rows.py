@@ -17,6 +17,8 @@ from oracle import (
     random_row012e,
     row_mask,
 )
+from wildsat.engine import EngineConfig, Method, run
+from wildsat.formulas import parse_dimacs
 from wildsat.rows import (
     EmptyRowError,
     PurityError,
@@ -33,9 +35,12 @@ from wildsat.rows import (
     intersect_012,
     intersect_e,
     intersection_card_ie,
+    neg_slot,
     parse_rows,
     pick_model,
+    pos_slot,
     purify,
+    _EBuilder,
 )
 
 # Purified row over x1..x8 with bubbles {x1, ~x2} and {~x5, x6, ~x7, x8},
@@ -334,6 +339,162 @@ class TestIntersectionCardIE:
             assert got == sum(card_e(p) for p in intersect_e(a, b))
 
 
+def _row_through(rng: random.Random, u: tuple[int, ...], max_bubbles: int = 4) -> Row012e:
+    """A random purified row with member u: each bubble covers one slot of
+    each of its variables and holds a slot whose literal u makes true, and
+    fixed variables take their value in u."""
+    w = len(u)
+    b = _EBuilder(w)
+    free = list(range(1, w + 1))
+    rng.shuffle(free)
+    for _ in range(rng.randint(0, max_bubbles)):
+        n = rng.randint(2, 4)
+        chosen, free = free[:n], free[n:]
+        if len(chosen) < 2:
+            break
+        slots = [pos_slot(v) if rng.random() < 0.5 else neg_slot(v) for v in chosen[1:]]
+        v = chosen[0]
+        slots.append(pos_slot(v) if u[v - 1] else neg_slot(v))
+        b.new_bubble(slots)
+    for v in free:
+        if rng.random() < 0.3:
+            b.set_fixed(pos_slot(v), u[v - 1])
+    return b.freeze()
+
+
+class TestIntersectionCardIEReject:
+    """The mask reject at the top of intersection_card_ie returns 0 without
+    building a row; every other pair takes the inclusion-exclusion sum."""
+
+    @staticmethod
+    def _no_builder(monkeypatch):
+        def fail(row):
+            raise AssertionError("the reject should not build a row")
+
+        monkeypatch.setattr(_EBuilder, "from_row", staticmethod(fail))
+
+    @pytest.mark.parametrize(
+        "r, rho",
+        [
+            ("1 0 2 2", "0 1 2 2"),  # x1 = 1 in r, x1 = 0 in rho
+            ("e 2 e 2 2 2", "0 1 0 1 2 2"),  # r's bubble {x1, x2} lies in rho's 0-slots
+            ("0 1 0 1 2 2", "e 2 e 2 2 2"),  # rho's bubble lies in r's 0-slots
+            ("e 2 e 2 2 2 1 0", "0 1 0 1 2 e 2 e"),  # both rows with fixed and bubbled slots
+        ],
+    )
+    def test_each_reject_reason(self, r, rho, monkeypatch):
+        r, rho = erow(r), erow(rho)
+        assert (row_mask(r.width, r) & row_mask(r.width, rho)) == 0
+        self._no_builder(monkeypatch)
+        assert intersection_card_ie(r, rho) == 0
+        assert intersection_card_ie(rho, r) == 0
+
+    def test_cascade_only_empty_pair_falls_through(self, monkeypatch):
+        # r: x1 = 0 and (~x2 or x3); rho: x3 = 0 and (x1 or x2).  No slot
+        # clashes and no bubble lies in the other row's 0-slots, but inside
+        # rho r's bubble shrinks to ~x2 while rho's shrinks to x2.
+        r, rho = erow("0 1 2 e e 2"), erow("e 2 e 2 0 1")
+        assert (row_mask(3, r) & row_mask(3, rho)) == 0
+        built = []
+        from_row = _EBuilder.from_row
+        monkeypatch.setattr(
+            _EBuilder, "from_row", staticmethod(lambda row: built.append(row) or from_row(row))
+        )
+        assert intersection_card_ie(r, rho) == 0
+        assert built  # reached the inclusion-exclusion sum
+
+    @given(st.integers(1, 70), st.integers(0, 2**32), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, w, seed, meet):
+        # meet: both rows contain one random bitstring, else independent rows
+        rng = random.Random(seed)
+        if meet:
+            u = tuple(rng.randint(0, 1) for _ in range(w))
+            a, b = _row_through(rng, u), _row_through(rng, u)
+        else:
+            a, b = random_purified_row(rng, w, 4), random_purified_row(rng, w, 4)
+        if w <= 10:
+            expected = (row_mask(w, a) & row_mask(w, b)).bit_count()
+        else:
+            expected = sum(card_e(p) for p in intersect_e(a, b))
+        assert intersection_card_ie(a, b) == expected
+        assert intersection_card_ie(b, a) == expected
+        if meet:
+            assert expected > 0
+
+
+def _bad_pairs_walk(row: Row012e) -> tuple[int, ...]:
+    """The slot walk bad_pairs replaced, kept as the reference."""
+    return tuple(
+        var
+        for var in range(1, row.width + 1)
+        if row.slots[pos_slot(var)] >= 3 and row.slots[neg_slot(var)] >= 3
+    )
+
+
+def _row_with_bad_pairs(rng: random.Random, w: int) -> Row012e:
+    """A random e-row whose bad pairs sit at random variables: two bubbles
+    take the positive and the negative slots of the same variables."""
+    b = _EBuilder(w)
+    vars_ = rng.sample(range(1, w + 1), rng.randint(1, min(w, 8)))
+    k = rng.randint(0, len(vars_))
+    bad, rest = vars_[:k], vars_[k:]
+    half = len(rest) // 2
+    for slot, extra in ((pos_slot, rest[:half]), (neg_slot, rest[half:])):
+        slots = [slot(v) for v in bad + extra]
+        if len(slots) >= 2:
+            b.new_bubble(slots)
+    for var in range(1, w + 1):
+        if b.slots[pos_slot(var)] == 2 and b.slots[neg_slot(var)] == 2 and rng.random() < 0.3:
+            b.set_fixed(pos_slot(var), rng.randint(0, 1))
+    return b.freeze()
+
+
+class TestBitwisePurity:
+    @given(st.integers(1, 70), st.integers(0, 2**32), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_slot_walk(self, w, seed, forced):
+        rng = random.Random(seed)
+        row = _row_with_bad_pairs(rng, w) if forced else random_row012e(rng, w, max_bubbles=8)
+        assert row.bad_pairs() == _bad_pairs_walk(row)
+        assert row.is_purified() == (not _bad_pairs_walk(row))
+
+    def test_bad_pairs_beyond_one_word(self):
+        w = 70
+        b = _EBuilder(w)
+        b.new_bubble([pos_slot(3), pos_slot(33), pos_slot(64)])
+        b.new_bubble([neg_slot(33), neg_slot(64), neg_slot(70)])
+        b.new_bubble([pos_slot(70), neg_slot(3)])
+        row = b.freeze()
+        assert row.bad_pairs() == _bad_pairs_walk(row) == (3, 33, 64, 70)
+        assert not row.is_purified()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda row: intersection_card_ie(row, row),
+            lambda row: intersection_card_ie(Row012e.full(row.width), row),
+            card_purified,
+            lambda row: format_rows(RowList(row.width, (row,))),
+            pick_model,
+            expand_to_012,
+        ],
+        ids=["ie", "ie_rho", "card_purified", "format_rows", "pick_model", "expand_to_012"],
+    )
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_unpurified_row_raises(self, call, wide, table3):
+        row = table3[11]
+        if wide:  # bad pairs at x35 and x38, past slot 64
+            w = 40
+            b = _EBuilder(w)
+            b.new_bubble([pos_slot(35), pos_slot(38)])
+            b.new_bubble([neg_slot(35), neg_slot(38)])
+            row = b.freeze()
+        assert row.bad_pairs()
+        with pytest.raises(PurityError):
+            call(row)
+
+
 class TestImposeOnSlots:
     def test_already_hit_is_identity(self):
         r = erow("1 0 2 2", 2)
@@ -405,6 +566,27 @@ class TestRowTextFormat:
         back = parse_rows(text)
         assert [row_mask(w, p) for p in back.rows] == [row_mask(w, r) for r in rows]
         assert format_rows(back) == text
+
+
+class TestEmptyWidthRowFiles:
+    @pytest.mark.parametrize("method", [Method.CLAUSE_E, Method.CLAUSE012, Method.VAR012])
+    def test_round_trip(self, method):
+        rows = run(parse_dimacs("p cnf 0 0\n"), EngineConfig(method=method))
+        text = format_rows(rows)
+        assert text == "rows w=0 n=1\n\n"
+        back = parse_rows(text)
+        assert len(back) == 1 and back.total_models() == 1
+        assert format_rows(back) == text
+
+    def test_counts_blank_lines_as_rows(self):
+        assert len(parse_rows("rows w=0 n=0\n")) == 0
+        assert len(parse_rows("rows w=0 n=2\n\n\n")) == 2
+        with pytest.raises(ValueError, match="announced 1 rows, found 2"):
+            parse_rows("rows w=0 n=1\n\n\n")
+
+    def test_token_line_rejected(self):
+        with pytest.raises(ValueError, match="expected 0 tokens"):
+            parse_rows("rows w=0 n=1\n1\n")
 
 
 class TestMembersIteration:
