@@ -24,9 +24,6 @@ from .engine import (
     enumerate_dnf_k,
     enumerate_from_complement,
     enumerate_hitting_sets,
-    filter_cardinality,
-    filter_complement,
-    filter_weight,
     pending_clause,
     run,
     varwise_degree,
@@ -55,7 +52,6 @@ from .rows import (
     card_012,
     card_e,
     card_purified,
-    contains,
     expand_to_012,
     format_rows,
     impose_on_slots,
@@ -69,9 +65,7 @@ from .rows import (
 )
 from .sat import (
     SolverStats,
-    Verdict,
     dpll_sat,
-    final_012,
     final_e,
     prob_final,
     test1,

@@ -44,6 +44,11 @@ def gen_random_cnf(spec: GenSpec) -> Cnf:
     return Cnf(spec.w, tuple(clauses))
 
 
+def fmt_prob(p: float) -> str:
+    """A finality probability for output: "≈0" below 1e-6."""
+    return "≈0" if 0 <= p < 1e-6 else f"{p:.6f}"
+
+
 @dataclass(frozen=True)
 class BenchRecord:
     method: str
@@ -56,10 +61,9 @@ class BenchRecord:
     harmful_deletions: int
 
     def as_line(self) -> str:
-        prob = "≈0" if 0 <= self.prob < 1e-6 else f"{self.prob:.6f}"
         return (
             f"method={self.method} policy={self.policy} R={self.rows} "
-            f"models={self.models} gamma={self.gamma_avg:.4f} prob={prob} "
+            f"models={self.models} gamma={self.gamma_avg:.4f} prob={fmt_prob(self.prob)} "
             f"time_s={self.time_s:.4f} harmful={self.harmful_deletions}"
         )
 

@@ -7,14 +7,14 @@ import sys
 from pathlib import Path
 
 from .analysis import count_by_cardinality, equivalent
-from .bench import GenSpec, gen_random_cnf, run_bench
+from .bench import GenSpec, fmt_prob, gen_random_cnf, run_bench
 from .engine import (
+    CardinalityFilter,
+    ComplementFilter,
     EngineConfig,
     Method,
     Policy,
-    filter_cardinality,
-    filter_complement,
-    filter_weight,
+    WeightFilter,
     run,
     validate_config,
 )
@@ -54,10 +54,6 @@ def _error(command: str, exc: Exception) -> int:
     return 2
 
 
-def _fmt_prob(p: float) -> str:
-    return "≈0" if 0 <= p < 1e-6 else f"{p:.6f}"
-
-
 def _stats_block(result: RowList, cnf: Cnf) -> str:
     st = result.stats
     lam = cnf.mean_clause_len()
@@ -66,7 +62,7 @@ def _stats_block(result: RowList, cnf: Cnf) -> str:
         f"R={st.rows}",
         f"models={st.models}",
         f"gamma={st.gamma_avg:.4f}",
-        f"prob={_fmt_prob(prob)}",
+        f"prob={fmt_prob(prob)}",
         f"time_s={st.time_s:.4f}",
         f"harmful={st.harmful_deletions}",
     ]
@@ -85,38 +81,36 @@ def _build_config(args, parser: argparse.ArgumentParser, cnf: Cnf) -> EngineConf
     bound = getattr(args, "bound", None)
     complement_path = getattr(args, "complement", None)
     chosen = [
-        name
-        for name, on in (
-            ("--k", k is not None),
-            ("--weights/--bound", weights_path is not None),
-            ("--complement", complement_path is not None),
+        (name, cls)
+        for name, cls, on in (
+            ("--k", CardinalityFilter, k is not None),
+            ("--weights/--bound", WeightFilter, weights_path is not None),
+            ("--complement", ComplementFilter, complement_path is not None),
         )
         if on
     ]
     if len(chosen) > 1:
-        parser.error(f"conflicting filters: {', '.join(chosen)}")
+        parser.error(f"conflicting filters: {', '.join(name for name, _ in chosen)}")
+    # before any filter file is read
+    for name, cls in chosen:
+        if method not in cls.methods:
+            parser.error(f"{name} requires --method {' or '.join(m.value for m in cls.methods)}")
     if k is not None:
-        if method != Method.VAR012:
-            parser.error("--k requires --method var-012")
-        spmod = filter_cardinality(cnf, k)
+        spmod = CardinalityFilter(cnf, k)
     if weights_path is not None:
         if bound is None:
             parser.error("--weights requires --bound")
-        if method not in (Method.VAR012, Method.CLAUSE012):
-            parser.error("--weights works with --method var-012 or clause-012")
         weights = _load_weights(weights_path)
         if len(weights) != 2 * cnf.num_vars:
             parser.error(f"weights file must have {2 * cnf.num_vars} slot lines")
-        spmod = filter_weight(weights, bound)
+        spmod = WeightFilter(weights, bound)
     if bound is not None and weights_path is None:
         parser.error("--bound requires --weights")
     if complement_path is not None:
-        if method != Method.VAR012:
-            parser.error("--complement requires --method var-012")
         comp = parse_rows(Path(complement_path).read_text())
         if comp.width != cnf.num_vars:
             parser.error("complement row width does not match the CNF")
-        spmod = filter_complement(comp)
+        spmod = ComplementFilter(comp)
     config = EngineConfig(method=method, policy=policy, spmod=spmod)
     try:
         validate_config(cnf, config)

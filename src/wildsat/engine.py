@@ -16,10 +16,13 @@ Mechanisms:
                an e-bubble over its free literal slots, with bubble-overlap
                columns branched off first.
 
+One driver loop serves all three; a mechanism supplies only the root row,
+a row's degree, the candidate sons and the output of a final row.
 Candidate sons are screened by a feasibility policy (perfect solver check,
-the weak tests, or none).  With a weak policy an infeasible row can enter
-the stack; it is unmasked only when a later clause has no slot left to
-impose on, and its removal then counts as a harmful deletion.
+the weak tests, or none) and by the filter, if any.  With a weak policy an
+infeasible row can enter the stack; it is unmasked only when none of its
+candidate sons is admitted (or, for var-012, when it is a bitstring that is
+no model), and its removal then counts as a harmful deletion.
 """
 
 from __future__ import annotations
@@ -98,19 +101,29 @@ class EngineConfig:
 class SpModFilter:
     """Restriction of the enumeration to a special subset of the models.
 
-    ``admits`` must answer no only when the row misses the special set;
-    ``exact`` marks it perfect, in which case it replaces the feasibility
-    policy entirely.
+    ``admit`` must answer no only when the row misses the special set.  It
+    returns a bool, or, when it is solver-backed, a witness: a member of the
+    special set inside the row, or None when there is none.  The driver
+    counts each witness answer as a solver call and reuses a parent's
+    witness for every son that contains it.  ``exact`` marks the answer
+    perfect, in which case the filter replaces the feasibility policy;
+    otherwise it screens in front of the policy.  ``methods`` lists the
+    methods the filter runs with.
     """
 
     exact = False
+    methods: tuple[Method, ...] = (Method.VAR012,)
 
-    def admits(self, row) -> bool:
+    def admit(self, row) -> bool | tuple[int, ...] | None:
         raise NotImplementedError
 
     def final_override(self, row) -> bool | None:
         """True forces finality now; None defers to the mechanism."""
         return None
+
+    def refine_final(self, row) -> tuple[list, int]:
+        """The output rows of a final row, plus the number of subrows dropped."""
+        return [row], 0
 
 
 class CardinalityFilter(SpModFilter):
@@ -124,11 +137,14 @@ class CardinalityFilter(SpModFilter):
         self.cnf = cnf
         self.k = k
 
-    def admits(self, row: Row012) -> bool:
-        return self.find_witness(row) is not None
-
-    def find_witness(self, row: Row012) -> tuple[int, ...] | None:
+    def admit(self, row: Row012) -> tuple[int, ...] | None:
         return find_k_model(row, self.cnf, self.k)
+
+    def refine_final(self, row: Row012) -> tuple[list[Row012], int]:
+        """The final bitstring itself; it must have weight k."""
+        if weight(row.symbols) != self.k:
+            raise RuntimeError(f"cardinality filter admitted a row of weight {weight(row.symbols)}, not {self.k}")
+        return [row], 0
 
 
 class DnfKFilter(SpModFilter):
@@ -142,7 +158,7 @@ class DnfKFilter(SpModFilter):
         self.dnf = dnf
         self.k = k
 
-    def admits(self, row: Row012) -> bool:
+    def admit(self, row: Row012) -> bool:
         for term in self.dnf.terms:
             meet = intersect_012(row, term)
             if meet is None:
@@ -176,7 +192,7 @@ class ComplementFilter(SpModFilter):
                 n += card_012(meet)
         return n
 
-    def admits(self, row: Row012) -> bool:
+    def admit(self, row: Row012) -> bool:
         return self._overlap(row) < card_012(row)
 
     def final_override(self, row: Row012) -> bool | None:
@@ -192,7 +208,7 @@ class WeightFilter(SpModFilter):
     rows are post-split so only members within the bound are emitted.
     """
 
-    exact = False
+    methods = (Method.VAR012, Method.CLAUSE012)
 
     def __init__(self, slot_weights: Sequence[int], bound: int):
         if any(w < 0 for w in slot_weights):
@@ -228,10 +244,10 @@ class WeightFilter(SpModFilter):
                 total += max(wp, wn)
         return total
 
-    def admits(self, row: Row012) -> bool:
+    def admit(self, row: Row012) -> bool:
         return self.min_weight(row) <= self.bound
 
-    def restrict_final(self, row: Row012) -> tuple[list[Row012], int]:
+    def refine_final(self, row: Row012) -> tuple[list[Row012], int]:
         """Disjoint subrows holding exactly the members within the bound,
         plus the number of discarded subrows."""
         kept: list[Row012] = []
@@ -249,18 +265,6 @@ class WeightFilter(SpModFilter):
             stack.append(r.with_value(var, 1))
             stack.append(r.with_value(var, 0))
         return kept, discards
-
-
-def filter_cardinality(cnf: Cnf, k: int) -> CardinalityFilter:
-    return CardinalityFilter(cnf, k)
-
-
-def filter_weight(slot_weights: Sequence[int], bound: int) -> WeightFilter:
-    return WeightFilter(slot_weights, bound)
-
-
-def filter_complement(complement_rows: RowList) -> ComplementFilter:
-    return ComplementFilter(complement_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -290,19 +294,12 @@ def varwise_degree(row: Row012) -> int:
     return row.width
 
 
-def varwise_split(row: Row012, cnf: Cnf, solver: SolverFn = dpll_sat) -> list[Row012]:
-    """Pin the first don't-care to 0 and to 1, keeping feasible candidates."""
-    q = varwise_degree(row)
-    if q >= row.width:
+def varwise_split(row: Row012) -> list[Row012]:
+    """Pin the first don't-care to 0 and to 1."""
+    if TWO not in row.symbols:
         raise ValueError("cannot split a bitstring row")
-    sons = []
-    for v in (0, 1):
-        cand = row.with_value(q + 1, v)
-        if find_model(cand, cnf, solver) is not None:
-            sons.append(cand)
-    if not sons:
-        raise RuntimeError("both sons infeasible: parent row was infeasible")
-    return sons
+    var = row.symbols.index(TWO) + 1
+    return [row.with_value(var, 0), row.with_value(var, 1)]
 
 
 def clausewise012_split(row: Row012, clause: Clause) -> list[Row012]:
@@ -344,12 +341,7 @@ def run(cnf: Cnf, config: EngineConfig | None = None) -> RowList:
     validate_config(cnf, config)
     t0 = time.perf_counter()
     stats = RunStats(method=config.method.value, policy=config.policy.value)
-    if config.method == Method.SCAN:
-        rows = _scan_rows(cnf)
-    elif config.method == Method.VAR012:
-        rows = _run_varwise(cnf, config, stats)
-    else:
-        rows = _run_clausewise(cnf, config, stats)
+    rows = _scan_rows(cnf) if config.method == Method.SCAN else _drive(cnf, config, stats)
     stats.time_s = time.perf_counter() - t0
     out = RowList(cnf.num_vars, tuple(rows), stats)
     stats.rows = len(out)
@@ -368,16 +360,12 @@ def validate_config(cnf: Cnf, config: EngineConfig) -> None:
             raise ValueError("scan does not combine with filters")
         return
     if method == Method.CLAUSE_E:
-        if filt is not None:
-            raise ValueError("filters apply to 012-row methods only")
         if policy == Policy.TEST12:
             raise ValueError("clause-e supports policies solver, test1 (positive CNF) or none")
         if policy == Policy.TEST1 and not cnf.is_positive():
             raise ValueError("policy test1 with clause-e requires a positive CNF")
-    if isinstance(filt, (CardinalityFilter, DnfKFilter, ComplementFilter)) and method != Method.VAR012:
-        raise ValueError("this filter runs with method var-012")
-    if isinstance(filt, WeightFilter) and method not in (Method.VAR012, Method.CLAUSE012):
-        raise ValueError("the weight filter runs with var-012 or clause-012")
+    if filt is not None and method not in filt.methods:
+        raise ValueError(f"this filter runs with method {' or '.join(m.value for m in filt.methods)}")
 
 
 def _scan_rows(cnf: Cnf) -> list[Row012]:
@@ -388,169 +376,123 @@ def _scan_rows(cnf: Cnf) -> list[Row012]:
     return out
 
 
-def _policy_check(row, cnf: Cnf, policy: Policy) -> bool:
-    if policy == Policy.NONE:
-        return True
-    if policy == Policy.TEST1:
-        return bool(test1(row, cnf))
-    if policy == Policy.TEST12:
-        return bool(test1(row, cnf)) and bool(test2(row, cnf))
-    raise AssertionError(policy)
+def _admission(cnf: Cnf, config: EngineConfig, stats: RunStats):
+    """The son screen of a run: admit(row, hint) -> (admitted, witness).
 
+    A perfect filter replaces the policy; any other filter screens in front
+    of it.  A check that answers with a witness (a model, or None) rather
+    than a bool is a solver call, and ``hint``, the parent's witness, stands
+    in for it on a son that contains it.
+    """
+    filt, policy, solver = config.spmod, config.policy, config.solver
+    exact = filt is not None and filt.exact
+    screen = None if exact else filt
+    if exact:
+        check = filt.admit
+    elif policy == Policy.SOLVER:
+        check = lambda row: find_model(row, cnf, solver)
+    elif policy == Policy.TEST1:
+        check = lambda row: test1(row, cnf)
+    elif policy == Policy.TEST12:
+        check = lambda row: test1(row, cnf) and test2(row, cnf)
+    else:
+        check = lambda row: True
 
-def _run_varwise(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list[Row012]:
-    w = cnf.num_vars
-    filt, policy, solver, obs = config.spmod, config.policy, config.solver, config.observer
-    exact_filter = filt is not None and filt.exact
-    weight_filter = filt if isinstance(filt, WeightFilter) else None
-
-    def admit(cand: Row012, hint):
-        """(admitted, witness) under the active filter/policy."""
-        if weight_filter is not None and not weight_filter.admits(cand):
+    def admit(row, hint):
+        if screen is not None and not screen.admit(row):
             stats.weight_pruned += 1
             return False, None
-        if exact_filter:
-            if isinstance(filt, CardinalityFilter):
-                if hint is not None and cand.contains(hint):
-                    return True, hint
-                stats.solver_calls += 1
-                witness = filt.find_witness(cand)
-                return witness is not None, witness
-            return filt.admits(cand), None
-        if policy == Policy.SOLVER:
-            if hint is not None and cand.contains(hint):
-                return True, hint
-            stats.solver_calls += 1
-            witness = find_model(cand, cnf, solver)
-            return witness is not None, witness
-        return _policy_check(cand, cnf, policy), None
+        if hint is not None and row.contains(hint):
+            return True, hint
+        got = check(row)
+        if got is True or got is False:
+            return got, None
+        stats.solver_calls += 1
+        return got is not None, got
 
-    root = Row012.full(w)
-    ok, wit = admit(root, None)
-    if not ok:
-        return []
-    finals: list[Row012] = []
-    stack: list[tuple[Row012, tuple | None]] = [(root, wit)]
-    while stack:
-        row, hint = stack.pop()
-        deg = varwise_degree(row)
-        if obs:
-            obs.on_pop(row, deg, tuple(r for r, _ in stack), tuple(finals))
-        if filt is not None and filt.final_override(row):
-            finals.append(row)
-            if obs:
-                obs.on_emit(row)
-            continue
-        if deg == w:
-            u = row.symbols
-            genuine = True
-            if not exact_filter and policy != Policy.SOLVER:
-                genuine = evaluate(cnf, u)
-            if genuine and isinstance(filt, CardinalityFilter) and weight(u) != filt.k:
-                raise RuntimeError(f"cardinality filter admitted a row of weight {weight(u)}, not {filt.k}")
-            if genuine:
-                finals.append(row)
-                if obs:
-                    obs.on_emit(row)
-            else:
-                stats.harmful_deletions += 1
-                if obs:
-                    obs.on_harmful(row)
-            continue
-        sons = []
-        for v in (0, 1):
-            cand = row.with_value(deg + 1, v)
-            ok, cwit = admit(cand, hint)
-            if ok:
-                sons.append((cand, cwit))
-        if not sons:
-            stats.harmful_deletions += 1
-            if obs:
-                obs.on_harmful(row)
-            continue
-        if obs:
-            obs.on_split(row, deg, tuple(s for s, _ in sons), tuple(deg + 1 for _ in sons))
-        for entry in reversed(sons):
-            stack.append(entry)
-    return finals
+    return admit
 
 
-def _run_clausewise(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
-    e_level = config.method == Method.CLAUSE_E
-    w, h = cnf.num_vars, len(cnf.clauses)
-    policy, solver, obs = config.policy, config.solver, config.observer
-    weight_filter = config.spmod if isinstance(config.spmod, WeightFilter) else None
+def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
+    """The LIFO driver of var-012, clause-012 and clause-e.
 
-    def admit(cand, hint):
-        if weight_filter is not None and not weight_filter.admits(cand):
-            stats.weight_pruned += 1
-            return False, None
-        if policy == Policy.SOLVER:
-            if hint is not None and cand.contains(hint):
-                return True, hint
-            stats.solver_calls += 1
-            witness = find_model(cand, cnf, solver)
-            return witness is not None, witness
-        return _policy_check(cand, cnf, policy), None
+    A method supplies the root row, a row's degree, the candidate sons of a
+    row that is not final, and the output of a final row.  The degree is
+    the fixed-prefix length (var-012) or the number of leading clauses the
+    row settles (pending clause - 1); a row is final at degree ``top``.  A
+    row none of whose candidates is admitted was infeasible all along and is
+    only unmasked now: its removal counts as a harmful deletion.
+    """
+    method, filt, obs = config.method, config.spmod, config.observer
+    w, clauses = cnf.num_vars, cnf.clauses
+    admit = _admission(cnf, config, stats)
+    if method == Method.VAR012:
+        root, top = Row012.full(w), w
+        degree = lambda row, parent: varwise_degree(row)
+        split = lambda row, deg: varwise_split(row)
+    else:
+        root, top = (Row012e if method == Method.CLAUSE_E else Row012).full(w), len(clauses)
+        # a son is a subset of its parent, so the clauses the parent settles
+        # stay settled and its pending clause scan resumes from the parent's
+        degree = lambda row, parent: pending_clause(row, cnf, parent + 1) - 1
+        if method == Method.CLAUSE_E:
+            split = lambda row, deg: clausewise_e_split(row, clauses[deg])
+        else:
+            split = lambda row, deg: clausewise012_split(row, clauses[deg])
 
-    root = Row012e.full(w) if e_level else Row012.full(w)
+    # a bitstring passed only by a weak screen may still miss the model set
+    check_model = method == Method.VAR012 and config.policy != Policy.SOLVER and (filt is None or not filt.exact)
+
+    def finish(row) -> list | None:
+        """The output of a final row; None when it holds no model."""
+        if method == Method.CLAUSE_E:
+            return purify(row)
+        if check_model and not evaluate(cnf, row.symbols):
+            return None
+        if filt is None:
+            return [row]
+        kept, discards = filt.refine_final(row)
+        stats.weight_discards += discards
+        return kept
+
     ok, wit = admit(root, None)
     if not ok:
         return []
     finals: list = []
-    stack = [(root, pending_clause(root, cnf), wit)]
+    stack = [(root, degree(root, 0), wit)]
     while stack:
-        row, pc, hint = stack.pop()
+        row, deg, hint = stack.pop()
         if obs:
-            obs.on_pop(row, pc - 1, tuple(r for r, _, _ in stack), tuple(finals))
-        if pc > h:
-            _emit_final(row, e_level, weight_filter, finals, stats, obs)
-            continue
-        clause = cnf.clauses[pc - 1]
-        candidates = (
-            clausewise_e_split(row, clause) if e_level else clausewise012_split(row, clause)
-        )
-        if not candidates:
-            # no slot of the pending clause was left to impose on: the row
-            # was infeasible all along and is only unmasked now
+            obs.on_pop(row, deg, tuple(r for r, _, _ in stack), tuple(finals))
+        if filt is not None and filt.final_override(row):
+            out = [row]
+        elif deg == top:
+            out = finish(row)
+        else:
+            sons = []
+            for cand in split(row, deg):
+                ok, cwit = admit(cand, hint)
+                if ok:
+                    cdeg = degree(cand, deg)
+                    if cdeg <= deg:
+                        raise RuntimeError(f"son does not settle its parent's pending clause {deg + 1}")
+                    sons.append((cand, cdeg, cwit))
+            if sons:
+                if obs:
+                    obs.on_split(row, deg, tuple(s for s, _, _ in sons), tuple(d for _, d, _ in sons))
+                stack.extend(reversed(sons))
+                continue
+            out = None
+        if out is None:
             stats.harmful_deletions += 1
             if obs:
                 obs.on_harmful(row)
             continue
-        sons = []
-        for cand in candidates:
-            ok, cwit = admit(cand, hint)
-            if not ok:
-                continue
-            cpc = pending_clause(cand, cnf, pc)
-            if cpc <= pc:
-                raise RuntimeError(f"son does not settle its parent's pending clause {pc}")
-            sons.append((cand, cpc, cwit))
+        finals.extend(out)
         if obs:
-            obs.on_split(row, pc - 1, tuple(s for s, _, _ in sons), tuple(p - 1 for _, p, _ in sons))
-        for entry in reversed(sons):
-            stack.append(entry)
+            for piece in out:
+                obs.on_emit(piece)
     return finals
-
-
-def _emit_final(row, e_level: bool, weight_filter, finals: list, stats: RunStats, obs) -> None:
-    if e_level:
-        for piece in purify(row):
-            finals.append(piece)
-            if obs:
-                obs.on_emit(piece)
-        return
-    if weight_filter is not None:
-        kept, discards = weight_filter.restrict_final(row)
-        stats.weight_discards += discards
-        for piece in kept:
-            finals.append(piece)
-            if obs:
-                obs.on_emit(piece)
-        return
-    finals.append(row)
-    if obs:
-        obs.on_emit(row)
 
 
 # ---------------------------------------------------------------------------

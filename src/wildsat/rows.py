@@ -454,10 +454,6 @@ def card_e(row: Row012e) -> int:
     return sum(card_purified(piece) for piece in purify(row))
 
 
-def contains(row: Row012 | Row012e, u: Sequence[int]) -> bool:
-    return row.contains(u)
-
-
 def purify(row: Row012e) -> list[Row012e]:
     """Split a row into disjoint purified rows covering the same bitstrings.
 

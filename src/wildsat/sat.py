@@ -35,17 +35,6 @@ from .formulas import Clause, Cnf
 from .rows import ONE, TWO, ZERO, Row012, Row012e, settles, slot_of_lit
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Feasibility answer plus its strength."""
-
-    feasible: bool
-    perfect: bool
-
-    def __bool__(self) -> bool:
-        return self.feasible
-
-
 @dataclass
 class SolverStats:
     decisions: int = 0
@@ -232,20 +221,19 @@ def row_satisfies_clause(row: Row012 | Row012e, clause: Clause) -> bool:
     return settles(*row.slot_masks, clause.slot_mask)
 
 
-def test1(row: Row012 | Row012e, cnf: Cnf) -> Verdict:
+def test1(row: Row012 | Row012e, cnf: Cnf) -> bool:
     """No iff some clause has all its literals falsified by the row.
 
     Weak in general; perfect when the formula is positive, because setting
     every non-zero position to 1 then witnesses feasibility.
     """
-    perfect = cnf.is_positive()
     for clause in cnf.clauses:
         if clause_dead_in(row, clause):
-            return Verdict(False, perfect)
-    return Verdict(True, perfect)
+            return False
+    return True
 
 
-def test2(row: Row012, cnf: Cnf) -> Verdict:
+def test2(row: Row012, cnf: Cnf) -> bool:
     """Pair test: clauses Ci, Cj sharing a variable p positively/negatively
     whose remaining literals are all falsified force p to 1 and 0 at once."""
     zeros, ones = row.zeros(), row.ones()
@@ -256,23 +244,18 @@ def test2(row: Row012, cnf: Cnf) -> Verdict:
                 continue
             for p in ci.pos & cj.neg:
                 if (ci.pos - {p}) | cj.pos <= zeros and (cj.neg - {p}) | ci.neg <= ones:
-                    return Verdict(False, perfect=False)
-    return Verdict(True, perfect=False)
+                    return False
+    return True
 
 
-def final_012(row: Row012, cnf: Cnf) -> bool:
-    """Perfect containment test: every clause holds on the whole row."""
-    return all(row_satisfies_clause(row, c) for c in cnf.clauses)
-
-
-def final_e(row: Row012e, cnf: Cnf) -> bool:
-    """Containment test for e-rows via the per-clause rule of
-    row_satisfies_clause.
+def final_e(row: Row012 | Row012e, cnf: Cnf) -> bool:
+    """Containment test via the per-clause rule of row_satisfies_clause.
 
     Sound always: a true answer really means the row is contained.  Exact on
-    purified rows.  A row with bad pairs can be contained without the rule
-    seeing it (two bubbles may force a clause jointly); the enumeration then
-    simply splits such a row once more, so only compression is affected.
+    012-rows and on purified e-rows.  A row with bad pairs can be contained
+    without the rule seeing it (two bubbles may force a clause jointly); the
+    enumeration then simply splits such a row once more, so only compression
+    is affected.
     """
     return all(row_satisfies_clause(row, c) for c in cnf.clauses)
 

@@ -25,16 +25,16 @@ from oracle import (
 from wildsat.analysis import count_by_cardinality, equivalent
 from wildsat.bench import GenSpec, gen_random_cnf
 from wildsat.engine import (
+    CardinalityFilter,
     EngineConfig,
     EngineObserver,
     Method,
     Policy,
+    WeightFilter,
     clausewise_e_split,
     enumerate_dnf_k,
     enumerate_from_complement,
     enumerate_hitting_sets,
-    filter_cardinality,
-    filter_weight,
     run,
 )
 from wildsat.formulas import Dnf, parse_dimacs, weight
@@ -290,7 +290,7 @@ def test_criterion_7_filter_suites():
         w = rng.randint(2, 12) if rng.random() < 0.2 else rng.randint(2, 9)
         cnf = random_cnf(rng, w, rng.randint(0, 10), rng.randint(1, min(3, w)))
         k = rng.randint(0, w)
-        out = run(cnf, EngineConfig(method=Method.VAR012, spmod=filter_cardinality(cnf, k)))
+        out = run(cnf, EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(cnf, k)))
         expected = {
             u for u in models_of_mask(w, cnf_mask(cnf)) if weight(u) == k
         }
@@ -302,7 +302,7 @@ def test_criterion_7_filter_suites():
         weights = [rng.randint(0, 20) for _ in range(2 * w)]
         bound = rng.randint(0, sum(weights))
         method = Method.CLAUSE012 if rng.random() < 0.5 else Method.VAR012
-        out = run(cnf, EngineConfig(method=method, spmod=filter_weight(weights, bound)))
+        out = run(cnf, EngineConfig(method=method, spmod=WeightFilter(weights, bound)))
         expected = set()
         for u in models_of_mask(w, cnf_mask(cnf)):
             f = sum(weights[2 * i] if b else weights[2 * i + 1] for i, b in enumerate(u))

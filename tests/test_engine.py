@@ -11,18 +11,26 @@ from hypothesis import strategies as st
 
 from conftest import EQ11_ROWS, row012
 from oracle import (
+    all_bitstrings,
     assert_disjoint_cover,
     cnf_mask,
+    full_mask,
+    index_of,
     random_cnf,
     row_mask,
+    weight_mask,
 )
 import wildsat.engine
+from wildsat.bench import GenSpec, gen_random_cnf
 from wildsat.engine import (
     CardinalityFilter,
+    ComplementFilter,
+    DnfKFilter,
     EngineConfig,
     EngineObserver,
     Method,
     Policy,
+    WeightFilter,
     clausewise012_split,
     clausewise_e_split,
     pending_clause,
@@ -31,8 +39,8 @@ from wildsat.engine import (
     varwise_degree,
     varwise_split,
 )
-from wildsat.formulas import Clause, Cnf
-from wildsat.rows import Row012, format_rows
+from wildsat.formulas import Clause, Cnf, Dnf
+from wildsat.rows import Row012, RowList, format_rows
 from wildsat.sat import row_satisfies_clause
 
 # Working-stack rows of the clause-wise 012 run on phi2, condensed to w=5.
@@ -92,19 +100,27 @@ class TestVarwiseSplit:
         assert varwise_degree(row012("0110121021")) == 5
 
     def test_both_sons(self):
-        cnf = Cnf(3, ())
-        sons = varwise_split(row012("202"), cnf)
+        sons = varwise_split(row012("202"))
         assert [str(s) for s in sons] == ["002", "102"]
 
     def test_infeasible_candidate_dropped(self):
         cnf = Cnf(3, (Clause((-1,)),))
-        sons = varwise_split(row012("202"), cnf)
-        assert [str(s) for s in sons] == ["002"]
+        rec = _PopRecorder()
+        run(cnf, EngineConfig(method=Method.VAR012, observer=rec))
+        assert [str(s) for s in rec.splits[0]] == ["022"]
 
-    def test_both_candidates_infeasible_is_an_internal_error(self):
+    def test_both_candidates_infeasible_is_a_harmful_deletion(self):
+        # test1 passes the root of x1 & ~x1, and no son of it
         cnf = Cnf(2, (Clause((1,)), Clause((-1,))))
-        with pytest.raises(RuntimeError):
-            varwise_split(row012("22"), cnf)
+        rec = _PopRecorder()
+        out = run(cnf, EngineConfig(method=Method.VAR012, policy=Policy.TEST1, observer=rec))
+        assert out.rows == ()
+        assert out.stats.harmful_deletions == 1 and rec.harmful == [Row012.full(2)]
+        assert rec.splits == []
+
+    def test_bitstring_cannot_split(self):
+        with pytest.raises(ValueError):
+            varwise_split(row012("01"))
 
 
 class TestClausewise012Split:
@@ -181,12 +197,20 @@ class _PopRecorder(EngineObserver):
     def __init__(self):
         self.pops = []
         self.emits = []
+        self.splits = []
+        self.harmful = []
 
     def on_pop(self, row, degree, stack_rows, final_rows):
         self.pops.append(row)
 
+    def on_split(self, parent, parent_degree, sons, son_degrees):
+        self.splits.append(sons)
+
     def on_emit(self, row):
         self.emits.append(row)
+
+    def on_harmful(self, row):
+        self.harmful.append(row)
 
 
 class TestRunGoldens:
@@ -345,13 +369,13 @@ class TestEngineInvariants:
 
 
 @st.composite
-def small_cnfs(draw) -> Cnf:
+def small_cnfs(draw, min_width: int = 1) -> Cnf:
     """Small CNFs, mixed or positive, with unit clauses and duplicate
     clauses among them."""
-    w = draw(st.integers(1, 7))
+    w = draw(st.integers(min_width, 7))
     positive = draw(st.booleans())
     clauses = []
-    for _ in range(draw(st.integers(0, 10))):
+    for _ in range(draw(st.integers(0, 10 if w else 0))):
         vars_ = draw(st.lists(st.integers(1, w), min_size=1, max_size=min(4, w), unique=True))
         clauses.append(tuple(v if positive or draw(st.booleans()) else -v for v in vars_))
     for _ in range(draw(st.integers(0, 3)) if clauses else 0):
@@ -391,6 +415,99 @@ class TestResumedPendingClause:
         monkeypatch.setattr(wildsat.engine, "clausewise012_split", lambda row, clause: [row])
         with pytest.raises(RuntimeError, match="pending clause"):
             run(phi2, EngineConfig(method=Method.CLAUSE012, policy=Policy.NONE))
+
+
+class TestHarmfulDeletions:
+    """A row none of whose candidate sons is admitted is a harmful deletion,
+    under every method, and is not reported as a split."""
+
+    class Recorder(EngineObserver):
+        def __init__(self):
+            self.harmful = 0
+            self.empty_splits = 0
+
+        def on_split(self, parent, parent_degree, sons, son_degrees):
+            self.empty_splits += not sons
+
+        def on_harmful(self, row):
+            self.harmful += 1
+
+    @pytest.mark.parametrize("method", [Method.VAR012, Method.CLAUSE012])
+    @pytest.mark.parametrize("policy", [Policy.TEST1, Policy.TEST12])
+    def test_counted_once_with_on_harmful(self, method, policy):
+        # test1/test12 admit rows of this instance that no son of survives
+        cnf = gen_random_cnf(GenSpec(10, 30, 3, seed=1))
+        rec = self.Recorder()
+        out = run(cnf, EngineConfig(method=method, policy=policy, observer=rec))
+        assert out.stats.harmful_deletions > 0
+        assert out.stats.harmful_deletions == rec.harmful
+        assert rec.empty_splits == 0
+        assert out.rows == run(cnf, EngineConfig(method=method)).rows
+
+
+@st.composite
+def special_sets(draw):
+    """(cnf, filter, mask of the special model set) for every filter kind,
+    over small widths including w=0, with unit, duplicate and contradictory
+    clauses; the complement filter gets an empty complement when the
+    formula is UNSAT."""
+    cnf = draw(small_cnfs(min_width=0))
+    w = cnf.num_vars
+    if w and draw(st.booleans()):
+        v = draw(st.integers(1, w))
+        cnf = Cnf(w, cnf.clauses + (Clause((v,)), Clause((-v,))))  # UNSAT
+    models = cnf_mask(cnf)
+    kind = draw(st.sampled_from(["none", "cardinality", "weight", "complement", "dnf-k"]))
+    if kind == "none":
+        return cnf, None, models
+    if kind == "cardinality":
+        k = draw(st.integers(0, w))
+        return cnf, CardinalityFilter(cnf, k), models & weight_mask(w, k)
+    if kind == "weight":
+        weights = draw(st.lists(st.integers(0, 3), min_size=2 * w, max_size=2 * w))
+        bound = draw(st.integers(0, 3 * w))
+        light = 0
+        for u in all_bitstrings(w):
+            if sum(weights[2 * i + 1 - b] for i, b in enumerate(u)) <= bound:
+                light |= 1 << index_of(u)
+        return cnf, WeightFilter(weights, bound), models & light
+    shell = Cnf(w, ())
+    if kind == "complement":
+        comp = RowList(w, run(cnf, EngineConfig(method=Method.CLAUSE012)).rows)
+        return shell, ComplementFilter(comp), full_mask(w) ^ models
+    k = draw(st.integers(0, w))
+    terms = draw(st.lists(st.tuples(*[st.sampled_from((0, 1, 2))] * w), max_size=4))
+    dnf = Dnf(w, tuple(Row012(t) for t in terms))
+    expected = 0
+    for t in dnf.terms:
+        expected |= row_mask(w, t)
+    return shell, DnfKFilter(dnf, k), expected & weight_mask(w, k)
+
+
+class TestEveryAcceptedConfig:
+    """run() under every method x policy x filter that validate_config
+    accepts: the rows are disjoint and cover exactly the special model set,
+    and every policy of a method gives the same rows."""
+
+    @given(special_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_oracle_and_policies_agree(self, problem):
+        cnf, filt, expected = problem
+        accepted = 0
+        for method in Method:
+            rows_by_policy = set()
+            for policy in Policy:
+                config = EngineConfig(method=method, policy=policy, spmod=filt)
+                try:
+                    validate_config(cnf, config)
+                except ValueError:
+                    continue
+                out = run(cnf, config)
+                assert_disjoint_cover(cnf.num_vars, out.rows, expected)
+                rows_by_policy.add(out.rows)
+                accepted += 1
+            assert len(rows_by_policy) <= 1, f"{method}: the policies disagree"
+        assert accepted
 
 
 class TestInvariantErrors:

@@ -17,13 +17,13 @@ from oracle import (
     rows_mask,
 )
 from wildsat.engine import (
+    CardinalityFilter,
     EngineConfig,
     Method,
+    WeightFilter,
     enumerate_dnf_k,
     enumerate_from_complement,
     enumerate_hitting_sets,
-    filter_cardinality,
-    filter_weight,
     run,
 )
 from wildsat.formulas import Clause, Cnf, Dnf, weight
@@ -37,18 +37,18 @@ def _models(cnf):
 class TestCardinalityFilter:
     def test_k0_on_positive_cnf(self):
         cnf = Cnf(3, (Clause((1, 2)),))
-        out = run(cnf, EngineConfig(method=Method.VAR012, spmod=filter_cardinality(cnf, 0)))
+        out = run(cnf, EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(cnf, 0)))
         assert out.rows == ()
 
     def test_k_equals_w_on_empty_cnf(self):
         cnf = Cnf(4, ())
-        out = run(cnf, EngineConfig(method=Method.VAR012, spmod=filter_cardinality(cnf, 4)))
+        out = run(cnf, EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(cnf, 4)))
         assert [str(r) for r in out.rows] == ["1111"]
 
     def test_requires_varwise(self):
         cnf = Cnf(2, ())
         with pytest.raises(ValueError):
-            run(cnf, EngineConfig(method=Method.CLAUSE012, spmod=filter_cardinality(cnf, 1)))
+            run(cnf, EngineConfig(method=Method.CLAUSE012, spmod=CardinalityFilter(cnf, 1)))
 
     def test_random_matches_brute_force(self):
         rng = random.Random(301)
@@ -56,7 +56,7 @@ class TestCardinalityFilter:
             w = rng.randint(1, 9)
             cnf = random_cnf(rng, w, rng.randint(0, 10), rng.randint(1, min(3, w)))
             k = rng.randint(0, w)
-            out = run(cnf, EngineConfig(method=Method.VAR012, spmod=filter_cardinality(cnf, k)))
+            out = run(cnf, EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(cnf, k)))
             expected = {u for u in _models(cnf) if weight(u) == k}
             got = {r.symbols for r in out.rows}
             assert got == expected
@@ -70,7 +70,7 @@ class TestWeightFilter:
         cnf = Cnf(3, (Clause((1, -2)),))
         weights = list(range(1, 7))
         bound = sum(max(weights[2 * i], weights[2 * i + 1]) for i in range(3))
-        filt = filter_weight(weights, bound)
+        filt = WeightFilter(weights, bound)
         out = run(cnf, EngineConfig(method=Method.CLAUSE012, spmod=filt))
         plain = run(cnf, EngineConfig(method=Method.CLAUSE012))
         assert rows_mask(3, out.rows) == rows_mask(3, plain.rows)
@@ -78,14 +78,14 @@ class TestWeightFilter:
 
     def test_impossible_bound_empties_output(self):
         cnf = Cnf(2, ())
-        filt = filter_weight([5, 5, 5, 5], 9)
+        filt = WeightFilter([5, 5, 5, 5], 9)
         out = run(cnf, EngineConfig(method=Method.CLAUSE012, spmod=filt))
         assert out.rows == ()
 
     def test_rejected_for_clause_e(self):
         cnf = Cnf(2, ())
         with pytest.raises(ValueError):
-            run(cnf, EngineConfig(method=Method.CLAUSE_E, spmod=filter_weight([1, 1, 1, 1], 4)))
+            run(cnf, EngineConfig(method=Method.CLAUSE_E, spmod=WeightFilter([1, 1, 1, 1], 4)))
 
     def _brute(self, cnf, weights, bound):
         out = set()
@@ -105,7 +105,7 @@ class TestWeightFilter:
             cnf = random_cnf(rng, w, rng.randint(0, 8), rng.randint(1, min(3, w)))
             weights = self._weights(rng, w)
             bound = rng.randint(0, sum(weights))
-            filt = filter_weight(weights, bound)
+            filt = WeightFilter(weights, bound)
             out = run(cnf, EngineConfig(method=method, spmod=filt))
             expected = self._brute(cnf, weights, bound)
             got = set()

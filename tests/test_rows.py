@@ -28,7 +28,6 @@ from wildsat.rows import (
     card_012,
     card_e,
     card_purified,
-    contains,
     expand_to_012,
     format_rows,
     impose_on_slots,
@@ -151,15 +150,15 @@ class TestRow012eInvariants:
 
 class TestContains:
     def test_table3_final_row(self, table3):
-        assert contains(table3[11], (1, 1, 1, 1, 1))
+        assert table3[11].contains((1, 1, 1, 1, 1))
 
     def test_all_two_row_contains_everything(self):
         r = Row012e.full(3)
         for u in [(0, 0, 0), (1, 0, 1), (1, 1, 1)]:
-            assert contains(r, u)
+            assert r.contains(u)
 
     def test_fixed_zero_excludes(self):
-        assert not contains(row012("022"), (1, 0, 0))
+        assert not row012("022").contains((1, 0, 0))
 
     def test_matches_mask_semantics(self):
         rng = random.Random(5)
@@ -167,7 +166,7 @@ class TestContains:
             w = rng.randint(2, 7)
             r = random_row012e(rng, w)
             want = models_of_mask(w, row_mask(w, r))
-            got = {u for u in __import__("itertools").product((0, 1), repeat=w) if contains(r, u)}
+            got = {u for u in __import__("itertools").product((0, 1), repeat=w) if r.contains(u)}
             assert got == want
 
 
@@ -248,7 +247,7 @@ class TestPickModel:
         rng = random.Random(23)
         for _ in range(200):
             r = random_purified_row(rng, rng.randint(2, 8))
-            assert contains(r, pick_model(r))
+            assert r.contains(pick_model(r))
 
 
 class TestExpandTo012:

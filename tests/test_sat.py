@@ -24,7 +24,6 @@ from wildsat.sat import test2 as weak_test2
 from wildsat.sat import (
     SolverStats,
     dpll_sat,
-    final_012,
     final_e,
     find_k_model,
     find_model,
@@ -121,12 +120,11 @@ class TestFeasibleSolver:
 class TestTest1:
     def test_positive_clause_inside_zeros(self):
         cnf = Cnf(3, (Clause((1, 2)),))
-        assert not weak_test1(row012("002"), cnf).feasible
+        assert not weak_test1(row012("002"), cnf)
 
     def test_positive_yes_is_perfect(self):
         cnf = Cnf(3, (Clause((1, 2)),))
-        v = weak_test1(row012("022"), cnf)
-        assert v.feasible and v.perfect
+        assert weak_test1(row012("022"), cnf) and cnf.is_positive()
         # the witness described for positive CNFs: everything not zeroed goes 1
         assert evaluate(cnf, (0, 1, 1))
 
@@ -134,8 +132,7 @@ class TestTest1:
         # r is infeasible, yet no single clause is dead in it
         cnf = Cnf(3, (Clause((1, 2)), Clause((-1, 3))))
         r = row012("200")
-        v = weak_test1(r, cnf)
-        assert v.feasible and not v.perfect
+        assert weak_test1(r, cnf) and not cnf.is_positive()
         assert row_mask(3, r) & cnf_mask(cnf) == 0  # wrong yes, as a weak test may be
 
     def test_no_is_always_sound(self):
@@ -146,7 +143,7 @@ class TestTest1:
             row = random_row012e(rng, w) if rng.random() < 0.5 else Row012(
                 tuple(rng.choice((0, 1, 2, 2)) for _ in range(w))
             )
-            if not weak_test1(row, cnf).feasible:
+            if not weak_test1(row, cnf):
                 assert row_mask(w, row) & cnf_mask(cnf) == 0
 
     def test_perfect_on_positive(self):
@@ -155,17 +152,17 @@ class TestTest1:
             w = rng.randint(1, 8)
             cnf = random_cnf(rng, w, rng.randint(0, 8), rng.randint(1, min(3, w)), positive=True)
             row = Row012(tuple(rng.choice((0, 1, 2, 2)) for _ in range(w)))
-            assert weak_test1(row, cnf).feasible == (row_mask(w, row) & cnf_mask(cnf) != 0)
+            assert weak_test1(row, cnf) == (row_mask(w, row) & cnf_mask(cnf) != 0)
 
 
 class TestTest2:
     def test_shared_variable_forced_both_ways(self):
         cnf = Cnf(3, (Clause((1, 2)), Clause((-1, 3))))
-        assert not weak_test2(row012("200"), cnf).feasible
+        assert not weak_test2(row012("200"), cnf)
 
     def test_single_clause_always_yes(self):
         cnf = Cnf(2, (Clause((1, 2)),))
-        assert weak_test2(row012("00"), cnf).feasible
+        assert weak_test2(row012("00"), cnf)
 
     def test_no_is_always_sound(self):
         rng = random.Random(113)
@@ -174,7 +171,7 @@ class TestTest2:
             w = rng.randint(2, 8)
             cnf = random_cnf(rng, w, rng.randint(2, 10), rng.randint(1, min(3, w)))
             row = Row012(tuple(rng.choice((0, 1, 2, 2)) for _ in range(w)))
-            if not weak_test2(row, cnf).feasible:
+            if not weak_test2(row, cnf):
                 hits += 1
                 assert row_mask(w, row) & cnf_mask(cnf) == 0
         assert hits > 0  # the test fires on this sample
@@ -184,16 +181,16 @@ class TestFinal012:
     def test_clause_settled_by_zeroed_negative(self):
         cnf = Cnf(9, (Clause((3, 5, -6, -9)),))
         r = Row012.full(9).with_value(6, 0)
-        assert final_012(r, cnf)
+        assert final_e(r, cnf)
 
     def test_misbehaving_row(self):
         cnf = Cnf(9, (Clause((3, 5, -6, -9)),))
         r = Row012.full(9).with_value(3, 0).with_value(6, 1)  # x5, x9 stay free
-        assert not final_012(r, cnf)
+        assert not final_e(r, cnf)
 
     def test_all_two_row_not_final(self):
         cnf = Cnf(3, (Clause((1, 2)),))
-        assert not final_012(Row012.full(3), cnf)
+        assert not final_e(Row012.full(3), cnf)
 
     def test_agreement_with_brute_force(self):
         rng = random.Random(127)
@@ -202,7 +199,7 @@ class TestFinal012:
             cnf = random_cnf(rng, w, rng.randint(0, 8), rng.randint(1, min(3, w)))
             row = Row012(tuple(rng.choice((0, 1, 2, 2)) for _ in range(w)))
             expected = row_mask(w, row) & ~cnf_mask(cnf) == 0
-            assert final_012(row, cnf) == expected
+            assert final_e(row, cnf) == expected
 
 
 class TestFinalE:
