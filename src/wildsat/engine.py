@@ -33,25 +33,24 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .formulas import Clause, Cnf, Dnf, evaluate, weight
+from .formulas import Clause, Cnf, Dnf, evaluate
 from .rows import (
-    ONE,
-    TWO,
-    ZERO,
     Row012,
     Row012e,
     RowList,
     RunStats,
+    _row012,
     card_012,
     impose_on_slots,
-    intersect_012,
     purify,
     slot_of_lit,
 )
 from .sat import (
     SolverFn,
     dpll_sat,
+    final_e,
     find_k_model,
+    first_unsettled,
     find_model,
     row_satisfies_clause,
     test1,
@@ -142,13 +141,19 @@ class CardinalityFilter(SpModFilter):
 
     def refine_final(self, row: Row012) -> tuple[list[Row012], int]:
         """The final bitstring itself; it must have weight k."""
-        if weight(row.symbols) != self.k:
-            raise RuntimeError(f"cardinality filter admitted a row of weight {weight(row.symbols)}, not {self.k}")
+        ones = row.ones.bit_count()
+        if ones != self.k:
+            raise RuntimeError(f"cardinality filter admitted a row of weight {ones}, not {self.k}")
         return [row], 0
 
 
 class DnfKFilter(SpModFilter):
-    """Weight-k models of a DNF: feasibility by term-wise interval meets."""
+    """Weight-k models of a DNF: feasibility by term-wise interval meets.
+
+    The meet of the row with a term is the union of their masks, empty when
+    a variable is fixed to 1 in one and to 0 in the other; its members have
+    between (its ones) and (its ones + its free variables) ones.
+    """
 
     exact = True
 
@@ -159,12 +164,11 @@ class DnfKFilter(SpModFilter):
         self.k = k
 
     def admit(self, row: Row012) -> bool:
-        for term in self.dnf.terms:
-            meet = intersect_012(row, term)
-            if meet is None:
+        ones, zeros, k = row.ones, row.zeros, self.k
+        for t in self.dnf.terms:
+            if ones & t.zeros or zeros & t.ones:
                 continue
-            ones = len(meet.ones())
-            if ones <= self.k <= ones + meet.free_count:
+            if (ones | t.ones).bit_count() <= k <= row.width - (zeros | t.zeros).bit_count():
                 return True
         return False
 
@@ -173,7 +177,11 @@ class ComplementFilter(SpModFilter):
     """Feasibility from a known enumeration of the complement model set.
 
     A row is feasible iff its members are not exhausted by the complement
-    rows, and final as soon as it misses all of them.
+    rows, and final as soon as it misses all of them.  Both tests read the
+    row's overlap with the complement, one scan of the complement rows.
+    ``admit`` keeps the overlap of each row it admits until
+    ``final_override`` takes it, when the driver pops the row; only a row
+    ``admit`` never saw is scanned a second time.
     """
 
     exact = True
@@ -183,20 +191,32 @@ class ComplementFilter(SpModFilter):
             if not isinstance(r, Row012):
                 raise TypeError("complement rows must be 012-rows")
         self.rows = complement_rows
+        self._overlaps: dict[Row012, int] = {}
 
     def _overlap(self, row: Row012) -> int:
+        """The number of the row's members inside the complement rows."""
+        if row.width != self.rows.width:
+            raise ValueError("row widths differ")
+        ones, zeros, w = row.ones, row.zeros, row.width
+        fixed = ones | zeros
         n = 0
         for r in self.rows.rows:
-            meet = intersect_012(row, r)
-            if meet is not None:
-                n += card_012(meet)
+            if not (ones & r.zeros or zeros & r.ones):
+                n += 1 << (w - (fixed | r.ones | r.zeros).bit_count())
         return n
 
     def admit(self, row: Row012) -> bool:
-        return self._overlap(row) < card_012(row)
+        overlap = self._overlap(row)
+        if overlap < card_012(row):
+            self._overlaps[row] = overlap
+            return True
+        return False
 
     def final_override(self, row: Row012) -> bool | None:
-        return True if self._overlap(row) == 0 else None
+        overlap = self._overlaps.pop(row, None)
+        if overlap is None:
+            overlap = self._overlap(row)
+        return True if overlap == 0 else None
 
 
 class WeightFilter(SpModFilter):
@@ -206,6 +226,11 @@ class WeightFilter(SpModFilter):
     literal slot it sets to 1.  The filter is a necessary-condition screen: it
     rejects rows whose cheapest member is already over the bound, and final
     rows are post-split so only members within the bound are emitted.
+
+    The bounds read the row's masks a byte at a time: per byte of a
+    variable mask, a table holds the weight sum of each of its 256 values,
+    for the positive weights (``ones``), the negative ones (``zeros``) and
+    the cheaper and dearer of each pair (the free variables).
     """
 
     methods = (Method.VAR012, Method.CLAUSE012)
@@ -217,32 +242,16 @@ class WeightFilter(SpModFilter):
             raise ValueError("need one weight per literal slot (2w values)")
         self.weights = tuple(slot_weights)
         self.bound = bound
+        pos, neg = self.weights[0::2], self.weights[1::2]
+        self._pos, self._neg = _byte_sums(pos), _byte_sums(neg)
+        self._min = _byte_sums(tuple(map(min, pos, neg)))
+        self._max = _byte_sums(tuple(map(max, pos, neg)))
 
     def min_weight(self, row: Row012) -> int:
-        total = 0
-        for var in range(1, row.width + 1):
-            wp, wn = self.weights[2 * (var - 1)], self.weights[2 * (var - 1) + 1]
-            v = row.value(var)
-            if v == ONE:
-                total += wp
-            elif v == ZERO:
-                total += wn
-            else:
-                total += min(wp, wn)
-        return total
+        return _mask_sum(self._pos, row.ones) + _mask_sum(self._neg, row.zeros) + _mask_sum(self._min, row.twos)
 
     def max_weight(self, row: Row012) -> int:
-        total = 0
-        for var in range(1, row.width + 1):
-            wp, wn = self.weights[2 * (var - 1)], self.weights[2 * (var - 1) + 1]
-            v = row.value(var)
-            if v == ONE:
-                total += wp
-            elif v == ZERO:
-                total += wn
-            else:
-                total += max(wp, wn)
-        return total
+        return _mask_sum(self._pos, row.ones) + _mask_sum(self._neg, row.zeros) + _mask_sum(self._max, row.twos)
 
     def admit(self, row: Row012) -> bool:
         return self.min_weight(row) <= self.bound
@@ -261,10 +270,36 @@ class WeightFilter(SpModFilter):
             if self.max_weight(r) <= self.bound:
                 kept.append(r)
                 continue
-            var = min(r.twos())
+            free = r.twos
+            var = (free & -free).bit_length()
             stack.append(r.with_value(var, 1))
             stack.append(r.with_value(var, 0))
         return kept, discards
+
+
+def _byte_sums(weights: Sequence[int]) -> list[list[int]]:
+    """Per byte of a variable mask (variables 8b+1..8b+8 for byte b), the
+    weight sum of each value of the byte."""
+    tables = []
+    for lo in range(0, len(weights), 8):
+        table = [0]
+        for wt in weights[lo : lo + 8]:
+            table += [t + wt for t in table]
+        tables.append(table)
+    return tables
+
+
+def _mask_sum(tables: list[list[int]], mask: int) -> int:
+    """The weight sum of the variables in ``mask``."""
+    total = 0
+    for table in tables:
+        if not mask:
+            return total
+        total += table[mask & 255]
+        mask >>= 8
+    if mask:
+        raise ValueError("row is wider than the weights")
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +314,8 @@ def pending_clause(row: Row012 | Row012e, cnf: Cnf, start: int = 1) -> int:
     subset of its parent, and a clause settled by the parent stays settled
     in the son.
     """
+    if isinstance(row, Row012):
+        return first_unsettled(row, cnf, start - 1) + 1
     clauses = cnf.clauses
     for i in range(start - 1, len(clauses)):
         if not row_satisfies_clause(row, clauses[i]):
@@ -287,18 +324,21 @@ def pending_clause(row: Row012 | Row012e, cnf: Cnf, start: int = 1) -> int:
 
 
 def varwise_degree(row: Row012) -> int:
-    """Length of the fixed prefix: min(twos) - 1, or w for a bitstring."""
-    for i, s in enumerate(row.symbols):
-        if s == TWO:
-            return i
-    return row.width
+    """Length of the fixed prefix: min(twos) - 1, or w for a bitstring.
+
+    That is the index of the lowest 0 bit of the fixed mask (``fixed + 1``
+    carries into it), which is w when all w variables are fixed.
+    """
+    fixed = row.ones | row.zeros
+    return ((fixed + 1) & ~fixed).bit_length() - 1
 
 
 def varwise_split(row: Row012) -> list[Row012]:
-    """Pin the first don't-care to 0 and to 1."""
-    if TWO not in row.symbols:
+    """Pin the first don't-care (the lowest free bit) to 0 and to 1."""
+    free = row.twos
+    if not free:
         raise ValueError("cannot split a bitstring row")
-    var = row.symbols.index(TWO) + 1
+    var = (free & -free).bit_length()
     return [row.with_value(var, 0), row.with_value(var, 1)]
 
 
@@ -311,14 +351,18 @@ def clausewise012_split(row: Row012, clause: Clause) -> list[Row012]:
     """
     if row_satisfies_clause(row, clause):
         raise ValueError("row already satisfies the clause")
+    w, ones, zeros = row.width, row.ones, row.zeros
     sons = []
-    current = row
     for lit in clause.lits:
-        var, want = abs(lit), 1 if lit > 0 else 0
-        if current.value(var) != TWO:
+        bit = 1 << (abs(lit) - 1)
+        if (ones | zeros) & bit:
             continue  # fixed against the literal
-        sons.append(current.with_value(var, want))
-        current = current.with_value(var, 1 - want)
+        if lit > 0:
+            sons.append(_row012(w, ones | bit, zeros))
+            zeros |= bit
+        else:
+            sons.append(_row012(w, ones, zeros | bit))
+            ones |= bit
     return sons
 
 
@@ -440,14 +484,15 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
         else:
             split = lambda row, deg: clausewise012_split(row, clauses[deg])
 
-    # a bitstring passed only by a weak screen may still miss the model set
+    # a bitstring passed only by a weak screen may still miss the model set;
+    # on a bitstring, settling every clause (final_e) means being a model
     check_model = method == Method.VAR012 and config.policy != Policy.SOLVER and (filt is None or not filt.exact)
 
     def finish(row) -> list | None:
         """The output of a final row; None when it holds no model."""
         if method == Method.CLAUSE_E:
             return purify(row)
-        if check_model and not evaluate(cnf, row.symbols):
+        if check_model and not final_e(row, cnf):
             return None
         if filt is None:
             return [row]

@@ -111,6 +111,11 @@ class Cnf:
         object.__setattr__(cnf, "tautologies_dropped", 0)
         return cnf
 
+    @cached_property
+    def masks(self) -> tuple[tuple[int, int], ...]:
+        """The clauses' (pos, neg) variable masks, in clause order."""
+        return tuple(c.masks for c in self.clauses)
+
     @property
     def num_clauses(self) -> int:
         return len(self.clauses)

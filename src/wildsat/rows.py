@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 ZERO, ONE, TWO = 0, 1, 2
@@ -83,49 +83,105 @@ def _slot_masks(slots: Sequence[int], groups: Iterable[Iterable[int]]) -> tuple[
 # 012-rows
 
 
-@dataclass(frozen=True)
 class Row012:
-    """A subcube of {0,1}^w given by one symbol 0/1/2 per variable."""
+    """A subcube of {0,1}^w: each variable fixed to 0 or 1, or free (2).
 
-    symbols: tuple[int, ...]
+    The row is two disjoint variable masks, bit v-1 for variable v, the
+    layout of ``Clause.masks`` and of the solver's assignment: ``ones``
+    holds the variables fixed to 1 and ``zeros`` those fixed to 0; every
+    other variable below ``width`` is a don't-care.  Pinning a variable,
+    the hint test ``contains`` and the clause tests of ``wildsat.sat`` are
+    a few AND/OR/popcount steps on them.
+
+    ``Row012(symbols)`` takes one 0/1/2 per variable and validates every
+    symbol in ``__post_init__``.  Sons come from ``_row012``, which checks
+    nothing: ``with_value`` checks only its own ``var`` and ``value``, and
+    the other operations combine masks of valid rows.  A son's ``symbols``
+    is a view derived from the masks and cached on first use; nothing on
+    the enumeration path reads it.  Rows are immutable values.
+    """
+
+    __slots__ = ("width", "ones", "zeros", "_symbols")
+
+    def __init__(self, symbols: Iterable[int]) -> None:
+        _set_symbols(self, tuple(symbols))
+        # a class attribute, as in a dataclass: a probe that replaces it
+        # sees every checked construction
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        if any(s not in (ZERO, ONE, TWO) for s in self.symbols):
-            raise ValueError("row symbols must be 0, 1 or 2")
+        ones = zeros = 0
+        bit = 1
+        for s in self._symbols:
+            if s == ONE:
+                ones |= bit
+            elif s == ZERO:
+                zeros |= bit
+            elif s != TWO:
+                raise ValueError("row symbols must be 0, 1 or 2")
+            bit <<= 1
+        _set_width(self, len(self._symbols))
+        _set_ones(self, ones)
+        _set_zeros(self, zeros)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @classmethod
     def full(cls, width: int) -> "Row012":
-        return cls((TWO,) * width)
+        if width < 0:
+            raise ValueError("width must be non-negative")
+        return _row012(width, 0, 0)
 
     @property
-    def width(self) -> int:
-        return len(self.symbols)
+    def symbols(self) -> tuple[int, ...]:
+        """One 0/1/2 per variable: the tuple the public constructor was
+        given, or else derived from the masks and cached on first use."""
+        try:
+            return self._symbols
+        except AttributeError:
+            symbols = tuple(map(int, str(self)))
+            _set_symbols(self, symbols)
+            return symbols
 
-    def value(self, var: int) -> int:
-        return self.symbols[var - 1]
-
-    def zeros(self) -> frozenset[int]:
-        return frozenset(i + 1 for i, s in enumerate(self.symbols) if s == ZERO)
-
-    def ones(self) -> frozenset[int]:
-        return frozenset(i + 1 for i, s in enumerate(self.symbols) if s == ONE)
-
-    def twos(self) -> frozenset[int]:
-        return frozenset(i + 1 for i, s in enumerate(self.symbols) if s == TWO)
+    @property
+    def twos(self) -> int:
+        """Mask of the free variables."""
+        return ((1 << self.width) - 1) ^ (self.ones | self.zeros)
 
     @property
     def free_count(self) -> int:
-        return sum(1 for s in self.symbols if s == TWO)
+        return self.width - (self.ones | self.zeros).bit_count()
+
+    def value(self, var: int) -> int:
+        if not 0 < var <= self.width:
+            raise IndexError(f"variable {var} outside 1..{self.width}")
+        bit = 1 << (var - 1)
+        return ONE if self.ones & bit else ZERO if self.zeros & bit else TWO
 
     def with_value(self, var: int, value: int) -> "Row012":
-        symbols = list(self.symbols)
-        symbols[var - 1] = value
-        return Row012(tuple(symbols))
+        """The row with variable ``var`` set to ``value`` (2 frees it)."""
+        if not 0 < var <= self.width:
+            raise IndexError(f"variable {var} outside 1..{self.width}")
+        bit = 1 << (var - 1)
+        ones, zeros = self.ones & ~bit, self.zeros & ~bit
+        if value == ONE:
+            ones |= bit
+        elif value == ZERO:
+            zeros |= bit
+        elif value != TWO:
+            raise ValueError("row symbols must be 0, 1 or 2")
+        return _row012(self.width, ones, zeros)
 
     def contains(self, u: Sequence[int]) -> bool:
+        """True when the bitstring ``u``, one 0/1 per variable, is a member."""
         if len(u) != self.width:
             raise ValueError("bitstring length does not match row width")
-        return all(s == TWO or s == b for s, b in zip(self.symbols, u))
+        bits = _pack(u)
+        return not bits & self.zeros and bits & self.ones == self.ones
 
     def members(self) -> Iterator[tuple[int, ...]]:
         """All bitstrings of the subcube, in lexicographic order."""
@@ -136,8 +192,62 @@ class Row012:
                 base[i] = b
             yield tuple(base)
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Row012:
+            return NotImplemented
+        return self.ones == other.ones and self.zeros == other.zeros and self.width == other.width
+
+    def __hash__(self) -> int:
+        return hash((self.width, self.ones, self.zeros))
+
+    def __repr__(self) -> str:
+        return f"Row012(symbols={self.symbols!r})"
+
+    def __reduce__(self):
+        return Row012, (self.symbols,)
+
     def __str__(self) -> str:
-        return "".join(str(s) for s in self.symbols)
+        return _row_text(self)[::2]
+
+
+_set_width = Row012.width.__set__
+_set_ones = Row012.ones.__set__
+_set_zeros = Row012.zeros.__set__
+_set_symbols = Row012._symbols.__set__
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _row012(width: int, ones: int, zeros: int) -> Row012:
+    """A row from disjoint masks below ``width``, built without checks."""
+    row = object.__new__(Row012)
+    _set_width(row, width)
+    _set_ones(row, ones)
+    _set_zeros(row, zeros)
+    return row
+
+
+# the text of four variables, indexed by their ones | zeros << 4
+_CHUNK_TEXTS = [
+    " ".join("1" if i >> b & 1 else "0" if i >> b + 4 & 1 else "2" for b in range(4))
+    for i in range(256)
+]
+
+
+def _row_text(row: Row012) -> str:
+    """The row's symbols separated by spaces, read off its masks four
+    variables at a time; the text is cut off at the row's width."""
+    ones, zeros, w = row.ones, row.zeros, row.width
+    parts = []
+    for _ in range((w + 3) // 4):
+        parts.append(_CHUNK_TEXTS[(ones & 15) | (zeros & 15) << 4])
+        ones >>= 4
+        zeros >>= 4
+    return " ".join(parts)[: 2 * w - 1]
+
+
+def _pack(u: Sequence[int]) -> int:
+    """A 0/1 sequence as a variable mask: bit i is u[i]."""
+    return int(bytes(u[::-1]).translate(_BITS), 2) if u else 0
 
 
 def card_012(row: Row012) -> int:
@@ -149,15 +259,9 @@ def intersect_012(a: Row012, b: Row012) -> Row012 | None:
     """Componentwise meet of two subcubes, or None when fixed values clash."""
     if a.width != b.width:
         raise ValueError("row widths differ")
-    out = []
-    for x, y in zip(a.symbols, b.symbols):
-        if x == TWO:
-            out.append(y)
-        elif y == TWO or y == x:
-            out.append(x)
-        else:
-            return None
-    return Row012(tuple(out))
+    if a.ones & b.zeros or a.zeros & b.ones:
+        return None
+    return _row012(a.width, a.ones | b.ones, a.zeros | b.zeros)
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +332,14 @@ class Row012e:
     @classmethod
     def from_row012(cls, row: Row012) -> "Row012e":
         slots = []
-        for s in row.symbols:
-            if s == TWO:
-                slots += [TWO, TWO]
-            elif s == ONE:
+        for v in range(row.width):
+            bit = 1 << v
+            if row.ones & bit:
                 slots += [ONE, ZERO]
-            else:
+            elif row.zeros & bit:
                 slots += [ZERO, ONE]
+            else:
+                slots += [TWO, TWO]
         return cls(row.width, tuple(slots))
 
     def value(self, slot: int) -> int:
@@ -309,7 +414,14 @@ class Row012e:
         """Project a bubble-free row onto the w variable positions."""
         if self.bubbles:
             raise ValueError("cannot condense a row that still has bubbles")
-        return Row012(tuple(self.var_value(v) for v in range(1, self.width + 1)))
+        ones = zeros = 0
+        for v in range(self.width):
+            a = self.slots[2 * v]
+            if a == ONE:
+                ones |= 1 << v
+            elif a == ZERO:
+                zeros |= 1 << v
+        return _row012(self.width, ones, zeros)
 
     def contains(self, u: Sequence[int]) -> bool:
         if len(u) != self.width:
@@ -714,9 +826,7 @@ def member_complement(rows: RowList) -> RowList:
     for row in rows.rows:
         if not isinstance(row, Row012):
             raise TypeError("member_complement is defined on 012-rows")
-        flipped.append(
-            Row012(tuple(1 - s if s != TWO else TWO for s in row.symbols))
-        )
+        flipped.append(_row012(row.width, row.zeros, row.ones))
     return RowList(rows.width, tuple(flipped))
 
 
@@ -732,7 +842,7 @@ def format_rows(rows: RowList) -> str:
     lines = [f"rows w={rows.width} n={len(rows.rows)}"]
     for row in rows.rows:
         if isinstance(row, Row012):
-            lines.append(" ".join(str(s) for s in row.symbols))
+            lines.append(_row_text(row))
             continue
         if not row.is_purified():
             raise PurityError("serialize purified rows only (purify first)")

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable
+from typing import Callable, Sequence
 
 from .formulas import Clause, Cnf
-from .rows import ONE, TWO, ZERO, Row012, Row012e, settles, slot_of_lit
+from .rows import ONE, ZERO, Row012, Row012e, settles, slot_of_lit
 
 
 @dataclass
@@ -49,7 +49,7 @@ SolverFn = Callable[[Cnf], "tuple[int, ...] | None"]
 
 
 def _propagate(
-    clauses: list[tuple[int, int]], ones: int, zeros: int, full: int, stats: SolverStats
+    clauses: Sequence[tuple[int, int]], ones: int, zeros: int, full: int, stats: SolverStats
 ) -> tuple[int, int, int] | None:
     """Unit propagation to a fixpoint: (ones, zeros, open) with ``open`` the
     free variables of the unresolved clauses, or None on a conflict."""
@@ -80,7 +80,7 @@ def _propagate(
 
 def _search(
     num_vars: int,
-    clauses: list[tuple[int, int]],
+    clauses: Sequence[tuple[int, int]],
     ones: int = 0,
     zeros: int = 0,
     k: int | None = None,
@@ -137,13 +137,7 @@ def find_k_model(
     """A model with exactly k ones inside the row, or None."""
     if row.width != cnf.num_vars:
         raise ValueError("row width does not match num_vars")
-    ones = zeros = 0
-    for i, s in enumerate(row.symbols):
-        if s == ONE:
-            ones |= 1 << i
-        elif s == ZERO:
-            zeros |= 1 << i
-    found = _search(row.width, [c.masks for c in cnf.clauses], ones, zeros, k, stats)
+    found = _search(row.width, cnf.masks, row.ones, row.zeros, k, stats)
     return None if found is None else _bits(found, row.width)
 
 
@@ -158,7 +152,14 @@ def row_constraint_clauses(row: Row012 | Row012e) -> tuple[Clause, ...]:
     Unit clauses are validated once per literal and then shared.
     """
     if isinstance(row, Row012):
-        return tuple(_unit(v if s == ONE else -v) for v, s in enumerate(row.symbols, 1) if s != TWO)
+        units = []
+        fixed = row.ones | row.zeros
+        while fixed:
+            low = fixed & -fixed
+            v = low.bit_length()
+            units.append(_unit(v if row.ones & low else -v))
+            fixed ^= low
+        return tuple(units)
     units = tuple(
         _unit(v if s == ONE else -v)
         for v, s in enumerate(row.slots[::2], 1)
@@ -192,11 +193,8 @@ def clause_dead_in(row: Row012 | Row012e, clause: Clause) -> bool:
     """True when every literal of the clause is falsified by the row's fixed
     values, so no member of the row can satisfy it."""
     if isinstance(row, Row012):
-        for lit in clause.lits:
-            v = row.value(abs(lit))
-            if v == TWO or v == (1 if lit > 0 else 0):
-                return False
-        return True
+        pos, neg = clause.masks
+        return not (pos & ~row.zeros or neg & ~row.ones)
     for lit in clause.lits:
         if row.slots[slot_of_lit(lit)] != ZERO:
             return False
@@ -206,19 +204,31 @@ def clause_dead_in(row: Row012 | Row012e, clause: Clause) -> bool:
 def row_satisfies_clause(row: Row012 | Row012e, clause: Clause) -> bool:
     """True when every member of the row satisfies the clause.
 
-    For 012-rows this means some literal is already fixed true.  For e-rows
-    it is the bitwise rule of ``rows.settles`` on the row's cached
-    ``slot_masks`` and the clause's ``slot_mask``: some literal slot of the
-    clause holds 1, or a bubble lies entirely inside the clause's slots
-    (some slot of the bubble carries a 1).  Splitting only narrows a row,
-    so a clause settled by a row stays settled in all its sons.
+    For 012-rows this means some literal is already fixed true: a variable
+    of the clause's positive mask lies in the row's ``ones``, or one of its
+    negative mask in ``zeros``.  For e-rows it is the bitwise rule of
+    ``rows.settles`` on the row's cached ``slot_masks`` and the clause's
+    ``slot_mask``: some literal slot of the clause holds 1, or a bubble lies
+    entirely inside the clause's slots (some slot of the bubble carries a
+    1).  Splitting only narrows a row, so a clause settled by a row stays
+    settled in all its sons.
     """
     if isinstance(row, Row012):
-        for lit in clause.lits:
-            if row.value(abs(lit)) == (1 if lit > 0 else 0):
-                return True
-        return False
+        pos, neg = clause.masks
+        return bool(pos & row.ones or neg & row.zeros)
     return settles(*row.slot_masks, clause.slot_mask)
+
+
+def first_unsettled(row: Row012, cnf: Cnf, start: int = 0) -> int:
+    """The 0-based index of the first clause from ``start`` on that the
+    012-row does not settle (``row_satisfies_clause``), or h if none."""
+    ones, zeros = row.ones, row.zeros
+    masks = cnf.masks
+    for i in range(start, len(masks)):
+        pos, neg = masks[i]
+        if not (pos & ones or neg & zeros):
+            return i
+    return len(masks)
 
 
 def test1(row: Row012 | Row012e, cnf: Cnf) -> bool:
@@ -235,16 +245,26 @@ def test1(row: Row012 | Row012e, cnf: Cnf) -> bool:
 
 def test2(row: Row012, cnf: Cnf) -> bool:
     """Pair test: clauses Ci, Cj sharing a variable p positively/negatively
-    whose remaining literals are all falsified force p to 1 and 0 at once."""
-    zeros, ones = row.zeros(), row.ones()
-    clauses = cnf.clauses
-    for i, ci in enumerate(clauses):
-        for j, cj in enumerate(clauses):
-            if i == j:
+    whose remaining literals are all falsified force p to 1 and 0 at once.
+
+    On the variable masks: every literal of Cj but ~p and every literal of
+    Ci but p is falsified.  With Cj's positive and Ci's negative literals
+    falsified, the literals left open (Ci's positive ones not fixed to 0,
+    Cj's negative ones not fixed to 1) must lie within one common p.
+    """
+    ones, zeros = row.ones, row.zeros
+    masks = cnf.masks
+    for i, (pi, ni) in enumerate(masks):
+        if ni & ~ones:
+            continue
+        open_i = pi & ~zeros
+        for j, (pj, nj) in enumerate(masks):
+            common = pi & nj
+            if i == j or not common or pj & ~zeros:
                 continue
-            for p in ci.pos & cj.neg:
-                if (ci.pos - {p}) | cj.pos <= zeros and (cj.neg - {p}) | ci.neg <= ones:
-                    return False
+            left = open_i | (nj & ~ones)
+            if not left & ~common and not left & (left - 1):
+                return False
     return True
 
 
@@ -255,8 +275,10 @@ def final_e(row: Row012 | Row012e, cnf: Cnf) -> bool:
     012-rows and on purified e-rows.  A row with bad pairs can be contained
     without the rule seeing it (two bubbles may force a clause jointly); the
     enumeration then simply splits such a row once more, so only compression
-    is affected.
+    is affected.  On a bitstring 012-row it is the model check.
     """
+    if isinstance(row, Row012):
+        return first_unsettled(row, cnf) == len(cnf.clauses)
     return all(row_satisfies_clause(row, c) for c in cnf.clauses)
 
 

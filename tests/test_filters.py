@@ -16,9 +16,12 @@ from oracle import (
     random_cnf,
     rows_mask,
 )
+from wildsat.bench import GenSpec, gen_random_cnf
 from wildsat.engine import (
     CardinalityFilter,
+    ComplementFilter,
     EngineConfig,
+    EngineObserver,
     Method,
     WeightFilter,
     enumerate_dnf_k,
@@ -198,6 +201,39 @@ class TestComplementFilter:
         comp = RowList(3, (row012("122"),))  # complement: x1 = 1
         out = enumerate_from_complement(comp)
         assert [str(r) for r in out.rows] == ["022"]
+
+    def test_one_overlap_scan_per_admitted_row(self, monkeypatch):
+        # admit keeps the overlap it computed for final_override, so each
+        # screened row is scanned once: 951 scans for 830 pops (1,781 when
+        # final_override scanned again)
+        cnf = gen_random_cnf(GenSpec(12, 20, 3, seed=3))
+        comp = run(cnf, EngineConfig(method=Method.CLAUSE012))
+        assert len(comp) == 48
+        scans = []
+        overlap = ComplementFilter._overlap
+        monkeypatch.setattr(ComplementFilter, "_overlap", lambda self, row: scans.append(row) or overlap(self, row))
+        pops = []
+
+        class Pops(EngineObserver):
+            def on_pop(self, row, *_):
+                pops.append(row)
+
+        config = EngineConfig(method=Method.VAR012, spmod=ComplementFilter(comp), observer=Pops())
+        out = run(Cnf(12, ()), config)
+        assert len(out) == 355 and len(pops) == 830
+        assert len(scans) == 951
+        assert len(set(scans)) == len(scans)
+        assert out.rows == enumerate_from_complement(comp).rows
+
+    def test_final_override_of_a_row_admit_never_saw(self):
+        filt = ComplementFilter(RowList(3, (row012("122"),)))
+        assert filt.final_override(row012("022")) is True
+        assert filt.final_override(row012("222")) is None
+        assert filt.admit(row012("112")) is False
+        assert filt.admit(row012("222")) is True
+        assert filt.final_override(row012("222")) is None
+        with pytest.raises(ValueError, match="widths differ"):
+            filt.admit(row012("22"))
 
     def test_random_matches_brute_force(self):
         rng = random.Random(317)
