@@ -6,15 +6,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rows import (
-    ONE,
     Row012,
     Row012e,
     RowList,
+    _evens,
     card_purified,
     intersection_card_ie,
-    pos_slot,
     purify,
-    slot_is_positive,
 )
 
 
@@ -86,18 +84,16 @@ def _row_polynomial(piece: Row012e) -> list[int]:
     assignment; a positive slot at 1 adds an x, a negative slot at 0 does
     (the variable is then 1), so the subtracted term is x^(negative slots).
     """
+    even = _evens(piece.width)  # the positive slots
     poly = [1]
-    fixed_ones = sum(
-        1 for v in range(1, piece.width + 1) if piece.slots[pos_slot(v)] == ONE
-    )
+    fixed_ones = (piece.ones & even).bit_count()
     poly = _poly_mul(poly, [0] * fixed_ones + [1]) if fixed_ones else poly
     free = piece.free_count
     if free:
         poly = _poly_mul(poly, _binomials(free))
-    for members in piece.bubbles:
-        factor = _binomials(len(members))
-        negs = sum(1 for s in members if not slot_is_positive(s))
-        factor[negs] -= 1
+    for b in piece.bubble_masks:
+        factor = _binomials(b.bit_count())
+        factor[(b & ~even).bit_count()] -= 1
         poly = _poly_mul(poly, factor)
     return poly
 

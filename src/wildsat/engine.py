@@ -39,10 +39,12 @@ from .rows import (
     Row012e,
     RowList,
     RunStats,
+    _pack,
     _row012,
     card_012,
     impose_on_slots,
     purify,
+    settles,
     slot_of_lit,
 )
 from .sat import (
@@ -316,9 +318,10 @@ def pending_clause(row: Row012 | Row012e, cnf: Cnf, start: int = 1) -> int:
     """
     if isinstance(row, Row012):
         return first_unsettled(row, cnf, start - 1) + 1
+    ones, bubbles = row.ones, row.bubble_masks
     clauses = cnf.clauses
     for i in range(start - 1, len(clauses)):
-        if not row_satisfies_clause(row, clauses[i]):
+        if not settles(ones, bubbles, clauses[i].slot_mask):
             return i + 1
     return len(clauses) + 1
 
@@ -426,7 +429,9 @@ def _admission(cnf: Cnf, config: EngineConfig, stats: RunStats):
     A perfect filter replaces the policy; any other filter screens in front
     of it.  A check that answers with a witness (a model, or None) rather
     than a bool is a solver call, and ``hint``, the parent's witness, stands
-    in for it on a son that contains it.
+    in for it on a son that contains it.  A witness travels as the pair
+    (bitstring, packed variable mask), packed once when the check returns
+    it.
     """
     filt, policy, solver = config.spmod, config.policy, config.solver
     exact = filt is not None and filt.exact
@@ -446,13 +451,13 @@ def _admission(cnf: Cnf, config: EngineConfig, stats: RunStats):
         if screen is not None and not screen.admit(row):
             stats.weight_pruned += 1
             return False, None
-        if hint is not None and row.contains(hint):
+        if hint is not None and row.contains(*hint):
             return True, hint
         got = check(row)
         if got is True or got is False:
             return got, None
         stats.solver_calls += 1
-        return got is not None, got
+        return (False, None) if got is None else (True, (got, _pack(got)))
 
     return admit
 

@@ -11,18 +11,21 @@ its complement slot to the opposite value.  Slots of one variable are either
 (1,0), (0,1), both free, or free/bubbled in any combination, but never fixed
 inconsistently.
 
-Rows are immutable values.  Mutation happens inside a private builder which
-maintains the slot/bubble invariants and performs the cascades triggered by
-pinning a slot: a 1 inside a bubble releases the rest of the bubble to
-don't-cares, a 0 shrinks the bubble, and a bubble shrunk to a single slot
-forces that slot to 1 (which may cascade further through complement slots).
+Rows are immutable values over bit masks.  Every edit of an e-row pins
+slots through one fixpoint on its masks, which performs the cascades
+triggered by pinning a slot: a 1 inside a bubble releases the rest of the
+bubble to don't-cares, a 0 shrinks the bubble, and a bubble shrunk to a
+single slot forces that slot to 1 (which may cascade further through
+complement slots).  Rows are validated only by the public constructors and
+by ``parse_rows``.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 ZERO, ONE, TWO = 0, 1, 2
@@ -46,19 +49,11 @@ def neg_slot(var: int) -> int:
 
 
 def slot_of_lit(lit: int) -> int:
-    return pos_slot(lit) if lit > 0 else neg_slot(-lit)
+    return 2 * lit - 2 if lit > 0 else -2 * lit - 1
 
 
 def slot_var(slot: int) -> int:
     return slot // 2 + 1
-
-
-def slot_mate(slot: int) -> int:
-    return slot ^ 1
-
-
-def slot_is_positive(slot: int) -> bool:
-    return slot % 2 == 0
 
 
 def settles(ones: int, bubbles: Iterable[int], mask: int) -> bool:
@@ -68,15 +63,12 @@ def settles(ones: int, bubbles: Iterable[int], mask: int) -> bool:
     slot mask per bubble: a slot of ``mask`` holds 1, or a bubble lies
     inside ``mask`` (some slot of every bubble carries a 1).
     """
-    return bool(ones & mask) or any(not b & ~mask for b in bubbles)
-
-
-def _slot_masks(slots: Sequence[int], groups: Iterable[Iterable[int]]) -> tuple[int, tuple[int, ...]]:
-    ones = 0
-    for s, v in enumerate(slots):
-        if v == ONE:
-            ones |= 1 << s
-    return ones, tuple(sum(1 << m for m in members) for members in groups)
+    if ones & mask:
+        return True
+    for b in bubbles:
+        if not b & ~mask:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +168,16 @@ class Row012:
             raise ValueError("row symbols must be 0, 1 or 2")
         return _row012(self.width, ones, zeros)
 
-    def contains(self, u: Sequence[int]) -> bool:
-        """True when the bitstring ``u``, one 0/1 per variable, is a member."""
+    def contains(self, u: Sequence[int], bits: int | None = None) -> bool:
+        """True when the bitstring ``u``, one 0/1 per variable, is a member.
+
+        ``bits`` is ``u`` packed as a variable mask (bit i is u[i]), when
+        the caller has it: the test is then two ANDs.
+        """
         if len(u) != self.width:
             raise ValueError("bitstring length does not match row width")
-        bits = _pack(u)
+        if bits is None:
+            bits = _pack(u)
         return not bits & self.zeros and bits & self.ones == self.ones
 
     def members(self) -> Iterator[tuple[int, ...]]:
@@ -268,34 +265,41 @@ def intersect_012(a: Row012, b: Row012) -> Row012 | None:
 # 012e-rows
 
 
-@dataclass(frozen=True)
 class Row012e:
     """A row over the 2w literal slots, with don't-cares and e-bubbles.
 
+    The row is its ``width``, ``ones``, the mask of the slots holding 1 (bit
+    s for slot s), and ``bubble_masks``, one slot mask per bubble, ordered
+    by lowest bit.  A slot holds 0 when its mate holds 1, and 2 when it is
+    neither fixed nor bubbled.  Equal rows compare equal regardless of
+    construction history.
+
+    ``Row012e(width, slots, bubbles)`` takes the per-slot view, where
     ``slots[s]`` is 0, 1, 2, or ``3 + k`` when slot ``s`` belongs to bubble
-    ``k``.  Bubbles are canonical: each one is a sorted slot tuple of length
-    at least two, and bubbles are numbered by their smallest slot, so equal
-    rows compare equal regardless of construction history.
+    ``k``, and ``bubbles`` holds each bubble's sorted slots; it validates
+    both in ``__post_init__``.  Sons come from ``_row012e``, which checks
+    nothing: every operation combines the masks of valid rows through the
+    pin fixpoint ``_pin``.  ``slots`` and ``bubbles`` are views derived from
+    the masks and cached on first use; nothing on the enumeration path
+    reads them.  Rows are immutable values.
     """
 
-    width: int
-    slots: tuple[int, ...]
-    bubbles: tuple[tuple[int, ...], ...] = ()
-    # filled on first use by slot_masks.  A declared field, not a
-    # functools.cached_property: that one writes the instance __dict__,
-    # which materialises it and slows every later attribute read of the row.
-    _masks: tuple[int, tuple[int, ...]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # filled on first use by read_masks, the same way
-    _read: tuple[int, int] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("width", "ones", "bubble_masks", "_slots", "_bubbles")
+
+    def __init__(self, width: int, slots: Sequence[int], bubbles: Iterable[Sequence[int]] = ()) -> None:
+        _set_e_width(self, width)
+        _set_e_slots(self, tuple(slots))
+        _set_e_bubbles(self, tuple(map(tuple, bubbles)))
+        # a class attribute, as in a dataclass: a probe that replaces it
+        # sees every checked construction
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        if len(self.slots) != 2 * self.width:
+        slots, bubbles = self._slots, self._bubbles
+        if len(slots) != 2 * self.width:
             raise ValueError("slot vector must have length 2w")
-        for k, members in enumerate(self.bubbles):
+        masks = []
+        for k, members in enumerate(bubbles):
             if len(members) < 2:
                 raise ValueError("bubbles must cover at least two slots")
             if tuple(sorted(members)) != members:
@@ -304,26 +308,64 @@ class Row012e:
             if len(set(vars_seen)) != len(vars_seen):
                 raise ValueError("a bubble may not cover both slots of a variable")
             for s in members:
-                if self.slots[s] != _B + k:
+                if slots[s] != _B + k:
                     raise ValueError("slot/bubble tables disagree")
-        for k in range(1, len(self.bubbles)):
-            if self.bubbles[k - 1][0] > self.bubbles[k][0]:
+            masks.append(sum(1 << s for s in members))
+        if sum(v >= _B for v in slots) != sum(map(len, bubbles)):
+            raise ValueError("slot/bubble tables disagree")
+        for k in range(1, len(bubbles)):
+            if bubbles[k - 1][0] > bubbles[k][0]:
                 raise ValueError("bubbles must be ordered by first slot")
+        ones = 0
         for var in range(1, self.width + 1):
-            a, b = self.slots[pos_slot(var)], self.slots[neg_slot(var)]
+            a, b = slots[pos_slot(var)], slots[neg_slot(var)]
             fixed_a, fixed_b = a in (ZERO, ONE), b in (ZERO, ONE)
             if fixed_a != fixed_b or (fixed_a and a == b):
                 raise ValueError(f"inconsistent slot pair for variable {var}")
+            if fixed_a:
+                ones |= 1 << (pos_slot(var) if a == ONE else neg_slot(var))
+        _set_e_ones(self, ones)
+        _set_e_masks(self, tuple(masks))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def slots(self) -> tuple[int, ...]:
+        """One 0/1/2/3+k per slot, derived from the masks on first use."""
+        try:
+            return self._slots
+        except AttributeError:
+            slots = [TWO] * (2 * self.width)
+            for s in _slots_of(self.ones):
+                slots[s], slots[s ^ 1] = ONE, ZERO
+            for k, b in enumerate(self.bubble_masks):
+                for s in _slots_of(b):
+                    slots[s] = _B + k
+            _set_e_slots(self, tuple(slots))
+            return self._slots
+
+    @property
+    def bubbles(self) -> tuple[tuple[int, ...], ...]:
+        """Each bubble's sorted slots, derived from the masks on first use."""
+        try:
+            return self._bubbles
+        except AttributeError:
+            _set_e_bubbles(self, tuple(tuple(_slots_of(b)) for b in self.bubble_masks))
+            return self._bubbles
 
     @property
     def slot_masks(self) -> tuple[int, tuple[int, ...]]:
-        """(mask of the slots holding 1, one slot mask per bubble); bit s
-        stands for slot s.  Cached per row; not part of its identity."""
-        masks = self._masks
-        if masks is None:
-            masks = _slot_masks(self.slots, self.bubbles)
-            object.__setattr__(self, "_masks", masks)
-        return masks
+        """(mask of the slots holding 1, one slot mask per bubble)."""
+        return self.ones, self.bubble_masks
+
+    @property
+    def zeros(self) -> int:
+        """Mask of the slots holding 0: the mates of the 1-slots."""
+        return _mates(self.ones, self.width)
 
     @classmethod
     def full(cls, width: int) -> "Row012e":
@@ -331,16 +373,7 @@ class Row012e:
 
     @classmethod
     def from_row012(cls, row: Row012) -> "Row012e":
-        slots = []
-        for v in range(row.width):
-            bit = 1 << v
-            if row.ones & bit:
-                slots += [ONE, ZERO]
-            elif row.zeros & bit:
-                slots += [ZERO, ONE]
-            else:
-                slots += [TWO, TWO]
-        return cls(row.width, tuple(slots))
+        return _row012e(row.width, _spread(row.ones) | _spread(row.zeros) << 1, ())
 
     def value(self, slot: int) -> int:
         return self.slots[slot]
@@ -351,214 +384,188 @@ class Row012e:
 
     def var_value(self, var: int) -> int:
         """0/1 when the variable is fixed, 2 otherwise (free or bubbled)."""
-        a = self.slots[pos_slot(var)]
-        if a == ONE:
-            return 1
-        if a == ZERO:
-            return 0
-        return 2
-
-    @property
-    def read_masks(self) -> tuple[int, int]:
-        """(mask of the slots holding 0, mask of the bad pairs' positive
-        slots), from ``slot_masks``.  Cached per row like it.
-
-        ``even`` marks the positive slots.  A fixed variable's 0-slot is the
-        mate of its 1-slot, so the 0-slots are the 1-slots with every slot
-        swapped for its mate.  With ``bub`` the union of the bubble masks, a
-        variable is a bad pair when both its slots lie in ``bub``: a bubble
-        never covers both slots of one variable, so they lie in distinct
-        bubbles.
-        """
-        read = self._read
-        if read is None:
-            ones, bubbles = self.slot_masks
-            even = ((1 << 2 * self.width) - 1) // 3
-            bub = 0
-            for b in bubbles:
-                bub |= b
-            zeros = ((ones & even) << 1) | ((ones >> 1) & even)
-            read = (zeros, bub & (bub >> 1) & even)
-            object.__setattr__(self, "_read", read)
-        return read
+        return 1 if self.ones >> pos_slot(var) & 1 else 0 if self.ones >> neg_slot(var) & 1 else 2
 
     def bad_pairs(self) -> tuple[int, ...]:
         """Variables whose two slots are covered by distinct bubbles, in
         increasing order (``purify`` instantiates them in this order).
 
-        Read off the bad-pair mask of ``read_masks``, where the bad
-        variables' positive slots are the set bits of
-        ``bub & (bub >> 1) & even`` (``bub``: the union of the bubbles).
+        With ``bub`` the union of the bubble masks, the bad variables'
+        positive slots are the set bits of ``bub & (bub >> 1) & even``: a
+        bubble never covers both slots of one variable, so they lie in
+        distinct bubbles.
         """
-        m = self.read_masks[1]
-        out = []
-        while m:
-            low = m & -m
-            out.append(slot_var(low.bit_length() - 1))
-            m ^= low
-        return tuple(out)
+        return tuple(slot_var(s) for s in _slots_of(_bad(self)))
 
     def is_purified(self) -> bool:
-        return not self.read_masks[1]
+        return not _bad(self)
 
     @property
     def free_count(self) -> int:
         """Number of variables with both slots at don't-care."""
-        return sum(
-            1
-            for var in range(1, self.width + 1)
-            if self.slots[pos_slot(var)] == TWO and self.slots[neg_slot(var)] == TWO
-        )
+        return _free_count(self.width, self.ones, _union(self.bubble_masks))
 
     def condense(self) -> Row012:
         """Project a bubble-free row onto the w variable positions."""
-        if self.bubbles:
+        if self.bubble_masks:
             raise ValueError("cannot condense a row that still has bubbles")
-        ones = zeros = 0
-        for v in range(self.width):
-            a = self.slots[2 * v]
-            if a == ONE:
-                ones |= 1 << v
-            elif a == ZERO:
-                zeros |= 1 << v
-        return _row012(self.width, ones, zeros)
+        return _condense(self.width, self.ones)
 
-    def contains(self, u: Sequence[int]) -> bool:
+    def contains(self, u: Sequence[int], bits: int | None = None) -> bool:
+        """True when the bitstring ``u``, one 0/1 per variable, is a member.
+
+        ``bits`` is ``u`` packed as a variable mask, when the caller has it.
+        The member's true literal slots are its 1-variables' positive slots
+        and its 0-variables' negative ones: they must hold every 1-slot and
+        meet every bubble.
+        """
         if len(u) != self.width:
             raise ValueError("bitstring length does not match row width")
-        for var in range(1, self.width + 1):
-            a = self.slots[pos_slot(var)]
-            if a == ONE and u[var - 1] != 1:
-                return False
-            if a == ZERO and u[var - 1] != 0:
-                return False
-        for members in self.bubbles:
-            if not any(u[slot_var(s) - 1] == (1 if slot_is_positive(s) else 0) for s in members):
-                return False
-        return True
+        if bits is None:
+            bits = _pack(u)
+        true = _spread(bits) | _spread(((1 << self.width) - 1) ^ bits) << 1
+        return not self.ones & ~true and all(b & true for b in self.bubble_masks)
 
     def members(self) -> Iterator[tuple[int, ...]]:
         for piece in purify(self):
             for cube in expand_to_012(piece):
                 yield from cube.members()
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Row012e:
+            return NotImplemented
+        return self.ones == other.ones and self.bubble_masks == other.bubble_masks and self.width == other.width
+
+    def __hash__(self) -> int:
+        return hash((self.width, self.ones, self.bubble_masks))
+
+    def __repr__(self) -> str:
+        return f"Row012e(width={self.width!r}, slots={self.slots!r}, bubbles={self.bubbles!r})"
+
+    def __reduce__(self):
+        return Row012e, (self.width, self.slots, self.bubbles)
+
     def __str__(self) -> str:
-        toks = []
-        for s, v in enumerate(self.slots):
-            toks.append(f"e{v - _B + 1}" if v >= _B else str(v))
-        return " ".join(toks)
+        return " ".join(f"e{v - _B + 1}" if v >= _B else str(v) for v in self.slots)
 
 
-class _EBuilder:
-    """Mutable scratch representation of a 012e-row."""
+_set_e_width = Row012e.width.__set__
+_set_e_ones = Row012e.ones.__set__
+_set_e_masks = Row012e.bubble_masks.__set__
+_set_e_slots = Row012e._slots.__set__
+_set_e_bubbles = Row012e._bubbles.__set__
+_SPREAD = {ord("0"): "00", ord("1"): "01"}
 
-    __slots__ = ("width", "slots", "groups", "_next")
 
-    def __init__(self, width: int):
-        self.width = width
-        self.slots: list[int] = [TWO] * (2 * width)
-        self.groups: dict[int, set[int]] = {}
-        self._next = 0
+def _row012e(width: int, ones: int, bubbles: Sequence[int]) -> Row012e:
+    """A row from valid masks, built without checks; the bubbles are put in
+    order of their lowest bit."""
+    row = object.__new__(Row012e)
+    _set_e_width(row, width)
+    _set_e_ones(row, ones)
+    _set_e_masks(row, tuple(sorted(bubbles, key=lambda b: b & -b)) if len(bubbles) > 1 else tuple(bubbles))
+    return row
 
-    @classmethod
-    def from_row(cls, row: Row012e) -> "_EBuilder":
-        b = cls(row.width)
-        b.slots = list(row.slots)
-        b.groups = {k: set(m) for k, m in enumerate(row.bubbles)}
-        b._next = len(row.bubbles)
-        return b
 
-    def copy(self) -> "_EBuilder":
-        b = _EBuilder.__new__(_EBuilder)
-        b.width = self.width
-        b.slots = self.slots.copy()
-        b.groups = {k: set(m) for k, m in self.groups.items()}
-        b._next = self._next
-        return b
+def _slots_of(mask: int) -> Iterator[int]:
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    def value(self, slot: int) -> int:
-        return self.slots[slot]
 
-    def set_fixed(self, slot: int, value: int) -> None:
-        """Pin a slot to 0 or 1, cascading through bubbles and complements."""
-        cur = self.slots[slot]
-        if cur == value:
-            return
-        if cur in (ZERO, ONE):
-            raise EmptyRowError(f"slot {slot} already fixed to {cur}")
-        pending = None
-        if cur >= _B:
-            gid = cur - _B
-            members = self.groups[gid]
-            members.discard(slot)
-            if value == ONE:
-                # bubble satisfied: remaining slots become free
-                for m in members:
-                    self.slots[m] = TWO
-                del self.groups[gid]
+@cache
+def _evens(width: int) -> int:
+    """Mask of the positive slots of ``width`` variables."""
+    return ((1 << 2 * width) - 1) // 3
+
+
+def _mates(mask: int, width: int) -> int:
+    """The slot mask with every slot swapped for its mate."""
+    even = _evens(width)
+    return (mask & even) << 1 | (mask >> 1) & even
+
+
+def _union(masks: Iterable[int]) -> int:
+    bub = 0
+    for b in masks:
+        bub |= b
+    return bub
+
+
+def _bad(row: Row012e) -> int:
+    """The positive slots of the row's bad pairs."""
+    bub = _union(row.bubble_masks)
+    return bub & bub >> 1 & _evens(row.width)
+
+
+def _free_count(width: int, ones: int, bub: int) -> int:
+    """The variables with no 1-slot and no bubbled slot."""
+    return width - ones.bit_count() - ((bub | bub >> 1) & _evens(width)).bit_count()
+
+
+def _spread(mask: int) -> int:
+    """A variable mask as the mask of the variables' positive slots."""
+    return int(bin(mask)[2:].translate(_SPREAD), 2)
+
+
+def _condense(width: int, ones: int) -> Row012:
+    """The 012-row of a bubble-free e-row's 1-slots: a 1 on a positive slot
+    fixes its variable to 1, on a negative slot to 0."""
+    text = format(ones, f"0{2 * width}b")  # slot 2w-1 first
+    return _row012(width, int(text[1::2] or "0", 2), int(text[::2], 2))
+
+
+def _pin(width: int, ones: int, bubbles: Iterable[int], new: int) -> tuple[int, list[int]]:
+    """Pin the slots of ``new`` to 1 and propagate, on masks.
+
+    Pinning a slot to 0 is pinning its mate to 1.  Each round fixes the
+    mates of the 1-slots to 0, drops the bubbles that hold a 1, removes the
+    0-slots from the others, and pins a bubble left with one slot to 1 in
+    the next round.  Raises EmptyRowError when a bubble is left empty or a
+    slot and its mate both hold 1.  This is unit propagation, so the result
+    does not depend on the order of the pins.  The bubbles come back in no
+    particular order.
+    """
+    bubbles = list(bubbles)
+    even = _evens(width)
+    while new:
+        ones |= new
+        zeros = (ones & even) << 1 | ones >> 1 & even
+        if ones & zeros:
+            raise EmptyRowError("a slot and its mate both pinned to 1")
+        new = 0
+        kept = []
+        for b in bubbles:
+            if b & ones:
+                continue
+            b &= ~zeros
+            if b & (b - 1):
+                kept.append(b)
+            elif b:
+                new |= b
             else:
-                if not members:
-                    del self.groups[gid]
-                    raise EmptyRowError("all slots of a bubble pinned to 0")
-                if len(members) == 1:
-                    pending = next(iter(members))
-        self.slots[slot] = value
-        self.set_fixed(slot_mate(slot), 1 - value)
-        if pending is not None and self.slots[pending] >= _B:
-            # length-1 bubble remnant: its slot must carry the 1
-            self.set_fixed(pending, ONE)
-
-    def new_bubble(self, slots: Iterable[int]) -> None:
-        members = sorted(set(slots))
-        if any(self.slots[s] != TWO for s in members):
-            raise ValueError("new bubble slots must currently be free")
-        if len({slot_var(s) for s in members}) != len(members):
-            return  # covers a complementary pair: "at least one 1" holds anyway
-        if not members:
-            raise ValueError("empty bubble")
-        if len(members) == 1:
-            self.set_fixed(members[0], ONE)
-            return
-        gid = self._next
-        self._next += 1
-        self.groups[gid] = set(members)
-        for s in members:
-            self.slots[s] = _B + gid
-
-    def shrink_to(self, member_slot: int, keep: Iterable[int]) -> None:
-        """Restrict the bubble containing member_slot to ``keep``, freeing the rest."""
-        gid = self.slots[member_slot] - _B
-        members = self.groups[gid]
-        keep = set(keep)
-        for m in members - keep:
-            self.slots[m] = TWO
-        members &= keep
-        if len(members) == 1:
-            lone = next(iter(members))
-            self.set_fixed(lone, ONE)
-
-    def freeze(self) -> Row012e:
-        order = sorted(self.groups.values(), key=min)
-        slots = list(self.slots)
-        bubbles = []
-        for k, members in enumerate(order):
-            ms = tuple(sorted(members))
-            bubbles.append(ms)
-            for m in ms:
-                slots[m] = _B + k
-        return Row012e(self.width, tuple(slots), tuple(bubbles))
+                raise EmptyRowError("all slots of a bubble pinned to 0")
+        bubbles = kept
+    return ones, bubbles
 
 
 def card_purified(row: Row012e) -> int:
     """Cardinality of a purified row: product of (2^len - 1) over bubbles
     times 2^(free variables)."""
-    bad = row.bad_pairs()
-    if bad:
-        raise PurityError(f"row has bad pairs at variables {bad}")
-    n = 1 << row.free_count
-    for members in row.bubbles:
-        n *= (1 << len(members)) - 1
-    return n
+    if _bad(row):
+        raise PurityError(f"row has bad pairs at variables {row.bad_pairs()}")
+    return _card(row.width, row.ones, row.bubble_masks)
+
+
+def _card(width: int, ones: int, bubbles: Iterable[int]) -> int:
+    n = 1
+    bub = 0
+    for b in bubbles:
+        n *= (1 << b.bit_count()) - 1
+        bub |= b
+    return n << _free_count(width, ones, bub)
 
 
 def card_e(row: Row012e) -> int:
@@ -569,21 +576,23 @@ def card_e(row: Row012e) -> int:
 def purify(row: Row012e) -> list[Row012e]:
     """Split a row into disjoint purified rows covering the same bitstrings.
 
-    Every bad pair is instantiated both ways (value 1 first); instantiations
-    whose cascades contradict are dropped.  At least one row survives.
+    Every bad pair is instantiated both ways (value 1 first, variables in
+    increasing order), each instantiation one ``_pin`` of the chosen slots;
+    instantiations that contradict are dropped.  At least one row survives.
     """
-    bad = row.bad_pairs()
+    bad = list(_slots_of(_bad(row)))
     if not bad:
         return [row]
+    w, ones, bubbles = row.width, row.ones, row.bubble_masks
     out = []
     for values in itertools.product((1, 0), repeat=len(bad)):
-        b = _EBuilder.from_row(row)
+        new = 0
+        for s, v in zip(bad, values):
+            new |= 1 << (s if v else s + 1)
         try:
-            for var, v in zip(bad, values):
-                b.set_fixed(pos_slot(var), v)
+            out.append(_row012e(w, *_pin(w, ones, bubbles, new)))
         except EmptyRowError:
             continue
-        out.append(b.freeze())
     if not out:
         raise RuntimeError("purification of a nonempty row produced nothing")
     return out
@@ -594,14 +603,8 @@ def pick_model(row: Row012e) -> tuple[int, ...]:
     literal, free variables go to 0."""
     if not row.is_purified():
         raise PurityError("pick_model requires a purified row")
-    u = [0] * row.width
-    for var in range(1, row.width + 1):
-        if row.slots[pos_slot(var)] == ONE:
-            u[var - 1] = 1
-    for members in row.bubbles:
-        for s in members:
-            u[slot_var(s) - 1] = 1 if slot_is_positive(s) else 0
-    return tuple(u)
+    true = row.ones | _union(row.bubble_masks)  # the slots set to 1
+    return tuple(true >> 2 * v & 1 for v in range(row.width))
 
 
 def expand_to_012(row: Row012e) -> list[Row012]:
@@ -609,28 +612,20 @@ def expand_to_012(row: Row012e) -> list[Row012]:
 
     Each bubble of length n contributes the n-line triangular staircase
     (first slot 1; first 0 and second 1; and so on), so the output has
-    exactly the product of the bubble lengths many rows.
+    exactly the product of the bubble lengths many rows.  In a purified row
+    the mates of bubble slots are free, so each step only sets 1-slots.
     """
     if not row.is_purified():
         raise PurityError("expand_to_012 requires a purified row")
-    if not row.bubbles:
-        return [row.condense()]
-    out = []
-    ranges = [range(len(m)) for m in row.bubbles]
-    for choice in itertools.product(*ranges):
-        b = _EBuilder.from_row(row)
-        for members, j in zip(row.bubbles, choice):
-            ms = sorted(members)
-            # release the bubble, then re-pin the staircase pattern
-            gid = b.slots[ms[0]] - _B
-            for m in b.groups[gid]:
-                b.slots[m] = TWO
-            del b.groups[gid]
-            for s in ms[:j]:
-                b.set_fixed(s, ZERO)
-            b.set_fixed(ms[j], ONE)
-        out.append(b.freeze().condense())
-    return out
+    stairs = []
+    for b in row.bubble_masks:
+        steps, zeros = [], 0
+        for s in _slots_of(b):
+            steps.append(zeros | 1 << s)
+            zeros |= 1 << (s ^ 1)
+        stairs.append(steps)
+    w, ones = row.width, row.ones
+    return [_condense(w, ones | _union(choice)) for choice in itertools.product(*stairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -649,41 +644,46 @@ def impose_on_slots(row: Row012e, slots: Sequence[int]) -> list[Row012e]:
     pinned zeros cascade into a hit.  An empty result means no member hits
     the slots.
 
-    One running builder carries the remainder from column to column.  Each
-    son is copied off it and frozen, and the remainder is frozen only when
-    it is a son itself, so every returned row is built and validated once
-    and no other row is built.
+    The remainder is a pair of masks carried from column to column; a son
+    is the remainder with its column as a bubble, pinned to 1 when it has
+    one slot, and each pin is one ``_pin``.
     """
     mask = 0
     for s in slots:
         mask |= 1 << s
-    if settles(*row.slot_masks, mask):
+    w, ones, bubbles = row.width, row.ones, row.bubble_masks
+    if settles(ones, bubbles, mask):
         return [row]
+    even = _evens(w)
     sons: list[Row012e] = []
-    rest = _EBuilder.from_row(row)
-    cur = rest.slots
     while True:
-        first = next((s for s in slots if cur[s] == TWO or cur[s] >= _B), None)
-        if first is None:
+        live = mask & ~(ones | (ones & even) << 1 | ones >> 1 & even)
+        if not live:
             break  # every listed slot is 0: the remainder has no hitting member
-        son = rest.copy()
+        for first in slots:
+            if live >> first & 1:
+                break
+        for held in bubbles:
+            if held >> first & 1:
+                column = held & mask
+                son = [column if b == held else b for b in bubbles]
+                break
+        else:
+            column = live & ~_union(bubbles)
+            son = [*bubbles] if column & column >> 1 & even else [*bubbles, column]
+        if column & (column - 1):
+            sons.append(_row012e(w, ones, son))
+        else:
+            try:
+                sons.append(_row012e(w, *_pin(w, ones, son, column)))
+            except EmptyRowError:
+                pass
         try:
-            if cur[first] == TWO:
-                column = [s for s in slots if cur[s] == TWO]
-                son.new_bubble(column)
-            else:
-                column = sorted(m for m in rest.groups[cur[first] - _B] if mask >> m & 1)
-                son.shrink_to(first, column)
-            sons.append(son.freeze())
-        except EmptyRowError:
-            pass
-        try:
-            for s in column:
-                rest.set_fixed(s, ZERO)
+            ones, bubbles = _pin(w, ones, bubbles, (column & even) << 1 | column >> 1 & even)
         except EmptyRowError:
             break
-        if settles(*_slot_masks(cur, rest.groups.values()), mask):
-            sons.append(rest.freeze())
+        if settles(ones, bubbles, mask):
+            sons.append(_row012e(w, ones, bubbles))
             break
     return sons
 
@@ -696,20 +696,14 @@ def intersect_e(r: Row012e, rho: Row012e) -> list[Row012e]:
     """
     if r.width != rho.width:
         raise ValueError("row widths differ")
-    carrier, imposed = (r, rho) if len(r.bubbles) >= len(rho.bubbles) else (rho, r)
+    carrier, imposed = (r, rho) if len(r.bubble_masks) >= len(rho.bubble_masks) else (rho, r)
     try:
-        b = _EBuilder.from_row(carrier)
-        for s, v in enumerate(imposed.slots):
-            if v in (ZERO, ONE):
-                b.set_fixed(s, v)
-        work = [b.freeze()]
+        work = [_row012e(r.width, *_pin(r.width, carrier.ones, carrier.bubble_masks, imposed.ones))]
     except EmptyRowError:
         return []
-    for members in imposed.bubbles:
-        nxt: list[Row012e] = []
-        for row in work:
-            nxt.extend(impose_on_slots(row, list(members)))
-        work = nxt
+    for b in imposed.bubble_masks:
+        members = list(_slots_of(b))
+        work = [son for row in work for son in impose_on_slots(row, members)]
         if not work:
             break
     return work
@@ -718,54 +712,53 @@ def intersect_e(r: Row012e, rho: Row012e) -> list[Row012e]:
 def intersection_card_ie(r: Row012e, rho: Row012e) -> int:
     """Cardinality of the intersection of two purified rows.
 
-    First a reject on the cached masks (``slot_masks``, ``read_masks``):
-    the result is 0 when a slot holds 1 in one row and 0 in the other, or
-    when a bubble of either row lies inside the other row's 0-slots (no
-    member of the other row sets any of its slots to 1).  Each test proves
-    the rows disjoint with a few bit operations.  Any other pair goes to
-    inclusion-exclusion over rho's bubbles: each term pins a subset of
-    rho's bubbles entirely to 0 inside r (after applying rho's fixed slots)
-    and takes the purified-row cardinality.  Emptiness that shows only
-    after cascades, such as a bubble shrunk to one slot that then clashes,
-    is left to that sum, which comes to 0.
+    First a reject on the masks: the result is 0 when a slot holds 1 in one
+    row and 0 in the other, or when a bubble of either row lies inside the
+    other row's 0-slots (no member of the other row sets any of its slots
+    to 1).  Each test proves the rows disjoint with a few bit operations.
+    Any other pair goes to inclusion-exclusion over rho's bubbles: each
+    term pins a subset of rho's bubbles entirely to 0 inside r (after
+    pinning rho's 1-slots), one ``_pin`` each, and takes the purified-row
+    cardinality of the masks.  Emptiness that shows only after cascades,
+    such as a bubble shrunk to one slot that then clashes, is left to that
+    sum, which comes to 0.
     """
-    zeros_r, bad_r = r.read_masks
-    zeros_rho, bad_rho = rho.read_masks
-    if bad_r or bad_rho:
+    w = r.width
+    even = _evens(w)
+    ones_r, bubbles_r = r.ones, r.bubble_masks
+    ones_rho, bubbles_rho = rho.ones, rho.bubble_masks
+    bub_r = bub_rho = 0
+    for b in bubbles_r:
+        bub_r |= b
+    for b in bubbles_rho:
+        bub_rho |= b
+    # the purity test of rows.bad_pairs; rho's own mask when it is wider
+    if (bub_r & bub_r >> 1 | bub_rho & bub_rho >> 1) & even or w != rho.width and _bad(rho):
         raise PurityError("intersection_card_ie requires purified rows")
-    if r.width != rho.width:
+    if w != rho.width:
         raise ValueError("row widths differ")
-    ones_r, bubbles_r = r.slot_masks
-    ones_rho, bubbles_rho = rho.slot_masks
+    zeros_rho = (ones_rho & even) << 1 | ones_rho >> 1 & even
     if ones_r & zeros_rho:
         return 0
     for b in bubbles_r:
         if b & zeros_rho == b:
             return 0
+    zeros_r = (ones_r & even) << 1 | ones_r >> 1 & even
     for b in bubbles_rho:
         if b & zeros_r == b:
             return 0
     try:
-        base = _EBuilder.from_row(r)
-        for s, v in enumerate(rho.slots):
-            if v in (ZERO, ONE):
-                base.set_fixed(s, v)
-        base_row = base.freeze()
+        ones, bubbles = _pin(w, ones_r, bubbles_r, ones_rho)
     except EmptyRowError:
         return 0
     total = 0
-    n = len(rho.bubbles)
-    for bits in itertools.product((0, 1), repeat=n):
-        sign = -1 if sum(bits) % 2 else 1
+    for bits in itertools.product((0, 1), repeat=len(bubbles_rho)):
+        violated = _union(b for b, v in zip(bubbles_rho, bits) if v)
         try:
-            b = _EBuilder.from_row(base_row)
-            for members, violate in zip(rho.bubbles, bits):
-                if violate:
-                    for s in members:
-                        b.set_fixed(s, ZERO)
-            total += sign * card_purified(b.freeze())
+            term = _card(w, *_pin(w, ones, bubbles, _mates(violated, w)))
         except EmptyRowError:
             continue
+        total += -term if sum(bits) % 2 else term
     return total
 
 
@@ -846,19 +839,10 @@ def format_rows(rows: RowList) -> str:
             continue
         if not row.is_purified():
             raise PurityError("serialize purified rows only (purify first)")
-        toks = []
-        for var in range(1, row.width + 1):
-            a, b = row.slots[pos_slot(var)], row.slots[neg_slot(var)]
-            if a == ONE:
-                toks.append("1")
-            elif a == ZERO:
-                toks.append("0")
-            elif a >= _B:
-                toks.append(f"e{a - _B + 1}")
-            elif b >= _B:
-                toks.append(f"n{b - _B + 1}")
-            else:
-                toks.append("2")
+        toks = _row_text(_condense(row.width, row.ones)).split(" ")
+        for k, b in enumerate(row.bubble_masks, 1):
+            for s in _slots_of(b):
+                toks[s >> 1] = f"n{k}" if s & 1 else f"e{k}"
         lines.append(" ".join(toks))
     return "\n".join(lines) + "\n"
 
@@ -879,21 +863,20 @@ def parse_rows(text: str) -> RowList:
         if all(t in ("0", "1", "2") for t in toks):
             rows.append(Row012(tuple(int(t) for t in toks)))
             continue
-        b = _EBuilder(width)
-        groups: dict[str, list[int]] = {}
+        ones = 0
+        groups: dict[str, int] = {}
         for var, t in enumerate(toks, start=1):
             if t in ("0", "1"):
-                b.set_fixed(pos_slot(var), int(t))
-            elif t == "2":
-                pass
+                ones |= 1 << (pos_slot(var) if t == "1" else neg_slot(var))
             elif t[0] in ("e", "n"):
                 slot = pos_slot(var) if t[0] == "e" else neg_slot(var)
-                groups.setdefault(t[1:], []).append(slot)
-            else:
+                groups[t[1:]] = groups.get(t[1:], 0) | 1 << slot
+            elif t != "2":
                 raise ValueError(f"bad row token {t!r}")
-        for _, slots in sorted(groups.items()):
-            b.new_bubble(slots)
-        rows.append(b.freeze())
+        # a one-slot bubble is a fixed 1
+        single = _union(b for b in groups.values() if not b & (b - 1))
+        bubbles = [b for b in groups.values() if b & (b - 1)]
+        rows.append(_row012e(width, *_pin(width, ones, bubbles, single)))
     if len(rows) != count:
         raise ValueError(f"header announced {count} rows, found {len(rows)}")
     return RowList(width, tuple(rows))

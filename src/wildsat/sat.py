@@ -32,7 +32,7 @@ from functools import cache
 from typing import Callable, Sequence
 
 from .formulas import Clause, Cnf
-from .rows import ONE, ZERO, Row012, Row012e, settles, slot_of_lit
+from .rows import Row012, Row012e, _slots_of, settles
 
 
 @dataclass
@@ -160,12 +160,9 @@ def row_constraint_clauses(row: Row012 | Row012e) -> tuple[Clause, ...]:
             units.append(_unit(v if row.ones & low else -v))
             fixed ^= low
         return tuple(units)
-    units = tuple(
-        _unit(v if s == ONE else -v)
-        for v, s in enumerate(row.slots[::2], 1)
-        if s == ONE or s == ZERO
-    )
-    return units + tuple(Clause(tuple(map(_slot_lit, members))) for members in row.bubbles)
+    # the 1-slots in increasing order are the fixed variables in order
+    units = tuple(_unit(_slot_lit(s)) for s in _slots_of(row.ones))
+    return units + tuple(Clause(tuple(map(_slot_lit, _slots_of(b)))) for b in row.bubble_masks)
 
 
 def _slot_lit(slot: int) -> int:
@@ -195,10 +192,7 @@ def clause_dead_in(row: Row012 | Row012e, clause: Clause) -> bool:
     if isinstance(row, Row012):
         pos, neg = clause.masks
         return not (pos & ~row.zeros or neg & ~row.ones)
-    for lit in clause.lits:
-        if row.slots[slot_of_lit(lit)] != ZERO:
-            return False
-    return True
+    return not clause.slot_mask & ~row.zeros
 
 
 def row_satisfies_clause(row: Row012 | Row012e, clause: Clause) -> bool:
@@ -207,7 +201,7 @@ def row_satisfies_clause(row: Row012 | Row012e, clause: Clause) -> bool:
     For 012-rows this means some literal is already fixed true: a variable
     of the clause's positive mask lies in the row's ``ones``, or one of its
     negative mask in ``zeros``.  For e-rows it is the bitwise rule of
-    ``rows.settles`` on the row's cached ``slot_masks`` and the clause's
+    ``rows.settles`` on the row's ``slot_masks`` and the clause's
     ``slot_mask``: some literal slot of the clause holds 1, or a bubble lies
     entirely inside the clause's slots (some slot of the bubble carries a
     1).  Splitting only narrows a row, so a clause settled by a row stays

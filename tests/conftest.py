@@ -10,7 +10,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from wildsat.formulas import Cnf, parse_dimacs
-from wildsat.rows import Row012, Row012e, RowList, _EBuilder
+from oracle import EBuilder
+from wildsat.rows import Row012, Row012e, RowList
 
 PHI0_DIMACS = "p cnf 9 1\n2 -6 0\n"
 
@@ -46,7 +47,7 @@ def erow(pattern: str, width: int | None = None) -> Row012e:
     if width is None:
         assert len(toks) % 2 == 0
         width = len(toks) // 2
-    b = _EBuilder(width)
+    b = EBuilder(width)
     groups: dict[str, list[int]] = {}
     fixed: list[tuple[int, int]] = []
     for slot, tok in enumerate(toks):

@@ -12,7 +12,167 @@ import itertools
 import random
 
 from wildsat.formulas import Clause, Cnf, Dnf
-from wildsat.rows import Row012, Row012e, _EBuilder, neg_slot, pos_slot
+from wildsat.rows import TWO, EmptyRowError, Row012, Row012e, neg_slot, pos_slot, slot_var
+
+_B = 3  # slot values >= _B reference bubble number (value - _B)
+
+
+class EBuilder:
+    """Reference 012e-row builder over per-slot symbols.
+
+    A mutable slot list (0, 1, 2, or 3 + k for bubble k) and a dict of
+    bubble slot sets.  ``set_fixed`` pins one slot at a time and cascades
+    sequentially: a 1 inside a bubble frees the rest of the bubble, a 0
+    shrinks it, a bubble shrunk to one slot forces that slot to 1, and
+    every pin fixes the slot's mate to the opposite value.  ``freeze``
+    hands the result to the public, validating ``Row012e`` constructor.
+    The program's mask fixpoint must agree with it row for row.
+    """
+
+    __slots__ = ("width", "slots", "groups", "_next")
+
+    def __init__(self, width: int):
+        self.width = width
+        self.slots: list[int] = [TWO] * (2 * width)
+        self.groups: dict[int, set[int]] = {}
+        self._next = 0
+
+    @classmethod
+    def from_row(cls, row: Row012e) -> "EBuilder":
+        b = cls(row.width)
+        b.slots = list(row.slots)
+        b.groups = {k: set(m) for k, m in enumerate(row.bubbles)}
+        b._next = len(row.bubbles)
+        return b
+
+    def copy(self) -> "EBuilder":
+        b = EBuilder(self.width)
+        b.slots = self.slots.copy()
+        b.groups = {k: set(m) for k, m in self.groups.items()}
+        b._next = self._next
+        return b
+
+    def set_fixed(self, slot: int, value: int) -> None:
+        """Pin a slot to 0 or 1, cascading through bubbles and complements."""
+        cur = self.slots[slot]
+        if cur == value:
+            return
+        if cur in (0, 1):
+            raise EmptyRowError(f"slot {slot} already fixed to {cur}")
+        pending = None
+        if cur >= _B:
+            gid = cur - _B
+            members = self.groups[gid]
+            members.discard(slot)
+            if value == 1:
+                for m in members:  # bubble satisfied: its other slots go free
+                    self.slots[m] = TWO
+                del self.groups[gid]
+            else:
+                if not members:
+                    del self.groups[gid]
+                    raise EmptyRowError("all slots of a bubble pinned to 0")
+                if len(members) == 1:
+                    pending = next(iter(members))
+        self.slots[slot] = value
+        self.set_fixed(slot ^ 1, 1 - value)
+        if pending is not None and self.slots[pending] >= _B:
+            self.set_fixed(pending, 1)  # one-slot remnant: it carries the 1
+
+    def new_bubble(self, slots) -> None:
+        members = sorted(set(slots))
+        if any(self.slots[s] != TWO for s in members):
+            raise ValueError("new bubble slots must currently be free")
+        if len({slot_var(s) for s in members}) != len(members):
+            return  # covers a complementary pair: "at least one 1" holds anyway
+        if not members:
+            raise ValueError("empty bubble")
+        if len(members) == 1:
+            self.set_fixed(members[0], 1)
+            return
+        gid = self._next
+        self._next += 1
+        self.groups[gid] = set(members)
+        for s in members:
+            self.slots[s] = _B + gid
+
+    def shrink_to(self, member_slot: int, keep) -> None:
+        """Restrict the bubble holding member_slot to ``keep``, freeing the rest."""
+        members = self.groups[self.slots[member_slot] - _B]
+        keep = set(keep)
+        for m in members - keep:
+            self.slots[m] = TWO
+        members &= keep
+        if len(members) == 1:
+            self.set_fixed(next(iter(members)), 1)
+
+    def freeze(self) -> Row012e:
+        slots = list(self.slots)
+        bubbles = []
+        for k, members in enumerate(sorted(self.groups.values(), key=min)):
+            ms = tuple(sorted(members))
+            bubbles.append(ms)
+            for m in ms:
+                slots[m] = _B + k
+        return Row012e(self.width, tuple(slots), tuple(bubbles))
+
+
+def ref_impose_on_slots(row: Row012e, slots) -> list[Row012e]:
+    """The clause staircase of ``impose_on_slots`` on the reference
+    builder: a column of free listed slots becomes a fresh bubble, a bubble
+    meeting the listed slots shrinks to them, and the column is then pinned
+    to 0 in the remainder."""
+
+    def hit(b: EBuilder) -> bool:
+        return any(b.slots[s] == 1 for s in slots) or any(m <= set(slots) for m in b.groups.values())
+
+    rest = EBuilder.from_row(row)
+    if hit(rest):
+        return [row]
+    sons = []
+    cur = rest.slots
+    while True:
+        first = next((s for s in slots if cur[s] == TWO or cur[s] >= _B), None)
+        if first is None:
+            break
+        son = rest.copy()
+        try:
+            if cur[first] == TWO:
+                column = [s for s in slots if cur[s] == TWO]
+                son.new_bubble(column)
+            else:
+                column = sorted(m for m in rest.groups[cur[first] - _B] if m in slots)
+                son.shrink_to(first, column)
+            sons.append(son.freeze())
+        except EmptyRowError:
+            pass
+        try:
+            for s in column:
+                rest.set_fixed(s, 0)
+        except EmptyRowError:
+            break
+        if hit(rest):
+            sons.append(rest.freeze())
+            break
+    return sons
+
+
+def ref_purify(row: Row012e) -> list[Row012e]:
+    """Every bad pair instantiated both ways, value 1 first, pinned one
+    variable at a time; contradicting instantiations are dropped."""
+    bad = [v for v in range(1, row.width + 1) if row.slots[pos_slot(v)] >= _B and row.slots[neg_slot(v)] >= _B]
+    if not bad:
+        return [row]
+    out = []
+    for values in itertools.product((1, 0), repeat=len(bad)):
+        b = EBuilder.from_row(row)
+        try:
+            for var, v in zip(bad, values):
+                b.set_fixed(pos_slot(var), v)
+        except EmptyRowError:
+            continue
+        out.append(b.freeze())
+    return out
 
 
 def full_mask(w: int) -> int:
@@ -158,7 +318,7 @@ def random_row012(rng: random.Random, w: int) -> Row012:
 
 def random_row012e(rng: random.Random, w: int, max_bubbles: int = 3, allow_bad: bool = True) -> Row012e:
     """A random valid 012e-row, biased toward bubbles; may contain bad pairs."""
-    b = _EBuilder(w)
+    b = EBuilder(w)
     n_bubbles = rng.randint(0, max_bubbles)
     slots_free = lambda: [s for s in range(2 * w) if b.slots[s] == 2]
     for _ in range(n_bubbles):

@@ -91,10 +91,11 @@ def test_criterion_2_table_values():
     assert intersection_card_ie(r, rho) == 141
     # the four inclusion-exclusion terms: 147 - 3 - 3 + 0
     assert card_purified(r) == 147
-    from wildsat.rows import EmptyRowError, _EBuilder
+    from oracle import EBuilder
+    from wildsat.rows import EmptyRowError
 
     def zeroed(row, *slot_groups):
-        b = _EBuilder.from_row(row)
+        b = EBuilder.from_row(row)
         try:
             for slots in slot_groups:
                 for s in slots:

@@ -1,0 +1,216 @@
+"""The mask-native 012e-row against the symbol-level reference builder, and
+the rule that the enumeration and equivalence paths never build the derived
+``slots``/``bubbles`` views.
+
+``oracle.EBuilder`` edits a slot list and a dict of bubble sets one pin at
+a time, with sequential cascades, and freezes through the validating public
+constructor.  The program pins on masks through one fixpoint (``_pin``).
+Both must give equal rows, or both raise EmptyRowError.  Widths run from 0
+to 40, so rows reach 80 slots, past a 64-bit word.
+"""
+
+from __future__ import annotations
+
+import copy
+import pickle
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracle import EBuilder, random_row012e, ref_impose_on_slots, ref_purify, row_mask
+from wildsat.analysis import equivalent
+from wildsat.bench import GenSpec, gen_random_cnf
+from wildsat.engine import EngineConfig, Method, Policy, run
+from wildsat.rows import (
+    EmptyRowError,
+    Row012e,
+    RowList,
+    _pin,
+    _row012e,
+    card_purified,
+    format_rows,
+    impose_on_slots,
+    parse_rows,
+    purify,
+)
+
+MAX_W = 40
+
+
+def _reference(build):
+    """build() as a row, or EmptyRowError as the class."""
+    try:
+        return build()
+    except EmptyRowError:
+        return EmptyRowError
+
+
+def _ref_card(row: Row012e) -> int:
+    """The purified-row cardinality, read off the row's slot table."""
+    free = sum(1 for v in range(row.width) if row.slots[2 * v] == row.slots[2 * v + 1] == 2)
+    n = 1 << free
+    for members in row.bubbles:
+        n *= (1 << len(members)) - 1
+    return n
+
+
+def _ref_text(row: Row012e) -> str:
+    """One token per variable from the slot table: 1, 0, eK, nK or 2."""
+    toks = []
+    for v in range(row.width):
+        a, b = row.slots[2 * v], row.slots[2 * v + 1]
+        toks.append(
+            "1" if a == 1 else "0" if a == 0 else f"e{a - 2}" if a >= 3 else f"n{b - 2}" if b >= 3 else "2"
+        )
+    return " ".join(toks)
+
+
+def _row(seed: int, w: int) -> Row012e:
+    return random_row012e(random.Random(seed), w, max_bubbles=6)
+
+
+class TestAgainstReference:
+    @given(
+        st.integers(0, MAX_W),
+        st.integers(0, 2**32),
+        st.lists(st.tuples(st.integers(0, 2 * MAX_W - 1), st.booleans()), max_size=8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pin_sequence(self, w, seed, pins):
+        row = _row(seed, w)
+        pins = [(s % (2 * w), v) for s, v in pins] if w else []
+
+        def ref():
+            b = EBuilder.from_row(row)
+            for s, v in pins:
+                b.set_fixed(s, int(v))
+            return b.freeze()
+
+        new = 0
+        for s, v in pins:
+            new |= 1 << (s if v else s ^ 1)
+        got = _reference(lambda: _row012e(w, *_pin(w, row.ones, row.bubble_masks, new)))
+        assert got == _reference(ref)
+
+    @given(st.integers(1, MAX_W), st.integers(0, 2**32), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_impose_on_slots(self, w, seed, data):
+        # any slot order, complementary pairs included: fresh-bubble and
+        # shrink columns, one-slot columns and vacuous ones
+        row = _row(seed, w)
+        slots = data.draw(st.lists(st.integers(0, 2 * w - 1), min_size=1, max_size=6, unique=True))
+        assert impose_on_slots(row, slots) == ref_impose_on_slots(row, slots)
+
+    @given(st.integers(0, MAX_W), st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_purify_card_free_count_and_text(self, w, seed):
+        row = _row(seed, w)
+        pieces = ref_purify(row)
+        assert [p.bad_pairs() for p in pieces] == [()] * len(pieces)
+        assert purify(row) == pieces
+        assert row.free_count == sum(1 for v in range(w) if row.slots[2 * v] == row.slots[2 * v + 1] == 2)
+        for piece in pieces:
+            assert card_purified(piece) == _ref_card(piece)
+        if w <= 8:
+            assert sum(map(_ref_card, pieces)) == row_mask(w, row).bit_count()
+        text = format_rows(RowList(w, tuple(pieces)))
+        assert text.splitlines()[1:] == [_ref_text(p) for p in pieces]
+        back = parse_rows(text)
+        assert format_rows(back) == text
+        assert [p for p in back.rows if isinstance(p, Row012e)] == [p for p in pieces if p.bubble_masks]
+
+    @given(st.integers(1, MAX_W), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_contains_with_packed_bits(self, w, seed):
+        rng = random.Random(seed)
+        row = _row(seed, w)
+        for _ in range(8):
+            u = tuple(rng.randint(0, 1) for _ in range(w))
+            bits = sum(b << i for i, b in enumerate(u))
+            want = all(row.slots[2 * v] != 1 - u[v] for v in range(w)) and all(
+                any(u[s // 2] == 1 - s % 2 for s in m) for m in row.bubbles
+            )
+            assert row.contains(u) == row.contains(u, bits) == want
+
+
+class TestEqualityAcrossRoutes:
+    def test_routes_meet(self):
+        w = 40
+        b = EBuilder(w)
+        b.new_bubble([0, 34, 70])
+        b.new_bubble([3, 37, 79])
+        b.set_fixed(10, 1)
+        b.set_fixed(67, 1)
+        checked = b.freeze()
+        unchecked = _row012e(w, checked.ones, checked.bubble_masks[::-1])
+        parsed = parse_rows(format_rows(RowList(w, (checked,)))).rows[0]
+        # slot 67 pinned again, through a bubble that the pin satisfies
+        bubbles = [*checked.bubble_masks, 1 << 67 | 1 << 60]
+        pinned = _row012e(w, *_pin(w, checked.ones & ~(1 << 67), bubbles, 1 << 67))
+        copies = [pickle.loads(pickle.dumps(unchecked)), copy.deepcopy(unchecked)]
+        routes = [checked, unchecked, parsed, pinned, *copies]
+        assert all(r == checked for r in routes)
+        assert len({hash(r) for r in routes}) == 1
+        assert len({repr(r) for r in routes}) == 1
+        assert len(set(routes)) == 1
+
+    def test_views_match_the_public_tables(self):
+        row = _row(7, MAX_W)
+        son = _row012e(row.width, row.ones, row.bubble_masks)
+        assert (son.slots, son.bubbles) == (row.slots, row.bubbles)
+        assert str(son) == str(row)
+
+    def test_public_constructor_still_validates(self):
+        with pytest.raises(ValueError, match="tables disagree"):
+            Row012e(2, (3, 2, 2, 2))  # a bubble label with no bubble
+        with pytest.raises(ValueError, match="inconsistent"):
+            Row012e(1, (1, 1))
+
+    def test_rows_are_immutable(self):
+        row = Row012e.full(2)
+        with pytest.raises(AttributeError):
+            row.ones = 1
+        with pytest.raises(AttributeError):
+            del row.bubble_masks
+
+
+class TestHotPathNeverBuildsViews:
+    """run(), format_rows() and equivalent() work on the masks alone: they
+    never build the ``slots``/``bubbles`` views, and the only checked
+    construction is the root row of each run."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"views": 0, "checked": 0}
+        check = Row012e.__post_init__
+
+        def counting(view):
+            def get(row):
+                counts["views"] += 1
+                return view(row)
+
+            return property(get)
+
+        def counting_check(row):
+            counts["checked"] += 1
+            check(row)
+
+        monkeypatch.setattr(Row012e, "slots", counting(Row012e.slots.fget))
+        monkeypatch.setattr(Row012e, "bubbles", counting(Row012e.bubbles.fget))
+        monkeypatch.setattr(Row012e, "__post_init__", counting_check)
+        return counts
+
+    @pytest.mark.parametrize("policy", [Policy.NONE, Policy.TEST1, Policy.SOLVER])
+    def test_run_format_and_equivalent(self, counts, policy):
+        cnf = gen_random_cnf(GenSpec(12, 26, 3, positive=policy == Policy.TEST1, seed=2))
+        config = EngineConfig(method=Method.CLAUSE_E, policy=policy)
+        out = run(cnf, config)
+        text = format_rows(out)
+        reordered = run(type(cnf)(cnf.num_vars, cnf.clauses[::-1]), config)
+        assert equivalent(out, reordered)
+        assert len(out) > 10 and text.count("\n") == len(out) + 1
+        assert counts == {"views": 0, "checked": 2}
+        Row012e.full(2).bubbles  # the probes do see the public paths
+        assert counts == {"views": 1, "checked": 3}

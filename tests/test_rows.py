@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from conftest import erow, row012
 from oracle import (
+    EBuilder,
     assert_disjoint_cover,
     models_of_mask,
     random_purified_row,
     random_row012e,
     row_mask,
 )
+import wildsat.rows as rows_module
 from wildsat.engine import EngineConfig, Method, run
 from wildsat.formulas import parse_dimacs
 from wildsat.rows import (
@@ -39,7 +41,7 @@ from wildsat.rows import (
     pick_model,
     pos_slot,
     purify,
-    _EBuilder,
+    _row012e,
 )
 
 # Purified row over x1..x8 with bubbles {x1, ~x2} and {~x5, x6, ~x7, x8},
@@ -98,16 +100,12 @@ class TestIntersect012:
 class TestRow012eInvariants:
     def test_length_one_bubble_collapses(self):
         r = erow("2 2 2 2", 2)
-        from wildsat.rows import _EBuilder
-
-        b = _EBuilder.from_row(r)
+        b = EBuilder.from_row(r)
         b.new_bubble([0])
         assert b.freeze() == erow("1 0 2 2", 2)
 
     def test_bubble_over_complementary_pair_is_vacuous(self):
-        from wildsat.rows import _EBuilder
-
-        b = _EBuilder(2)
+        b = EBuilder(2)
         b.new_bubble([0, 1])
         assert b.freeze() == Row012e.full(2)
 
@@ -119,9 +117,7 @@ class TestRow012eInvariants:
         assert str(table3[10].condense()) == "02011"
 
     def test_pinning_contradiction_raises(self):
-        from wildsat.rows import _EBuilder
-
-        b = _EBuilder.from_row(erow("1 0 2 2", 2))
+        b = EBuilder.from_row(erow("1 0 2 2", 2))
         with pytest.raises(EmptyRowError):
             b.set_fixed(0, 0)
 
@@ -130,18 +126,17 @@ class TestRow012eInvariants:
         assert r.slot_masks == (0b1, (0b100100, 0b1001000000))
 
     def test_cached_masks_are_not_part_of_identity(self):
-        a = erow("1 0 e1 2 2 e1 e2 2 2 e2", 5)
-        b = Row012e(a.width, a.slots, a.bubbles)
-        assert a.slot_masks  # cached on a only
-        assert a._masks is not None and b._masks is None
+        a = erow("1 0 e1 2 2 e1 e2 2 2 e2", 5)  # checked: its views are the given tables
+        b = _row012e(a.width, a.ones, a.bubble_masks[::-1])  # unchecked son: masks only
+        with pytest.raises(AttributeError):
+            b._slots
+        assert a.slot_masks == b.slot_masks
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert len({a, b}) == 1
 
     def test_builder_copy_is_independent(self):
-        from wildsat.rows import _EBuilder
-
         r = erow("e1 2 e1 2 2 2", 3)
-        b = _EBuilder.from_row(r)
+        b = EBuilder.from_row(r)
         c = b.copy()
         c.set_fixed(0, 0)  # shrinks the bubble to slot 2, which takes the 1
         assert b.freeze() == r
@@ -343,7 +338,7 @@ def _row_through(rng: random.Random, u: tuple[int, ...], max_bubbles: int = 4) -
     each of its variables and holds a slot whose literal u makes true, and
     fixed variables take their value in u."""
     w = len(u)
-    b = _EBuilder(w)
+    b = EBuilder(w)
     free = list(range(1, w + 1))
     rng.shuffle(free)
     for _ in range(rng.randint(0, max_bubbles)):
@@ -363,14 +358,14 @@ def _row_through(rng: random.Random, u: tuple[int, ...], max_bubbles: int = 4) -
 
 class TestIntersectionCardIEReject:
     """The mask reject at the top of intersection_card_ie returns 0 without
-    building a row; every other pair takes the inclusion-exclusion sum."""
+    pinning a row; every other pair takes the inclusion-exclusion sum."""
 
     @staticmethod
     def _no_builder(monkeypatch):
-        def fail(row):
-            raise AssertionError("the reject should not build a row")
+        def fail(*args):
+            raise AssertionError("the reject should not pin a row")
 
-        monkeypatch.setattr(_EBuilder, "from_row", staticmethod(fail))
+        monkeypatch.setattr(rows_module, "_pin", fail)
 
     @pytest.mark.parametrize(
         "r, rho",
@@ -395,10 +390,8 @@ class TestIntersectionCardIEReject:
         r, rho = erow("0 1 2 e e 2"), erow("e 2 e 2 0 1")
         assert (row_mask(3, r) & row_mask(3, rho)) == 0
         built = []
-        from_row = _EBuilder.from_row
-        monkeypatch.setattr(
-            _EBuilder, "from_row", staticmethod(lambda row: built.append(row) or from_row(row))
-        )
+        pin = rows_module._pin
+        monkeypatch.setattr(rows_module, "_pin", lambda *args: built.append(args) or pin(*args))
         assert intersection_card_ie(r, rho) == 0
         assert built  # reached the inclusion-exclusion sum
 
@@ -434,7 +427,7 @@ def _bad_pairs_walk(row: Row012e) -> tuple[int, ...]:
 def _row_with_bad_pairs(rng: random.Random, w: int) -> Row012e:
     """A random e-row whose bad pairs sit at random variables: two bubbles
     take the positive and the negative slots of the same variables."""
-    b = _EBuilder(w)
+    b = EBuilder(w)
     vars_ = rng.sample(range(1, w + 1), rng.randint(1, min(w, 8)))
     k = rng.randint(0, len(vars_))
     bad, rest = vars_[:k], vars_[k:]
@@ -460,7 +453,7 @@ class TestBitwisePurity:
 
     def test_bad_pairs_beyond_one_word(self):
         w = 70
-        b = _EBuilder(w)
+        b = EBuilder(w)
         b.new_bubble([pos_slot(3), pos_slot(33), pos_slot(64)])
         b.new_bubble([neg_slot(33), neg_slot(64), neg_slot(70)])
         b.new_bubble([pos_slot(70), neg_slot(3)])
@@ -485,7 +478,7 @@ class TestBitwisePurity:
         row = table3[11]
         if wide:  # bad pairs at x35 and x38, past slot 64
             w = 40
-            b = _EBuilder(w)
+            b = EBuilder(w)
             b.new_bubble([pos_slot(35), pos_slot(38)])
             b.new_bubble([neg_slot(35), neg_slot(38)])
             row = b.freeze()
@@ -610,10 +603,8 @@ class TestMembersIteration:
 
 class TestManyBubbleSerialization:
     def test_two_digit_bubble_labels_round_trip(self):
-        from wildsat.rows import _EBuilder
-
         w = 24
-        b = _EBuilder(w)
+        b = EBuilder(w)
         for k in range(12):  # twelve bubbles, labels go past e9
             b.new_bubble([4 * k, 4 * k + 2])
         r = b.freeze()
