@@ -44,8 +44,6 @@ from .rows import (
     card_012,
     impose_on_slots,
     purify,
-    settles,
-    slot_of_lit,
 )
 from .sat import (
     SolverFn,
@@ -77,8 +75,8 @@ class Policy(str, Enum):
 class EngineObserver:
     """Optional instrumentation hooks; subclass and override what you need."""
 
-    def on_pop(self, row, degree, stack_rows, final_rows) -> None:
-        pass
+    def on_pop(self, row, degree, depth, emitted) -> None:
+        """``depth``: the stack size after the pop; ``emitted``: rows output so far."""
 
     def on_split(self, parent, parent_degree, sons, son_degrees) -> None:
         pass
@@ -316,14 +314,7 @@ def pending_clause(row: Row012 | Row012e, cnf: Cnf, start: int = 1) -> int:
     subset of its parent, and a clause settled by the parent stays settled
     in the son.
     """
-    if isinstance(row, Row012):
-        return first_unsettled(row, cnf, start - 1) + 1
-    ones, bubbles = row.ones, row.bubble_masks
-    clauses = cnf.clauses
-    for i in range(start - 1, len(clauses)):
-        if not settles(ones, bubbles, clauses[i].slot_mask):
-            return i + 1
-    return len(clauses) + 1
+    return first_unsettled(row, cnf, start - 1) + 1
 
 
 def varwise_degree(row: Row012) -> int:
@@ -375,7 +366,7 @@ def clausewise_e_split(row: Row012e, clause: Clause) -> list[Row012e]:
     fresh bubble over the remaining free literal slots."""
     if row_satisfies_clause(row, clause):
         raise ValueError("row already satisfies the clause")
-    return impose_on_slots(row, [slot_of_lit(l) for l in clause.lits])
+    return impose_on_slots(row, clause.slots)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +504,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     while stack:
         row, deg, hint = stack.pop()
         if obs:
-            obs.on_pop(row, deg, tuple(r for r, _, _ in stack), tuple(finals))
+            obs.on_pop(row, deg, len(stack), len(finals))
         if filt is not None and filt.final_override(row):
             out = [row]
         elif deg == top:

@@ -64,11 +64,16 @@ class Clause:
         return pos, neg
 
     @cached_property
+    def slots(self) -> tuple[int, ...]:
+        """The literal slots ``slot_of_lit(l)``, in literal order."""
+        return tuple(map(slot_of_lit, self.lits))
+
+    @cached_property
     def slot_mask(self) -> int:
         """Literal-slot bitmask; bit ``slot_of_lit(l)`` stands for literal l."""
         mask = 0
-        for lit in self.lits:
-            mask |= 1 << slot_of_lit(lit)
+        for s in self.slots:
+            mask |= 1 << s
         return mask
 
     def __len__(self) -> int:
@@ -116,9 +121,10 @@ class Cnf:
         """The clauses' (pos, neg) variable masks, in clause order."""
         return tuple(c.masks for c in self.clauses)
 
-    @property
-    def num_clauses(self) -> int:
-        return len(self.clauses)
+    @cached_property
+    def slot_masks(self) -> tuple[int, ...]:
+        """The clauses' literal-slot masks, in clause order."""
+        return tuple(c.slot_mask for c in self.clauses)
 
     def is_positive(self) -> bool:
         return all(not c.neg for c in self.clauses)

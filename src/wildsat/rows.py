@@ -358,11 +358,6 @@ class Row012e:
             return self._bubbles
 
     @property
-    def slot_masks(self) -> tuple[int, tuple[int, ...]]:
-        """(mask of the slots holding 1, one slot mask per bubble)."""
-        return self.ones, self.bubble_masks
-
-    @property
     def zeros(self) -> int:
         """Mask of the slots holding 0: the mates of the 1-slots."""
         return _mates(self.ones, self.width)
@@ -374,17 +369,6 @@ class Row012e:
     @classmethod
     def from_row012(cls, row: Row012) -> "Row012e":
         return _row012e(row.width, _spread(row.ones) | _spread(row.zeros) << 1, ())
-
-    def value(self, slot: int) -> int:
-        return self.slots[slot]
-
-    def bubble_of(self, slot: int) -> int | None:
-        v = self.slots[slot]
-        return v - _B if v >= _B else None
-
-    def var_value(self, var: int) -> int:
-        """0/1 when the variable is fixed, 2 otherwise (free or bubbled)."""
-        return 1 if self.ones >> pos_slot(var) & 1 else 0 if self.ones >> neg_slot(var) & 1 else 2
 
     def bad_pairs(self) -> tuple[int, ...]:
         """Variables whose two slots are covered by distinct bubbles, in

@@ -186,55 +186,56 @@ def find_model(row: Row012 | Row012e, cnf: Cnf, solver: SolverFn = dpll_sat) -> 
     return solver(augment_cnf(cnf, row))
 
 
-def clause_dead_in(row: Row012 | Row012e, clause: Clause) -> bool:
-    """True when every literal of the clause is falsified by the row's fixed
-    values, so no member of the row can satisfy it."""
-    if isinstance(row, Row012):
-        pos, neg = clause.masks
-        return not (pos & ~row.zeros or neg & ~row.ones)
-    return not clause.slot_mask & ~row.zeros
-
-
 def row_satisfies_clause(row: Row012 | Row012e, clause: Clause) -> bool:
     """True when every member of the row satisfies the clause.
 
     For 012-rows this means some literal is already fixed true: a variable
     of the clause's positive mask lies in the row's ``ones``, or one of its
     negative mask in ``zeros``.  For e-rows it is the bitwise rule of
-    ``rows.settles`` on the row's ``slot_masks`` and the clause's
-    ``slot_mask``: some literal slot of the clause holds 1, or a bubble lies
-    entirely inside the clause's slots (some slot of the bubble carries a
-    1).  Splitting only narrows a row, so a clause settled by a row stays
+    ``rows.settles`` on the row's masks and the clause's ``slot_mask``:
+    some literal slot of the clause holds 1, or a bubble lies entirely
+    inside the clause's slots (some slot of the bubble carries a 1).
+    Splitting only narrows a row, so a clause settled by a row stays
     settled in all its sons.
     """
     if isinstance(row, Row012):
         pos, neg = clause.masks
         return bool(pos & row.ones or neg & row.zeros)
-    return settles(*row.slot_masks, clause.slot_mask)
+    return settles(row.ones, row.bubble_masks, clause.slot_mask)
 
 
-def first_unsettled(row: Row012, cnf: Cnf, start: int = 0) -> int:
-    """The 0-based index of the first clause from ``start`` on that the
-    012-row does not settle (``row_satisfies_clause``), or h if none."""
-    ones, zeros = row.ones, row.zeros
-    masks = cnf.masks
-    for i in range(start, len(masks)):
-        pos, neg = masks[i]
-        if not (pos & ones or neg & zeros):
+def first_unsettled(row: Row012 | Row012e, cnf: Cnf, start: int = 0) -> int:
+    """The 0-based index of the first clause from ``start`` on that the row
+    does not settle (``row_satisfies_clause``), or h if none.  A 012-row
+    reads ``Cnf.masks``, an e-row ``Cnf.slot_masks``."""
+    if isinstance(row, Row012):
+        ones, zeros = row.ones, row.zeros
+        masks = cnf.masks
+        for i in range(start, len(masks)):
+            pos, neg = masks[i]
+            if not (pos & ones or neg & zeros):
+                return i
+        return len(masks)
+    ones, bubbles = row.ones, row.bubble_masks
+    slot_masks = cnf.slot_masks
+    for i in range(start, len(slot_masks)):
+        if not settles(ones, bubbles, slot_masks[i]):
             return i
-    return len(masks)
+    return len(slot_masks)
 
 
 def test1(row: Row012 | Row012e, cnf: Cnf) -> bool:
-    """No iff some clause has all its literals falsified by the row.
+    """No iff some clause is dead in the row: every one of its literals is
+    falsified by the row's fixed values, so no member can satisfy it.
 
     Weak in general; perfect when the formula is positive, because setting
     every non-zero position to 1 then witnesses feasibility.
     """
-    for clause in cnf.clauses:
-        if clause_dead_in(row, clause):
-            return False
-    return True
+    if isinstance(row, Row012):
+        not_zero, not_one = ~row.zeros, ~row.ones
+        return all(pos & not_zero or neg & not_one for pos, neg in cnf.masks)
+    not_zero = ~row.zeros
+    return all(mask & not_zero for mask in cnf.slot_masks)
 
 
 def test2(row: Row012, cnf: Cnf) -> bool:
@@ -271,9 +272,7 @@ def final_e(row: Row012 | Row012e, cnf: Cnf) -> bool:
     enumeration then simply splits such a row once more, so only compression
     is affected.  On a bitstring 012-row it is the model check.
     """
-    if isinstance(row, Row012):
-        return first_unsettled(row, cnf) == len(cnf.clauses)
-    return all(row_satisfies_clause(row, c) for c in cnf.clauses)
+    return first_unsettled(row, cnf) == len(cnf.clauses)
 
 
 def prob_final(w: int, gamma: float, h: int, lam: int) -> float:

@@ -40,7 +40,7 @@ from wildsat.engine import (
     varwise_split,
 )
 from wildsat.formulas import Clause, Cnf, Dnf
-from wildsat.rows import Row012, RowList, format_rows
+from wildsat.rows import Row012, Row012e, RowList, format_rows
 from wildsat.sat import row_satisfies_clause
 
 # Working-stack rows of the clause-wise 012 run on phi2, condensed to w=5.
@@ -200,7 +200,7 @@ class _PopRecorder(EngineObserver):
         self.splits = []
         self.harmful = []
 
-    def on_pop(self, row, degree, stack_rows, final_rows):
+    def on_pop(self, row, degree, depth, emitted):
         self.pops.append(row)
 
     def on_split(self, parent, parent_degree, sons, son_degrees):
@@ -321,18 +321,25 @@ class TestEngineInvariants:
     def test_mechanism_contract_on_instrumented_runs(self):
         # sons feasible (7a), strictly deeper (7b), and exactly covering the
         # parent's share of the model set (7c); stack+finals stay disjoint
-        # and keep covering the model set after every pop
+        # and keep covering the model set after every pop.  The checker
+        # mirrors the stack and the finals from the hooks alone, and the
+        # mirror's sizes must match the depth and emitted count of on_pop.
         rng = random.Random(239)
 
         class Checker(EngineObserver):
-            def __init__(self, w, mod_mask):
+            def __init__(self, w, mod_mask, root):
                 self.w = w
                 self.mod = mod_mask
+                self.stack = [root]
+                self.finals = []
 
-            def on_pop(self, row, degree, stack_rows, final_rows):
+            def on_pop(self, row, degree, depth, emitted):
+                assert self.stack.pop() == row, "pop is not the top of the stack"
+                assert len(self.stack) == depth, "depth is not the stack size"
+                assert len(self.finals) == emitted, "emitted is not the finals count"
                 union = 0
                 total = 0
-                for r in stack_rows + (row,) + final_rows:
+                for r in self.stack + [row] + self.finals:
                     m = row_mask(self.w, r)
                     union |= m
                     total += m.bit_count()
@@ -348,13 +355,20 @@ class TestEngineInvariants:
                     assert sm & self.mod, "(7a): infeasible son emitted"
                     um |= sm
                 assert um & self.mod == pm & self.mod, "(7c): model share changed"
+                self.stack.extend(reversed(sons))
+
+            def on_emit(self, row):
+                self.finals.append(row)
 
         for _ in range(25):
             w = rng.randint(1, 8)
             cnf = random_cnf(rng, w, rng.randint(1, 8), rng.randint(1, min(3, w)))
             mod = cnf_mask(cnf)
             for method in (Method.VAR012, Method.CLAUSE012, Method.CLAUSE_E):
-                run(cnf, EngineConfig(method=method, observer=Checker(w, mod)))
+                root = (Row012e if method == Method.CLAUSE_E else Row012).full(w)
+                checker = Checker(w, mod, root)
+                out = run(cnf, EngineConfig(method=method, observer=checker))
+                assert checker.finals == list(out.rows)
 
     def test_byte_identical_reruns(self, phi2):
         for method in (Method.VAR012, Method.CLAUSE012, Method.CLAUSE_E):

@@ -18,7 +18,7 @@ from oracle import (
     row_mask,
 )
 from wildsat.formulas import Clause, Cnf, evaluate, weight
-from wildsat.rows import Row012
+from wildsat.rows import Row012, slot_of_lit
 from wildsat.sat import test1 as weak_test1
 from wildsat.sat import test2 as weak_test2
 from wildsat.sat import (
@@ -145,6 +145,20 @@ class TestTest1:
             )
             if not weak_test1(row, cnf):
                 assert row_mask(w, row) & cnf_mask(cnf) == 0
+
+    def test_exact_dead_clause_rule_on_e_rows(self):
+        # no exactly when some clause has every literal slot at 0 in the
+        # row's per-slot view
+        rng = random.Random(127)
+        answers = set()
+        for _ in range(300):
+            w = rng.randint(1, 8)
+            cnf = random_cnf(rng, w, rng.randint(0, 8), rng.randint(1, min(3, w)))
+            row = random_row012e(rng, w)
+            dead = any(all(row.slots[slot_of_lit(l)] == 0 for l in c.lits) for c in cnf.clauses)
+            assert weak_test1(row, cnf) == (not dead)
+            answers.add(dead)
+        assert answers == {False, True}  # the sample holds both answers
 
     def test_perfect_on_positive(self):
         rng = random.Random(109)
@@ -332,7 +346,7 @@ class TestFinalEOnProducedRows:
             def __init__(self):
                 self.rows = []
 
-            def on_pop(self, row, degree, stack_rows, final_rows):
+            def on_pop(self, row, degree, depth, emitted):
                 self.rows.append(row)
 
         rng = random.Random(149)
