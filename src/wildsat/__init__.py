@@ -5,10 +5,9 @@ from .analysis import (
     CountPolynomial,
     EquivalenceResult,
     count_by_cardinality,
-    count_models,
     equivalent,
 )
-from .bench import BenchRecord, GenSpec, gen_random_cnf, run_bench
+from .bench import GenSpec, gen_random_cnf, run_bench
 from .engine import (
     CardinalityFilter,
     ComplementFilter,

@@ -53,11 +53,6 @@ def _purified(rows: RowList) -> list[tuple[int, Row012e]]:
     return out
 
 
-def count_models(rows: RowList) -> int:
-    """Exact model count: the sum of row cardinalities."""
-    return rows.total_models()
-
-
 def _poly_mul(a: list[int], b: list[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):

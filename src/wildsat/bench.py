@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from .engine import EngineConfig, Method, Policy, run, validate_config
 from .formulas import Clause, Cnf
 from .rows import RunStats
-from .sat import prob_final
 
 
 @dataclass(frozen=True)
@@ -44,35 +43,11 @@ def gen_random_cnf(spec: GenSpec) -> Cnf:
     return Cnf(spec.w, tuple(clauses))
 
 
-def fmt_prob(p: float) -> str:
-    """A finality probability for output: "≈0" below 1e-6."""
-    return "≈0" if 0 <= p < 1e-6 else f"{p:.6f}"
-
-
-@dataclass(frozen=True)
-class BenchRecord:
-    method: str
-    policy: str
-    rows: int
-    models: int
-    gamma_avg: float
-    prob: float
-    time_s: float
-    harmful_deletions: int
-
-    def as_line(self) -> str:
-        return (
-            f"method={self.method} policy={self.policy} R={self.rows} "
-            f"models={self.models} gamma={self.gamma_avg:.4f} prob={fmt_prob(self.prob)} "
-            f"time_s={self.time_s:.4f} harmful={self.harmful_deletions}"
-        )
-
-
 def run_bench(
     spec: GenSpec,
     methods: "list[Method]",
     policy: Policy = Policy.SOLVER,
-) -> list[BenchRecord]:
+) -> list[RunStats]:
     """Run the selected methods on one generated instance, sequentially so
     the timings stay comparable.
 
@@ -83,19 +58,4 @@ def run_bench(
     configs = [EngineConfig(method=method, policy=policy) for method in methods]
     for config in configs:
         validate_config(cnf, config)
-    records = []
-    for config in configs:
-        stats: RunStats = run(cnf, config).stats
-        records.append(
-            BenchRecord(
-                method=stats.method,
-                policy=stats.policy,
-                rows=stats.rows,
-                models=stats.models,
-                gamma_avg=stats.gamma_avg,
-                prob=prob_final(spec.w, stats.gamma_avg, spec.h, spec.lam),
-                time_s=stats.time_s,
-                harmful_deletions=stats.harmful_deletions,
-            )
-        )
-    return records
+    return [run(cnf, config).stats for config in configs]

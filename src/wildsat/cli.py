@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from .analysis import count_by_cardinality, equivalent
-from .bench import GenSpec, fmt_prob, gen_random_cnf, run_bench
+from .bench import GenSpec, gen_random_cnf, run_bench
 from .engine import (
     CardinalityFilter,
     ComplementFilter,
@@ -18,30 +18,34 @@ from .engine import (
     run,
     validate_config,
 )
-from .formulas import Cnf, DimacsError, parse_dimacs, serialize_dimacs
-from .rows import RowList, format_rows, parse_rows
-from .sat import prob_final
+from .formulas import Cnf, parse_dimacs, serialize_dimacs
+from .rows import RunStats, format_rows, parse_rows
 
 METHODS = [m.value for m in Method]
 POLICIES = [p.value for p in Policy]
 
 
-def _load_cnf(path: str) -> Cnf:
+def _load(path: str, parse):
+    """``parse`` of the file's text; a malformed file raises ValueError
+    naming the path."""
     try:
-        return parse_dimacs(Path(path).read_text())
-    except DimacsError as exc:
+        return parse(Path(path).read_text())
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _load_weights(path: str) -> list[int]:
+def _parse_weights(text: str) -> list[int]:
     """Weights file: 2w lines 'slot weight' with slots numbered 1..2w."""
     pairs = []
-    for raw in Path(path).read_text().splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        slot, value = line.split()
-        pairs.append((int(slot), int(value)))
+        try:
+            slot, value = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"line {n}: expected 'slot weight', got {line!r}") from None
+        pairs.append((slot, value))
     pairs.sort()
     if [s for s, _ in pairs] != list(range(1, len(pairs) + 1)):
         raise ValueError("weights file must cover slots 1..2w exactly once")
@@ -54,25 +58,29 @@ def _error(command: str, exc: Exception) -> int:
     return 2
 
 
-def _stats_block(result: RowList, cnf: Cnf) -> str:
-    st = result.stats
-    lam = cnf.mean_clause_len()
-    prob = prob_final(cnf.num_vars, min(st.gamma_avg, cnf.num_vars), len(cnf.clauses), min(lam, cnf.num_vars)) if cnf.num_vars else 1.0
-    lines = [
+def _fmt_prob(p: float) -> str:
+    """A finality probability for output: "≈0" below 1e-6."""
+    return "≈0" if 0 <= p < 1e-6 else f"{p:.6f}"
+
+
+def _stats_fields(st: RunStats) -> list[str]:
+    """The reported ``key=value`` fields of a run, in output order."""
+    fields = [
         f"R={st.rows}",
         f"models={st.models}",
         f"gamma={st.gamma_avg:.4f}",
-        f"prob={fmt_prob(prob)}",
+        f"prob={_fmt_prob(st.prob)}",
         f"time_s={st.time_s:.4f}",
         f"harmful={st.harmful_deletions}",
     ]
     if st.weight_pruned or st.weight_discards:
-        lines.append(f"weight_pruned={st.weight_pruned}")
-        lines.append(f"weight_discards={st.weight_discards}")
-    return "\n".join(lines)
+        fields.append(f"weight_pruned={st.weight_pruned}")
+        fields.append(f"weight_discards={st.weight_discards}")
+    return fields
 
 
-def _build_config(args, parser: argparse.ArgumentParser, cnf: Cnf) -> EngineConfig:
+def _build_config(args, cnf: Cnf) -> EngineConfig:
+    """The run's configuration; a rejected argument raises ValueError."""
     method = Method(args.method)
     policy = Policy(args.feasibility)
     spmod = None
@@ -90,32 +98,29 @@ def _build_config(args, parser: argparse.ArgumentParser, cnf: Cnf) -> EngineConf
         if on
     ]
     if len(chosen) > 1:
-        parser.error(f"conflicting filters: {', '.join(name for name, _ in chosen)}")
+        raise ValueError(f"conflicting filters: {', '.join(name for name, _ in chosen)}")
     # before any filter file is read
     for name, cls in chosen:
         if method not in cls.methods:
-            parser.error(f"{name} requires --method {' or '.join(m.value for m in cls.methods)}")
+            raise ValueError(f"{name} requires --method {' or '.join(m.value for m in cls.methods)}")
     if k is not None:
         spmod = CardinalityFilter(cnf, k)
     if weights_path is not None:
         if bound is None:
-            parser.error("--weights requires --bound")
-        weights = _load_weights(weights_path)
+            raise ValueError("--weights requires --bound")
+        weights = _load(weights_path, _parse_weights)
         if len(weights) != 2 * cnf.num_vars:
-            parser.error(f"weights file must have {2 * cnf.num_vars} slot lines")
+            raise ValueError(f"{weights_path}: weights file must have {2 * cnf.num_vars} slot lines")
         spmod = WeightFilter(weights, bound)
     if bound is not None and weights_path is None:
-        parser.error("--bound requires --weights")
+        raise ValueError("--bound requires --weights")
     if complement_path is not None:
-        comp = parse_rows(Path(complement_path).read_text())
+        comp = _load(complement_path, parse_rows)
         if comp.width != cnf.num_vars:
-            parser.error("complement row width does not match the CNF")
+            raise ValueError(f"{complement_path}: complement row width does not match the CNF")
         spmod = ComplementFilter(comp)
     config = EngineConfig(method=method, policy=policy, spmod=spmod)
-    try:
-        validate_config(cnf, config)
-    except ValueError as exc:
-        parser.error(str(exc))
+    validate_config(cnf, config)
     return config
 
 
@@ -178,14 +183,13 @@ def main(argv: list[str] | None = None) -> int:
         # arguments the engine rejects: one line, not a traceback
         try:
             if args.command == "equiv":
-                cnf_a, cnf_b = _load_cnf(args.cnf_a), _load_cnf(args.cnf_b)
+                cnf_a, cnf_b = _load(args.cnf_a, parse_dimacs), _load(args.cnf_b, parse_dimacs)
                 config = EngineConfig(method=Method(args.method), policy=Policy(args.feasibility))
                 for cnf in (cnf_a, cnf_b):
                     validate_config(cnf, config)
             else:
-                cnf = _load_cnf(args.cnf)
-                sub = {"enumerate": p_enum, "count": p_count, "count-k": p_ck}[args.command]
-                config = _build_config(args, sub, cnf)
+                cnf = _load(args.cnf, parse_dimacs)
+                config = _build_config(args, cnf)
         except (OSError, ValueError) as exc:
             return _error(args.command, exc)
 
@@ -197,11 +201,11 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
         out = sys.stdout if args.out else sys.stderr
-        out.write(_stats_block(result, cnf) + "\n")
+        out.write("\n".join(_stats_fields(result.stats)) + "\n")
         return 0
 
     if args.command == "count":
-        print(run(cnf, config).total_models())
+        print(run(cnf, config).stats.models)
         return 0
 
     if args.command == "count-k":
@@ -234,15 +238,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "bench":
         try:
             methods = [Method(m.strip()) for m in args.methods.split(",") if m.strip()]
-        except ValueError as exc:
-            p_bench.error(str(exc))
-        try:
             spec = GenSpec(args.w, args.h, args.lam, positive=args.positive, seed=args.seed)
-            records = run_bench(spec, methods, Policy(args.feasibility))
+            runs = run_bench(spec, methods, Policy(args.feasibility))
         except ValueError as exc:
             return _error("bench", exc)
-        for record in records:
-            print(record.as_line())
+        for st in runs:
+            print(" ".join([f"method={st.method}", f"policy={st.policy}", *_stats_fields(st)]))
         return 0
 
     raise AssertionError(args.command)

@@ -52,6 +52,7 @@ from .sat import (
     find_k_model,
     first_unsettled,
     find_model,
+    prob_final,
     row_satisfies_clause,
     test1,
     test2,
@@ -385,6 +386,9 @@ def run(cnf: Cnf, config: EngineConfig | None = None) -> RowList:
     stats.rows = len(out)
     stats.models = out.total_models()
     stats.gamma_avg = out.gamma_avg()
+    w = cnf.num_vars
+    # prob_final has no value at w = 0, where the one row is final
+    stats.prob = prob_final(w, stats.gamma_avg, len(cnf.clauses), cnf.mean_clause_len()) if w else 1.0
     return out
 
 

@@ -752,13 +752,16 @@ def intersection_card_ie(r: Row012e, rho: Row012e) -> int:
 
 @dataclass
 class RunStats:
-    """Machine-readable statistics of one enumeration run."""
+    """Machine-readable statistics of one enumeration run: every number the
+    command line reports.  ``prob`` is the paper's finality probability
+    ``prob_final`` at the run's ``gamma_avg``."""
 
     method: str = ""
     policy: str = ""
     rows: int = 0
     models: int = 0
     gamma_avg: float = 0.0
+    prob: float = 0.0
     time_s: float = 0.0
     harmful_deletions: int = 0
     weight_pruned: int = 0
@@ -852,7 +855,7 @@ def parse_rows(text: str) -> RowList:
         for var, t in enumerate(toks, start=1):
             if t in ("0", "1"):
                 ones |= 1 << (pos_slot(var) if t == "1" else neg_slot(var))
-            elif t[0] in ("e", "n"):
+            elif re.fullmatch(r"[en][1-9][0-9]*", t):
                 slot = pos_slot(var) if t[0] == "e" else neg_slot(var)
                 groups[t[1:]] = groups.get(t[1:], 0) | 1 << slot
             elif t != "2":

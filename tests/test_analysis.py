@@ -14,7 +14,7 @@ from oracle import (
     row_mask,
     rows_mask,
 )
-from wildsat.analysis import count_by_cardinality, count_models, equivalent
+from wildsat.analysis import count_by_cardinality, equivalent
 from wildsat.engine import EngineConfig, Method, run
 from wildsat.formulas import weight
 from wildsat.rows import Row012, RowList
@@ -30,13 +30,13 @@ def eq11_rowlist():
 
 class TestCountModels:
     def test_eq1(self):
-        assert count_models(eq1_rowlist()) == 384
+        assert eq1_rowlist().total_models() == 384
 
     def test_eq11(self):
-        assert count_models(eq11_rowlist()) == 6
+        assert eq11_rowlist().total_models() == 6
 
     def test_empty(self):
-        assert count_models(RowList(4, ())) == 0
+        assert RowList(4, ()).total_models() == 0
 
     def test_matches_mask_for_enumerations(self):
         rng = random.Random(401)
@@ -44,7 +44,7 @@ class TestCountModels:
             w = rng.randint(1, 9)
             cnf = random_cnf(rng, w, rng.randint(0, 10), rng.randint(1, min(3, w)))
             out = run(cnf, EngineConfig(method=Method.CLAUSE_E))
-            assert count_models(out) == cnf_mask(cnf).bit_count()
+            assert out.total_models() == cnf_mask(cnf).bit_count()
 
 
 class TestCountByCardinality:
@@ -83,7 +83,7 @@ class TestCountByCardinality:
             w = rng.randint(1, 8)
             cnf = random_cnf(rng, w, rng.randint(0, 8), rng.randint(1, min(3, w)))
             out = run(cnf, EngineConfig(method=Method.CLAUSE_E))
-            assert count_by_cardinality(out).total() == count_models(out)
+            assert count_by_cardinality(out).total() == out.total_models()
 
 
 class TestEquivalent:

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from conftest import PHI2_DIMACS
 from oracle import all_bitstrings, cnf_mask, evaluate_naive
-from wildsat.bench import BenchRecord, GenSpec, gen_random_cnf, run_bench
-from wildsat.cli import main
-from wildsat.engine import Method, Policy
+from wildsat.bench import GenSpec, gen_random_cnf, run_bench
+from wildsat.cli import _stats_fields, main
+from wildsat.engine import EngineConfig, Method, Policy, WeightFilter, run
 from wildsat.formulas import parse_dimacs, serialize_dimacs
-from wildsat.rows import parse_rows
+from wildsat.rows import RunStats, parse_rows
 from wildsat.sat import prob_final
 
 
@@ -73,14 +75,14 @@ class TestBench:
         assert ran == []
 
     def test_line_format(self):
-        rec = BenchRecord("clause-e", "solver", 3, 6, 1.0, 0.25, 0.01, 0)
-        line = rec.as_line()
-        for key in ("method=", "R=3", "models=6", "prob=0.250000", "harmful=0"):
+        st = RunStats("clause-e", "solver", rows=3, models=6, gamma_avg=1.0, prob=0.25, time_s=0.01)
+        line = " ".join(_stats_fields(st))
+        for key in ("R=3", "models=6", "prob=0.250000", "harmful=0"):
             assert key in line
 
     def test_tiny_prob_rendered_as_approx_zero(self):
-        rec = BenchRecord("clause-e", "solver", 3, 6, 1.0, 1e-9, 0.01, 0)
-        assert "prob=≈0" in rec.as_line()
+        st = RunStats("clause-e", "solver", rows=3, models=6, gamma_avg=1.0, prob=1e-9, time_s=0.01)
+        assert "prob=≈0" in " ".join(_stats_fields(st))
 
 
 @pytest.fixture
@@ -216,11 +218,85 @@ class TestCli:
             ["enumerate", "X", "--method", "clause-e", "--feasibility", "test12"],
         ],
     )
-    def test_conflicting_flags_exit_usage(self, phi2_file, argv, tmp_path):
+    def test_conflicting_flags_exit_usage(self, phi2_file, argv, capsys):
+        # rejected before any filter file ("w", "c") is read
         argv = [a if a != "X" else str(phi2_file) for a in argv]
-        with pytest.raises(SystemExit) as err:
-            main(argv)
-        assert err.value.code == 2
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("wildsat enumerate: error: ")
+
+    def test_argparse_errors_keep_usage(self, phi2_file, capsys):
+        for argv in (
+            ["enumerate", str(phi2_file), "--nope"],
+            ["enumerate", str(phi2_file), "--method", "foo"],
+            ["enumerate"],
+        ):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: wildsat")
+
+
+class TestCliStatsText:
+    """The stats text of enumerate and bench, field by field, against the
+    run() stats on the same input."""
+
+    TIME = re.compile(r"time_s=\d+\.\d{4}")
+
+    @classmethod
+    def _assert_fields(cls, fields, cnf, st):
+        prob = prob_final(cnf.num_vars, st.gamma_avg, len(cnf.clauses), cnf.mean_clause_len())
+        expected = [
+            f"R={st.rows}",
+            f"models={st.models}",
+            f"gamma={st.gamma_avg:.4f}",
+            f"prob={prob:.6f}",
+            None,
+            f"harmful={st.harmful_deletions}",
+        ]
+        if st.weight_pruned or st.weight_discards:
+            expected += [f"weight_pruned={st.weight_pruned}", f"weight_discards={st.weight_discards}"]
+        assert len(fields) == len(expected)
+        for got, want in zip(fields, expected):
+            if want is None:
+                assert cls.TIME.fullmatch(got), got
+            else:
+                assert got == want
+
+    @pytest.mark.parametrize("method", ["clause-012", "clause-e", "var-012", "scan"])
+    def test_enumerate_block(self, method, phi2_file, capsys):
+        assert main(["enumerate", str(phi2_file), "--method", method]) == 0
+        cnf = parse_dimacs(PHI2_DIMACS)
+        st = run(cnf, EngineConfig(method=Method(method))).stats
+        self._assert_fields(capsys.readouterr().err.splitlines(), cnf, st)
+
+    def test_enumerate_block_with_weight_lines(self, tmp_path, capsys):
+        cnf = gen_random_cnf(GenSpec(12, 14, 3, seed=4))
+        cnf_file, wfile = tmp_path / "g.cnf", tmp_path / "weights.txt"
+        cnf_file.write_text(serialize_dimacs(cnf))
+        weights = [1 if i % 2 else 0 for i in range(1, 25)]
+        wfile.write_text("".join(f"{i} {w}\n" for i, w in enumerate(weights, 1)))
+        argv = ["enumerate", str(cnf_file), "--method", "clause-012", "--weights", str(wfile), "--bound", "3"]
+        assert main([*argv, "--out", str(tmp_path / "rows.txt")]) == 0
+        config = EngineConfig(method=Method.CLAUSE012, spmod=WeightFilter(weights, 3))
+        st = run(cnf, config).stats
+        assert st.weight_pruned > 0
+        self._assert_fields(capsys.readouterr().out.splitlines(), cnf, st)
+
+    def test_bench_lines(self, capsys):
+        methods = ["clause-012", "clause-e", "var-012", "scan"]
+        argv = ["bench", "--w", "12", "--h", "14", "--lambda", "3", "--seed", "4"]
+        assert main([*argv, "--methods", ",".join(methods)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cnf = gen_random_cnf(GenSpec(12, 14, 3, seed=4))
+        assert len(lines) == len(methods)
+        for line, method in zip(lines, methods):
+            fields = line.split(" ")
+            assert fields[:2] == [f"method={method}", "policy=solver"]
+            self._assert_fields(fields[2:], cnf, run(cnf, EngineConfig(method=Method(method))).stats)
 
 
 class TestCliInputErrors:
@@ -254,14 +330,23 @@ class TestCliInputErrors:
         comp.write_text(f"{header}\n2 2 2 2 2\n")
         argv = ["enumerate", str(phi2_file), "--method", "var-012", "--complement", str(comp)]
         assert main(argv) == 2
-        assert "rows w=<w> n=<n>" in self._one_line_error(capsys, "enumerate")
+        line = self._one_line_error(capsys, "enumerate")
+        assert f"{comp}: " in line and "rows w=<w> n=<n>" in line
 
     def test_malformed_weights_file(self, phi2_file, tmp_path, capsys):
         wfile = tmp_path / "weights.txt"
         wfile.write_text("1 2 3\n")
         argv = ["enumerate", str(phi2_file), "--method", "clause-012", "--weights", str(wfile), "--bound", "1"]
         assert main(argv) == 2
-        self._one_line_error(capsys, "enumerate")
+        line = self._one_line_error(capsys, "enumerate")
+        assert f"{wfile}: line 1: " in line and "slot weight" in line
+
+    def test_non_integer_weight(self, phi2_file, tmp_path, capsys):
+        wfile = tmp_path / "weights.txt"
+        wfile.write_text("# slot weight\n1 a\n")
+        argv = ["enumerate", str(phi2_file), "--method", "clause-012", "--weights", str(wfile), "--bound", "1"]
+        assert main(argv) == 2
+        assert f"{wfile}: line 2: " in self._one_line_error(capsys, "enumerate")
 
     def test_k_out_of_range(self, phi2_file, capsys):
         assert main(["enumerate", str(phi2_file), "--method", "var-012", "--k", "9"]) == 2

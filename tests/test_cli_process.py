@@ -1,0 +1,60 @@
+"""The command line as a user's terminal sees it: ``python -m wildsat.cli``
+in a child process.  A rejected input or argument gives exit code 2, no
+stdout and exactly one stderr line, with no traceback or usage block."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import PHI2_DIMACS
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _wildsat(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "wildsat.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.fixture
+def files(tmp_path):
+    (tmp_path / "phi2.cnf").write_text(PHI2_DIMACS)
+    (tmp_path / "bad.cnf").write_text("p cnf 3 2\n1 2 0\n1 x 0\n")
+    (tmp_path / "weights.txt").write_text("1 2 3\n")
+    (tmp_path / "comp.rows").write_text("rows w=5 n=1\ne1 ex 1 2 2\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["enumerate", "{d}/bad.cnf"], "bad.cnf: line 3: bad literal 'x'"),
+        (
+            ["enumerate", "{d}/phi2.cnf", "--method", "clause-012", "--weights", "{d}/weights.txt", "--bound", "1"],
+            "weights.txt: line 1: expected 'slot weight'",
+        ),
+        (
+            ["enumerate", "{d}/phi2.cnf", "--method", "var-012", "--complement", "{d}/comp.rows"],
+            "comp.rows: bad row token 'ex'",
+        ),
+        (["enumerate", "{d}/phi2.cnf", "--method", "clause-e", "--feasibility", "test12"], "clause-e"),
+        (["equiv", "{d}/phi2.cnf", "{d}/phi2.cnf", "--method", "clause-e", "--feasibility", "test12"], "clause-e"),
+        (["bench", "--w", "8", "--h", "5", "--lambda", "3", "--methods", "foo"], "'foo'"),
+    ],
+)
+def test_rejection_is_one_line_exit_2(files, argv, needle):
+    proc = _wildsat(*(a.format(d=files) for a in argv))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith(f"wildsat {argv[0]}: error: ")
+    assert needle in lines[0]

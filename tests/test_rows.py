@@ -546,6 +546,12 @@ class TestRowTextFormat:
         with pytest.raises(ValueError, match=r"'rows w=<w> n=<n>'"):
             parse_rows(text)
 
+    @pytest.mark.parametrize("token", ["ex", "e", "n", "eK", "e01", "n0", "e1x"])
+    def test_malformed_bubble_token_rejected(self, token):
+        # a bubble label is what format_rows writes: a number from 1 up
+        with pytest.raises(ValueError, match=f"bad row token '{token}'"):
+            parse_rows(f"rows w=3 n=1\ne1 {token} 1\n")
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
     def test_round_trip_random_purified(self, seed):
@@ -564,6 +570,7 @@ class TestEmptyWidthRowFiles:
     @pytest.mark.parametrize("method", [Method.CLAUSE_E, Method.CLAUSE012, Method.VAR012])
     def test_round_trip(self, method):
         rows = run(parse_dimacs("p cnf 0 0\n"), EngineConfig(method=method))
+        assert rows.stats.prob == 1.0
         text = format_rows(rows)
         assert text == "rows w=0 n=1\n\n"
         back = parse_rows(text)
