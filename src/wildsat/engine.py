@@ -555,10 +555,10 @@ def enumerate_hitting_sets(edges: Iterable[Iterable[int]], k: int, num_vars: int
     """All k-element hitting sets of a hypergraph on [num_vars], as the
     weight-k models of the positive CNF whose clauses are the edges."""
     edge_list = [tuple(sorted(set(e))) for e in edges]
-    if any(not e for e in edge_list):
-        return RowList(num_vars, ())
-    cnf = Cnf(num_vars, tuple(Clause(e) for e in edge_list))
+    cnf = Cnf(num_vars, tuple(Clause(e) for e in edge_list if e))
     config = EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(cnf, k))
+    if not all(edge_list):  # no set hits an empty edge
+        return RowList(num_vars, (), RunStats(method=config.method.value, policy=config.policy.value))
     return run(cnf, config)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator, Sequence
 
@@ -75,6 +75,7 @@ def settles(ones: int, bubbles: Iterable[int], mask: int) -> bool:
 # 012-rows
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Row012:
     """A subcube of {0,1}^w: each variable fixed to 0 or 1, or free (2).
 
@@ -88,23 +89,26 @@ class Row012:
     ``Row012(symbols)`` takes one 0/1/2 per variable and validates every
     symbol in ``__post_init__``.  Sons come from ``_row012``, which checks
     nothing: ``with_value`` checks only its own ``var`` and ``value``, and
-    the other operations combine masks of valid rows.  A son's ``symbols``
-    is a view derived from the masks and cached on first use; nothing on
-    the enumeration path reads it.  Rows are immutable values.
+    the other operations combine masks of valid rows.  ``symbols`` is a
+    view derived from the masks on each access; nothing on the enumeration
+    path reads it.  Rows are frozen slotted dataclasses whose fields are
+    the masks, so equal masks make equal rows.
     """
 
-    __slots__ = ("width", "ones", "zeros", "_symbols")
+    width: int
+    ones: int
+    zeros: int
 
     def __init__(self, symbols: Iterable[int]) -> None:
-        _set_symbols(self, tuple(symbols))
-        # a class attribute, as in a dataclass: a probe that replaces it
-        # sees every checked construction
-        self.__post_init__()
+        # hand-written, as InitVars would shadow the views; __post_init__
+        # is a class attribute, so a probe that replaces it sees every
+        # checked construction
+        self.__post_init__(tuple(symbols))
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, symbols: tuple[int, ...]) -> None:
         ones = zeros = 0
         bit = 1
-        for s in self._symbols:
+        for s in symbols:
             if s == ONE:
                 ones |= bit
             elif s == ZERO:
@@ -112,15 +116,9 @@ class Row012:
             elif s != TWO:
                 raise ValueError("row symbols must be 0, 1 or 2")
             bit <<= 1
-        _set_width(self, len(self._symbols))
+        _set_width(self, len(symbols))
         _set_ones(self, ones)
         _set_zeros(self, zeros)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     @classmethod
     def full(cls, width: int) -> "Row012":
@@ -130,14 +128,8 @@ class Row012:
 
     @property
     def symbols(self) -> tuple[int, ...]:
-        """One 0/1/2 per variable: the tuple the public constructor was
-        given, or else derived from the masks and cached on first use."""
-        try:
-            return self._symbols
-        except AttributeError:
-            symbols = tuple(map(int, str(self)))
-            _set_symbols(self, symbols)
-            return symbols
+        """One 0/1/2 per variable, derived from the masks."""
+        return tuple(map(int, str(self)))
 
     @property
     def twos(self) -> int:
@@ -189,14 +181,6 @@ class Row012:
                 base[i] = b
             yield tuple(base)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Row012:
-            return NotImplemented
-        return self.ones == other.ones and self.zeros == other.zeros and self.width == other.width
-
-    def __hash__(self) -> int:
-        return hash((self.width, self.ones, self.zeros))
-
     def __repr__(self) -> str:
         return f"Row012(symbols={self.symbols!r})"
 
@@ -210,7 +194,6 @@ class Row012:
 _set_width = Row012.width.__set__
 _set_ones = Row012.ones.__set__
 _set_zeros = Row012.zeros.__set__
-_set_symbols = Row012._symbols.__set__
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -265,13 +248,15 @@ def intersect_012(a: Row012, b: Row012) -> Row012 | None:
 # 012e-rows
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Row012e:
     """A row over the 2w literal slots, with don't-cares and e-bubbles.
 
     The row is its ``width``, ``ones``, the mask of the slots holding 1 (bit
     s for slot s), and ``bubble_masks``, one slot mask per bubble, ordered
     by lowest bit.  A slot holds 0 when its mate holds 1, and 2 when it is
-    neither fixed nor bubbled.  Equal rows compare equal regardless of
+    neither fixed nor bubbled.  Rows are frozen slotted dataclasses whose
+    fields are these masks, so equal rows compare equal regardless of
     construction history.
 
     ``Row012e(width, slots, bubbles)`` takes the per-slot view, where
@@ -280,23 +265,21 @@ class Row012e:
     both in ``__post_init__``.  Sons come from ``_row012e``, which checks
     nothing: every operation combines the masks of valid rows through the
     pin fixpoint ``_pin``.  ``slots`` and ``bubbles`` are views derived from
-    the masks and cached on first use; nothing on the enumeration path
-    reads them.  Rows are immutable values.
+    the masks on each access; nothing on the enumeration path reads them.
     """
 
-    __slots__ = ("width", "ones", "bubble_masks", "_slots", "_bubbles")
+    width: int
+    ones: int
+    bubble_masks: tuple[int, ...]
 
     def __init__(self, width: int, slots: Sequence[int], bubbles: Iterable[Sequence[int]] = ()) -> None:
-        _set_e_width(self, width)
-        _set_e_slots(self, tuple(slots))
-        _set_e_bubbles(self, tuple(map(tuple, bubbles)))
-        # a class attribute, as in a dataclass: a probe that replaces it
-        # sees every checked construction
-        self.__post_init__()
+        # hand-written, as InitVars would shadow the views; __post_init__
+        # is a class attribute, so a probe that replaces it sees every
+        # checked construction
+        self.__post_init__(width, tuple(slots), tuple(map(tuple, bubbles)))
 
-    def __post_init__(self) -> None:
-        slots, bubbles = self._slots, self._bubbles
-        if len(slots) != 2 * self.width:
+    def __post_init__(self, width: int, slots: tuple[int, ...], bubbles: tuple[tuple[int, ...], ...]) -> None:
+        if len(slots) != 2 * width:
             raise ValueError("slot vector must have length 2w")
         masks = []
         for k, members in enumerate(bubbles):
@@ -313,49 +296,38 @@ class Row012e:
             masks.append(sum(1 << s for s in members))
         if sum(v >= _B for v in slots) != sum(map(len, bubbles)):
             raise ValueError("slot/bubble tables disagree")
+        if any(v not in (ZERO, ONE, TWO) for v in slots if v < _B):
+            raise ValueError("slot values must be 0, 1, 2 or the label 3 + k of bubble k")
         for k in range(1, len(bubbles)):
             if bubbles[k - 1][0] > bubbles[k][0]:
                 raise ValueError("bubbles must be ordered by first slot")
         ones = 0
-        for var in range(1, self.width + 1):
+        for var in range(1, width + 1):
             a, b = slots[pos_slot(var)], slots[neg_slot(var)]
             fixed_a, fixed_b = a in (ZERO, ONE), b in (ZERO, ONE)
             if fixed_a != fixed_b or (fixed_a and a == b):
                 raise ValueError(f"inconsistent slot pair for variable {var}")
             if fixed_a:
                 ones |= 1 << (pos_slot(var) if a == ONE else neg_slot(var))
+        _set_e_width(self, width)
         _set_e_ones(self, ones)
         _set_e_masks(self, tuple(masks))
 
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     @property
     def slots(self) -> tuple[int, ...]:
-        """One 0/1/2/3+k per slot, derived from the masks on first use."""
-        try:
-            return self._slots
-        except AttributeError:
-            slots = [TWO] * (2 * self.width)
-            for s in _slots_of(self.ones):
-                slots[s], slots[s ^ 1] = ONE, ZERO
-            for k, b in enumerate(self.bubble_masks):
-                for s in _slots_of(b):
-                    slots[s] = _B + k
-            _set_e_slots(self, tuple(slots))
-            return self._slots
+        """One 0/1/2/3+k per slot, derived from the masks."""
+        slots = [TWO] * (2 * self.width)
+        for s in _slots_of(self.ones):
+            slots[s], slots[s ^ 1] = ONE, ZERO
+        for k, b in enumerate(self.bubble_masks):
+            for s in _slots_of(b):
+                slots[s] = _B + k
+        return tuple(slots)
 
     @property
     def bubbles(self) -> tuple[tuple[int, ...], ...]:
-        """Each bubble's sorted slots, derived from the masks on first use."""
-        try:
-            return self._bubbles
-        except AttributeError:
-            _set_e_bubbles(self, tuple(tuple(_slots_of(b)) for b in self.bubble_masks))
-            return self._bubbles
+        """Each bubble's sorted slots, derived from the masks."""
+        return tuple(tuple(_slots_of(b)) for b in self.bubble_masks)
 
     @property
     def zeros(self) -> int:
@@ -415,14 +387,6 @@ class Row012e:
             for cube in expand_to_012(piece):
                 yield from cube.members()
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Row012e:
-            return NotImplemented
-        return self.ones == other.ones and self.bubble_masks == other.bubble_masks and self.width == other.width
-
-    def __hash__(self) -> int:
-        return hash((self.width, self.ones, self.bubble_masks))
-
     def __repr__(self) -> str:
         return f"Row012e(width={self.width!r}, slots={self.slots!r}, bubbles={self.bubbles!r})"
 
@@ -436,8 +400,6 @@ class Row012e:
 _set_e_width = Row012e.width.__set__
 _set_e_ones = Row012e.ones.__set__
 _set_e_masks = Row012e.bubble_masks.__set__
-_set_e_slots = Row012e._slots.__set__
-_set_e_bubbles = Row012e._bubbles.__set__
 _SPREAD = {ord("0"): "00", ord("1"): "01"}
 
 
@@ -553,8 +515,11 @@ def _card(width: int, ones: int, bubbles: Iterable[int]) -> int:
 
 
 def card_e(row: Row012e) -> int:
-    """Cardinality of an arbitrary 012e-row (purifies internally)."""
-    return sum(card_purified(piece) for piece in purify(row))
+    """Cardinality of an arbitrary 012e-row: a purified row is counted as
+    it is, any other through its ``purify`` pieces, purified by construction."""
+    if not _bad(row):
+        return _card(row.width, row.ones, row.bubble_masks)
+    return sum(_card(p.width, p.ones, p.bubble_masks) for p in purify(row))
 
 
 def purify(row: Row012e) -> list[Row012e]:

@@ -106,7 +106,9 @@ class EBuilder:
         if len(members) == 1:
             self.set_fixed(next(iter(members)), 1)
 
-    def freeze(self) -> Row012e:
+    def tables(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """The public constructor's slot and bubble tables, bubbles
+        numbered in order of their first slot."""
         slots = list(self.slots)
         bubbles = []
         for k, members in enumerate(sorted(self.groups.values(), key=min)):
@@ -114,7 +116,10 @@ class EBuilder:
             bubbles.append(ms)
             for m in ms:
                 slots[m] = _B + k
-        return Row012e(self.width, tuple(slots), tuple(bubbles))
+        return tuple(slots), tuple(bubbles)
+
+    def freeze(self) -> Row012e:
+        return Row012e(self.width, *self.tables())
 
 
 def ref_impose_on_slots(row: Row012e, slots) -> list[Row012e]:
@@ -318,6 +323,11 @@ def random_row012(rng: random.Random, w: int) -> Row012:
 
 def random_row012e(rng: random.Random, w: int, max_bubbles: int = 3, allow_bad: bool = True) -> Row012e:
     """A random valid 012e-row, biased toward bubbles; may contain bad pairs."""
+    return random_ebuilder(rng, w, max_bubbles, allow_bad).freeze()
+
+
+def random_ebuilder(rng: random.Random, w: int, max_bubbles: int = 3, allow_bad: bool = True) -> EBuilder:
+    """The reference builder of ``random_row012e``, before it is frozen."""
     b = EBuilder(w)
     n_bubbles = rng.randint(0, max_bubbles)
     slots_free = lambda: [s for s in range(2 * w) if b.slots[s] == 2]
@@ -342,7 +352,7 @@ def random_row012e(rng: random.Random, w: int, max_bubbles: int = 3, allow_bad: 
     for var in range(1, w + 1):
         if b.slots[pos_slot(var)] == 2 and b.slots[neg_slot(var)] == 2 and rng.random() < 0.3:
             b.set_fixed(pos_slot(var), rng.randint(0, 1))
-    return b.freeze()
+    return b
 
 
 def random_purified_row(rng: random.Random, w: int, max_bubbles: int = 3) -> Row012e:

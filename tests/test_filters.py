@@ -30,7 +30,7 @@ from wildsat.engine import (
     run,
 )
 from wildsat.formulas import Clause, Cnf, Dnf, weight
-from wildsat.rows import Row012, RowList
+from wildsat.rows import Row012, RowList, RunStats
 
 
 def _models(cnf):
@@ -161,6 +161,14 @@ class TestHittingSets:
 
     def test_empty_edge_no_hitting_set(self):
         assert enumerate_hitting_sets([{1}, set()], 1, 2).rows == ()
+
+    def test_empty_edge_keeps_checks_and_stats(self):
+        with pytest.raises(ValueError, match="k must lie"):
+            enumerate_hitting_sets([[]], 99, 3)
+        with pytest.raises(ValueError, match="outside"):
+            enumerate_hitting_sets([[7], []], 1, 3)
+        out = enumerate_hitting_sets([[1], []], 1, 3)
+        assert out == RowList(3, (), RunStats(method="var-012", policy="solver"))
 
     def test_random_rank3_matches_brute_force(self):
         rng = random.Random(313)

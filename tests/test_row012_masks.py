@@ -21,6 +21,7 @@ from wildsat.engine import CardinalityFilter, EngineConfig, Method, Policy, run
 from wildsat.formulas import Clause, Cnf
 from wildsat.rows import (
     Row012,
+    Row012e,
     RowList,
     card_012,
     format_rows,
@@ -254,6 +255,17 @@ class TestEqualityAcrossRoutes:
         assert Row012((2,)) != Row012((2, 2))
         assert Row012(()) != Row012((2,))
         assert Row012((1,)) != (1,)
+        r = Row012((1, 2))
+        assert Row012e.from_row012(r) != r and r != Row012e.from_row012(r)
+        e = Row012e.from_row012(r)
+        assert e != (e.width, e.ones, e.bubble_masks)
+
+    @given(st.lists(st.integers(0, 2), max_size=MAX_W))
+    @settings(max_examples=200, deadline=None)
+    def test_view_round_trip_and_hash(self, symbols):
+        row = Row012(symbols)
+        assert row.symbols == tuple(symbols)
+        assert hash(row) == hash((row.width, row.ones, row.zeros))
 
     def test_pickle_and_copy(self):
         row = Row012.full(70).with_value(65, 1).with_value(3, 0)
@@ -302,9 +314,9 @@ class TestHotPathNeverReadsSymbols:
             counts["symbols"] += 1
             return view(row)
 
-        def counting_check(row):
+        def counting_check(row, *args):
             counts["checked"] += 1
-            check(row)
+            check(row, *args)
 
         monkeypatch.setattr(Row012, "symbols", property(counting_view))
         monkeypatch.setattr(Row012, "__post_init__", counting_check)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import EBuilder, random_row012e, ref_impose_on_slots, ref_purify, row_mask
+from oracle import EBuilder, random_ebuilder, random_row012e, ref_impose_on_slots, ref_purify, row_mask
 from wildsat.analysis import equivalent
 from wildsat.bench import GenSpec, gen_random_cnf
 from wildsat.engine import EngineConfig, Method, Policy, run
@@ -162,11 +162,22 @@ class TestEqualityAcrossRoutes:
         assert (son.slots, son.bubbles) == (row.slots, row.bubbles)
         assert str(son) == str(row)
 
+    @given(st.integers(0, MAX_W), st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_view_round_trip_and_hash(self, w, seed):
+        slots, bubbles = random_ebuilder(random.Random(seed), w, max_bubbles=6).tables()
+        row = Row012e(w, slots, bubbles)
+        assert (row.slots, row.bubbles) == (slots, bubbles)
+        assert hash(row) == hash((row.width, row.ones, row.bubble_masks))
+
     def test_public_constructor_still_validates(self):
         with pytest.raises(ValueError, match="tables disagree"):
             Row012e(2, (3, 2, 2, 2))  # a bubble label with no bubble
         with pytest.raises(ValueError, match="inconsistent"):
             Row012e(1, (1, 1))
+        for junk in ((-1, 2, 2, 2), (2.5, 2, 2, 2)):  # neither a symbol nor a bubble label
+            with pytest.raises(ValueError, match="slot values"):
+                Row012e(2, junk)
 
     def test_rows_are_immutable(self):
         row = Row012e.full(2)
@@ -193,9 +204,9 @@ class TestHotPathNeverBuildsViews:
 
             return property(get)
 
-        def counting_check(row):
+        def counting_check(row, *args):
             counts["checked"] += 1
-            check(row)
+            check(row, *args)
 
         monkeypatch.setattr(Row012e, "slots", counting(Row012e.slots.fget))
         monkeypatch.setattr(Row012e, "bubbles", counting(Row012e.bubbles.fget))
