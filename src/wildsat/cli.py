@@ -82,7 +82,6 @@ def _stats_fields(st: RunStats) -> list[str]:
 def _build_config(args, cnf: Cnf) -> EngineConfig:
     """The run's configuration; a rejected argument raises ValueError."""
     method = Method(args.method)
-    policy = Policy(args.feasibility)
     spmod = None
     k = getattr(args, "k", None)
     weights_path = getattr(args, "weights", None)
@@ -115,11 +114,10 @@ def _build_config(args, cnf: Cnf) -> EngineConfig:
     if bound is not None and weights_path is None:
         raise ValueError("--bound requires --weights")
     if complement_path is not None:
-        comp = _load(complement_path, parse_rows)
-        if comp.width != cnf.num_vars:
+        spmod = _load(complement_path, lambda text: ComplementFilter(parse_rows(text)))
+        if spmod.rows.width != cnf.num_vars:
             raise ValueError(f"{complement_path}: complement row width does not match the CNF")
-        spmod = ComplementFilter(comp)
-    config = EngineConfig(method=method, policy=policy, spmod=spmod)
+    config = EngineConfig(method=method, policy=Policy(args.feasibility), spmod=spmod)
     validate_config(cnf, config)
     return config
 
@@ -132,6 +130,65 @@ def _add_engine_flags(sub: argparse.ArgumentParser, with_filters: bool = True) -
         sub.add_argument("--weights", default=None, help="slot weight file (2w lines 'slot weight')")
         sub.add_argument("--bound", type=int, default=None, help="maximum model weight")
         sub.add_argument("--complement", default=None, help="row file enumerating the complement")
+
+
+def _add_spec_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--w", type=int, required=True)
+    sub.add_argument("--h", type=int, required=True)
+    sub.add_argument("--lambda", dest="lam", type=int, required=True)
+    sub.add_argument("--positive", action="store_true")
+    sub.add_argument("--seed", type=int, default=0)
+
+
+def _dispatch(args) -> int:
+    """Run the parsed request; bad inputs raise OSError or ValueError."""
+    if args.command == "gen":
+        spec = GenSpec(args.w, args.h, args.lam, positive=args.positive, seed=args.seed)
+        text = serialize_dimacs(gen_random_cnf(spec))
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
+        return 0
+
+    if args.command == "bench":
+        methods = [Method(m.strip()) for m in args.methods.split(",") if m.strip()]
+        spec = GenSpec(args.w, args.h, args.lam, positive=args.positive, seed=args.seed)
+        for st in run_bench(spec, methods, Policy(args.feasibility)):
+            print(" ".join([f"method={st.method}", f"policy={st.policy}", *_stats_fields(st)]))
+        return 0
+
+    if args.command == "equiv":
+        cnf_a, cnf_b = _load(args.cnf_a, parse_dimacs), _load(args.cnf_b, parse_dimacs)
+        config = _build_config(args, cnf_a)
+        validate_config(cnf_b, config)
+        if cnf_a.num_vars != cnf_b.num_vars:
+            print("not equivalent: different variable counts")
+            return 1
+        verdict = equivalent(run(cnf_a, config), run(cnf_b, config))
+        if verdict:
+            print(f"equivalent ({verdict.reason})")
+            return 0
+        witness = "" if verdict.witness is None else f" witness_row={verdict.witness}"
+        print(f"not equivalent: {verdict.reason}{witness}")
+        return 1
+
+    # enumerate, count and count-k differ only in what they print
+    cnf = _load(args.cnf, parse_dimacs)
+    result = run(cnf, _build_config(args, cnf))
+    if args.command == "count":
+        print(result.stats.models)
+    elif args.command == "count-k":
+        print(count_by_cardinality(result))
+    else:
+        text = format_rows(result)
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text)
+        out = sys.stdout if args.out else sys.stderr
+        out.write("\n".join(_stats_fields(result.stats)) + "\n")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -160,93 +217,21 @@ def main(argv: list[str] | None = None) -> int:
     _add_engine_flags(p_eq, with_filters=False)
 
     p_gen = subs.add_parser("gen", help="generate a random CNF")
-    p_gen.add_argument("--w", type=int, required=True)
-    p_gen.add_argument("--h", type=int, required=True)
-    p_gen.add_argument("--lambda", dest="lam", type=int, required=True)
-    p_gen.add_argument("--positive", action="store_true")
-    p_gen.add_argument("--seed", type=int, default=0)
+    _add_spec_flags(p_gen)
     p_gen.add_argument("--out", default=None)
 
     p_bench = subs.add_parser("bench", help="compare methods on one random instance")
-    p_bench.add_argument("--w", type=int, required=True)
-    p_bench.add_argument("--h", type=int, required=True)
-    p_bench.add_argument("--lambda", dest="lam", type=int, required=True)
-    p_bench.add_argument("--positive", action="store_true")
-    p_bench.add_argument("--seed", type=int, default=0)
+    _add_spec_flags(p_bench)
     p_bench.add_argument("--methods", default="clause-012,clause-e")
     p_bench.add_argument("--feasibility", choices=POLICIES, default=Policy.SOLVER.value)
 
     args = parser.parse_args(argv)
-
-    if args.command in ("enumerate", "count", "count-k", "equiv"):
-        # malformed or unreadable inputs (DIMACS, row and weight files) and
-        # arguments the engine rejects: one line, not a traceback
-        try:
-            if args.command == "equiv":
-                cnf_a, cnf_b = _load(args.cnf_a, parse_dimacs), _load(args.cnf_b, parse_dimacs)
-                config = EngineConfig(method=Method(args.method), policy=Policy(args.feasibility))
-                for cnf in (cnf_a, cnf_b):
-                    validate_config(cnf, config)
-            else:
-                cnf = _load(args.cnf, parse_dimacs)
-                config = _build_config(args, cnf)
-        except (OSError, ValueError) as exc:
-            return _error(args.command, exc)
-
-    if args.command == "enumerate":
-        result = run(cnf, config)
-        text = format_rows(result)
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
-        out = sys.stdout if args.out else sys.stderr
-        out.write("\n".join(_stats_fields(result.stats)) + "\n")
-        return 0
-
-    if args.command == "count":
-        print(run(cnf, config).stats.models)
-        return 0
-
-    if args.command == "count-k":
-        print(count_by_cardinality(run(cnf, config)))
-        return 0
-
-    if args.command == "equiv":
-        if cnf_a.num_vars != cnf_b.num_vars:
-            print("not equivalent: different variable counts")
-            return 1
-        ra = run(cnf_a, config)
-        rb = run(cnf_b, config)
-        verdict = equivalent(ra, rb)
-        if verdict:
-            print(f"equivalent ({verdict.reason})")
-            return 0
-        witness = "" if verdict.witness is None else f" witness_row={verdict.witness}"
-        print(f"not equivalent: {verdict.reason}{witness}")
-        return 1
-
-    if args.command == "gen":
-        spec = GenSpec(args.w, args.h, args.lam, positive=args.positive, seed=args.seed)
-        text = serialize_dimacs(gen_random_cnf(spec))
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-
-    if args.command == "bench":
-        try:
-            methods = [Method(m.strip()) for m in args.methods.split(",") if m.strip()]
-            spec = GenSpec(args.w, args.h, args.lam, positive=args.positive, seed=args.seed)
-            runs = run_bench(spec, methods, Policy(args.feasibility))
-        except ValueError as exc:
-            return _error("bench", exc)
-        for st in runs:
-            print(" ".join([f"method={st.method}", f"policy={st.policy}", *_stats_fields(st)]))
-        return 0
-
-    raise AssertionError(args.command)
+    # malformed or unreadable inputs and destinations, and arguments the
+    # library rejects: one line, not a traceback
+    try:
+        return _dispatch(args)
+    except (OSError, ValueError) as exc:
+        return _error(args.command, exc)
 
 
 if __name__ == "__main__":

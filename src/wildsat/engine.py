@@ -190,7 +190,7 @@ class ComplementFilter(SpModFilter):
     def __init__(self, complement_rows: RowList):
         for r in complement_rows.rows:
             if not isinstance(r, Row012):
-                raise TypeError("complement rows must be 012-rows")
+                raise ValueError("complement rows must be 012-rows")
         self.rows = complement_rows
         self._overlaps: dict[Row012, int] = {}
 
@@ -248,11 +248,16 @@ class WeightFilter(SpModFilter):
         self._min = _byte_sums(tuple(map(min, pos, neg)))
         self._max = _byte_sums(tuple(map(max, pos, neg)))
 
+    def _weight(self, row: Row012, free: list[list[int]]) -> int:
+        if 2 * row.width > len(self.weights):
+            raise ValueError("row is wider than the weights")
+        return _mask_sum(self._pos, row.ones) + _mask_sum(self._neg, row.zeros) + _mask_sum(free, row.twos)
+
     def min_weight(self, row: Row012) -> int:
-        return _mask_sum(self._pos, row.ones) + _mask_sum(self._neg, row.zeros) + _mask_sum(self._min, row.twos)
+        return self._weight(row, self._min)
 
     def max_weight(self, row: Row012) -> int:
-        return _mask_sum(self._pos, row.ones) + _mask_sum(self._neg, row.zeros) + _mask_sum(self._max, row.twos)
+        return self._weight(row, self._max)
 
     def admit(self, row: Row012) -> bool:
         return self.min_weight(row) <= self.bound
@@ -298,8 +303,6 @@ def _mask_sum(tables: list[list[int]], mask: int) -> int:
             return total
         total += table[mask & 255]
         mask >>= 8
-    if mask:
-        raise ValueError("row is wider than the weights")
     return total
 
 

@@ -75,7 +75,7 @@ def settles(ones: int, bubbles: Iterable[int], mask: int) -> bool:
 # 012-rows
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class Row012:
     """A subcube of {0,1}^w: each variable fixed to 0 or 1, or free (2).
 
@@ -95,6 +95,7 @@ class Row012:
     the masks, so equal masks make equal rows.
     """
 
+    __slots__ = ("width", "ones", "zeros")  # not slots=True, which breaks frozen setattr on 3.11
     width: int
     ones: int
     zeros: int
@@ -248,7 +249,7 @@ def intersect_012(a: Row012, b: Row012) -> Row012 | None:
 # 012e-rows
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class Row012e:
     """A row over the 2w literal slots, with don't-cares and e-bubbles.
 
@@ -268,6 +269,7 @@ class Row012e:
     the masks on each access; nothing on the enumeration path reads them.
     """
 
+    __slots__ = ("width", "ones", "bubble_masks")  # not slots=True, which breaks frozen setattr on 3.11
     width: int
     ones: int
     bubble_masks: tuple[int, ...]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from conftest import row012
 from oracle import (
     cnf_mask,
@@ -52,6 +54,10 @@ class TestCountByCardinality:
         poly = count_by_cardinality(RowList(5, (Row012.full(5),)))
         assert poly.coefficients == (1, 5, 10, 10, 5, 1)
 
+    def test_count_reads_one_coefficient(self):
+        poly = count_by_cardinality(RowList(3, (row012("212"),)))
+        assert [poly.count(k) for k in range(4)] == [0, 1, 2, 1]
+
     def test_eq11_profile(self):
         # tallying the six models by hand: weights 2,3,4,5,3,4
         poly = count_by_cardinality(eq11_rowlist())
@@ -94,6 +100,10 @@ class TestEquivalent:
 
     def test_reflexive(self, eq4_rowlist):
         assert equivalent(eq4_rowlist, eq4_rowlist).equal
+
+    def test_different_widths_rejected(self):
+        with pytest.raises(ValueError, match="different widths"):
+            equivalent(RowList(2, ()), RowList(3, ()))
 
     def test_removed_model_count_reject(self):
         rows = eq11_rowlist()

@@ -43,6 +43,11 @@ class TestGen:
         with pytest.raises(ValueError):
             GenSpec(3, 1, 4)
 
+    @pytest.mark.parametrize("w, h, match", [(0, 1, "w must be positive"), (3, -1, "h must be non-negative")])
+    def test_size_validation(self, w, h, match):
+        with pytest.raises(ValueError, match=match):
+            GenSpec(w, h, 1)
+
     def test_can_hit_the_one_clause_target(self):
         # some seed produces exactly the clause (x2 or not-x6) over 9 vars
         for seed in range(4000):
@@ -356,3 +361,27 @@ class TestCliInputErrors:
         argv = ["equiv", str(phi2_file), str(phi2_file), "--method", "clause-e", "--feasibility", "test12"]
         assert main(argv) == 2
         assert "clause-e" in self._one_line_error(capsys, "equiv")
+
+    @pytest.mark.parametrize(
+        "flags, files, needle",
+        [
+            (["--k", "1", "--complement", "c"], {}, "conflicting filters: --k, --complement"),
+            (["--weights", "w"], {}, "--weights requires --bound"),
+            (["--weights", "w", "--bound", "1"], {"w": "1 1\n2 1\n"}, "w: weights file must have 10 slot lines"),
+            (["--weights", "w", "--bound", "1"], {"w": "1 1\n3 1\n"}, "w: weights file must cover slots 1..2w"),
+            (["--complement", "c"], {"c": "rows w=4 n=1\n2 2 2 2\n"}, "c: complement row width does not match"),
+            (["--complement", "c"], {"c": "rows w=5 n=1\ne1 e1 2 2 2\n"}, "c: complement rows must be 012-rows"),
+        ],
+    )
+    def test_rejected_filter_request(self, flags, files, needle, phi2_file, tmp_path, capsys):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        flags = [str(tmp_path / a) if a in ("w", "c") else a for a in flags]
+        assert main(["enumerate", str(phi2_file), "--method", "var-012", *flags]) == 2
+        assert needle in self._one_line_error(capsys, "enumerate")
+
+    def test_equiv_different_widths(self, phi2_file, tmp_path, capsys):
+        narrow = tmp_path / "narrow.cnf"
+        narrow.write_text("p cnf 3 1\n1 2 0\n")
+        assert main(["equiv", str(phi2_file), str(narrow)]) == 1
+        assert capsys.readouterr() == ("not equivalent: different variable counts\n", "")

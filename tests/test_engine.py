@@ -137,6 +137,10 @@ class TestClausewise012Split:
         assert clausewise012_split(t2(8), c[3]) == [t2(10)]
         assert clausewise012_split(t2(10), c[4]) == [t2(11)]
 
+    def test_satisfied_clause_rejected(self):
+        with pytest.raises(ValueError, match="already satisfies"):
+            clausewise012_split(row012("122"), Clause((1, 2)))
+
     def test_partition_property(self):
         from oracle import clause_mask
 
@@ -172,6 +176,10 @@ class TestClausewiseESplit:
 
     def test_overlap_column_then_remnant(self, phi2, table3):
         assert clausewise_e_split(table3[7], phi2.clauses[4]) == [table3[8], table3[10]]
+
+    def test_satisfied_clause_rejected(self):
+        with pytest.raises(ValueError, match="already satisfies"):
+            clausewise_e_split(Row012e.from_row012(row012("122")), Clause((1, 2)))
 
     def test_partition_property(self):
         from oracle import clause_mask, random_row012e

@@ -20,6 +20,7 @@ from wildsat.bench import GenSpec, gen_random_cnf
 from wildsat.engine import (
     CardinalityFilter,
     ComplementFilter,
+    DnfKFilter,
     EngineConfig,
     EngineObserver,
     Method,
@@ -30,7 +31,7 @@ from wildsat.engine import (
     run,
 )
 from wildsat.formulas import Clause, Cnf, Dnf, weight
-from wildsat.rows import Row012, RowList, RunStats
+from wildsat.rows import Row012, Row012e, RowList, RunStats
 
 
 def _models(cnf):
@@ -89,6 +90,14 @@ class TestWeightFilter:
         cnf = Cnf(2, ())
         with pytest.raises(ValueError):
             run(cnf, EngineConfig(method=Method.CLAUSE_E, spmod=WeightFilter([1, 1, 1, 1], 4)))
+
+    @pytest.mark.parametrize("num_vars", [3, 9, 17])
+    def test_row_wider_than_the_weights_rejected(self, num_vars):
+        # one variable short, inside the last partial byte or past a full one
+        cnf = Cnf(num_vars, (Clause((1, 2)),))
+        filt = WeightFilter([1] * (2 * num_vars - 2), 5)
+        with pytest.raises(ValueError, match="wider than the weights"):
+            run(cnf, EngineConfig(method=Method.VAR012, spmod=filt))
 
     def _brute(self, cnf, weights, bound):
         out = set()
@@ -258,3 +267,19 @@ class TestComplementFilter:
                 assert_disjoint_cover(w, out.rows, expected)
             else:
                 assert out.rows == ()
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: DnfKFilter(Dnf(2, ()), 3), "k must lie"),
+            (lambda: DnfKFilter(Dnf(2, ()), -1), "k must lie"),
+            (lambda: WeightFilter([1, -1], 0), "non-negative"),
+            (lambda: WeightFilter([1, 1, 1], 0), "2w values"),
+            (lambda: ComplementFilter(RowList(2, (Row012e.full(2),))), "012-rows"),
+        ],
+    )
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()

@@ -14,13 +14,15 @@ from wildsat.formulas import (
     Clause,
     Cnf,
     DimacsError,
+    Dnf,
     evaluate,
+    evaluate_dnf,
     parse_dimacs,
     parse_dnf,
     serialize_dimacs,
     serialize_dnf,
 )
-from wildsat.rows import RowList, member_complement
+from wildsat.rows import Row012, RowList, member_complement
 
 
 class TestClause:
@@ -39,6 +41,11 @@ class TestClause:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Clause(())
+
+    def test_iteration_and_text(self):
+        clause = Clause((3, -1, 3))
+        assert list(clause) == [3, -1]
+        assert str(clause) == "3 -1"
 
     def test_slot_mask(self):
         # slots x1 ~x1 x2 ~x2 ...: x1 -> 0, ~x2 -> 3, x3 -> 4
@@ -83,6 +90,7 @@ class TestParseDimacs:
             ("p cnf 2 1\n3 0\n", 2),
             ("1 0\n", 1),
             ("p cnf 2 1\n1 2\n", 2),
+            ("p cnf -1 0\n", 1),
         ],
     )
     def test_errors_name_line(self, text, line):
@@ -181,3 +189,24 @@ class TestDnfFormat:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             parse_dnf("21\n021\n")
+
+    def test_evaluate_dnf(self):
+        dnf = parse_dnf("212\n021\n")
+        for u in all_bitstrings(3):
+            assert evaluate_dnf(dnf, u) == (u[1] == 1 or (u[0], u[2]) == (0, 1))
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: Clause((1, "2")), "nonzero integers"),
+            (lambda: Cnf(-1), "non-negative"),
+            (lambda: Dnf(3, (Row012.full(2),)), "term width"),
+            (lambda: parse_dnf("21x\n"), "strings over 0/1/2"),
+            (lambda: parse_dnf(""), "empty DNF input"),
+        ],
+    )
+    def test_rejected(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call()

@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -278,6 +279,10 @@ class TestEqualityAcrossRoutes:
             row.ones = 0
         with pytest.raises(AttributeError):
             del row.zeros
+        with pytest.raises(FrozenInstanceError):
+            row.foo = 1
+        with pytest.raises(FrozenInstanceError):
+            del row.foo
 
 
 class TestTextRoundTrip:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -185,6 +186,10 @@ class TestEqualityAcrossRoutes:
             row.ones = 1
         with pytest.raises(AttributeError):
             del row.bubble_masks
+        with pytest.raises(FrozenInstanceError):
+            row.foo = 1
+        with pytest.raises(FrozenInstanceError):
+            del row.foo
 
 
 class TestHotPathNeverBuildsViews:

@@ -36,6 +36,7 @@ from wildsat.rows import (
     intersect_012,
     intersect_e,
     intersection_card_ie,
+    member_complement,
     neg_slot,
     parse_rows,
     pick_model,
@@ -619,3 +620,30 @@ class TestManyBubbleSerialization:
         back = parse_rows(text)
         assert back.rows == (r,)
         assert "e10" in text.splitlines()[1]
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (lambda: Row012e(2, (2, 2, 2)), ValueError, "length 2w"),
+            (lambda: Row012e(2, (3, 2, 2, 2), [(0,)]), ValueError, "at least two slots"),
+            (lambda: Row012e(2, (3, 2, 3, 2), [(2, 0)]), ValueError, "must be sorted"),
+            (lambda: Row012e(2, (3, 3, 2, 2), [(0, 1)]), ValueError, "both slots"),
+            (lambda: Row012e(2, (2, 2, 2, 2), [(0, 2)]), ValueError, "tables disagree"),
+            (lambda: Row012e(2, (4, 3, 3, 4), [(1, 2), (0, 3)]), ValueError, "ordered by first slot"),
+            (lambda: Row012.full(-1), ValueError, "non-negative"),
+            (lambda: erow("e1 2 e1 2", 2).condense(), ValueError, "still has bubbles"),
+            (lambda: Row012e.full(2).contains((1,)), ValueError, "length"),
+            (lambda: intersect_e(Row012e.full(2), Row012e.full(3)), ValueError, "widths differ"),
+            (lambda: intersection_card_ie(Row012e.full(2), Row012e.full(3)), ValueError, "widths differ"),
+            (lambda: member_complement(RowList(2, (Row012e.full(2),))), TypeError, "012-rows"),
+        ],
+    )
+    def test_rejected(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    def test_row_list_iterates_its_rows(self):
+        rows = RowList(3, (row012("120"), row012("022")))
+        assert list(rows) == list(rows.rows)
