@@ -165,6 +165,8 @@ class DnfKFilter(SpModFilter):
         self.k = k
 
     def admit(self, row: Row012) -> bool:
+        if row.width != self.dnf.num_vars:
+            raise ValueError("row widths differ")
         ones, zeros, k = row.ones, row.zeros, self.k
         for t in self.dnf.terms:
             if ones & t.zeros or zeros & t.ones:
@@ -249,8 +251,9 @@ class WeightFilter(SpModFilter):
         self._max = _byte_sums(tuple(map(max, pos, neg)))
 
     def _weight(self, row: Row012, free: list[list[int]]) -> int:
-        if 2 * row.width > len(self.weights):
-            raise ValueError("row is wider than the weights")
+        if 2 * row.width != len(self.weights):
+            side = "wider" if 2 * row.width > len(self.weights) else "narrower"
+            raise ValueError(f"row is {side} than the weights")
         return _mask_sum(self._pos, row.ones) + _mask_sum(self._neg, row.zeros) + _mask_sum(free, row.twos)
 
     def min_weight(self, row: Row012) -> int:
@@ -276,10 +279,7 @@ class WeightFilter(SpModFilter):
             if self.max_weight(r) <= self.bound:
                 kept.append(r)
                 continue
-            free = r.twos
-            var = (free & -free).bit_length()
-            stack.append(r.with_value(var, 1))
-            stack.append(r.with_value(var, 0))
+            stack.extend(reversed(varwise_split(r)))
         return kept, discards
 
 

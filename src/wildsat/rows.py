@@ -29,7 +29,7 @@ from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 ZERO, ONE, TWO = 0, 1, 2
-_B = 3  # slot values >= _B reference bubble number (value - _B)
+_B = 3  # slot values >= _B are bubble labels; the views label bubble k as _B + k
 
 
 class EmptyRowError(Exception):
@@ -50,6 +50,10 @@ def neg_slot(var: int) -> int:
 
 def slot_of_lit(lit: int) -> int:
     return 2 * lit - 2 if lit > 0 else -2 * lit - 1
+
+
+def lit_of_slot(slot: int) -> int:
+    return -slot_var(slot) if slot & 1 else slot_var(slot)
 
 
 def slot_var(slot: int) -> int:
@@ -260,13 +264,14 @@ class Row012e:
     fields are these masks, so equal rows compare equal regardless of
     construction history.
 
-    ``Row012e(width, slots, bubbles)`` takes the per-slot view, where
-    ``slots[s]`` is 0, 1, 2, or ``3 + k`` when slot ``s`` belongs to bubble
-    ``k``, and ``bubbles`` holds each bubble's sorted slots; it validates
-    both in ``__post_init__``.  Sons come from ``_row012e``, which checks
-    nothing: every operation combines the masks of valid rows through the
-    pin fixpoint ``_pin``.  ``slots`` and ``bubbles`` are views derived from
-    the masks on each access; nothing on the enumeration path reads them.
+    ``Row012e(width, slots)`` takes the per-slot view: ``slots[s]`` is 0, 1,
+    2 or a bubble label, any int >= 3, and the slots sharing a label form
+    one bubble.  Labels are only names; the ``slots`` view numbers the
+    bubbles 3, 4, ... in mask order.  It validates in ``__post_init__``.
+    Sons come from ``_row012e``, which checks nothing: every operation
+    combines the masks of valid rows through the pin fixpoint ``_pin``.
+    ``slots`` and ``bubbles`` are views derived from the masks on each
+    access; nothing on the enumeration path reads them.
     """
 
     __slots__ = ("width", "ones", "bubble_masks")  # not slots=True, which breaks frozen setattr on 3.11
@@ -274,46 +279,32 @@ class Row012e:
     ones: int
     bubble_masks: tuple[int, ...]
 
-    def __init__(self, width: int, slots: Sequence[int], bubbles: Iterable[Sequence[int]] = ()) -> None:
+    def __init__(self, width: int, slots: Sequence[int]) -> None:
         # hand-written, as InitVars would shadow the views; __post_init__
         # is a class attribute, so a probe that replaces it sees every
         # checked construction
-        self.__post_init__(width, tuple(slots), tuple(map(tuple, bubbles)))
+        self.__post_init__(width, tuple(slots))
 
-    def __post_init__(self, width: int, slots: tuple[int, ...], bubbles: tuple[tuple[int, ...], ...]) -> None:
+    def __post_init__(self, width: int, slots: tuple[int, ...]) -> None:
         if len(slots) != 2 * width:
             raise ValueError("slot vector must have length 2w")
-        masks = []
-        for k, members in enumerate(bubbles):
-            if len(members) < 2:
+        masks: dict[int, int] = {}  # the slots holding each value
+        for s, v in enumerate(slots):
+            if not isinstance(v, int) or v < 0:
+                raise ValueError("slot values must be 0, 1, 2 or a bubble label >= 3")
+            masks[v] = masks.get(v, 0) | 1 << s
+        zeros, ones, _ = (masks.pop(v, 0) for v in (ZERO, ONE, TWO))
+        if mismatch := _mates(ones, width) ^ zeros:
+            var = slot_var((mismatch & -mismatch).bit_length() - 1)
+            raise ValueError(f"inconsistent slot pair for variable {var}")
+        for b in masks.values():
+            if not b & (b - 1):
                 raise ValueError("bubbles must cover at least two slots")
-            if tuple(sorted(members)) != members:
-                raise ValueError("bubble slots must be sorted")
-            vars_seen = [slot_var(s) for s in members]
-            if len(set(vars_seen)) != len(vars_seen):
+            if b & b >> 1 & _evens(width):
                 raise ValueError("a bubble may not cover both slots of a variable")
-            for s in members:
-                if slots[s] != _B + k:
-                    raise ValueError("slot/bubble tables disagree")
-            masks.append(sum(1 << s for s in members))
-        if sum(v >= _B for v in slots) != sum(map(len, bubbles)):
-            raise ValueError("slot/bubble tables disagree")
-        if any(v not in (ZERO, ONE, TWO) for v in slots if v < _B):
-            raise ValueError("slot values must be 0, 1, 2 or the label 3 + k of bubble k")
-        for k in range(1, len(bubbles)):
-            if bubbles[k - 1][0] > bubbles[k][0]:
-                raise ValueError("bubbles must be ordered by first slot")
-        ones = 0
-        for var in range(1, width + 1):
-            a, b = slots[pos_slot(var)], slots[neg_slot(var)]
-            fixed_a, fixed_b = a in (ZERO, ONE), b in (ZERO, ONE)
-            if fixed_a != fixed_b or (fixed_a and a == b):
-                raise ValueError(f"inconsistent slot pair for variable {var}")
-            if fixed_a:
-                ones |= 1 << (pos_slot(var) if a == ONE else neg_slot(var))
         _set_e_width(self, width)
         _set_e_ones(self, ones)
-        _set_e_masks(self, tuple(masks))
+        _set_e_masks(self, tuple(sorted(masks.values(), key=lambda b: b & -b)))
 
     @property
     def slots(self) -> tuple[int, ...]:
@@ -390,10 +381,10 @@ class Row012e:
                 yield from cube.members()
 
     def __repr__(self) -> str:
-        return f"Row012e(width={self.width!r}, slots={self.slots!r}, bubbles={self.bubbles!r})"
+        return f"Row012e(width={self.width!r}, slots={self.slots!r})"
 
     def __reduce__(self):
-        return Row012e, (self.width, self.slots, self.bubbles)
+        return Row012e, (self.width, self.slots)
 
     def __str__(self) -> str:
         return " ".join(f"e{v - _B + 1}" if v >= _B else str(v) for v in self.slots)

@@ -32,7 +32,7 @@ from functools import cache
 from typing import Callable, Sequence
 
 from .formulas import Clause, Cnf
-from .rows import Row012, Row012e, _slots_of, settles
+from .rows import Row012, Row012e, _slots_of, lit_of_slot, settles
 
 
 @dataclass
@@ -161,13 +161,8 @@ def row_constraint_clauses(row: Row012 | Row012e) -> tuple[Clause, ...]:
             fixed ^= low
         return tuple(units)
     # the 1-slots in increasing order are the fixed variables in order
-    units = tuple(_unit(_slot_lit(s)) for s in _slots_of(row.ones))
-    return units + tuple(Clause(tuple(map(_slot_lit, _slots_of(b)))) for b in row.bubble_masks)
-
-
-def _slot_lit(slot: int) -> int:
-    var = slot // 2 + 1
-    return var if slot % 2 == 0 else -var
+    units = tuple(_unit(lit_of_slot(s)) for s in _slots_of(row.ones))
+    return units + tuple(Clause(tuple(map(lit_of_slot, _slots_of(b)))) for b in row.bubble_masks)
 
 
 def augment_cnf(cnf: Cnf, row: Row012 | Row012e) -> Cnf:

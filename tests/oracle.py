@@ -107,8 +107,8 @@ class EBuilder:
             self.set_fixed(next(iter(members)), 1)
 
     def tables(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        """The public constructor's slot and bubble tables, bubbles
-        numbered in order of their first slot."""
+        """The canonical ``slots`` and ``bubbles`` views: bubbles numbered
+        in order of their first slot."""
         slots = list(self.slots)
         bubbles = []
         for k, members in enumerate(sorted(self.groups.values(), key=min)):
@@ -119,7 +119,7 @@ class EBuilder:
         return tuple(slots), tuple(bubbles)
 
     def freeze(self) -> Row012e:
-        return Row012e(self.width, *self.tables())
+        return Row012e(self.width, self.slots)  # labels 3 + group id, in no set order
 
 
 def ref_impose_on_slots(row: Row012e, slots) -> list[Row012e]:

@@ -38,6 +38,14 @@ def _models(cnf):
     return [u for u in all_bitstrings(cnf.num_vars) if evaluate_naive(cnf, u)]
 
 
+class _Emitted(EngineObserver):
+    def __init__(self):
+        self.rows = []
+
+    def on_emit(self, row):
+        self.rows.append(row)
+
+
 class TestCardinalityFilter:
     def test_k0_on_positive_cnf(self):
         cnf = Cnf(3, (Clause((1, 2)),))
@@ -99,6 +107,15 @@ class TestWeightFilter:
         with pytest.raises(ValueError, match="wider than the weights"):
             run(cnf, EngineConfig(method=Method.VAR012, spmod=filt))
 
+    def test_row_narrower_than_the_weights_rejected(self):
+        # six weights on a 2-variable run: the extra pair may not be ignored
+        cnf = Cnf(2, (Clause((1, 2)),))
+        filt = WeightFilter([1, 1, 1, 1, 9, 9], 2)
+        emitted = _Emitted()
+        with pytest.raises(ValueError, match="narrower than the weights"):
+            run(cnf, EngineConfig(method=Method.VAR012, spmod=filt, observer=emitted))
+        assert emitted.rows == []
+
     def _brute(self, cnf, weights, bound):
         out = set()
         for u in _models(cnf):
@@ -139,6 +156,14 @@ class TestDnfK:
         dnf = Dnf(3, (row012("120"), row012("021")))
         out = enumerate_dnf_k(dnf, 1)
         assert {r.symbols for r in out.rows} == {(1, 0, 0), (0, 0, 1)}
+
+    def test_dnf_of_another_width_rejected(self):
+        # a 3-variable DNF on a 2-variable run may not emit the non-model 10
+        filt = DnfKFilter(Dnf(3, (Row012((1, 2, 2)),)), 1)
+        emitted = _Emitted()
+        with pytest.raises(ValueError, match="row widths differ"):
+            run(Cnf(2, ()), EngineConfig(method=Method.VAR012, spmod=filt, observer=emitted))
+        assert emitted.rows == []
 
     def test_random_matches_brute_force(self):
         rng = random.Random(311)

@@ -167,13 +167,36 @@ class TestEqualityAcrossRoutes:
     @settings(max_examples=200, deadline=None)
     def test_view_round_trip_and_hash(self, w, seed):
         slots, bubbles = random_ebuilder(random.Random(seed), w, max_bubbles=6).tables()
-        row = Row012e(w, slots, bubbles)
+        row = Row012e(w, slots)
         assert (row.slots, row.bubbles) == (slots, bubbles)
         assert hash(row) == hash((row.width, row.ones, row.bubble_masks))
 
+    @given(st.integers(0, MAX_W), st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_slot_view_rebuilds_the_row(self, w, seed):
+        row = _row(seed, w)
+        assert Row012e(row.width, row.slots) == row
+
+    @given(st.integers(0, MAX_W), st.integers(0, 2**32), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_labels_are_names(self, w, seed, data):
+        # any distinct ints >= 3 in place of the view's labels 3, 4, ...
+        row = _row(seed, w)
+        n = len(row.bubble_masks)
+        labels = data.draw(st.lists(st.integers(3, 2**70), min_size=n, max_size=n, unique=True))
+        slots = [labels[v - 3] if v >= 3 else v for v in row.slots]
+        assert Row012e(w, slots) == row
+
+    @given(st.integers(0, MAX_W), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_pickle_and_deepcopy_round_trip(self, w, seed):
+        row = _row(seed, w)
+        for back in (pickle.loads(pickle.dumps(row)), copy.deepcopy(row)):
+            assert back == row and repr(back) == repr(row)
+
     def test_public_constructor_still_validates(self):
-        with pytest.raises(ValueError, match="tables disagree"):
-            Row012e(2, (3, 2, 2, 2))  # a bubble label with no bubble
+        with pytest.raises(ValueError, match="at least two slots"):
+            Row012e(2, (3, 2, 2, 2))  # a label on one slot only
         with pytest.raises(ValueError, match="inconsistent"):
             Row012e(1, (1, 1))
         for junk in ((-1, 2, 2, 2), (2.5, 2, 2, 2)):  # neither a symbol nor a bubble label
