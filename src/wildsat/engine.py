@@ -409,8 +409,14 @@ def validate_config(cnf: Cnf, config: EngineConfig) -> None:
             raise ValueError("clause-e supports policies solver, test1 (positive CNF) or none")
         if policy == Policy.TEST1 and not cnf.is_positive():
             raise ValueError("policy test1 with clause-e requires a positive CNF")
-    if filt is not None and method not in filt.methods:
+    if filt is None:
+        return
+    if method not in filt.methods:
         raise ValueError(f"this filter runs with method {' or '.join(m.value for m in filt.methods)}")
+    # an exact filter's answers replace the policy, so the formula it reads must be the run's
+    own = getattr(filt, "cnf", cnf)
+    if own is not cnf and own != cnf:
+        raise ValueError("the filter was built on another formula than the run's")
 
 
 def _scan_rows(cnf: Cnf) -> list[Row012]:

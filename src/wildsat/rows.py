@@ -449,11 +449,17 @@ def _spread(mask: int) -> int:
     return int(bin(mask)[2:].translate(_SPREAD), 2)
 
 
+def _var_masks(width: int, slots: int) -> tuple[int, int]:
+    """The (pos, neg) variable masks of a slot mask: the variables of its
+    positive slots and those of its negative slots."""
+    text = format(slots, f"0{2 * width}b")  # slot 2w-1 first
+    return int(text[1::2] or "0", 2), int(text[::2], 2)
+
+
 def _condense(width: int, ones: int) -> Row012:
     """The 012-row of a bubble-free e-row's 1-slots: a 1 on a positive slot
     fixes its variable to 1, on a negative slot to 0."""
-    text = format(ones, f"0{2 * width}b")  # slot 2w-1 first
-    return _row012(width, int(text[1::2] or "0", 2), int(text[::2], 2))
+    return _row012(width, *_var_masks(width, ones))
 
 
 def _pin(width: int, ones: int, bubbles: Iterable[int], new: int) -> tuple[int, list[int]]:

@@ -20,7 +20,10 @@ lowest free variables to 1.  The model is thus a fixed function of the
 formula (and row), which the engine relies on when it reuses a parent's
 witness for its sons.
 
-Any ``SolverFn`` can replace ``dpll_sat`` in the engine.  It receives a plain
+``find_model`` hands the built-in solver the row as fixed variables: a
+012-row's ``ones``/``zeros``, or the variables of an e-row's 1-slots, with
+each e-bubble as one more (pos, neg) clause after the formula's.  Any
+``SolverFn`` can replace ``dpll_sat`` in the engine.  It receives a plain
 ``Cnf`` holding the base clauses followed by the row's clauses
 (``augment_cnf``) and returns a model or None.
 """
@@ -32,7 +35,7 @@ from functools import cache
 from typing import Callable, Sequence
 
 from .formulas import Clause, Cnf
-from .rows import Row012, Row012e, _slots_of, lit_of_slot, settles
+from .rows import Row012, Row012e, _slots_of, _var_masks, lit_of_slot, settles
 
 
 @dataclass
@@ -177,8 +180,25 @@ def augment_cnf(cnf: Cnf, row: Row012 | Row012e) -> Cnf:
 
 
 def find_model(row: Row012 | Row012e, cnf: Cnf, solver: SolverFn = dpll_sat) -> tuple[int, ...] | None:
-    """A model of the formula inside the row, or None."""
-    return solver(augment_cnf(cnf, row))
+    """A model of the formula inside the row, or None.
+
+    The built-in solver (the module's ``dpll_sat`` at call time) searches
+    with the row's variables fixed, the e-row's bubbles after the formula's
+    clauses.  Unit propagation reaches the same fixpoint in any order, so
+    this visits the nodes, and finds the model, of ``dpll_sat`` on
+    ``augment_cnf(cnf, row)``, which any other solver receives.
+    """
+    if solver is not dpll_sat:
+        return solver(augment_cnf(cnf, row))
+    w = row.width
+    if w != cnf.num_vars:
+        raise ValueError("row width does not match num_vars")
+    if isinstance(row, Row012):
+        found = _search(w, cnf.masks, row.ones, row.zeros)
+    else:
+        bubbles = tuple(_var_masks(w, b) for b in row.bubble_masks)
+        found = _search(w, cnf.masks + bubbles, *_var_masks(w, row.ones))
+    return None if found is None else _bits(found, w)
 
 
 def row_satisfies_clause(row: Row012 | Row012e, clause: Clause) -> bool:

@@ -21,6 +21,7 @@ from oracle import (
     weight_mask,
 )
 import wildsat.engine
+import wildsat.sat
 from wildsat.bench import GenSpec, gen_random_cnf
 from wildsat.engine import (
     CardinalityFilter,
@@ -572,6 +573,50 @@ class TestPluggableSolver:
         out = run(phi2, EngineConfig(method=Method.CLAUSE_E, solver=counting_solver))
         assert [str(r.condense()) for r in out.rows] == EQ11_ROWS
         assert len(calls) == out.stats.solver_calls > 0
+
+
+SOLVER_METHODS = (Method.CLAUSE012, Method.CLAUSE_E, Method.VAR012)
+
+
+class TestBuiltInSolverPath:
+    """The built-in solver takes the row as fixed variables, a plug gets
+    ``augment_cnf``'s Cnf; runs through either give the same output."""
+
+    def test_default_solver_matches_a_wrapping_plug(self):
+        rng = random.Random(131)
+        cnfs = [random_cnf(rng, w, rng.randint(1, 12), min(3, w)) for w in (3, 5, 7, 9)]
+        cnfs.append(gen_random_cnf(GenSpec(12, 24, 3, seed=5)))
+        for cnf in cnfs:
+            for method in SOLVER_METHODS:
+                calls = []
+                plug = lambda c: calls.append(c) or wildsat.sat.dpll_sat(c)
+                bound = run(cnf, EngineConfig(method=method, policy=Policy.SOLVER))
+                plugged = run(cnf, EngineConfig(method=method, policy=Policy.SOLVER, solver=plug))
+                assert format_rows(bound) == format_rows(plugged)
+                assert bound.stats.solver_calls == plugged.stats.solver_calls == len(calls)
+
+    @pytest.mark.parametrize("method", SOLVER_METHODS)
+    def test_a_replaced_dpll_sat_passed_as_the_plug_is_not_called(self, method, monkeypatch):
+        # a tracer replaces the module's dpll_sat by a wrapper, and a config
+        # that reads sat.dpll_sat then hands that wrapper over: the run must
+        # still take the built-in path, as an untraced run does
+        cnf = gen_random_cnf(GenSpec(10, 20, 3, seed=7))
+        expected = format_rows(run(cnf, EngineConfig(method=method)))
+        original, calls = wildsat.sat.dpll_sat, []
+
+        def counting(c, stats=None):
+            calls.append(c)
+            return original(c, stats)
+
+        def no_augment(cnf, row):
+            raise AssertionError("augment_cnf reached on the built-in path")
+
+        monkeypatch.setattr(wildsat.sat, "dpll_sat", counting)
+        monkeypatch.setattr(wildsat.sat, "augment_cnf", no_augment)
+        out = run(cnf, EngineConfig(method=method, solver=wildsat.sat.dpll_sat))
+        assert format_rows(out) == expected
+        assert out.stats.solver_calls > 0
+        assert calls == []
 
 
 class TestBeyondSmallWidths:

@@ -62,6 +62,16 @@ class TestCardinalityFilter:
         with pytest.raises(ValueError):
             run(cnf, EngineConfig(method=Method.CLAUSE012, spmod=CardinalityFilter(cnf, 1)))
 
+    def test_filter_on_another_formula_rejected(self):
+        cnf = Cnf(2, (Clause((1, 2)),))
+        other = Cnf(2, (Clause((-1,)), Clause((-2,))))
+        with pytest.raises(ValueError, match="another formula"):
+            run(cnf, EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(other, 0)))
+        # an equal formula built separately is the run's formula
+        same = Cnf(2, (Clause((1, 2)),))
+        out = run(cnf, EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(same, 1)))
+        assert [str(r) for r in out.rows] == ["01", "10"]
+
     def test_random_matches_brute_force(self):
         rng = random.Random(301)
         for _ in range(60):

@@ -14,11 +14,12 @@ from oracle import (
     evaluate_naive,
     models_of_mask,
     random_cnf,
+    random_row012,
     random_row012e,
     row_mask,
 )
 from wildsat.formulas import Clause, Cnf, evaluate, weight
-from wildsat.rows import Row012, slot_of_lit
+from wildsat.rows import Row012, Row012e, slot_of_lit
 from wildsat.sat import test1 as weak_test1
 from wildsat.sat import test2 as weak_test2
 from wildsat.sat import (
@@ -110,9 +111,24 @@ class TestFeasibleSolver:
         find_model(row012("10222"), phi2, solver=fake_solver)
         assert calls[1] == Cnf(5, phi2.clauses + (Clause((1,)), Clause((-2,))))
 
+    def test_built_in_solver_finds_the_plugged_model(self):
+        # the built-in solver takes the row as fixed variables; a plug gets
+        # augment_cnf's Cnf: both must return the same model, or both None
+        rng = random.Random(113)
+        plug = lambda cnf: dpll_sat(cnf)
+        for _ in range(300):
+            w = rng.randint(1, 10)
+            cnf = random_cnf(rng, w, rng.randint(0, 14), rng.randint(1, min(3, w)))
+            for row in (random_row012(rng, w), random_row012e(rng, w), Row012.full(w), Row012e.full(w)):
+                assert find_model(row, cnf) == find_model(row, cnf, solver=plug)
+
     def test_width_mismatch_rejected(self, phi2):
         with pytest.raises(ValueError):
             find_model(Row012.full(4), phi2)
+        with pytest.raises(ValueError):
+            find_model(Row012e.full(4), phi2)
+        with pytest.raises(ValueError):
+            find_model(Row012.full(4), phi2, solver=lambda cnf: dpll_sat(cnf))
         with pytest.raises(ValueError):
             find_k_model(Row012.full(4), phi2, 2)
 
