@@ -9,7 +9,10 @@ from .rows import (
     Row012,
     Row012e,
     RowList,
+    _bit_index,
     _evens,
+    _gather,
+    _slots_of,
     card_purified,
     intersection_card_ie,
     purify,
@@ -43,9 +46,12 @@ class EquivalenceResult:
 
 
 def _purified(rows: RowList) -> list[tuple[int, Row012e]]:
-    """Purified e-row pieces tagged with their originating row index."""
+    """Purified e-row pieces tagged with their originating row index.
+    Raises ValueError when a row is not as wide as its list."""
     out = []
     for i, row in enumerate(rows.rows):
+        if row.width != rows.width:
+            raise ValueError("row widths differ")
         if isinstance(row, Row012):
             row = Row012e.from_row012(row)
         for piece in purify(row):
@@ -111,17 +117,27 @@ def equivalent(rows_a: RowList, rows_b: RowList) -> EquivalenceResult:
     inclusion-exclusion intersections; together with equal totals this forces
     set equality.  On failure the witnessing row index (of the first list)
     is reported.
+
+    The second list's pieces are indexed once by their 1-slots.  A piece
+    of the second list that holds 1 on a 0-slot of a piece of the first
+    misses it, so only the other pieces go to ``intersection_card_ie``, in
+    list order; a skipped pair would have added 0.
     """
     if rows_a.width != rows_b.width:
         raise ValueError("row lists have different widths")
     pa, pb = _purified(rows_a), _purified(rows_b)
-    na = sum(card_purified(p) for _, p in pa)
+    cards = [card_purified(p) for _, p in pa]
+    na = sum(cards)
     nb = sum(card_purified(p) for _, p in pb)
     if na != nb:
         return EquivalenceResult(False, None, f"model counts differ: {na} != {nb}")
-    for i, piece in pa:
-        inside = sum(intersection_card_ie(piece, q) for _, q in pb)
-        if inside != card_purified(piece):
+    others = [q for _, q in pb]
+    one = _bit_index((q.ones for q in others), 2 * rows_b.width)
+    every = (1 << len(others)) - 1
+    for (i, piece), card in zip(pa, cards):
+        meets = every & ~_gather(one, piece.zeros)
+        inside = sum(intersection_card_ie(piece, others[j]) for j in _slots_of(meets))
+        if inside != card:
             return EquivalenceResult(
                 False, i, f"row {i} has members outside the other list"
             )

@@ -39,8 +39,11 @@ from .rows import (
     Row012e,
     RowList,
     RunStats,
+    _bit_index,
+    _gather,
     _pack,
     _row012,
+    _slots_of,
     card_012,
     impose_on_slots,
     purify,
@@ -181,19 +184,28 @@ class ComplementFilter(SpModFilter):
 
     A row is feasible iff its members are not exhausted by the complement
     rows, and final as soon as it misses all of them.  Both tests read the
-    row's overlap with the complement, one scan of the complement rows.
-    ``admit`` keeps the overlap of each row it admits until
-    ``final_override`` takes it, when the driver pops the row; only a row
-    ``admit`` never saw is scanned a second time.
+    row's overlap with the complement.  The complement rows are indexed
+    once by the variables they fix to 1 and to 0, so the overlap sums only
+    the rows whose fixed values do not clash with the row's.  ``admit``
+    keeps the overlap of each row it admits until ``final_override`` takes
+    it, when the driver pops the row; only a row ``admit`` never saw is
+    read a second time.
     """
 
     exact = True
 
     def __init__(self, complement_rows: RowList):
-        for r in complement_rows.rows:
+        w, rows = complement_rows.width, complement_rows.rows
+        for r in rows:
             if not isinstance(r, Row012):
                 raise ValueError("complement rows must be 012-rows")
+            if r.width != w:
+                raise ValueError("row widths differ")
         self.rows = complement_rows
+        self._fixed = [r.ones | r.zeros for r in rows]
+        # bit v of a key clashes with a 1 at variable v, bit w + v with a 0
+        self._clash = _bit_index((r.zeros | r.ones << w for r in rows), 2 * w)
+        self._every = (1 << len(rows)) - 1
         self._overlaps: dict[Row012, int] = {}
 
     def _overlap(self, row: Row012) -> int:
@@ -202,10 +214,10 @@ class ComplementFilter(SpModFilter):
             raise ValueError("row widths differ")
         ones, zeros, w = row.ones, row.zeros, row.width
         fixed = ones | zeros
+        clash = _gather(self._clash, ones | zeros << w)
         n = 0
-        for r in self.rows.rows:
-            if not (ones & r.zeros or zeros & r.ones):
-                n += 1 << (w - (fixed | r.ones | r.zeros).bit_count())
+        for i in _slots_of(self._every & ~clash):
+            n += 1 << (w - (fixed | self._fixed[i]).bit_count())
         return n
 
     def admit(self, row: Row012) -> bool:

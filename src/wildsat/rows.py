@@ -433,6 +433,26 @@ def _union(masks: Iterable[int]) -> int:
     return bub
 
 
+def _bit_index(masks: Iterable[int], nbits: int) -> list[int]:
+    """``index[b]`` is the set of the masks holding bit b, as a mask with
+    bit i for the i-th mask.  Every mask must lie below ``nbits``."""
+    index = [0] * nbits
+    for i, m in enumerate(masks):
+        for b in _slots_of(m):
+            index[b] |= 1 << i
+    return index
+
+
+def _gather(index: list[int], mask: int) -> int:
+    """The masks of a ``_bit_index`` that hold any bit of ``mask``."""
+    out = 0
+    while mask:  # _slots_of inlined: the generator costs more on this hot path
+        low = mask & -mask
+        out |= index[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _bad(row: Row012e) -> int:
     """The positive slots of the row's bad pairs."""
     bub = _union(row.bubble_masks)

@@ -11,8 +11,21 @@ from __future__ import annotations
 import itertools
 import random
 
+from wildsat.analysis import EquivalenceResult
 from wildsat.formulas import Clause, Cnf, Dnf
-from wildsat.rows import TWO, EmptyRowError, Row012, Row012e, neg_slot, pos_slot, slot_var
+from wildsat.rows import (
+    TWO,
+    EmptyRowError,
+    Row012,
+    Row012e,
+    RowList,
+    card_purified,
+    intersection_card_ie,
+    neg_slot,
+    pos_slot,
+    purify,
+    slot_var,
+)
 
 _B = 3  # slot values >= _B reference bubble number (value - _B)
 
@@ -178,6 +191,42 @@ def ref_purify(row: Row012e) -> list[Row012e]:
             continue
         out.append(b.freeze())
     return out
+
+
+def equivalent_pairwise(rows_a: RowList, rows_b: RowList) -> EquivalenceResult:
+    """``equivalent`` without its slot index: the counts, then every piece
+    of the first list against every piece of the second, in list order."""
+    if rows_a.width != rows_b.width:
+        raise ValueError("row lists have different widths")
+
+    def pieces(rows):
+        return [
+            (i, p)
+            for i, row in enumerate(rows.rows)
+            for p in purify(Row012e.from_row012(row) if isinstance(row, Row012) else row)
+        ]
+
+    pa, pb = pieces(rows_a), pieces(rows_b)
+    na = sum(card_purified(p) for _, p in pa)
+    nb = sum(card_purified(p) for _, p in pb)
+    if na != nb:
+        return EquivalenceResult(False, None, f"model counts differ: {na} != {nb}")
+    for i, piece in pa:
+        if sum(intersection_card_ie(piece, q) for _, q in pb) != card_purified(piece):
+            return EquivalenceResult(False, i, f"row {i} has members outside the other list")
+    return EquivalenceResult(True, None, f"equal model sets of size {na}")
+
+
+def overlap_scan(rows: RowList, row: Row012) -> int:
+    """``ComplementFilter._overlap`` without its index: every complement row
+    whose fixed values do not clash with the row's adds the members both
+    share."""
+    fixed = row.ones | row.zeros
+    n = 0
+    for r in rows.rows:
+        if not (row.ones & r.zeros or row.zeros & r.ones):
+            n += 1 << (row.width - (fixed | r.ones | r.zeros).bit_count())
+    return n
 
 
 def full_mask(w: int) -> int:

@@ -9,17 +9,21 @@ import pytest
 from conftest import row012
 from oracle import (
     cnf_mask,
+    equivalent_pairwise,
     models_of_mask,
     random_cnf,
     random_purified_row,
     random_row012e,
+    ref_purify,
     row_mask,
     rows_mask,
 )
+import wildsat.analysis
 from wildsat.analysis import count_by_cardinality, equivalent
+from wildsat.bench import GenSpec, gen_random_cnf
 from wildsat.engine import EngineConfig, Method, run
-from wildsat.formulas import weight
-from wildsat.rows import Row012, RowList
+from wildsat.formulas import Clause, Cnf, weight
+from wildsat.rows import Row012, Row012e, RowList
 
 
 def eq1_rowlist():
@@ -90,6 +94,15 @@ class TestCountByCardinality:
             cnf = random_cnf(rng, w, rng.randint(0, 8), rng.randint(1, min(3, w)))
             out = run(cnf, EngineConfig(method=Method.CLAUSE_E))
             assert count_by_cardinality(out).total() == out.total_models()
+
+    def test_row_wider_or_narrower_than_its_list(self):
+        for rows in (
+            RowList(2, (Row012((1, 1, 1)),)),
+            RowList(3, (row012("222"), row012("12"))),
+            RowList(2, (Row012e(3, (1, 0, 2, 2, 2, 2)),)),
+        ):
+            with pytest.raises(ValueError, match="row widths differ"):
+                count_by_cardinality(rows)
 
 
 class TestEquivalent:
@@ -162,3 +175,76 @@ class TestEquivalent:
             if verdict.witness is not None:
                 found_witness += 1
         assert found_witness > 0
+
+    def test_row_wider_or_narrower_than_its_list(self):
+        good = RowList(2, (row012("22"),))
+        for bad in (
+            RowList(2, (Row012((1, 1, 1)),)),
+            RowList(2, (row012("1"), row012("02"))),
+            RowList(2, (Row012e(3, (1, 0, 2, 2, 2, 2)),)),
+        ):
+            with pytest.raises(ValueError, match="row widths differ"):
+                equivalent(good, bad)
+            with pytest.raises(ValueError, match="row widths differ"):
+                equivalent(bad, good)
+
+
+def _flip_var(cnf: Cnf, var: int) -> Cnf:
+    """The CNF with every literal of ``var`` negated: its models are those of
+    ``cnf`` with that bit flipped, so the counts are equal."""
+    clauses = [Clause(tuple(-l if abs(l) == var else l for l in c.lits)) for c in cnf.clauses]
+    return Cnf(cnf.num_vars, tuple(clauses))
+
+
+class TestEquivalentIndex:
+    """``equivalent`` reads only the piece pairs its slot index lets through;
+    it must give the verdicts of the plain pair loop."""
+
+    def test_matches_pairwise_oracle_both_ways(self):
+        rng = random.Random(443)
+        methods = (Method.CLAUSE012, Method.CLAUSE_E, Method.VAR012)
+        seen = set()
+        for _ in range(80):
+            w = rng.randint(2, 8)
+            cnf = random_cnf(rng, w, rng.randint(1, 8), rng.randint(1, min(3, w)))
+            kind = rng.choice(("same", "flip", "literal"))
+            if kind == "same":  # the clauses reordered
+                other = Cnf(w, tuple(rng.sample(cnf.clauses, len(cnf.clauses))))
+            elif kind == "flip":
+                other = _flip_var(cnf, rng.randint(1, w))
+            else:  # one literal of one clause negated
+                i = rng.randrange(len(cnf.clauses))
+                lits = list(cnf.clauses[i].lits)
+                j = rng.randrange(len(lits))
+                lits[j] = -lits[j]
+                other = Cnf(w, cnf.clauses[:i] + (Clause(tuple(lits)),) + cnf.clauses[i + 1:])
+            a = run(cnf, EngineConfig(method=rng.choice(methods)))
+            b = run(other, EngineConfig(method=rng.choice(methods)))
+            for x, y in ((a, b), (b, a)):
+                got = equivalent(x, y)
+                assert got == equivalent_pairwise(x, y)
+                seen.add((got.equal, got.witness is None))
+        # equal sets, counts that differ, and equal counts with a witness row
+        assert seen == {(True, True), (False, True), (False, False)}
+
+    def test_calls_only_the_pairs_without_a_slot_clash(self, monkeypatch):
+        # the golden pair (1, "reorder", 1): equal lists, so every row of the
+        # first list is read
+        cnf = gen_random_cnf(GenSpec(10, 24, 3, seed=1))
+        clauses = list(cnf.clauses)
+        random.Random(1).shuffle(clauses)
+        config = EngineConfig(method=Method.CLAUSE_E)
+        rows_a, rows_b = run(cnf, config), run(Cnf(10, tuple(clauses)), config)
+        pa = [p for row in rows_a.rows for p in ref_purify(row)]
+        pb = [q for row in rows_b.rows for q in ref_purify(row)]
+
+        def clash(p, q):
+            return any({x, y} == {0, 1} for x, y in zip(p.slots, q.slots))
+
+        meeting = sum(not clash(p, q) for p in pa for q in pb)
+        calls = []
+        ie = wildsat.analysis.intersection_card_ie
+        monkeypatch.setattr(wildsat.analysis, "intersection_card_ie", lambda r, rho: calls.append(1) or ie(r, rho))
+        assert equivalent(rows_a, rows_b).equal
+        assert len(calls) == meeting
+        assert len(calls) * 5 < len(pa) * len(pb)

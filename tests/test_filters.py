@@ -13,7 +13,9 @@ from oracle import (
     assert_disjoint_cover,
     cnf_mask,
     evaluate_naive,
+    overlap_scan,
     random_cnf,
+    random_row012,
     rows_mask,
 )
 from wildsat.bench import GenSpec, gen_random_cnf
@@ -286,6 +288,23 @@ class TestComplementFilter:
         assert filt.final_override(row012("222")) is None
         with pytest.raises(ValueError, match="widths differ"):
             filt.admit(row012("22"))
+
+    def test_complement_row_of_another_width_rejected(self):
+        for rows in ((row012("12"),), (row012("122"), row012("1222"))):
+            with pytest.raises(ValueError, match="row widths differ"):
+                ComplementFilter(RowList(3, rows))
+
+    def test_overlap_matches_plain_scan(self):
+        # the index lets through only the rows that do not clash; the sum
+        # must be the plain scan's, on lists that need not be disjoint
+        rng = random.Random(331)
+        for _ in range(200):
+            w = rng.randint(1, 8)
+            comp = RowList(w, tuple(random_row012(rng, w) for _ in range(rng.randint(0, 12))))
+            filt = ComplementFilter(comp)
+            for _ in range(5):
+                row = random_row012(rng, w)
+                assert filt._overlap(row) == overlap_scan(comp, row)
 
     def test_random_matches_brute_force(self):
         rng = random.Random(317)
