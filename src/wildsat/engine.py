@@ -328,8 +328,10 @@ def pending_clause(row: Row012 | Row012e, cnf: Cnf, start: int = 1) -> int:
     The scan begins at clause ``start``; the clauses before it are taken as
     settled.  ``run`` passes a son its parent's pending clause: a son is a
     subset of its parent, and a clause settled by the parent stays settled
-    in the son.
+    in the son.  Raises ValueError for a ``start`` below 1.
     """
+    if start < 1:
+        raise ValueError("clause indices start at 1")
     return first_unsettled(row, cnf, start - 1) + 1
 
 
@@ -379,10 +381,13 @@ def clausewise012_split(row: Row012, clause: Clause) -> list[Row012]:
 def clausewise_e_split(row: Row012e, clause: Clause) -> list[Row012e]:
     """Impose a clause on a 012e-row: bubble-overlap columns first (each
     shrinking an existing bubble to its slots inside the clause), then one
-    fresh bubble over the remaining free literal slots."""
-    if row_satisfies_clause(row, clause):
+    fresh bubble over the remaining free literal slots.  ``impose_on_slots``
+    returns the row itself, alone, exactly when the row already settles
+    the clause, which is an error here."""
+    sons = impose_on_slots(row, clause.slots)
+    if len(sons) == 1 and sons[0] is row:
         raise ValueError("row already satisfies the clause")
-    return impose_on_slots(row, clause.slots)
+    return sons
 
 
 # ---------------------------------------------------------------------------

@@ -614,18 +614,27 @@ def impose_on_slots(row: Row012e, slots: Sequence[int]) -> list[Row012e]:
 
     The remainder is a pair of masks carried from column to column; a son
     is the remainder with its column as a bubble, pinned to 1 when it has
-    one slot, and each pin is one ``_pin``.
+    one slot, through one ``_pin``.  Pinning the column to 0 in the
+    remainder is ``_pin``'s fixpoint written out, so that the same pass over
+    the bubbles also records whether a kept bubble lies inside the listed
+    slots; the flag of the last round, the one that pins no new slot, is
+    the ``settles`` test of the remainder.  Raises ValueError for a slot
+    outside 0..2w-1.
     """
+    w, ones, bubbles = row.width, row.ones, row.bubble_masks
+    top = 2 * w
     mask = 0
     for s in slots:
+        if not 0 <= s < top:
+            raise ValueError("slot out of range")
         mask |= 1 << s
-    w, ones, bubbles = row.width, row.ones, row.bubble_masks
     if settles(ones, bubbles, mask):
         return [row]
     even = _evens(w)
+    zeros = (ones & even) << 1 | ones >> 1 & even
     sons: list[Row012e] = []
     while True:
-        live = mask & ~(ones | (ones & even) << 1 | ones >> 1 & even)
+        live = mask & ~(ones | zeros)
         if not live:
             break  # every listed slot is 0: the remainder has no hitting member
         for first in slots:
@@ -646,11 +655,29 @@ def impose_on_slots(row: Row012e, slots: Sequence[int]) -> list[Row012e]:
                 sons.append(_row012e(w, *_pin(w, ones, son, column)))
             except EmptyRowError:
                 pass
-        try:
-            ones, bubbles = _pin(w, ones, bubbles, (column & even) << 1 | column >> 1 & even)
-        except EmptyRowError:
-            break
-        if settles(ones, bubbles, mask):
+        new = (column & even) << 1 | column >> 1 & even
+        while new:  # _pin(w, ones, bubbles, new), which flags a bubble inside mask
+            ones |= new
+            zeros = (ones & even) << 1 | ones >> 1 & even
+            if ones & zeros:
+                return sons  # the remainder is empty
+            new = 0
+            inside = False
+            kept = []
+            for b in bubbles:
+                if b & ones:
+                    continue
+                b &= ~zeros
+                if b & (b - 1):
+                    kept.append(b)
+                    if not b & ~mask:
+                        inside = True
+                elif b:
+                    new |= b
+                else:
+                    return sons  # the remainder is empty
+            bubbles = kept
+        if inside or ones & mask:
             sons.append(_row012e(w, ones, bubbles))
             break
     return sons
@@ -802,18 +829,41 @@ def member_complement(rows: RowList) -> RowList:
 # are per row.  A header line "rows w=<w> n=<count>" precedes the rows.
 
 
+# the tokens of four variables, indexed by the eight slot bits of their
+# 1-slots, two per variable from the lowest: 2 with neither slot, 1 with the
+# positive one, 0 with the negative one (a row never holds both); product
+# varies its last item fastest, hence the reversal
+_SLOT_TOKENS = [t[::-1] for t in itertools.product(("2", "1", "0", "1"), repeat=4)]
+
+
 def format_rows(rows: RowList) -> str:
-    lines = [f"rows w={rows.width} n={len(rows.rows)}"]
+    """The row list as text.  An e-row's tokens are read off its 1-slots
+    four variables at a time, then its bubbles write their eK/nK tokens.
+    Raises ValueError for a row whose width is not the list's, and
+    PurityError for an e-row with bad pairs."""
+    w = rows.width
+    lines = [f"rows w={w} n={len(rows.rows)}"]
     for row in rows.rows:
+        if row.width != w:
+            raise ValueError("row widths differ")
         if isinstance(row, Row012):
             lines.append(_row_text(row))
             continue
-        if not row.is_purified():
+        if _bad(row):
             raise PurityError("serialize purified rows only (purify first)")
-        toks = _row_text(_condense(row.width, row.ones)).split(" ")
+        toks: list[str] = []
+        ones = row.ones
+        for _ in range((w + 3) // 4):
+            toks.extend(_SLOT_TOKENS[ones & 255])
+            ones >>= 8
+        del toks[w:]
         for k, b in enumerate(row.bubble_masks, 1):
-            for s in _slots_of(b):
-                toks[s >> 1] = f"n{k}" if s & 1 else f"e{k}"
+            e, n = f"e{k}", f"n{k}"
+            while b:  # _slots_of inlined: the generator costs more on this hot path
+                low = b & -b
+                s = low.bit_length() - 1
+                toks[s >> 1] = n if s & 1 else e
+                b ^= low
         lines.append(" ".join(toks))
     return "\n".join(lines) + "\n"
 

@@ -234,7 +234,13 @@ def first_unsettled(row: Row012 | Row012e, cnf: Cnf, start: int = 0) -> int:
     ones, bubbles = row.ones, row.bubble_masks
     slot_masks = cnf.slot_masks
     for i in range(start, len(slot_masks)):
-        if not settles(ones, bubbles, slot_masks[i]):
+        mask = slot_masks[i]  # the rule of settles, inlined
+        if ones & mask:
+            continue
+        for b in bubbles:
+            if not b & ~mask:
+                break
+        else:
             return i
     return len(slot_masks)
 

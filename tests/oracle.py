@@ -16,6 +16,7 @@ from wildsat.formulas import Clause, Cnf, Dnf
 from wildsat.rows import (
     TWO,
     EmptyRowError,
+    PurityError,
     Row012,
     Row012e,
     RowList,
@@ -26,6 +27,7 @@ from wildsat.rows import (
     purify,
     slot_var,
 )
+from wildsat.rows import _condense, _row_text, _slots_of
 
 _B = 3  # slot values >= _B reference bubble number (value - _B)
 
@@ -191,6 +193,19 @@ def ref_purify(row: Row012e) -> list[Row012e]:
             continue
         out.append(b.freeze())
     return out
+
+
+def ref_e_row_text(row: Row012e) -> str:
+    """An e-row's ``format_rows`` line, built without a token table: the
+    012-row text of the 1-slots split into tokens, then each bubble's
+    slots overwritten with eK (positive slot) or nK (negative slot)."""
+    if not row.is_purified():
+        raise PurityError("serialize purified rows only (purify first)")
+    toks = _row_text(_condense(row.width, row.ones)).split(" ")
+    for k, b in enumerate(row.bubble_masks, 1):
+        for s in _slots_of(b):
+            toks[s >> 1] = f"n{k}" if s & 1 else f"e{k}"
+    return " ".join(toks)
 
 
 def equivalent_pairwise(rows_a: RowList, rows_b: RowList) -> EquivalenceResult:

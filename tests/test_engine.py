@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EQ11_ROWS, row012
+from conftest import EQ11_ROWS, erow, row012
 from oracle import (
     all_bitstrings,
     assert_disjoint_cover,
@@ -41,7 +41,7 @@ from wildsat.engine import (
     varwise_split,
 )
 from wildsat.formulas import Clause, Cnf, Dnf
-from wildsat.rows import Row012, Row012e, RowList, format_rows
+from wildsat.rows import Row012, Row012e, RowList, format_rows, impose_on_slots
 from wildsat.sat import row_satisfies_clause
 
 # Working-stack rows of the clause-wise 012 run on phi2, condensed to w=5.
@@ -93,6 +93,14 @@ class TestPendingClause:
         # r2 = 02222 settles clauses 1 and 6 (x1 = 0): a scan from clause 6 skips to 7
         assert pending_clause(t2(2), phi2, 6) == 7
         assert pending_clause(t2(2), phi2, h + 1) == h + 1
+
+    @pytest.mark.parametrize("start", [0, -1])
+    def test_start_below_one_rejected(self, phi2, start):
+        # clause indices are 1-based: start 0 would scan clause h first
+        with pytest.raises(ValueError, match="start at 1"):
+            pending_clause(Row012.full(5), phi2, start)
+        with pytest.raises(ValueError, match="start at 1"):
+            pending_clause(Row012e.full(5), phi2, start)
 
 
 class TestVarwiseSplit:
@@ -181,6 +189,15 @@ class TestClausewiseESplit:
     def test_satisfied_clause_rejected(self):
         with pytest.raises(ValueError, match="already satisfies"):
             clausewise_e_split(Row012e.from_row012(row012("122")), Clause((1, 2)))
+
+    def test_clause_settled_by_a_bubble_rejected(self):
+        # no listed slot holds 1, but the bubble x1 | x2 lies inside x1 | x2 | x3
+        row = erow("e1 2 e1 2 2 2", 3)
+        with pytest.raises(ValueError, match="already satisfies"):
+            clausewise_e_split(row, Clause((1, 2, 3)))
+        # a bubble reaching outside the clause settles nothing
+        assert clausewise_e_split(row, Clause((1, 3))) == impose_on_slots(row, Clause((1, 3)).slots)
+        assert clausewise_e_split(row, Clause((1, 3))) != [row]
 
     def test_partition_property(self):
         from oracle import clause_mask, random_row012e

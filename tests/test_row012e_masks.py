@@ -20,12 +20,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import EBuilder, random_ebuilder, random_row012e, ref_impose_on_slots, ref_purify, row_mask
+from oracle import (
+    EBuilder,
+    random_ebuilder,
+    random_row012e,
+    ref_e_row_text,
+    ref_impose_on_slots,
+    ref_purify,
+    row_mask,
+)
 from wildsat.analysis import equivalent
 from wildsat.bench import GenSpec, gen_random_cnf
 from wildsat.engine import EngineConfig, Method, Policy, run
 from wildsat.rows import (
     EmptyRowError,
+    PurityError,
     Row012e,
     RowList,
     _pin,
@@ -134,6 +143,96 @@ class TestAgainstReference:
                 any(u[s // 2] == 1 - s % 2 for s in m) for m in row.bubbles
             )
             assert row.contains(u) == row.contains(u, bits) == want
+
+
+def _top_row(rng: random.Random, w: int) -> Row012e:
+    """A random purified row whose bubbles sit on its highest variables,
+    one slot per variable, with random fixes on the rest."""
+    b = EBuilder(w)
+    top = list(range(max(1, w - 9), w + 1))
+    rng.shuffle(top)
+    while len(top) >= 2 and rng.random() < 0.8:
+        n = rng.randint(2, min(4, len(top)))
+        b.new_bubble([2 * (v - 1) + rng.randint(0, 1) for v in top[:n]])
+        del top[:n]
+    for s in range(0, 2 * w, 2):
+        if b.slots[s] == b.slots[s + 1] == 2 and rng.random() < 0.4:
+            b.set_fixed(s, rng.randint(0, 1))
+    return b.freeze()
+
+
+class TestTokenTable:
+    """``format_rows`` reads an e-row's tokens from a table of four
+    variables' slot bits; ``oracle.ref_e_row_text`` builds the same line
+    from the 012-row text.  Widths run to 70, past a 64-bit word of slots,
+    through every w % 4."""
+
+    @given(st.integers(0, 70), st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_text_matches_the_reference(self, w, seed):
+        rng = random.Random(seed)
+        rows = [_top_row(rng, w) for _ in range(3)]
+        rows += [random_row012e(rng, w, max_bubbles=6, allow_bad=False) for _ in range(3)]
+        text = format_rows(RowList(w, tuple(rows)))
+        assert text == "\n".join([f"rows w={w} n=6", *map(ref_e_row_text, rows)]) + "\n"
+
+    @given(st.integers(2, 70), st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_impure_row_rejected(self, w, seed):
+        row = random_row012e(random.Random(seed), w, max_bubbles=6)
+        if row.is_purified():  # a bad pair on the two highest variables
+            b = EBuilder.from_row(row)
+            for s in (2 * w - 4, 2 * w - 3, 2 * w - 2, 2 * w - 1):
+                if b.slots[s] != 2:
+                    return
+            b.new_bubble([2 * w - 4, 2 * w - 2])
+            b.new_bubble([2 * w - 3, 2 * w - 1])
+            row = b.freeze()
+        assert not row.is_purified()
+        with pytest.raises(PurityError):
+            ref_e_row_text(row)
+        with pytest.raises(PurityError):
+            format_rows(RowList(w, (Row012e.full(w), row)))
+
+
+class TestImposeCascades:
+    """The remainder of a staircase column can settle the listed slots only
+    after a chain of unit cascades: pinning the column to 0 leaves a bubble
+    {t1}, t1 = 1 empties the mate's bubble down to {t2}, and so on, until a
+    bubble inside the listed slots or a 1 on one of them is left.  The
+    fused column pass must read that from its last round."""
+
+    @given(st.integers(1, 6), st.booleans(), st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_settles_at_the_end_of_a_chain(self, depth, in_bubble, seed):
+        rng = random.Random(seed)
+        w = depth + 4 + rng.randint(0, 4)
+        variables = rng.sample(range(w), depth + 4)
+        slot = lambda i: 2 * variables[i] + rng.randint(0, 1)
+        m1, m4, m2, m3 = (slot(i) for i in range(4))
+        chain = [slot(4 + i) for i in range(depth)]
+        b = EBuilder(w)
+        b.new_bubble([m1, chain[0]])
+        for t, u in zip(chain, chain[1:]):
+            b.new_bubble([t ^ 1, u])
+        b.new_bubble([chain[-1] ^ 1, m2, m3] if in_bubble else [chain[-1] ^ 1, m2])
+        for v in set(range(w)) - set(variables):
+            if rng.random() < 0.5:
+                b.set_fixed(2 * v, rng.randint(0, 1))
+        row = b.freeze()
+        # m4, a free slot listed before m2 and m3, would be the next column
+        # of a remainder taken as unsettled
+        slots = [m1, m4, m2, m3]
+        sons = impose_on_slots(row, slots)
+        assert sons == ref_impose_on_slots(row, slots)
+        assert len(sons) == 2
+        rest = sons[1]
+        assert rest.ones >> m1 & 1 == 0 and rest.ones >> (m1 ^ 1) & 1
+        assert all(rest.ones >> t & 1 for t in chain)
+        if in_bubble:
+            assert 1 << m2 | 1 << m3 in rest.bubble_masks
+        else:
+            assert rest.ones >> m2 & 1
 
 
 class TestEqualityAcrossRoutes:

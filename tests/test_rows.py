@@ -497,6 +497,16 @@ class TestImposeOnSlots:
         r = erow("0 1 0 1", 2)
         assert impose_on_slots(r, [0, 2]) == []
 
+    @pytest.mark.parametrize("slots", [[4], [0, 4], [-1], [2, -2], [99]])
+    def test_slot_out_of_range_rejected(self, slots):
+        # [4] at w = 2 once looped forever: its mate lies outside the row
+        with pytest.raises(ValueError, match="slot out of range"):
+            impose_on_slots(Row012e.full(2), slots)
+
+    def test_highest_slot_in_range(self):
+        r = Row012e.full(2)
+        assert impose_on_slots(r, [3]) == [erow("2 2 0 1", 2)]
+
     def test_random_partition(self):
         rng = random.Random(41)
         for _ in range(250):
@@ -531,6 +541,21 @@ class TestRowTextFormat:
         text = format_rows(RowList(5, (r,)))
         assert text.splitlines()[1] == "e1 n1 2 n2 n2"
         assert parse_rows(text).rows == (r,)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            RowList(3, (row012("11"),)),
+            RowList(1, (Row012e.full(2),)),
+            RowList(3, (Row012e.full(2),)),
+            RowList(2, (row012("12"), row012("121"))),
+        ],
+        ids=["012-narrow", "e-wide", "e-narrow", "second-row"],
+    )
+    def test_row_width_mismatch_rejected(self, rows):
+        # parse_rows would reject what format_rows wrote
+        with pytest.raises(ValueError, match="row widths differ"):
+            format_rows(rows)
 
     def test_serialising_bad_pairs_rejected(self, table3):
         with pytest.raises(PurityError):
