@@ -43,16 +43,6 @@ class Clause:
         object.__setattr__(self, "lits", tuple(seen))
 
     @cached_property
-    def pos(self) -> frozenset[int]:
-        """Variables occurring positively."""
-        return frozenset(l for l in self.lits if l > 0)
-
-    @cached_property
-    def neg(self) -> frozenset[int]:
-        """Variables occurring negated."""
-        return frozenset(-l for l in self.lits if l < 0)
-
-    @cached_property
     def masks(self) -> tuple[int, int]:
         """(pos, neg) variable bitmasks; bit v-1 stands for variable v."""
         pos = neg = 0
@@ -127,7 +117,7 @@ class Cnf:
         return tuple(c.slot_mask for c in self.clauses)
 
     def is_positive(self) -> bool:
-        return all(not c.neg for c in self.clauses)
+        return all(not neg for _, neg in self.masks)
 
     def mean_clause_len(self) -> float:
         if not self.clauses:

@@ -677,7 +677,7 @@ def impose_on_slots(row: Row012e, slots: Sequence[int]) -> list[Row012e]:
                 else:
                     return sons  # the remainder is empty
             bubbles = kept
-        if inside or ones & mask:
+        if inside or ones & mask:  # a copy of settles(ones, bubbles, mask)
             sons.append(_row012e(w, ones, bubbles))
             break
     return sons

@@ -15,8 +15,13 @@ variable of any unresolved clause, value 1 first, and saves the state of
 its 0 branch on a trail; backtracking pops the trail, so nothing is copied
 and there is no recursion limit.  Variables never forced stay 0.  With a
 cardinality bound k a node is also pruned when it holds more than k ones or
-too few free variables to reach k, and a model is completed by setting the
-lowest free variables to 1.  The model is thus a fixed function of the
+too few free variables to reach k, or when its ones plus a packing of its
+open clauses exceed k: the unresolved clauses whose free literals are all
+positive, taken in clause order while their free variables are disjoint
+from those already taken, each need a 1 of their own.  The bound is sound,
+so a pruned subtree holds no k-model and the first k-model in branching
+order, or None, is the same as without it.  A model is completed by setting
+the lowest free variables to 1.  The model is thus a fixed function of the
 formula (and row), which the engine relies on when it reuses a parent's
 witness for its sons.
 
@@ -31,7 +36,6 @@ each e-bubble as one more (pos, neg) clause after the formula's.  Any
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Sequence
 
 from .formulas import Clause, Cnf
@@ -92,7 +96,11 @@ def _search(
     """The ones mask of the first model in branching order, or None.
 
     ``ones``/``zeros`` are the variables fixed beforehand; with ``k`` only
-    models with exactly k ones count.
+    models with exactly k ones count.  A k-node is then pruned when its ones
+    plus a greedy packing of its all-positive open clauses with disjoint
+    free variables exceed k.  Each packed clause needs its own 1, so no
+    k-model is lost and the search returns the model, or None, that it
+    returns without the bound, with no more decisions.
     """
     if stats is None:
         stats = SolverStats()
@@ -101,9 +109,23 @@ def _search(
     while True:
         node = _propagate(clauses, ones, zeros, full, stats)
         if node is not None and k is not None:
-            n1 = node[0].bit_count()
-            if not n1 <= k <= n1 + (full & ~(node[0] | node[1])).bit_count():
+            ones, zeros = node[0], node[1]
+            free = full & ~(ones | zeros)
+            spare = k - ones.bit_count()  # the ones still to place
+            if not 0 <= spare <= free.bit_count():
                 node = None
+            elif 2 * (spare + 1) <= node[2].bit_count():
+                # an open clause has 2 or more free variables, so fewer than
+                # 2 * (spare + 1) open variables cannot pack spare + 1 clauses
+                packed = 0  # the free variables of the packed clauses
+                for pos, neg in clauses:
+                    if pos & ones or neg & zeros or neg & free or pos & packed:
+                        continue
+                    packed |= pos & free
+                    spare -= 1
+                    if spare < 0:
+                        node = None
+                        break
         if node is None:
             if not trail:
                 return None
@@ -111,8 +133,7 @@ def _search(
             continue
         ones, zeros, open_ = node
         if not open_:
-            if k is not None:
-                free = full & ~(ones | zeros)
+            if k is not None:  # free is this node's, set above
                 for _ in range(k - ones.bit_count()):
                     low = free & -free
                     ones |= low
@@ -144,39 +165,24 @@ def find_k_model(
     return None if found is None else _bits(found, row.width)
 
 
-@cache
-def _unit(lit: int) -> Clause:
-    return Clause((lit,))
-
-
-def row_constraint_clauses(row: Row012 | Row012e) -> tuple[Clause, ...]:
-    """The row as clauses: one unit per fixed variable, one clause per bubble.
-
-    Unit clauses are validated once per literal and then shared.
-    """
-    if isinstance(row, Row012):
-        units = []
-        fixed = row.ones | row.zeros
-        while fixed:
-            low = fixed & -fixed
-            v = low.bit_length()
-            units.append(_unit(v if row.ones & low else -v))
-            fixed ^= low
-        return tuple(units)
-    # the 1-slots in increasing order are the fixed variables in order
-    units = tuple(_unit(lit_of_slot(s)) for s in _slots_of(row.ones))
-    return units + tuple(Clause(tuple(map(lit_of_slot, _slots_of(b)))) for b in row.bubble_masks)
-
-
 def augment_cnf(cnf: Cnf, row: Row012 | Row012e) -> Cnf:
-    """The formula restricted to the row: its clauses followed by the row's.
+    """The formula restricted to the row, as a plugged ``SolverFn`` gets it:
+    the formula's clauses, then one unit clause per fixed variable in
+    increasing order, then one clause per e-bubble over its slots' literals.
 
     The base clauses were validated when ``cnf`` was built, so only the
     row's clauses are checked here.
     """
-    if row.width != cnf.num_vars:
+    w = row.width
+    if w != cnf.num_vars:
         raise ValueError("row width does not match num_vars")
-    return Cnf._unchecked(cnf.num_vars, cnf.clauses + row_constraint_clauses(row))
+    if isinstance(row, Row012):
+        ones, zeros, bubbles = row.ones, row.zeros, ()
+    else:  # the 1-slots fix their variables: a negative slot to 0
+        (ones, zeros), bubbles = _var_masks(w, row.ones), row.bubble_masks
+    units = tuple(Clause((i + 1 if ones >> i & 1 else -i - 1,)) for i in _slots_of(ones | zeros))
+    rest = tuple(Clause(tuple(map(lit_of_slot, _slots_of(b)))) for b in bubbles)
+    return Cnf._unchecked(w, cnf.clauses + units + rest)
 
 
 def find_model(row: Row012 | Row012e, cnf: Cnf, solver: SolverFn = dpll_sat) -> tuple[int, ...] | None:
@@ -234,7 +240,7 @@ def first_unsettled(row: Row012 | Row012e, cnf: Cnf, start: int = 0) -> int:
     ones, bubbles = row.ones, row.bubble_masks
     slot_masks = cnf.slot_masks
     for i in range(start, len(slot_masks)):
-        mask = slot_masks[i]  # the rule of settles, inlined
+        mask = slot_masks[i]  # a copy of rows.settles(ones, bubbles, mask)
         if ones & mask:
             continue
         for b in bubbles:

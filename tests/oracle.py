@@ -28,6 +28,7 @@ from wildsat.rows import (
     slot_var,
 )
 from wildsat.rows import _condense, _row_text, _slots_of
+from wildsat.sat import SolverStats
 
 _B = 3  # slot values >= _B reference bubble number (value - _B)
 
@@ -175,6 +176,67 @@ def ref_impose_on_slots(row: Row012e, slots) -> list[Row012e]:
             sons.append(rest.freeze())
             break
     return sons
+
+
+def ref_k_search(
+    num_vars: int, clauses, ones: int, zeros: int, k: int
+) -> tuple[int | None, SolverStats]:
+    """The k-model search of ``sat._search`` without the disjoint-clause
+    bound: a node is pruned only when it holds more than k ones or too few
+    free variables to reach k.  Returns the ones mask of the first k-model
+    in branching order (or None) and the search's counters."""
+    stats = SolverStats()
+    full = (1 << num_vars) - 1
+    trail: list[tuple[int, int]] = []
+
+    def propagate(ones: int, zeros: int):
+        while True:
+            free = full & ~(ones | zeros)
+            open_ = 0
+            unit = False
+            for pos, neg in clauses:
+                if pos & ones or neg & zeros:
+                    continue
+                lits = (pos | neg) & free
+                if not lits:
+                    stats.conflicts += 1
+                    return None
+                if lits & (lits - 1):
+                    open_ |= lits
+                    continue
+                if pos & lits:
+                    ones |= lits
+                else:
+                    zeros |= lits
+                free ^= lits
+                unit = True
+                stats.propagations += 1
+            if not unit:
+                return ones, zeros, open_
+
+    while True:
+        node = propagate(ones, zeros)
+        if node is not None:
+            n1 = node[0].bit_count()
+            if not n1 <= k <= n1 + (full & ~(node[0] | node[1])).bit_count():
+                node = None
+        if node is None:
+            if not trail:
+                return None, stats
+            ones, zeros = trail.pop()
+            continue
+        ones, zeros, open_ = node
+        if not open_:
+            free = full & ~(ones | zeros)
+            for _ in range(k - ones.bit_count()):
+                low = free & -free
+                ones |= low
+                free ^= low
+            return ones, stats
+        bit = open_ & -open_
+        stats.decisions += 1
+        trail.append((ones, zeros | bit))
+        ones |= bit
 
 
 def ref_purify(row: Row012e) -> list[Row012e]:

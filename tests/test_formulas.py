@@ -28,8 +28,7 @@ from wildsat.rows import Row012, RowList, member_complement
 class TestClause:
     def test_pos_neg_views(self):
         c = Clause((3, 5, -6, -9))
-        assert c.pos == {3, 5}
-        assert c.neg == {6, 9}
+        assert c.masks == (1 << 2 | 1 << 4, 1 << 5 | 1 << 8)
 
     def test_duplicates_merge_keeping_order(self):
         assert Clause((1, -2, 1, -2)).lits == (1, -2)
@@ -61,8 +60,7 @@ class TestParseDimacs:
     def test_phi0(self):
         cnf = parse_dimacs("p cnf 9 1\n2 -6 0")
         assert cnf.num_vars == 9
-        assert cnf.clauses[0].pos == {2}
-        assert cnf.clauses[0].neg == {6}
+        assert cnf.clauses[0].masks == (1 << 1, 1 << 5)
 
     def test_tautology_dropped_with_count(self):
         cnf = parse_dimacs("p cnf 3 1\n1 -1 2 0")

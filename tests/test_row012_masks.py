@@ -86,13 +86,17 @@ def ref_intersect(a, b):
 def ref_test2(row, cnf):
     """Test 2 on variable sets, as first written."""
     zeros, ones = row.vars_of(0), row.vars_of(1)
-    clauses = cnf.clauses
-    for i, ci in enumerate(clauses):
-        for j, cj in enumerate(clauses):
+    # each clause as its (positive, negative) variable sets
+    clauses = [
+        tuple({v for v in range(1, cnf.num_vars + 1) if m >> (v - 1) & 1} for m in c.masks)
+        for c in cnf.clauses
+    ]
+    for i, (pi, ni) in enumerate(clauses):
+        for j, (pj, nj) in enumerate(clauses):
             if i == j:
                 continue
-            for p in ci.pos & cj.neg:
-                if (ci.pos - {p}) | cj.pos <= zeros and (cj.neg - {p}) | ci.neg <= ones:
+            for p in pi & nj:
+                if (pi - {p}) | pj <= zeros and (nj - {p}) | ni <= ones:
                     return False
     return True
 

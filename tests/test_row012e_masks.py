@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from oracle import (
     EBuilder,
+    random_cnf,
     random_ebuilder,
     random_row012e,
     ref_e_row_text,
@@ -44,7 +45,9 @@ from wildsat.rows import (
     impose_on_slots,
     parse_rows,
     purify,
+    settles,
 )
+from wildsat.sat import first_unsettled
 
 MAX_W = 40
 
@@ -233,6 +236,26 @@ class TestImposeCascades:
             assert 1 << m2 | 1 << m3 in rest.bubble_masks
         else:
             assert rest.ones >> m2 & 1
+
+
+class TestSettlesCopies:
+    """``first_unsettled``'s e-row loop and ``impose_on_slots``'s settled
+    tests are written-out copies of ``settles``; on every clause they must
+    answer as it does.  The remainder's flag after a cascade is pinned by
+    ``TestImposeCascades``, since random rows rarely reach it."""
+
+    def test_copies_agree_with_settles(self):
+        rng = random.Random(157)
+        for _ in range(300):
+            w = rng.randint(1, 9)
+            row = random_row012e(rng, w, max_bubbles=4)
+            cnf = random_cnf(rng, w, rng.randint(1, 10), rng.randint(1, min(4, w)))
+            for i, clause in enumerate(cnf.clauses):
+                settled = settles(row.ones, row.bubble_masks, clause.slot_mask)
+                assert (first_unsettled(row, cnf, i) == i) == (not settled)
+                sons = impose_on_slots(row, clause.slots)
+                assert (sons == [row]) == settled
+                assert all(settles(s.ones, s.bubble_masks, clause.slot_mask) for s in sons)
 
 
 class TestEqualityAcrossRoutes:

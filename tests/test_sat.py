@@ -10,12 +10,14 @@ import pytest
 
 from conftest import row012
 from oracle import (
+    bitstring_of,
     cnf_mask,
     evaluate_naive,
     models_of_mask,
     random_cnf,
     random_row012,
     random_row012e,
+    ref_k_search,
     row_mask,
 )
 from wildsat.formulas import Clause, Cnf, evaluate, weight
@@ -24,6 +26,7 @@ from wildsat.sat import test1 as weak_test1
 from wildsat.sat import test2 as weak_test2
 from wildsat.sat import (
     SolverStats,
+    augment_cnf,
     dpll_sat,
     final_e,
     find_k_model,
@@ -110,6 +113,24 @@ class TestFeasibleSolver:
         # the plug sees the formula's clauses followed by the row's
         find_model(row012("10222"), phi2, solver=fake_solver)
         assert calls[1] == Cnf(5, phi2.clauses + (Clause((1,)), Clause((-2,))))
+
+    def test_augmented_clauses_pinned(self, phi2):
+        # a plug gets the formula's clauses, one unit per fixed variable in
+        # increasing order, then one clause per e-bubble
+        assert augment_cnf(phi2, row012("02110")).clauses == phi2.clauses + (
+            Clause((-1,)),
+            Clause((3,)),
+            Clause((4,)),
+            Clause((-5,)),
+        )
+        # x1 = 0, x3 = 1 and one bubble over the slots of x2 and -x4
+        row = Row012e(4, (0, 1, 3, 2, 1, 0, 2, 3))
+        base = (Clause((1, -2, 4)),)
+        assert augment_cnf(Cnf(4, base), row).clauses == base + (
+            Clause((-1,)),
+            Clause((3,)),
+            Clause((2, -4)),
+        )
 
     def test_built_in_solver_finds_the_plugged_model(self):
         # the built-in solver takes the row as fixed variables; a plug gets
@@ -303,6 +324,26 @@ class TestKFeasible:
                 for u in models_of_mask(w, row_mask(w, row) & cnf_mask(cnf))
             )
             assert (find_k_model(row, cnf, k) is not None) == expected
+
+    def test_bound_keeps_the_unpruned_model(self):
+        # the disjoint-clause bound only cuts subtrees without a k-model, so
+        # the first k-model in branching order (or None) stays the same and
+        # the search makes no more decisions than without it
+        rng = random.Random(151)
+        ours = theirs = 0
+        for trial in range(240):
+            w = rng.randint(1, 9)
+            cnf = random_cnf(rng, w, rng.randint(0, 12), rng.randint(1, min(4, w)), positive=trial % 2 == 0)
+            row = random_row012(rng, w)
+            for k in range(w + 1):
+                expected, ref_stats = ref_k_search(w, cnf.masks, row.ones, row.zeros, k)
+                stats = SolverStats()
+                model = find_k_model(row, cnf, k, stats)
+                assert model == (None if expected is None else bitstring_of(w, expected))
+                assert stats.decisions <= ref_stats.decisions
+                ours += stats.decisions
+                theirs += ref_stats.decisions
+        assert ours < theirs
 
 
 class TestDeepInstance:
