@@ -44,10 +44,12 @@ from .rows import (
     _pack,
     _row012,
     _slots_of,
+    _totals,
     card_012,
     impose_on_slots,
     purify,
 )
+from . import sat
 from .sat import (
     SolverFn,
     dpll_sat,
@@ -57,6 +59,7 @@ from .sat import (
     find_model,
     prob_final,
     row_satisfies_clause,
+    solve_row,
     test1,
     test2,
 )
@@ -404,8 +407,9 @@ def run(cnf: Cnf, config: EngineConfig | None = None) -> RowList:
     stats.time_s = time.perf_counter() - t0
     out = RowList(cnf.num_vars, tuple(rows), stats)
     stats.rows = len(out)
-    stats.models = out.total_models()
-    stats.gamma_avg = out.gamma_avg()
+    # clause-e emits purify's pieces, which are purified by construction
+    stats.models, free = _totals(rows)
+    stats.gamma_avg = free / len(rows) if rows else 0.0
     w = cnf.num_vars
     # prob_final has no value at w = 0, where the one row is final
     stats.prob = prob_final(w, stats.gamma_avg, len(cnf.clauses), cnf.mean_clause_len()) if w else 1.0
@@ -450,15 +454,28 @@ def _admission(cnf: Cnf, config: EngineConfig, stats: RunStats):
     A perfect filter replaces the policy; any other filter screens in front
     of it.  A check that answers with a witness (a model, or None) rather
     than a bool is a solver call, and ``hint``, the parent's witness, stands
-    in for it on a son that contains it.  A witness travels as the pair
-    (bitstring, packed variable mask), packed once when the check returns
-    it.
+    in for it on a son that contains it.
+
+    A witness is the pair (model as a variable mask, root fixpoint), so the
+    hint test is ``row.contains(mask)``.  The solver is built in when it is
+    ``sat.dpll_sat`` as that name stands when the run starts; it answers
+    through ``solve_row`` with the mask and the ``(ones, zeros)`` its unit
+    propagation reached before any decision, and adds its counters to
+    ``stats``.  A son that misses the hint starts its search from the
+    hint's fixpoint, that of its nearest ancestor that searched.  The son
+    is a subset of that ancestor, so its own propagation reaches a
+    fixpoint holding the ancestor's, or a conflict, and the search finds
+    the model it finds from scratch.  A plugged solver's or a filter's
+    tuple is packed once when it arrives and carries no fixpoint.
     """
     filt, policy, solver = config.spmod, config.policy, config.solver
     exact = filt is not None and filt.exact
     screen = None if exact else filt
+    search = None
     if exact:
         check = filt.admit
+    elif policy == Policy.SOLVER and solver is sat.dpll_sat:
+        search = lambda row, start: solve_row(row, cnf, start, stats)
     elif policy == Policy.SOLVER:
         check = lambda row: find_model(row, cnf, solver)
     elif policy == Policy.TEST1:
@@ -472,13 +489,17 @@ def _admission(cnf: Cnf, config: EngineConfig, stats: RunStats):
         if screen is not None and not screen.admit(row):
             stats.weight_pruned += 1
             return False, None
-        if hint is not None and row.contains(*hint):
+        if hint is not None and row.contains(hint[0]):
             return True, hint
+        if search is not None:
+            stats.solver_calls += 1
+            got = search(row, None if hint is None else hint[1])
+            return (False, None) if got is None else (True, got)
         got = check(row)
         if got is True or got is False:
             return got, None
         stats.solver_calls += 1
-        return (False, None) if got is None else (True, (got, _pack(got)))
+        return (False, None) if got is None else (True, (_pack(got), None))
 
     return admit
 

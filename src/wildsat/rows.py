@@ -165,17 +165,16 @@ class Row012:
             raise ValueError("row symbols must be 0, 1 or 2")
         return _row012(self.width, ones, zeros)
 
-    def contains(self, u: Sequence[int], bits: int | None = None) -> bool:
-        """True when the bitstring ``u``, one 0/1 per variable, is a member.
+    def contains(self, member: Sequence[int] | int) -> bool:
+        """True when the bitstring ``member`` belongs to the row.
 
-        ``bits`` is ``u`` packed as a variable mask (bit i is u[i]), when
-        the caller has it: the test is then two ANDs.
+        The member is one 0/1 per variable, or a variable mask (bit i for
+        variable i+1), as the driver's witnesses are: the test is then two
+        ANDs.
         """
-        if len(u) != self.width:
-            raise ValueError("bitstring length does not match row width")
-        if bits is None:
-            bits = _pack(u)
-        return not bits & self.zeros and bits & self.ones == self.ones
+        if not isinstance(member, int) or member >> self.width:
+            member = _member_mask(member, self.width)
+        return not member & self.zeros and member & self.ones == self.ones
 
     def members(self) -> Iterator[tuple[int, ...]]:
         """All bitstrings of the subcube, in lexicographic order."""
@@ -233,6 +232,18 @@ def _row_text(row: Row012) -> str:
 def _pack(u: Sequence[int]) -> int:
     """A 0/1 sequence as a variable mask: bit i is u[i]."""
     return int(bytes(u[::-1]).translate(_BITS), 2) if u else 0
+
+
+def _member_mask(member: Sequence[int] | int, width: int) -> int:
+    """A bitstring of ``width`` variables, given as 0/1 values or as a
+    variable mask, as a variable mask."""
+    if isinstance(member, int):
+        if member >> width:
+            raise ValueError("member mask does not fit the row width")
+        return member
+    if len(member) != width:
+        raise ValueError("bitstring length does not match row width")
+    return _pack(member)
 
 
 def card_012(row: Row012) -> int:
@@ -360,19 +371,17 @@ class Row012e:
             raise ValueError("cannot condense a row that still has bubbles")
         return _condense(self.width, self.ones)
 
-    def contains(self, u: Sequence[int], bits: int | None = None) -> bool:
-        """True when the bitstring ``u``, one 0/1 per variable, is a member.
+    def contains(self, member: Sequence[int] | int) -> bool:
+        """True when the bitstring ``member``, one 0/1 per variable or a
+        variable mask, belongs to the row.
 
-        ``bits`` is ``u`` packed as a variable mask, when the caller has it.
         The member's true literal slots are its 1-variables' positive slots
         and its 0-variables' negative ones: they must hold every 1-slot and
         meet every bubble.
         """
-        if len(u) != self.width:
-            raise ValueError("bitstring length does not match row width")
-        if bits is None:
-            bits = _pack(u)
-        true = _spread(bits) | _spread(((1 << self.width) - 1) ^ bits) << 1
+        if not isinstance(member, int) or member >> self.width:
+            member = _member_mask(member, self.width)
+        true = _spread(member) | _spread(((1 << self.width) - 1) ^ member) << 1
         return not self.ones & ~true and all(b & true for b in self.bubble_masks)
 
     def members(self) -> Iterator[tuple[int, ...]]:
@@ -757,6 +766,26 @@ def intersection_card_ie(r: Row012e, rho: Row012e) -> int:
     return total
 
 
+def _totals(rows: Iterable[Row012 | Row012e]) -> tuple[int, int]:
+    """The models and the free variables of 012-rows and purified e-rows,
+    each summed in one walk; unlike ``card_e``, no row is tested for
+    purity."""
+    models = free = 0
+    for row in rows:
+        if isinstance(row, Row012):
+            f = row.width - (row.ones | row.zeros).bit_count()
+            models += 1 << f
+        else:
+            n, bub = 1, 0
+            for b in row.bubble_masks:
+                n *= (1 << b.bit_count()) - 1
+                bub |= b
+            f = _free_count(row.width, row.ones, bub)
+            models += n << f
+        free += f
+    return models, free
+
+
 # ---------------------------------------------------------------------------
 # Row lists
 
@@ -765,7 +794,10 @@ def intersection_card_ie(r: Row012e, rho: Row012e) -> int:
 class RunStats:
     """Machine-readable statistics of one enumeration run: every number the
     command line reports.  ``prob`` is the paper's finality probability
-    ``prob_final`` at the run's ``gamma_avg``."""
+    ``prob_final`` at the run's ``gamma_avg``.  ``decisions``,
+    ``propagations`` and ``conflicts`` are the counters of ``SolverStats``,
+    summed over the run's searches by the built-in solver under policy
+    solver; the k-searches of ``CardinalityFilter`` are not counted."""
 
     method: str = ""
     policy: str = ""
@@ -778,6 +810,9 @@ class RunStats:
     weight_pruned: int = 0
     weight_discards: int = 0
     solver_calls: int = 0
+    decisions: int = 0
+    propagations: int = 0
+    conflicts: int = 0
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,19 @@ the lowest free variables to 1.  The model is thus a fixed function of the
 formula (and row), which the engine relies on when it reuses a parent's
 witness for its sons.
 
-``find_model`` hands the built-in solver the row as fixed variables: a
-012-row's ``ones``/``zeros``, or the variables of an e-row's 1-slots, with
-each e-bubble as one more (pos, neg) clause after the formula's.  Any
+``solve_row`` is the built-in search inside a row, in masks from start to
+finish.  It fixes the row's variables: a 012-row's ``ones``/``zeros``, or
+the variables of an e-row's 1-slots, with each e-bubble as one more
+(pos, neg) clause after the formula's.  It returns the model's ones mask
+with the root fixpoint, the ``(ones, zeros)`` propagation reached before
+any decision, which the engine keeps as the witness.  A son's search starts
+from the fixpoint of its nearest ancestor that searched.  The son is a
+subset of the ancestor, so each of the ancestor's clauses is, under the
+son's pins, satisfied or narrowed to one of the son's clauses; the son's
+own propagation therefore reaches a fixpoint holding the ancestor's, or a
+conflict, and the search from there visits the nodes, and finds the model,
+of the search from scratch.  Pins that clash with the ancestor's fixpoint
+mean a conflict.  ``find_model`` wraps it with a tuple result.  Any
 ``SolverFn`` can replace ``dpll_sat`` in the engine.  It receives a plain
 ``Cnf`` holding the base clauses followed by the row's clauses
 (``augment_cnf``) and returns a model or None.
@@ -39,7 +49,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .formulas import Clause, Cnf
-from .rows import Row012, Row012e, _slots_of, _var_masks, lit_of_slot, settles
+from .rows import Row012, Row012e, RunStats, _slots_of, _var_masks, lit_of_slot, settles
 
 
 @dataclass
@@ -47,6 +57,9 @@ class SolverStats:
     decisions: int = 0
     propagations: int = 0
     conflicts: int = 0
+
+
+_FROM_TEXT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 # A decision procedure maps a Cnf to a model or None (UNSAT).  dpll_sat below
@@ -92,8 +105,10 @@ def _search(
     zeros: int = 0,
     k: int | None = None,
     stats: SolverStats | None = None,
-) -> int | None:
-    """The ones mask of the first model in branching order, or None.
+) -> tuple[int, tuple[int, int]] | None:
+    """The first model in branching order as the pair (ones mask, root
+    fixpoint), or None.  The root fixpoint is the ``(ones, zeros)`` that
+    unit propagation reaches before any decision.
 
     ``ones``/``zeros`` are the variables fixed beforehand; with ``k`` only
     models with exactly k ones count.  A k-node is then pruned when its ones
@@ -105,9 +120,9 @@ def _search(
     if stats is None:
         stats = SolverStats()
     full = (1 << num_vars) - 1
+    node = root = _propagate(clauses, ones, zeros, full, stats)
     trail: list[tuple[int, int]] = []  # (ones, zeros) of each pending 0 branch
     while True:
-        node = _propagate(clauses, ones, zeros, full, stats)
         if node is not None and k is not None:
             ones, zeros = node[0], node[1]
             free = full & ~(ones | zeros)
@@ -130,6 +145,7 @@ def _search(
             if not trail:
                 return None
             ones, zeros = trail.pop()
+            node = _propagate(clauses, ones, zeros, full, stats)
             continue
         ones, zeros, open_ = node
         if not open_:
@@ -138,21 +154,23 @@ def _search(
                     low = free & -free
                     ones |= low
                     free ^= low
-            return ones
+            return ones, root[:2]
         bit = open_ & -open_
         stats.decisions += 1
         trail.append((ones, zeros | bit))
-        ones |= bit
+        node = _propagate(clauses, ones | bit, zeros, full, stats)
 
 
 def _bits(ones: int, num_vars: int) -> tuple[int, ...]:
-    return tuple(ones >> i & 1 for i in range(num_vars))
+    """A variable mask as a 0/1 tuple, read off its text as ``rows._pack``
+    writes it: element i is bit i."""
+    return tuple(format(ones, f"0{num_vars}b")[::-1].encode().translate(_FROM_TEXT)) if num_vars else ()
 
 
 def dpll_sat(cnf: Cnf, stats: SolverStats | None = None) -> tuple[int, ...] | None:
     """A model of the formula as a bitstring, or None when unsatisfiable."""
-    ones = _search(cnf.num_vars, [c.masks for c in cnf.clauses], stats=stats)
-    return None if ones is None else _bits(ones, cnf.num_vars)
+    found = _search(cnf.num_vars, [c.masks for c in cnf.clauses], stats=stats)
+    return None if found is None else _bits(found[0], cnf.num_vars)
 
 
 def find_k_model(
@@ -162,7 +180,7 @@ def find_k_model(
     if row.width != cnf.num_vars:
         raise ValueError("row width does not match num_vars")
     found = _search(row.width, cnf.masks, row.ones, row.zeros, k, stats)
-    return None if found is None else _bits(found, row.width)
+    return None if found is None else _bits(found[0], row.width)
 
 
 def augment_cnf(cnf: Cnf, row: Row012 | Row012e) -> Cnf:
@@ -189,22 +207,47 @@ def find_model(row: Row012 | Row012e, cnf: Cnf, solver: SolverFn = dpll_sat) -> 
     """A model of the formula inside the row, or None.
 
     The built-in solver (the module's ``dpll_sat`` at call time) searches
-    with the row's variables fixed, the e-row's bubbles after the formula's
-    clauses.  Unit propagation reaches the same fixpoint in any order, so
-    this visits the nodes, and finds the model, of ``dpll_sat`` on
-    ``augment_cnf(cnf, row)``, which any other solver receives.
+    through ``solve_row``.  Unit propagation reaches the same fixpoint in
+    any order, so this visits the nodes, and finds the model, of
+    ``dpll_sat`` on ``augment_cnf(cnf, row)``, which any other solver
+    receives.
     """
     if solver is not dpll_sat:
         return solver(augment_cnf(cnf, row))
+    found = solve_row(row, cnf)
+    return None if found is None else _bits(found[0], row.width)
+
+
+def solve_row(
+    row: Row012 | Row012e,
+    cnf: Cnf,
+    start: tuple[int, int] | None = None,
+    stats: SolverStats | RunStats | None = None,
+) -> tuple[int, tuple[int, int]] | None:
+    """The built-in search inside a row: None, or the pair (ones mask of the
+    model, root fixpoint), as ``_search`` returns it.
+
+    ``start`` is the root fixpoint of a row that contains this one; the
+    search then begins at it together with the row's own fixed variables,
+    and pins that clash with it give None at once.  The answer is the one
+    the search from the row alone gives (see the module docstring).
+    ``stats`` receives the counters: a ``SolverStats``, or a ``RunStats``,
+    which has the same three fields.
+    """
     w = row.width
     if w != cnf.num_vars:
         raise ValueError("row width does not match num_vars")
     if isinstance(row, Row012):
-        found = _search(w, cnf.masks, row.ones, row.zeros)
+        clauses, ones, zeros = cnf.masks, row.ones, row.zeros
     else:
-        bubbles = tuple(_var_masks(w, b) for b in row.bubble_masks)
-        found = _search(w, cnf.masks + bubbles, *_var_masks(w, row.ones))
-    return None if found is None else _bits(found, w)
+        clauses = cnf.masks + tuple(_var_masks(w, b) for b in row.bubble_masks)
+        ones, zeros = _var_masks(w, row.ones)
+    if start is not None:
+        if ones & start[1] or zeros & start[0]:
+            return None
+        ones |= start[0]
+        zeros |= start[1]
+    return _search(w, clauses, ones, zeros, None, stats)
 
 
 def row_satisfies_clause(row: Row012 | Row012e, clause: Clause) -> bool:

@@ -656,3 +656,31 @@ class TestImposeTautologousSlots:
         row = Row012e.full(3)
         # "x1 or not-x1 or x2" holds everywhere: the row comes back whole
         assert impose_on_slots(row, [0, 1, 2]) == [row]
+
+
+class TestRunRecord:
+    def test_solver_counters_count_the_built_in_searches_only(self):
+        cnf = gen_random_cnf(GenSpec(12, 24, 3, seed=5))
+        counted = run(cnf, EngineConfig(method=Method.CLAUSE012, policy=Policy.SOLVER)).stats
+        assert counted.decisions > 0 and counted.propagations > 0 and counted.conflicts > 0
+        plug = lambda c: wildsat.sat.dpll_sat(c)
+        for config in (
+            EngineConfig(method=Method.CLAUSE012, policy=Policy.NONE),
+            EngineConfig(method=Method.CLAUSE_E, policy=Policy.NONE),
+            EngineConfig(method=Method.CLAUSE012, policy=Policy.SOLVER, solver=plug),
+            EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(cnf, 4)),
+        ):
+            st = run(cnf, config).stats
+            assert (st.decisions, st.propagations, st.conflicts) == (0, 0, 0)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_one_walk_totals_match_the_row_list(self, method):
+        # run() sums the models and free variables in one walk, taking the
+        # clause-e pieces as purified; the row list recounts them in full
+        rng = random.Random(167)
+        for _ in range(12):
+            w = rng.randint(1, 8)
+            cnf = random_cnf(rng, w, rng.randint(0, 10), rng.randint(1, min(3, w)))
+            out = run(cnf, EngineConfig(method=method, policy=Policy.NONE))
+            assert out.stats.models == out.total_models() == cnf_mask(cnf).bit_count()
+            assert out.stats.gamma_avg == out.gamma_avg()

@@ -187,10 +187,15 @@ class TestAgainstReference:
         for u in members + misses + others:
             assert row.contains(u) is ref.contains(u)
             assert row.contains(list(u)) is ref.contains(u)
+            assert row.contains(sum(b << i for i, b in enumerate(u))) is ref.contains(u)
         assert all(row.contains(u) for u in members)
         assert not any(row.contains(u) for u in misses)
         with pytest.raises(ValueError, match="length"):
             row.contains((0,) * (w + rng.randint(1, 3)))
+        with pytest.raises(ValueError, match="width"):
+            row.contains(1 << w + rng.randint(0, 3))
+        with pytest.raises(ValueError, match="width"):
+            row.contains(-1)
         if w:
             with pytest.raises(ValueError, match="length"):
                 row.contains((0,) * (w - 1))

@@ -145,7 +145,9 @@ class TestAgainstReference:
             want = all(row.slots[2 * v] != 1 - u[v] for v in range(w)) and all(
                 any(u[s // 2] == 1 - s % 2 for s in m) for m in row.bubbles
             )
-            assert row.contains(u) == row.contains(u, bits) == want
+            assert row.contains(u) == row.contains(bits) == want
+        with pytest.raises(ValueError, match="width"):
+            row.contains(1 << w)
 
 
 def _top_row(rng: random.Random, w: int) -> Row012e:

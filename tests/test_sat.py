@@ -20,8 +20,9 @@ from oracle import (
     ref_k_search,
     row_mask,
 )
+from wildsat.engine import clausewise012_split, clausewise_e_split, varwise_split
 from wildsat.formulas import Clause, Cnf, evaluate, weight
-from wildsat.rows import Row012, Row012e, slot_of_lit
+from wildsat.rows import Row012, Row012e, _var_masks, slot_of_lit
 from wildsat.sat import test1 as weak_test1
 from wildsat.sat import test2 as weak_test2
 from wildsat.sat import (
@@ -33,6 +34,7 @@ from wildsat.sat import (
     find_model,
     prob_final,
     row_satisfies_clause,
+    solve_row,
 )
 
 EQ11_MODELS = {
@@ -344,6 +346,56 @@ class TestKFeasible:
                 ours += stats.decisions
                 theirs += ref_stats.decisions
         assert ours < theirs
+
+
+class TestFixpointStart:
+    """A son's search started from an ancestor's root fixpoint finds what
+    its search from scratch finds, with the same decisions."""
+
+    @staticmethod
+    def _sons(row, cnf):
+        """The sons of every split the engine can make of the row."""
+        open_clauses = [c for c in cnf.clauses if not row_satisfies_clause(row, c)]
+        if isinstance(row, Row012e):
+            return [son for c in open_clauses for son in clausewise_e_split(row, c)]
+        sons = varwise_split(row) if row.twos else []
+        return sons + [son for c in open_clauses for son in clausewise012_split(row, c)]
+
+    def test_son_search_from_the_ancestor_fixpoint(self):
+        rng = random.Random(163)
+        searched = clashed = 0
+        for trial in range(160):
+            w = rng.randint(1, 9)
+            cnf = random_cnf(rng, w, rng.randint(1, 14), rng.randint(1, min(4, w)), positive=trial % 3 == 0)
+            for row in (random_row012(rng, w), random_row012e(rng, w), Row012.full(w), Row012e.full(w)):
+                found = solve_row(row, cnf)
+                if found is None:
+                    continue
+                model, start = found
+                assert row.contains(model)
+                sons = self._sons(row, cnf)
+                for son in sons + [g for s in sons[:3] for g in self._sons(s, cnf)]:
+                    fresh, ours = SolverStats(), SolverStats()
+                    want = solve_row(son, cnf, stats=fresh)
+                    got = solve_row(son, cnf, start, ours)
+                    assert got == want
+                    assert ours.decisions == fresh.decisions
+                    assert ours.propagations <= fresh.propagations
+                    if isinstance(son, Row012e):
+                        ones, zeros = _var_masks(w, son.ones)
+                    else:
+                        ones, zeros = son.ones, son.zeros
+                    if ones & start[1] or zeros & start[0]:
+                        clashed += 1
+                        assert got is None and ours == SolverStats()
+                    searched += 1
+        assert searched > 5000 and clashed > 100
+
+    def test_find_model_reads_the_search(self, phi2):
+        model, start = solve_row(Row012.full(5), phi2)
+        assert find_model(Row012.full(5), phi2) == bitstring_of(5, model)
+        assert model & start[0] == start[0] and not model & start[1]
+        assert solve_row(row012("012"), Cnf(3, (Clause((1, -2)),))) is None
 
 
 class TestDeepInstance:
