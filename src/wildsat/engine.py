@@ -115,10 +115,15 @@ class SpModFilter:
     perfect, in which case the filter replaces the feasibility policy;
     otherwise it screens in front of the policy.  ``methods`` lists the
     methods the filter runs with.
+
+    An exact filter may offer ``search(row, start, stats)``, which the
+    driver calls in place of ``admit``: it answers as ``sat.solve_row``
+    does, from ``start``, an ancestor's fixpoint, into ``stats``.
     """
 
     exact = False
     methods: tuple[Method, ...] = (Method.VAR012,)
+    search = None
 
     def admit(self, row) -> bool | tuple[int, ...] | None:
         raise NotImplementedError
@@ -145,6 +150,10 @@ class CardinalityFilter(SpModFilter):
 
     def admit(self, row: Row012) -> tuple[int, ...] | None:
         return find_k_model(row, self.cnf, self.k)
+
+    def search(self, row: Row012, start: tuple[int, int] | None, stats: RunStats):
+        """``solve_row`` with the bound k."""
+        return solve_row(row, self.cnf, start, stats, self.k)
 
     def refine_final(self, row: Row012) -> tuple[list[Row012], int]:
         """The final bitstring itself; it must have weight k."""
@@ -353,8 +362,9 @@ def varwise_split(row: Row012) -> list[Row012]:
     free = row.twos
     if not free:
         raise ValueError("cannot split a bitstring row")
-    var = (free & -free).bit_length()
-    return [row.with_value(var, 0), row.with_value(var, 1)]
+    w, ones, zeros = row.width, row.ones, row.zeros
+    bit = free & -free
+    return [_row012(w, ones, zeros | bit), _row012(w, ones | bit, zeros)]
 
 
 def clausewise012_split(row: Row012, clause: Clause) -> list[Row012]:
@@ -461,21 +471,24 @@ def _admission(cnf: Cnf, config: EngineConfig, stats: RunStats):
     ``sat.dpll_sat`` as that name stands when the run starts; it answers
     through ``solve_row`` with the mask and the ``(ones, zeros)`` its unit
     propagation reached before any decision, and adds its counters to
-    ``stats``.  A son that misses the hint starts its search from the
-    hint's fixpoint, that of its nearest ancestor that searched.  The son
-    is a subset of that ancestor, so its own propagation reaches a
+    ``stats``; so does a perfect filter's ``search`` hook (the cardinality
+    filter's k-search).  A son that misses the hint starts its search from
+    the hint's fixpoint, that of its nearest ancestor that searched.  The
+    son is a subset of that ancestor, so its own propagation reaches a
     fixpoint holding the ancestor's, or a conflict, and the search finds
-    the model it finds from scratch.  A plugged solver's or a filter's
-    tuple is packed once when it arrives and carries no fixpoint.
+    the model it finds from scratch.  Any other witness tuple is packed
+    once when it arrives and carries no fixpoint.
     """
     filt, policy, solver = config.spmod, config.policy, config.solver
     exact = filt is not None and filt.exact
     screen = None if exact else filt
     search = None
-    if exact:
+    if exact and filt.search is not None:
+        search = filt.search
+    elif exact:
         check = filt.admit
     elif policy == Policy.SOLVER and solver is sat.dpll_sat:
-        search = lambda row, start: solve_row(row, cnf, start, stats)
+        search = lambda row, start, stats: solve_row(row, cnf, start, stats)
     elif policy == Policy.SOLVER:
         check = lambda row: find_model(row, cnf, solver)
     elif policy == Policy.TEST1:
@@ -493,7 +506,7 @@ def _admission(cnf: Cnf, config: EngineConfig, stats: RunStats):
             return True, hint
         if search is not None:
             stats.solver_calls += 1
-            got = search(row, None if hint is None else hint[1])
+            got = search(row, None if hint is None else hint[1], stats)
             return (False, None) if got is None else (True, got)
         got = check(row)
         if got is True or got is False:
@@ -600,8 +613,11 @@ def enumerate_dnf_k(dnf: Dnf, k: int) -> RowList:
 
 def enumerate_hitting_sets(edges: Iterable[Iterable[int]], k: int, num_vars: int) -> RowList:
     """All k-element hitting sets of a hypergraph on [num_vars], as the
-    weight-k models of the positive CNF whose clauses are the edges."""
+    weight-k models of the positive CNF whose clauses are the edges.
+    Vertices outside 1..num_vars, negative ones too, are an error."""
     edge_list = [tuple(sorted(set(e))) for e in edges]
+    if any(not 0 < v <= num_vars for e in edge_list for v in e):
+        raise ValueError("vertex outside 1..num_vars")
     cnf = Cnf(num_vars, tuple(Clause(e) for e in edge_list if e))
     config = EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(cnf, k))
     if not all(edge_list):  # no set hits an empty edge

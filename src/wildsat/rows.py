@@ -797,7 +797,7 @@ class RunStats:
     ``prob_final`` at the run's ``gamma_avg``.  ``decisions``,
     ``propagations`` and ``conflicts`` are the counters of ``SolverStats``,
     summed over the run's searches by the built-in solver under policy
-    solver; the k-searches of ``CardinalityFilter`` are not counted."""
+    solver and over the k-searches of ``CardinalityFilter``."""
 
     method: str = ""
     policy: str = ""

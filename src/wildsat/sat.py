@@ -25,19 +25,21 @@ the lowest free variables to 1.  The model is thus a fixed function of the
 formula (and row), which the engine relies on when it reuses a parent's
 witness for its sons.
 
-``solve_row`` is the built-in search inside a row, in masks from start to
-finish.  It fixes the row's variables: a 012-row's ``ones``/``zeros``, or
-the variables of an e-row's 1-slots, with each e-bubble as one more
-(pos, neg) clause after the formula's.  It returns the model's ones mask
-with the root fixpoint, the ``(ones, zeros)`` propagation reached before
-any decision, which the engine keeps as the witness.  A son's search starts
-from the fixpoint of its nearest ancestor that searched.  The son is a
-subset of the ancestor, so each of the ancestor's clauses is, under the
-son's pins, satisfied or narrowed to one of the son's clauses; the son's
-own propagation therefore reaches a fixpoint holding the ancestor's, or a
-conflict, and the search from there visits the nodes, and finds the model,
-of the search from scratch.  Pins that clash with the ancestor's fixpoint
-mean a conflict.  ``find_model`` wraps it with a tuple result.  Any
+``solve_row`` is the built-in search inside a row, with or without the
+bound k, in masks from start to finish.  It fixes the row's variables: a
+012-row's ``ones``/``zeros``, or the variables of an e-row's 1-slots, with
+each e-bubble as one more (pos, neg) clause after the formula's.  It
+returns the model's ones mask with the root fixpoint, the ``(ones,
+zeros)`` propagation reached before any decision, which the engine keeps
+as the witness.  A son's search starts from the fixpoint of its nearest
+ancestor that searched.  The son is a subset of the ancestor, so each of
+the ancestor's clauses is, under the son's pins, satisfied or narrowed to
+one of the son's clauses; the son's own propagation therefore reaches a
+fixpoint holding the ancestor's, or a conflict, and the search from there
+visits the nodes, and finds the model, of the search from scratch.  The
+k-bound prunes only nodes that propagation has settled, so this holds
+with k too.  Pins that clash with the ancestor's fixpoint mean a conflict.
+``find_model`` and ``find_k_model`` wrap it with a tuple result.  Any
 ``SolverFn`` can replace ``dpll_sat`` in the engine.  It receives a plain
 ``Cnf`` holding the base clauses followed by the row's clauses
 (``augment_cnf``) and returns a model or None.
@@ -176,10 +178,9 @@ def dpll_sat(cnf: Cnf, stats: SolverStats | None = None) -> tuple[int, ...] | No
 def find_k_model(
     row: Row012, cnf: Cnf, k: int, stats: SolverStats | None = None
 ) -> tuple[int, ...] | None:
-    """A model with exactly k ones inside the row, or None."""
-    if row.width != cnf.num_vars:
-        raise ValueError("row width does not match num_vars")
-    found = _search(row.width, cnf.masks, row.ones, row.zeros, k, stats)
+    """A model with exactly k ones inside the row, or None: ``solve_row``
+    with the bound k, with the model as a tuple."""
+    found = solve_row(row, cnf, None, stats, k)
     return None if found is None else _bits(found[0], row.width)
 
 
@@ -223,9 +224,11 @@ def solve_row(
     cnf: Cnf,
     start: tuple[int, int] | None = None,
     stats: SolverStats | RunStats | None = None,
+    k: int | None = None,
 ) -> tuple[int, tuple[int, int]] | None:
     """The built-in search inside a row: None, or the pair (ones mask of the
-    model, root fixpoint), as ``_search`` returns it.
+    model, root fixpoint), as ``_search`` returns it.  With ``k`` only
+    models with exactly k ones count.
 
     ``start`` is the root fixpoint of a row that contains this one; the
     search then begins at it together with the row's own fixed variables,
@@ -247,7 +250,7 @@ def solve_row(
             return None
         ones |= start[0]
         zeros |= start[1]
-    return _search(w, clauses, ones, zeros, None, stats)
+    return _search(w, clauses, ones, zeros, k, stats)
 
 
 def row_satisfies_clause(row: Row012 | Row012e, clause: Clause) -> bool:

@@ -552,9 +552,9 @@ class TestEveryAcceptedConfig:
 
 class TestInvariantErrors:
     def test_cardinality_filter_admitting_a_wrong_weight(self, phi2, monkeypatch):
-        # a k-feasibility check that admits everything lets rows of every
-        # weight reach the bottom; they must be refused, also under python -O
-        monkeypatch.setattr(wildsat.engine, "find_k_model", lambda row, cnf, k: (0,) * cnf.num_vars)
+        # a k-search that admits everything lets rows of every weight reach
+        # the bottom; they must be refused, also under python -O
+        monkeypatch.setattr(wildsat.engine, "solve_row", lambda row, cnf, start, stats, k: (0, (0, 0)))
         config = EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(phi2, 3))
         with pytest.raises(RuntimeError, match="weight"):
             run(phi2, config)
@@ -661,17 +661,44 @@ class TestImposeTautologousSlots:
 class TestRunRecord:
     def test_solver_counters_count_the_built_in_searches_only(self):
         cnf = gen_random_cnf(GenSpec(12, 24, 3, seed=5))
-        counted = run(cnf, EngineConfig(method=Method.CLAUSE012, policy=Policy.SOLVER)).stats
-        assert counted.decisions > 0 and counted.propagations > 0 and counted.conflicts > 0
+        for config in (
+            EngineConfig(method=Method.CLAUSE012, policy=Policy.SOLVER),
+            EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(cnf, 4)),
+        ):
+            counted = run(cnf, config).stats
+            assert counted.decisions > 0 and counted.propagations > 0 and counted.conflicts > 0
         plug = lambda c: wildsat.sat.dpll_sat(c)
         for config in (
             EngineConfig(method=Method.CLAUSE012, policy=Policy.NONE),
             EngineConfig(method=Method.CLAUSE_E, policy=Policy.NONE),
             EngineConfig(method=Method.CLAUSE012, policy=Policy.SOLVER, solver=plug),
-            EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(cnf, 4)),
         ):
             st = run(cnf, config).stats
             assert (st.decisions, st.propagations, st.conflicts) == (0, 0, 0)
+
+    def test_k_searches_from_the_ancestor_fixpoint_match_fresh_ones(self):
+        # the driver starts a k-son's search from its ancestor's fixpoint;
+        # from scratch, and through admit's tuples, the run is the same
+        class FromScratch(CardinalityFilter):
+            def search(self, row, start, stats):
+                return super().search(row, None, stats)
+
+        class Tuples(CardinalityFilter):
+            search = None
+
+        rng = random.Random(181)
+        for trial in range(24):
+            w = rng.randint(3, 12)
+            cnf = random_cnf(rng, w, rng.randint(1, 16), rng.randint(1, min(4, w)), positive=trial % 2 == 0)
+            for k in range(w + 1):
+                filters = (CardinalityFilter, FromScratch, Tuples)
+                outs = [run(cnf, EngineConfig(method=Method.VAR012, spmod=f(cnf, k))) for f in filters]
+                ours, fresh, tuples = (o.stats for o in outs)
+                assert format_rows(outs[0]) == format_rows(outs[1]) == format_rows(outs[2])
+                assert ours.solver_calls == fresh.solver_calls == tuples.solver_calls
+                assert ours.decisions == fresh.decisions
+                assert ours.propagations <= fresh.propagations
+                assert (tuples.decisions, tuples.propagations, tuples.conflicts) == (0, 0, 0)
 
     @pytest.mark.parametrize("method", list(Method))
     def test_one_walk_totals_match_the_row_list(self, method):

@@ -216,6 +216,12 @@ class TestHittingSets:
         out = enumerate_hitting_sets([[1], []], 1, 3)
         assert out == RowList(3, (), RunStats(method="var-012", policy="solver"))
 
+    def test_vertex_outside_the_range_rejected(self):
+        # a negative vertex is no negated literal
+        for edges in ([[1, -2]], [[0, 1]], [[3]]):
+            with pytest.raises(ValueError, match="outside"):
+                enumerate_hitting_sets(edges, 1, 2)
+
     def test_random_rank3_matches_brute_force(self):
         rng = random.Random(313)
         for _ in range(60):

@@ -375,21 +375,49 @@ class TestFixpointStart:
                 assert row.contains(model)
                 sons = self._sons(row, cnf)
                 for son in sons + [g for s in sons[:3] for g in self._sons(s, cnf)]:
-                    fresh, ours = SolverStats(), SolverStats()
-                    want = solve_row(son, cnf, stats=fresh)
-                    got = solve_row(son, cnf, start, ours)
-                    assert got == want
-                    assert ours.decisions == fresh.decisions
-                    assert ours.propagations <= fresh.propagations
-                    if isinstance(son, Row012e):
-                        ones, zeros = _var_masks(w, son.ones)
-                    else:
-                        ones, zeros = son.ones, son.zeros
-                    if ones & start[1] or zeros & start[0]:
-                        clashed += 1
-                        assert got is None and ours == SolverStats()
+                    clashed += self._check(son, cnf, start)
                     searched += 1
         assert searched > 5000 and clashed > 100
+
+    def test_k_son_search_from_the_ancestor_fixpoint(self):
+        # the k-bound prunes only after propagation, so the fixpoint start
+        # serves the var-wise k-search of the cardinality filter too
+        rng = random.Random(173)
+        searched = clashed = 0
+        for trial in range(200):
+            w = rng.randint(1, 9)
+            cnf = random_cnf(rng, w, rng.randint(1, 14), rng.randint(1, min(4, w)), positive=trial % 2 == 0)
+            for row in (random_row012(rng, w), Row012.full(w)):
+                for k in range(w + 1):
+                    found = solve_row(row, cnf, k=k)
+                    if found is None or not row.twos:
+                        continue
+                    model, start = found
+                    assert row.contains(model) and model.bit_count() == k
+                    sons = varwise_split(row)
+                    for son in sons + [g for s in sons if s.twos for g in varwise_split(s)]:
+                        clashed += self._check(son, cnf, start, k)
+                        searched += 1
+        assert searched > 5000 and clashed > 100
+
+    @staticmethod
+    def _check(son, cnf, start, k=None) -> bool:
+        """Compare the son's search from ``start`` with its search from
+        scratch; True when the son's pins clash with ``start``."""
+        fresh, ours = SolverStats(), SolverStats()
+        want = solve_row(son, cnf, stats=fresh, k=k)
+        got = solve_row(son, cnf, start, ours, k)
+        assert got == want
+        assert ours.decisions == fresh.decisions
+        assert ours.propagations <= fresh.propagations
+        if isinstance(son, Row012e):
+            ones, zeros = _var_masks(son.width, son.ones)
+        else:
+            ones, zeros = son.ones, son.zeros
+        if ones & start[1] or zeros & start[0]:
+            assert got is None and ours == SolverStats()
+            return True
+        return False
 
     def test_find_model_reads_the_search(self, phi2):
         model, start = solve_row(Row012.full(5), phi2)
