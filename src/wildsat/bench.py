@@ -52,8 +52,10 @@ def run_bench(
     the timings stay comparable.
 
     Every method/policy pair is checked with ``validate_config`` before any
-    of them runs; an invalid pair raises ValueError.
+    of them runs; an invalid pair, or no method at all, raises ValueError.
     """
+    if not methods:
+        raise ValueError("no method to bench")
     cnf = gen_random_cnf(spec)
     configs = [EngineConfig(method=method, policy=policy) for method in methods]
     for config in configs:

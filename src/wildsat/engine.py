@@ -41,7 +41,6 @@ from .rows import (
     RunStats,
     _bit_index,
     _gather,
-    _pack,
     _row012,
     _slots_of,
     _totals,
@@ -49,7 +48,7 @@ from .rows import (
     impose_on_slots,
     purify,
 )
-from . import sat
+# find_model and find_k_model are unused here but stay: perfbench's trace probes wrap these names
 from .sat import (
     SolverFn,
     dpll_sat,
@@ -107,25 +106,25 @@ class EngineConfig:
 class SpModFilter:
     """Restriction of the enumeration to a special subset of the models.
 
-    ``admit`` must answer no only when the row misses the special set.  It
-    returns a bool, or, when it is solver-backed, a witness: a member of the
-    special set inside the row, or None when there is none.  The driver
-    counts each witness answer as a solver call and reuses a parent's
-    witness for every son that contains it.  ``exact`` marks the answer
-    perfect, in which case the filter replaces the feasibility policy;
-    otherwise it screens in front of the policy.  ``methods`` lists the
-    methods the filter runs with.
+    ``admit`` answers a bool, and must answer False only when the row
+    misses the special set.  ``exact`` marks the answer perfect, in which
+    case the filter replaces the feasibility policy; otherwise it screens
+    in front of the policy.  ``methods`` lists the methods the filter runs
+    with.
 
-    An exact filter may offer ``search(row, start, stats)``, which the
-    driver calls in place of ``admit``: it answers as ``sat.solve_row``
-    does, from ``start``, an ancestor's fixpoint, into ``stats``.
+    An exact filter may offer ``search(row, start, stats)`` in place of
+    ``admit``: a solver-backed check that answers as ``sat.solve_row``
+    does, with a witness (model mask, root fixpoint) or None, from
+    ``start``, an ancestor's fixpoint, into ``stats``.  The driver counts
+    each search as a solver call and reuses a parent's witness for every
+    son that contains it.
     """
 
     exact = False
     methods: tuple[Method, ...] = (Method.VAR012,)
     search = None
 
-    def admit(self, row) -> bool | tuple[int, ...] | None:
+    def admit(self, row) -> bool:
         raise NotImplementedError
 
     def final_override(self, row) -> bool | None:
@@ -147,9 +146,6 @@ class CardinalityFilter(SpModFilter):
             raise ValueError("k must lie in [0, num_vars]")
         self.cnf = cnf
         self.k = k
-
-    def admit(self, row: Row012) -> tuple[int, ...] | None:
-        return find_k_model(row, self.cnf, self.k)
 
     def search(self, row: Row012, start: tuple[int, int] | None, stats: RunStats):
         """``solve_row`` with the bound k."""
@@ -462,35 +458,28 @@ def _admission(cnf: Cnf, config: EngineConfig, stats: RunStats):
     """The son screen of a run: admit(row, hint) -> (admitted, witness).
 
     A perfect filter replaces the policy; any other filter screens in front
-    of it.  A check that answers with a witness (a model, or None) rather
-    than a bool is a solver call, and ``hint``, the parent's witness, stands
-    in for it on a son that contains it.
+    of it.  There are two kinds of check.  A bool check (a filter's
+    ``admit``, the weak policies) gives no witness.  A search (policy
+    solver, a perfect filter's ``search``) answers as ``sat.solve_row``
+    does: None, or the witness (model as a variable mask, root fixpoint),
+    and counts as one solver call.  ``solve_row`` decides between the
+    built-in solver and a plug; a plug's witness has no fixpoint.
 
-    A witness is the pair (model as a variable mask, root fixpoint), so the
-    hint test is ``row.contains(mask)``.  The solver is built in when it is
-    ``sat.dpll_sat`` as that name stands when the run starts; it answers
-    through ``solve_row`` with the mask and the ``(ones, zeros)`` its unit
-    propagation reached before any decision, and adds its counters to
-    ``stats``; so does a perfect filter's ``search`` hook (the cardinality
-    filter's k-search).  A son that misses the hint starts its search from
-    the hint's fixpoint, that of its nearest ancestor that searched.  The
-    son is a subset of that ancestor, so its own propagation reaches a
-    fixpoint holding the ancestor's, or a conflict, and the search finds
-    the model it finds from scratch.  Any other witness tuple is packed
-    once when it arrives and carries no fixpoint.
+    ``hint``, the parent's witness, stands in for a search on a son that
+    contains it, so the hint test is ``row.contains(mask)``.  A son that
+    misses the hint starts its search from the hint's fixpoint, that of its
+    nearest ancestor that searched.  The son is a subset of that ancestor,
+    so its own propagation reaches a fixpoint holding the ancestor's, or a
+    conflict, and the search finds the model it finds from scratch.
     """
     filt, policy, solver = config.spmod, config.policy, config.solver
     exact = filt is not None and filt.exact
     screen = None if exact else filt
     search = None
-    if exact and filt.search is not None:
-        search = filt.search
-    elif exact:
-        check = filt.admit
-    elif policy == Policy.SOLVER and solver is sat.dpll_sat:
-        search = lambda row, start, stats: solve_row(row, cnf, start, stats)
+    if exact:
+        search, check = filt.search, filt.admit
     elif policy == Policy.SOLVER:
-        check = lambda row: find_model(row, cnf, solver)
+        search = lambda row, start, stats: solve_row(row, cnf, start, stats, solver=solver)
     elif policy == Policy.TEST1:
         check = lambda row: test1(row, cnf)
     elif policy == Policy.TEST12:
@@ -502,17 +491,13 @@ def _admission(cnf: Cnf, config: EngineConfig, stats: RunStats):
         if screen is not None and not screen.admit(row):
             stats.weight_pruned += 1
             return False, None
+        if search is None:
+            return check(row), None
         if hint is not None and row.contains(hint[0]):
             return True, hint
-        if search is not None:
-            stats.solver_calls += 1
-            got = search(row, None if hint is None else hint[1], stats)
-            return (False, None) if got is None else (True, got)
-        got = check(row)
-        if got is True or got is False:
-            return got, None
         stats.solver_calls += 1
-        return (False, None) if got is None else (True, (_pack(got), None))
+        got = search(row, hint and hint[1], stats)
+        return got is not None, got
 
     return admit
 

@@ -795,9 +795,10 @@ class RunStats:
     """Machine-readable statistics of one enumeration run: every number the
     command line reports.  ``prob`` is the paper's finality probability
     ``prob_final`` at the run's ``gamma_avg``.  ``decisions``,
-    ``propagations`` and ``conflicts`` are the counters of ``SolverStats``,
-    summed over the run's searches by the built-in solver under policy
-    solver and over the k-searches of ``CardinalityFilter``."""
+    ``propagations`` and ``conflicts`` are the built-in solver's counters,
+    summed over the run's searches under policy solver and over the
+    k-searches of ``CardinalityFilter``; the ``sat`` functions that take
+    ``stats`` count into a ``RunStats``."""
 
     method: str = ""
     policy: str = ""

@@ -39,27 +39,22 @@ fixpoint holding the ancestor's, or a conflict, and the search from there
 visits the nodes, and finds the model, of the search from scratch.  The
 k-bound prunes only nodes that propagation has settled, so this holds
 with k too.  Pins that clash with the ancestor's fixpoint mean a conflict.
-``find_model`` and ``find_k_model`` wrap it with a tuple result.  Any
-``SolverFn`` can replace ``dpll_sat`` in the engine.  It receives a plain
-``Cnf`` holding the base clauses followed by the row's clauses
-(``augment_cnf``) and returns a model or None.
+``find_model`` and ``find_k_model`` wrap it with a tuple result.
+
+``solve_row`` is also the one place that decides between the built-in
+search and a plugged ``SolverFn``: any solver other than ``dpll_sat``, as
+that name stands at call time, receives a plain ``Cnf`` holding the base
+clauses followed by the row's clauses (``augment_cnf``) and returns a model
+or None.  Its model is checked, packed once and carries no fixpoint.  The
+counters of every search go into a ``RunStats``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .formulas import Clause, Cnf
-from .rows import Row012, Row012e, RunStats, _slots_of, _var_masks, lit_of_slot, settles
-
-
-@dataclass
-class SolverStats:
-    decisions: int = 0
-    propagations: int = 0
-    conflicts: int = 0
-
+from .formulas import Clause, Cnf, evaluate
+from .rows import Row012, Row012e, RunStats, _pack, _slots_of, _var_masks, lit_of_slot, settles
 
 _FROM_TEXT = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -71,7 +66,7 @@ SolverFn = Callable[[Cnf], "tuple[int, ...] | None"]
 
 
 def _propagate(
-    clauses: Sequence[tuple[int, int]], ones: int, zeros: int, full: int, stats: SolverStats
+    clauses: Sequence[tuple[int, int]], ones: int, zeros: int, full: int, stats: RunStats
 ) -> tuple[int, int, int] | None:
     """Unit propagation to a fixpoint: (ones, zeros, open) with ``open`` the
     free variables of the unresolved clauses, or None on a conflict."""
@@ -106,7 +101,7 @@ def _search(
     ones: int = 0,
     zeros: int = 0,
     k: int | None = None,
-    stats: SolverStats | None = None,
+    stats: RunStats | None = None,
 ) -> tuple[int, tuple[int, int]] | None:
     """The first model in branching order as the pair (ones mask, root
     fixpoint), or None.  The root fixpoint is the ``(ones, zeros)`` that
@@ -120,7 +115,7 @@ def _search(
     returns without the bound, with no more decisions.
     """
     if stats is None:
-        stats = SolverStats()
+        stats = RunStats()
     full = (1 << num_vars) - 1
     node = root = _propagate(clauses, ones, zeros, full, stats)
     trail: list[tuple[int, int]] = []  # (ones, zeros) of each pending 0 branch
@@ -169,14 +164,14 @@ def _bits(ones: int, num_vars: int) -> tuple[int, ...]:
     return tuple(format(ones, f"0{num_vars}b")[::-1].encode().translate(_FROM_TEXT)) if num_vars else ()
 
 
-def dpll_sat(cnf: Cnf, stats: SolverStats | None = None) -> tuple[int, ...] | None:
+def dpll_sat(cnf: Cnf, stats: RunStats | None = None) -> tuple[int, ...] | None:
     """A model of the formula as a bitstring, or None when unsatisfiable."""
     found = _search(cnf.num_vars, [c.masks for c in cnf.clauses], stats=stats)
     return None if found is None else _bits(found[0], cnf.num_vars)
 
 
 def find_k_model(
-    row: Row012, cnf: Cnf, k: int, stats: SolverStats | None = None
+    row: Row012, cnf: Cnf, k: int, stats: RunStats | None = None
 ) -> tuple[int, ...] | None:
     """A model with exactly k ones inside the row, or None: ``solve_row``
     with the bound k, with the model as a tuple."""
@@ -205,17 +200,14 @@ def augment_cnf(cnf: Cnf, row: Row012 | Row012e) -> Cnf:
 
 
 def find_model(row: Row012 | Row012e, cnf: Cnf, solver: SolverFn = dpll_sat) -> tuple[int, ...] | None:
-    """A model of the formula inside the row, or None.
+    """A model of the formula inside the row, or None: ``solve_row`` with
+    the solver, with the model as a tuple.
 
-    The built-in solver (the module's ``dpll_sat`` at call time) searches
-    through ``solve_row``.  Unit propagation reaches the same fixpoint in
-    any order, so this visits the nodes, and finds the model, of
-    ``dpll_sat`` on ``augment_cnf(cnf, row)``, which any other solver
-    receives.
+    Unit propagation reaches the same fixpoint in any order, so the built-in
+    search visits the nodes, and finds the model, of ``dpll_sat`` on
+    ``augment_cnf(cnf, row)``, which any other solver receives.
     """
-    if solver is not dpll_sat:
-        return solver(augment_cnf(cnf, row))
-    found = solve_row(row, cnf)
+    found = solve_row(row, cnf, solver=solver)
     return None if found is None else _bits(found[0], row.width)
 
 
@@ -223,23 +215,41 @@ def solve_row(
     row: Row012 | Row012e,
     cnf: Cnf,
     start: tuple[int, int] | None = None,
-    stats: SolverStats | RunStats | None = None,
+    stats: RunStats | None = None,
     k: int | None = None,
-) -> tuple[int, tuple[int, int]] | None:
-    """The built-in search inside a row: None, or the pair (ones mask of the
-    model, root fixpoint), as ``_search`` returns it.  With ``k`` only
-    models with exactly k ones count.
+    solver: SolverFn | None = None,
+) -> tuple[int, tuple[int, int] | None] | None:
+    """The search inside a row: None, or the pair (ones mask of the model,
+    root fixpoint), as ``_search`` returns it.  With ``k`` only models with
+    exactly k ones count.
 
     ``start`` is the root fixpoint of a row that contains this one; the
     search then begins at it together with the row's own fixed variables,
     and pins that clash with it give None at once.  The answer is the one
     the search from the row alone gives (see the module docstring).
-    ``stats`` receives the counters: a ``SolverStats``, or a ``RunStats``,
-    which has the same three fields.
+    ``stats`` receives the counters.
+
+    A ``solver`` other than ``dpll_sat`` (looked up at call time) gets
+    ``augment_cnf(cnf, row)`` instead, ignores ``start`` and ``stats`` and
+    takes no ``k``.  Its answer must be None or a 0/1 sequence of length w
+    inside the row that satisfies the formula, else ValueError.  The model
+    comes back with no fixpoint.
     """
     w = row.width
     if w != cnf.num_vars:
         raise ValueError("row width does not match num_vars")
+    if solver is not None and solver is not dpll_sat:
+        if k is not None:
+            raise ValueError("a plugged solver takes no cardinality bound")
+        model = solver(augment_cnf(cnf, row))
+        if model is None:
+            return None
+        if not (isinstance(model, Sequence) and len(model) == w and all(b in (0, 1) for b in model)):
+            raise ValueError(f"the plugged solver answered {model!r}, not a bitstring of width {w}")
+        mask = _pack([b == 1 for b in model])
+        if not (row.contains(mask) and evaluate(cnf, model)):
+            raise ValueError(f"the plugged solver answered {model!r}, not a model inside the row")
+        return mask, None
     if isinstance(row, Row012):
         clauses, ones, zeros = cnf.masks, row.ones, row.zeros
     else:
@@ -319,7 +329,10 @@ def test2(row: Row012, cnf: Cnf) -> bool:
     Ci but p is falsified.  With Cj's positive and Ci's negative literals
     falsified, the literals left open (Ci's positive ones not fixed to 0,
     Cj's negative ones not fixed to 1) must lie within one common p.
+    An e-row's masks are slot masks, so it raises TypeError.
     """
+    if not isinstance(row, Row012):
+        raise TypeError("test2 is defined on 012-rows")
     ones, zeros = row.ones, row.zeros
     masks = cnf.masks
     for i, (pi, ni) in enumerate(masks):

@@ -20,6 +20,7 @@ from wildsat.rows import (
     Row012,
     Row012e,
     RowList,
+    RunStats,
     card_purified,
     intersection_card_ie,
     neg_slot,
@@ -28,7 +29,6 @@ from wildsat.rows import (
     slot_var,
 )
 from wildsat.rows import _condense, _row_text, _slots_of
-from wildsat.sat import SolverStats
 
 _B = 3  # slot values >= _B reference bubble number (value - _B)
 
@@ -180,12 +180,12 @@ def ref_impose_on_slots(row: Row012e, slots) -> list[Row012e]:
 
 def ref_k_search(
     num_vars: int, clauses, ones: int, zeros: int, k: int
-) -> tuple[int | None, SolverStats]:
+) -> tuple[int | None, RunStats]:
     """The k-model search of ``sat._search`` without the disjoint-clause
     bound: a node is pruned only when it holds more than k ones or too few
     free variables to reach k.  Returns the ones mask of the first k-model
     in branching order (or None) and the search's counters."""
-    stats = SolverStats()
+    stats = RunStats()
     full = (1 << num_vars) - 1
     trail: list[tuple[int, int]] = []
 

@@ -176,6 +176,14 @@ class TestCli:
         assert len(captured.err.strip().splitlines()) == 1
         assert "clause-e" in captured.err
 
+    def test_bench_without_methods_exits_2(self, capsys):
+        assert main(["bench", "--w", "3", "--h", "2", "--lambda", "2", "--methods", ","]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        with pytest.raises(ValueError):
+            run_bench(GenSpec(3, 2, 2), [])
+
     def test_cardinality_flag(self, phi2_file, capsys):
         assert main([
             "enumerate", str(phi2_file), "--method", "var-012", "--k", "3",

@@ -22,11 +22,10 @@ from oracle import (
 )
 from wildsat.engine import clausewise012_split, clausewise_e_split, varwise_split
 from wildsat.formulas import Clause, Cnf, evaluate, weight
-from wildsat.rows import Row012, Row012e, _var_masks, slot_of_lit
+from wildsat.rows import Row012, Row012e, RunStats, _var_masks, slot_of_lit
 from wildsat.sat import test1 as weak_test1
 from wildsat.sat import test2 as weak_test2
 from wildsat.sat import (
-    SolverStats,
     augment_cnf,
     dpll_sat,
     final_e,
@@ -73,7 +72,7 @@ class TestDpll:
         assert dpll_sat(phi2) == dpll_sat(phi2)
 
     def test_stats_counters(self, phi2):
-        stats = SolverStats()
+        stats = RunStats()
         dpll_sat(phi2, stats)
         assert stats.decisions >= 0
         assert stats.propagations >= 0
@@ -115,6 +114,22 @@ class TestFeasibleSolver:
         # the plug sees the formula's clauses followed by the row's
         find_model(row012("10222"), phi2, solver=fake_solver)
         assert calls[1] == Cnf(5, phi2.clauses + (Clause((1,)), Clause((-2,))))
+
+    @pytest.mark.parametrize(
+        "answer",
+        [(0, 0, 0), True, (1, 1), (1, 1, 1, 1), (0, 1, 2), "011", (0, 1, 0)],
+        ids=["no-model", "bool", "short", "long", "not-0/1", "text", "outside-row"],
+    )
+    def test_a_bad_plug_answer_is_rejected(self, answer):
+        # (0, 1, 0) is a model, but not inside the row 1 2 2
+        cnf = Cnf(3, ((1, 2), (-1, 3)))
+        with pytest.raises(ValueError):
+            find_model(row012("122"), cnf, solver=lambda c: answer)
+
+    def test_a_plug_model_inside_the_row_is_taken(self):
+        cnf = Cnf(3, ((1, 2), (-1, 3)))
+        assert find_model(row012("122"), cnf, solver=lambda c: [1, 0, 1]) == (1, 0, 1)
+        assert find_model(row012("122"), cnf, solver=lambda c: None) is None
 
     def test_augmented_clauses_pinned(self, phi2):
         # a plug gets the formula's clauses, one unit per fixed variable in
@@ -229,6 +244,14 @@ class TestTest2:
                 assert row_mask(w, row) & cnf_mask(cnf) == 0
         assert hits > 0  # the test fires on this sample
 
+    def test_e_row_rejected(self):
+        # an e-row's masks are slot masks: read as variable masks they made
+        # the test refuse this feasible row
+        row, cnf = Row012e(3, (1, 0, 2, 2, 2, 2)), Cnf(3, ((3, 2), (-3, 2)))
+        assert find_model(row, cnf) == (1, 1, 0)
+        with pytest.raises(TypeError):
+            weak_test2(row, cnf)
+
 
 class TestFinal012:
     def test_clause_settled_by_zeroed_negative(self):
@@ -339,7 +362,7 @@ class TestKFeasible:
             row = random_row012(rng, w)
             for k in range(w + 1):
                 expected, ref_stats = ref_k_search(w, cnf.masks, row.ones, row.zeros, k)
-                stats = SolverStats()
+                stats = RunStats()
                 model = find_k_model(row, cnf, k, stats)
                 assert model == (None if expected is None else bitstring_of(w, expected))
                 assert stats.decisions <= ref_stats.decisions
@@ -404,7 +427,7 @@ class TestFixpointStart:
     def _check(son, cnf, start, k=None) -> bool:
         """Compare the son's search from ``start`` with its search from
         scratch; True when the son's pins clash with ``start``."""
-        fresh, ours = SolverStats(), SolverStats()
+        fresh, ours = RunStats(), RunStats()
         want = solve_row(son, cnf, stats=fresh, k=k)
         got = solve_row(son, cnf, start, ours, k)
         assert got == want
@@ -415,7 +438,7 @@ class TestFixpointStart:
         else:
             ones, zeros = son.ones, son.zeros
         if ones & start[1] or zeros & start[0]:
-            assert got is None and ours == SolverStats()
+            assert got is None and ours == RunStats()
             return True
         return False
 
@@ -436,7 +459,7 @@ class TestDeepInstance:
         return Cnf(self.W, tuple(Clause((2 * i - 1, 2 * i)) for i in range(1, self.W // 2 + 1)))
 
     def test_dpll_sat(self, chain):
-        stats = SolverStats()
+        stats = RunStats()
         model = dpll_sat(chain, stats)
         assert model is not None and evaluate(chain, model)
         assert stats.decisions == self.W // 2
