@@ -50,6 +50,7 @@ from .rows import (
 )
 # find_model and find_k_model are unused here but stay: perfbench's trace probes wrap these names
 from .sat import (
+    Fixpoint,
     SolverFn,
     dpll_sat,
     final_e,
@@ -114,10 +115,10 @@ class SpModFilter:
 
     An exact filter may offer ``search(row, start, stats)`` in place of
     ``admit``: a solver-backed check that answers as ``sat.solve_row``
-    does, with a witness (model mask, root fixpoint) or None, from
-    ``start``, an ancestor's fixpoint, into ``stats``.  The driver counts
-    each search as a solver call and reuses a parent's witness for every
-    son that contains it.
+    does, with a witness (model mask, root fixpoint ``(ones, zeros, open
+    clauses)``) or None, from ``start``, an ancestor's fixpoint, into
+    ``stats``.  The driver counts each search as a solver call and reuses a
+    parent's witness for every son that contains it.
     """
 
     exact = False
@@ -147,8 +148,9 @@ class CardinalityFilter(SpModFilter):
         self.cnf = cnf
         self.k = k
 
-    def search(self, row: Row012, start: tuple[int, int] | None, stats: RunStats):
-        """``solve_row`` with the bound k."""
+    def search(self, row: Row012, start: Fixpoint | None, stats: RunStats):
+        """``solve_row`` with the bound k, from the ancestor's fixpoint
+        ``start`` and reading only its open clauses."""
         return solve_row(row, self.cnf, start, stats, self.k)
 
     def refine_final(self, row: Row012) -> tuple[list[Row012], int]:
@@ -461,16 +463,18 @@ def _admission(cnf: Cnf, config: EngineConfig, stats: RunStats):
     of it.  There are two kinds of check.  A bool check (a filter's
     ``admit``, the weak policies) gives no witness.  A search (policy
     solver, a perfect filter's ``search``) answers as ``sat.solve_row``
-    does: None, or the witness (model as a variable mask, root fixpoint),
-    and counts as one solver call.  ``solve_row`` decides between the
-    built-in solver and a plug; a plug's witness has no fixpoint.
+    does: None, or the witness (model as a variable mask, root fixpoint
+    ``(ones, zeros, open clauses)``), and counts as one solver call.
+    ``solve_row`` decides between the built-in solver and a plug; a plug's
+    witness has no fixpoint.
 
     ``hint``, the parent's witness, stands in for a search on a son that
     contains it, so the hint test is ``row.contains(mask)``.  A son that
     misses the hint starts its search from the hint's fixpoint, that of its
-    nearest ancestor that searched.  The son is a subset of that ancestor,
-    so its own propagation reaches a fixpoint holding the ancestor's, or a
-    conflict, and the search finds the model it finds from scratch.
+    nearest ancestor that searched, and reads only the formula clauses the
+    fixpoint left open.  The son is a subset of that ancestor, so its own
+    propagation reaches a fixpoint holding the ancestor's, or a conflict,
+    and the search finds the model it finds from scratch.
     """
     filt, policy, solver = config.spmod, config.policy, config.solver
     exact = filt is not None and filt.exact

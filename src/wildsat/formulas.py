@@ -32,7 +32,7 @@ class Clause:
     def __post_init__(self) -> None:
         seen = []
         for lit in self.lits:
-            if lit == 0 or not isinstance(lit, int):
+            if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
                 raise ValueError("literals are nonzero integers")
             if -lit in seen:
                 raise ValueError(f"tautologous clause: {lit} and {-lit}")
@@ -86,8 +86,9 @@ class Cnf:
     tautologies_dropped: int = field(default=0, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.num_vars < 0:
-            raise ValueError("num_vars must be non-negative")
+        n = self.num_vars
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise ValueError("num_vars must be a non-negative integer")
         clauses = tuple(
             c if isinstance(c, Clause) else Clause(tuple(c)) for c in self.clauses
         )

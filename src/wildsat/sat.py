@@ -10,35 +10,39 @@ The solver is one iterative DPLL over bitmasks, behind both ``dpll_sat`` and
 ``find_k_model``.  A clause is its pair of (pos, neg) variable masks
 (``Clause.masks``, bit v-1 for variable v) and an assignment is two ints,
 ``ones`` and ``zeros``.  Unit propagation makes passes over the clause masks
-until a pass finds no unit.  A node that survives it branches on the lowest
-variable of any unresolved clause, value 1 first, and saves the state of
-its 0 branch on a trail; backtracking pops the trail, so nothing is copied
-and there is no recursion limit.  Variables never forced stay 0.  With a
-cardinality bound k a node is also pruned when it holds more than k ones or
-too few free variables to reach k, or when its ones plus a packing of its
-open clauses exceed k: the unresolved clauses whose free literals are all
-positive, taken in clause order while their free variables are disjoint
-from those already taken, each need a 1 of their own.  The bound is sound,
-so a pruned subtree holds no k-model and the first k-model in branching
-order, or None, is the same as without it.  A model is completed by setting
-the lowest free variables to 1.  The model is thus a fixed function of the
-formula (and row), which the engine relies on when it reuses a parent's
-witness for its sons.
+until a pass finds no unit, each pass reading only the clauses the one
+before left unresolved (a satisfied clause stays satisfied).  A node that
+survives it branches on the lowest variable of its open clauses, value 1
+first, and saves its 0 branch with those clauses on a trail; backtracking
+pops the trail, so nothing is copied and there is no recursion limit.
+Variables never forced stay 0.  With a cardinality bound k a node is also
+pruned when it holds more than k ones or too few free variables to reach k
+(a search whose pins do so ends before propagating), or when its ones plus
+a packing of its open clauses exceed k: the unresolved clauses whose free
+literals are all positive, taken in clause order while their free
+variables are disjoint from those already taken, each need a 1 of their
+own.  The bound is sound, so a pruned subtree holds no k-model and the
+first k-model in branching order, or None, is the same as without it.  A
+model is completed by setting the lowest free variables to 1.  The model is
+thus a fixed function of the formula (and row), which the engine relies on
+when it reuses a parent's witness for its sons.
 
 ``solve_row`` is the built-in search inside a row, with or without the
 bound k, in masks from start to finish.  It fixes the row's variables: a
 012-row's ``ones``/``zeros``, or the variables of an e-row's 1-slots, with
 each e-bubble as one more (pos, neg) clause after the formula's.  It
-returns the model's ones mask with the root fixpoint, the ``(ones,
-zeros)`` propagation reached before any decision, which the engine keeps
-as the witness.  A son's search starts from the fixpoint of its nearest
-ancestor that searched.  The son is a subset of the ancestor, so each of
-the ancestor's clauses is, under the son's pins, satisfied or narrowed to
-one of the son's clauses; the son's own propagation therefore reaches a
-fixpoint holding the ancestor's, or a conflict, and the search from there
-visits the nodes, and finds the model, of the search from scratch.  The
-k-bound prunes only nodes that propagation has settled, so this holds
-with k too.  Pins that clash with the ancestor's fixpoint mean a conflict.
+returns the model's ones mask with the root fixpoint, the ``(ones, zeros,
+open clauses)`` propagation reached before any decision, which the engine
+keeps as the witness; the open clauses are the formula's, never a bubble.
+A son's search starts from the fixpoint of its nearest ancestor that
+searched and reads only its open clauses, the others being satisfied
+there.  The son is a subset of the ancestor, so each of the ancestor's
+clauses is, under the son's pins, satisfied or narrowed to one of the
+son's clauses; the son's own propagation therefore reaches a fixpoint
+holding the ancestor's, or a conflict, and the search from there visits
+the nodes, and finds the model, of the search from scratch.  The k-bound
+prunes only nodes that propagation has settled, so this holds with k too.
+Pins that clash with the ancestor's fixpoint mean a conflict.
 ``find_model`` and ``find_k_model`` wrap it with a tuple result.
 
 ``solve_row`` is also the one place that decides between the built-in
@@ -64,17 +68,26 @@ _FROM_TEXT = bytes.maketrans(b"01", b"\x00\x01")
 # engine instead.
 SolverFn = Callable[[Cnf], "tuple[int, ...] | None"]
 
+# A root fixpoint: the (ones, zeros) that unit propagation reaches before any
+# decision, with the formula's clauses it leaves open, in clause order.
+Fixpoint = tuple[int, int, "list[tuple[int, int]]"]
+
 
 def _propagate(
     clauses: Sequence[tuple[int, int]], ones: int, zeros: int, full: int, stats: RunStats
-) -> tuple[int, int, int] | None:
-    """Unit propagation to a fixpoint: (ones, zeros, open) with ``open`` the
-    free variables of the unresolved clauses, or None on a conflict."""
+) -> tuple[int, int, int, list[tuple[int, int]]] | None:
+    """Unit propagation to a fixpoint: (ones, zeros, open, left), or None on
+    a conflict.  ``left`` lists, in clause order, the clauses the fixpoint
+    leaves unresolved, and ``open`` is the union of their free variables.
+    A pass reads only the previous pass's ``left``; the clauses it skips
+    stay satisfied, so the units and conflicts are those of full passes."""
     while True:
         free = full & ~(ones | zeros)
         open_ = 0
+        left = []
         unit = False
-        for pos, neg in clauses:
+        for clause in clauses:
+            pos, neg = clause
             if pos & ones or neg & zeros:
                 continue
             lits = (pos | neg) & free
@@ -83,6 +96,7 @@ def _propagate(
                 return None
             if lits & (lits - 1):
                 open_ |= lits
+                left.append(clause)
                 continue
             if pos & lits:
                 ones |= lits
@@ -92,7 +106,8 @@ def _propagate(
             unit = True
             stats.propagations += 1
         if not unit:
-            return ones, zeros, open_
+            return ones, zeros, open_, left
+        clauses = left
 
 
 def _search(
@@ -102,59 +117,64 @@ def _search(
     zeros: int = 0,
     k: int | None = None,
     stats: RunStats | None = None,
-) -> tuple[int, tuple[int, int]] | None:
+) -> tuple[int, Fixpoint] | None:
     """The first model in branching order as the pair (ones mask, root
-    fixpoint), or None.  The root fixpoint is the ``(ones, zeros)`` that
-    unit propagation reaches before any decision.
+    fixpoint), or None.  The root fixpoint is the ``(ones, zeros, open
+    clauses)`` that unit propagation reaches before any decision.
 
-    ``ones``/``zeros`` are the variables fixed beforehand; with ``k`` only
-    models with exactly k ones count.  A k-node is then pruned when its ones
-    plus a greedy packing of its all-positive open clauses with disjoint
-    free variables exceed k.  Each packed clause needs its own 1, so no
-    k-model is lost and the search returns the model, or None, that it
-    returns without the bound, with no more decisions.
+    ``ones``/``zeros`` are the variables fixed beforehand, and ``clauses``
+    need hold only those they leave unsatisfied; each node reads only the
+    clauses its propagation left open.  With ``k`` only models with exactly
+    k ones count.  Pins past that bound end the search before it
+    propagates, and a k-node is pruned when its ones plus a greedy packing
+    of its all-positive open clauses with disjoint free variables exceed k.
+    Each packed clause needs its own 1, so no k-model is lost and the
+    search returns the model, or None, that it returns without the bound,
+    with no more decisions.
     """
     if stats is None:
         stats = RunStats()
     full = (1 << num_vars) - 1
+    if k is not None and not 0 <= k - ones.bit_count() <= (full & ~(ones | zeros)).bit_count():
+        return None
     node = root = _propagate(clauses, ones, zeros, full, stats)
-    trail: list[tuple[int, int]] = []  # (ones, zeros) of each pending 0 branch
+    trail: list[tuple[int, int, list]] = []  # (ones, zeros, open clauses) of each pending 0 branch
     while True:
-        if node is not None and k is not None:
-            ones, zeros = node[0], node[1]
-            free = full & ~(ones | zeros)
-            spare = k - ones.bit_count()  # the ones still to place
-            if not 0 <= spare <= free.bit_count():
-                node = None
-            elif 2 * (spare + 1) <= node[2].bit_count():
-                # an open clause has 2 or more free variables, so fewer than
-                # 2 * (spare + 1) open variables cannot pack spare + 1 clauses
-                packed = 0  # the free variables of the packed clauses
-                for pos, neg in clauses:
-                    if pos & ones or neg & zeros or neg & free or pos & packed:
-                        continue
-                    packed |= pos & free
-                    spare -= 1
-                    if spare < 0:
-                        node = None
-                        break
+        if node is not None:
+            ones, zeros, open_, clauses = node
+            if k is not None:
+                free = full & ~(ones | zeros)
+                spare = k - ones.bit_count()  # the ones still to place
+                if not 0 <= spare <= free.bit_count():
+                    node = None
+                elif 2 * (spare + 1) <= open_.bit_count():
+                    # an open clause has 2 or more free variables, so fewer
+                    # than 2 * (spare + 1) open variables cannot pack spare + 1
+                    packed = 0  # the free variables of the packed clauses
+                    for pos, neg in clauses:  # all unresolved at this node
+                        if neg & free or pos & packed:
+                            continue
+                        packed |= pos & free
+                        spare -= 1
+                        if spare < 0:
+                            node = None
+                            break
         if node is None:
             if not trail:
                 return None
-            ones, zeros = trail.pop()
+            ones, zeros, clauses = trail.pop()
             node = _propagate(clauses, ones, zeros, full, stats)
             continue
-        ones, zeros, open_ = node
         if not open_:
             if k is not None:  # free is this node's, set above
                 for _ in range(k - ones.bit_count()):
                     low = free & -free
                     ones |= low
                     free ^= low
-            return ones, root[:2]
+            return ones, (root[0], root[1], root[3])
         bit = open_ & -open_
         stats.decisions += 1
-        trail.append((ones, zeros | bit))
+        trail.append((ones, zeros | bit, clauses))
         node = _propagate(clauses, ones | bit, zeros, full, stats)
 
 
@@ -166,7 +186,7 @@ def _bits(ones: int, num_vars: int) -> tuple[int, ...]:
 
 def dpll_sat(cnf: Cnf, stats: RunStats | None = None) -> tuple[int, ...] | None:
     """A model of the formula as a bitstring, or None when unsatisfiable."""
-    found = _search(cnf.num_vars, [c.masks for c in cnf.clauses], stats=stats)
+    found = _search(cnf.num_vars, cnf.masks, stats=stats)
     return None if found is None else _bits(found[0], cnf.num_vars)
 
 
@@ -214,20 +234,21 @@ def find_model(row: Row012 | Row012e, cnf: Cnf, solver: SolverFn = dpll_sat) -> 
 def solve_row(
     row: Row012 | Row012e,
     cnf: Cnf,
-    start: tuple[int, int] | None = None,
+    start: Fixpoint | None = None,
     stats: RunStats | None = None,
     k: int | None = None,
     solver: SolverFn | None = None,
-) -> tuple[int, tuple[int, int] | None] | None:
+) -> tuple[int, Fixpoint | None] | None:
     """The search inside a row: None, or the pair (ones mask of the model,
-    root fixpoint), as ``_search`` returns it.  With ``k`` only models with
-    exactly k ones count.
+    root fixpoint), as ``_search`` returns it, with the root's open clauses
+    cut to the formula's.  With ``k`` only models with exactly k ones count.
 
     ``start`` is the root fixpoint of a row that contains this one; the
     search then begins at it together with the row's own fixed variables,
-    and pins that clash with it give None at once.  The answer is the one
-    the search from the row alone gives (see the module docstring).
-    ``stats`` receives the counters.
+    reads its open clauses in place of ``cnf.masks``, and pins that clash
+    with it give None at once.  The answer is the one the search from the
+    row alone gives (see the module docstring).  ``stats`` receives the
+    counters.
 
     A ``solver`` other than ``dpll_sat`` (looked up at call time) gets
     ``augment_cnf(cnf, row)`` instead, ignores ``start`` and ``stats`` and
@@ -251,16 +272,21 @@ def solve_row(
             raise ValueError(f"the plugged solver answered {model!r}, not a model inside the row")
         return mask, None
     if isinstance(row, Row012):
-        clauses, ones, zeros = cnf.masks, row.ones, row.zeros
+        ones, zeros, bubbles = row.ones, row.zeros, ()
     else:
-        clauses = cnf.masks + tuple(_var_masks(w, b) for b in row.bubble_masks)
-        ones, zeros = _var_masks(w, row.ones)
+        (ones, zeros), bubbles = _var_masks(w, row.ones), [_var_masks(w, b) for b in row.bubble_masks]
+    clauses = cnf.masks
     if start is not None:
         if ones & start[1] or zeros & start[0]:
             return None
         ones |= start[0]
         zeros |= start[1]
-    return _search(w, clauses, ones, zeros, k, stats)
+        clauses = start[2]
+    found = _search(w, [*clauses, *bubbles] if bubbles else clauses, ones, zeros, k, stats)
+    if found is None or not bubbles:
+        return found
+    mask, (f1, f0, left) = found  # the open bubbles close the root's list: cut them
+    return mask, (f1, f0, left[: len(left) - sum(not (p & f1 or n & f0) for p, n in bubbles)])
 
 
 def row_satisfies_clause(row: Row012 | Row012e, clause: Clause) -> bool:

@@ -2,9 +2,12 @@
 
 ``perfbench/expected.json`` pins, for every catalogue instance of every
 workload, the sha256 of its DIMACS input and of the row files the program
-must produce, with the row and model counts.  The first FIRST instances of
-each workload run here through the benchmark's own job and check, so a
-change to any emitted row fails the test suite, not only a benchmark run.
+must produce, with the row and model counts, the solver calls and the
+harmful deletions.  The first FIRST instances of each workload run here
+through the benchmark's own job and check, so a change to any emitted row
+fails the test suite, not only a benchmark run.  The two counters, which
+the benchmark's check does not read, are compared here as well: a change
+that makes more searches, or lets more infeasible rows in, fails too.
 ``perfbench/workloads.py`` is loaded read-only, from its file.
 """
 
@@ -38,4 +41,8 @@ def test_pinned_outputs(name, index):
     inst = workloads.make_instance(wl, index)
     expected = workloads.load_expected(wl)[index]
     assert inst.digest() == expected["input_sha256"]
-    assert workloads.check(wl, inst, workloads.run_job(wl, inst), expected) == []
+    out = workloads.run_job(wl, inst)
+    assert workloads.check(wl, inst, out, expected) == []
+    got = workloads.observed(wl, out)
+    for key in ("solver_calls", "harmful_deletions"):
+        assert got[key] == expected[key], key

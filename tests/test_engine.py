@@ -708,6 +708,32 @@ class TestRunRecord:
                 assert ours.decisions == fresh.decisions
                 assert ours.propagations <= fresh.propagations
 
+    def test_solver_runs_from_the_ancestor_start_match_fresh_ones(self, monkeypatch):
+        # a son's search reads only the clauses its ancestor's fixpoint left
+        # open: the counters are those of a search over every clause from
+        # that fixpoint, and the rows and decisions those of a search from
+        # scratch, which rediscovers the fixpoint's units and conflicts
+        solve_row = wildsat.engine.solve_row
+        every_clause = lambda row, cnf, start, stats, solver: solve_row(
+            row, cnf, start and (start[0], start[1], cnf.masks), stats, solver=solver
+        )
+        scratch = lambda row, cnf, start, stats, solver: solve_row(row, cnf, None, stats, solver=solver)
+        counters = lambda st: (st.solver_calls, st.decisions, st.propagations, st.conflicts)
+        rng = random.Random(199)
+        for trial in range(24):
+            w = rng.randint(3, 12)
+            cnf = random_cnf(rng, w, rng.randint(1, 20), rng.randint(2, min(4, w)), positive=trial % 4 == 0)
+            for method in (Method.CLAUSE012, Method.CLAUSE_E):
+                outs = []
+                for search in (solve_row, every_clause, scratch):
+                    monkeypatch.setattr(wildsat.engine, "solve_row", search)
+                    outs.append(run(cnf, EngineConfig(method=method, policy=Policy.SOLVER)))
+                ours, full, fresh = (o.stats for o in outs)
+                assert format_rows(outs[0]) == format_rows(outs[1]) == format_rows(outs[2])
+                assert counters(ours) == counters(full)
+                assert (ours.solver_calls, ours.decisions) == (fresh.solver_calls, fresh.decisions)
+                assert ours.propagations <= fresh.propagations and ours.conflicts <= fresh.conflicts
+
     @pytest.mark.parametrize("method", list(Method))
     def test_one_walk_totals_match_the_row_list(self, method):
         # run() sums the models and free variables in one walk, taking the

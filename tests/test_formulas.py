@@ -199,7 +199,13 @@ class TestArgumentChecks:
         "call, match",
         [
             (lambda: Clause((1, "2")), "nonzero integers"),
+            # a bool is an int in Python, but DIMACS text has no literal True
+            (lambda: Clause((True, 2)), "nonzero integers"),
+            (lambda: Cnf(2, ((2, False),)), "nonzero integers"),
             (lambda: Cnf(-1), "non-negative"),
+            (lambda: Cnf(2.5, ((1,),)), "non-negative integer"),
+            (lambda: Cnf("3"), "non-negative integer"),
+            (lambda: Cnf(True, ((1,),)), "non-negative integer"),
             (lambda: Dnf(3, (Row012.full(2),)), "term width"),
             (lambda: parse_dnf("21x\n"), "strings over 0/1/2"),
             (lambda: parse_dnf(""), "empty DNF input"),

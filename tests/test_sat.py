@@ -26,6 +26,8 @@ from wildsat.rows import Row012, Row012e, RunStats, _var_masks, slot_of_lit
 from wildsat.sat import test1 as weak_test1
 from wildsat.sat import test2 as weak_test2
 from wildsat.sat import (
+    _propagate,
+    _search,
     augment_cnf,
     dpll_sat,
     final_e,
@@ -447,6 +449,105 @@ class TestFixpointStart:
         assert find_model(Row012.full(5), phi2) == bitstring_of(5, model)
         assert model & start[0] == start[0] and not model & start[1]
         assert solve_row(row012("012"), Cnf(3, (Clause((1, -2)),))) is None
+
+
+class TestOpenClauses:
+    """The search reads only the clauses its start leaves open, and the
+    witness carries the formula's open clauses to the sons."""
+
+    @staticmethod
+    def _open_at(clauses, ones, zeros):
+        return [m for m in clauses if not (m[0] & ones or m[1] & zeros)]
+
+    def test_propagate_leaves_the_unresolved_clauses_in_order(self):
+        rng = random.Random(191)
+        fixpoints = 0
+        for trial in range(400):
+            w = rng.randint(1, 10)
+            cnf = random_cnf(rng, w, rng.randint(0, 16), rng.randint(1, min(4, w)), positive=trial % 3 == 0)
+            row = random_row012(rng, w)
+            node = _propagate(cnf.masks, row.ones, row.zeros, (1 << w) - 1, RunStats())
+            if node is None:
+                continue
+            ones, zeros, open_, left = node
+            assert type(left) is list and left == self._open_at(cnf.masks, ones, zeros)
+            union = 0
+            for pos, neg in left:
+                lits = (pos | neg) & ~(ones | zeros)
+                assert lits.bit_count() >= 2
+                union |= lits
+            assert open_ == union
+            fixpoints += 1
+        assert fixpoints > 200
+
+    def test_witness_holds_the_formula_clauses_its_fixpoint_leaves_open(self):
+        rng = random.Random(193)
+        seen = bubbled = 0
+        for trial in range(200):
+            w = rng.randint(1, 9)
+            cnf = random_cnf(rng, w, rng.randint(1, 14), rng.randint(1, min(4, w)), positive=trial % 3 == 0)
+            for row in (random_row012(rng, w), random_row012e(rng, w), Row012e.full(w)):
+                found = solve_row(row, cnf)
+                if found is None:
+                    continue
+                starts = [found[1]]
+                for son in TestFixpointStart._sons(row, cnf)[:4]:
+                    got = solve_row(son, cnf, found[1])
+                    if got is not None:
+                        starts.append(got[1])
+                        bubbled += isinstance(son, Row012e) and bool(son.bubble_masks)
+                for f1, f0, left in starts:
+                    assert left == self._open_at(cnf.masks, f1, f0)
+                    # the formula's own tuples, shared: never a bubble clause
+                    assert all(any(m is c for c in cnf.masks) for m in left)
+                    seen += 1
+        assert seen > 500 and bubbled > 100
+
+    def test_search_from_a_start_counts_as_the_search_over_every_clause(self):
+        rng = random.Random(197)
+        compared = 0
+        for trial in range(160):
+            w = rng.randint(1, 9)
+            cnf = random_cnf(rng, w, rng.randint(1, 14), rng.randint(1, min(4, w)), positive=trial % 2 == 0)
+            for row in (random_row012(rng, w), random_row012e(rng, w), Row012.full(w), Row012e.full(w)):
+                found = solve_row(row, cnf)
+                if found is None:
+                    continue
+                start = found[1]
+                for son in TestFixpointStart._sons(row, cnf):
+                    if isinstance(son, Row012e):
+                        ones, zeros = _var_masks(w, son.ones)
+                        bubbles = [_var_masks(w, b) for b in son.bubble_masks]
+                    else:
+                        ones, zeros, bubbles = son.ones, son.zeros, []
+                    if ones & start[1] or zeros & start[0]:
+                        continue
+                    for k in (None, rng.randint(0, w)):
+                        ours, full = RunStats(), RunStats()
+                        got = solve_row(son, cnf, start, ours, k)
+                        pins = ones | start[0], zeros | start[1]
+                        want = _search(w, list(cnf.masks) + bubbles, *pins, k, full)
+                        assert (got is None) == (want is None)
+                        if got is not None:
+                            assert got[0] == want[0] and got[1][:2] == want[1][:2]
+                        assert ours == full
+                        compared += 1
+        assert compared > 3000
+
+    def test_a_start_reads_its_own_clauses_in_place_of_the_formula(self):
+        cnf = Cnf(2, (Clause((-1,)),))
+        assert solve_row(Row012.full(2), cnf) == (0, (0, 1, []))
+        assert solve_row(Row012.full(2), cnf, (0, 0, [(1, 0)])) == (1, (1, 0, []))
+
+    def test_k_search_past_its_bound_ends_before_propagating(self):
+        cnf = Cnf(5, (Clause((1, 2)), Clause((-1, 3)), Clause((4, 5))))
+        for row, k in ((row012("11122"), 2), (row012("10222"), 5), (row012("00022"), 3)):
+            stats = RunStats()
+            assert solve_row(row, cnf, stats=stats, k=k) is None
+            assert stats == RunStats()
+        stats = RunStats()
+        assert solve_row(row012("22222"), cnf, (0b101, 0b10, []), stats, 1) is None
+        assert stats == RunStats()
 
 
 class TestDeepInstance:
