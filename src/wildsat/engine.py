@@ -16,13 +16,15 @@ Mechanisms:
                an e-bubble over its free literal slots, with bubble-overlap
                columns branched off first.
 
-One driver loop serves all three; a mechanism supplies only the root row,
-a row's degree, the candidate sons and the output of a final row.
-Candidate sons are screened by a feasibility policy (perfect solver check,
-the weak tests, or none) and by the filter, if any.  With a weak policy an
-infeasible row can enter the stack; it is unmasked only when none of its
-candidate sons is admitted (or, for var-012, when it is a bitstring that is
-no model), and its removal then counts as a harmful deletion.
+One driver loop serves all three.  It splits 012-rows and takes their
+degrees straight from their masks, and runs the built-in search on a son's
+masks (``sat.search_from``); e-rows go through ``clausewise_e_split``,
+``pending_clause`` and ``sat.solve_row``.  Candidate sons are screened by a
+feasibility policy (perfect solver check, the weak tests, or none) and by
+the filter, if any.  With a weak policy an infeasible row can enter the
+stack; it is unmasked only when none of its candidate sons is admitted
+(or, for var-012, when it is a bitstring that is no model), and its
+removal then counts as a harmful deletion.
 """
 
 from __future__ import annotations
@@ -57,8 +59,10 @@ from .sat import (
     find_k_model,
     first_unsettled,
     find_model,
+    is_plug,
     prob_final,
     row_satisfies_clause,
+    search_from,
     solve_row,
     test1,
     test2,
@@ -149,9 +153,10 @@ class CardinalityFilter(SpModFilter):
         self.k = k
 
     def search(self, row: Row012, start: Fixpoint | None, stats: RunStats):
-        """``solve_row`` with the bound k, from the ancestor's fixpoint
-        ``start`` and reading only its open clauses."""
-        return solve_row(row, self.cnf, start, stats, self.k)
+        """The search with the bound k on the row's pins, from the
+        ancestor's fixpoint ``start`` and reading only its open clauses."""
+        cnf = self.cnf
+        return search_from(cnf.num_vars, cnf.masks, row.ones, row.zeros, start, self.k, stats)
 
     def refine_final(self, row: Row012) -> tuple[list[Row012], int]:
         """The final bitstring itself; it must have weight k."""
@@ -336,9 +341,9 @@ def pending_clause(row: Row012 | Row012e, cnf: Cnf, start: int = 1) -> int:
     """Index of the first clause not yet settled by the row; h+1 when final.
 
     The scan begins at clause ``start``; the clauses before it are taken as
-    settled.  ``run`` passes a son its parent's pending clause: a son is a
-    subset of its parent, and a clause settled by the parent stays settled
-    in the son.  Raises ValueError for a ``start`` below 1.
+    settled.  ``run`` passes an e-row son its parent's pending clause: a
+    son is a subset of its parent, and a clause settled by the parent stays
+    settled in the son.  Raises ValueError for a ``start`` below 1.
     """
     if start < 1:
         raise ValueError("clause indices start at 1")
@@ -425,8 +430,13 @@ def run(cnf: Cnf, config: EngineConfig | None = None) -> RowList:
 
 
 def validate_config(cnf: Cnf, config: EngineConfig) -> None:
-    """Reject method/policy/filter combinations that have no semantics."""
+    """Reject method/policy/filter/solver combinations that have no
+    semantics, such as a plugged solver that the run never calls."""
     method, policy, filt = config.method, config.policy, config.spmod
+    unsearched = method == Method.SCAN or policy != Policy.SOLVER or (filt is not None and filt.exact)
+    # the default solver is the built-in one even where a tracer wraps sat.dpll_sat
+    if unsearched and config.solver is not dpll_sat and is_plug(config.solver):
+        raise ValueError("a plugged solver runs only under policy solver, with no exact filter, and not with scan")
     if method == Method.SCAN:
         if cnf.num_vars > 24:
             raise ValueError("scan is gated to w <= 24")
@@ -456,90 +466,64 @@ def _scan_rows(cnf: Cnf) -> list[Row012]:
     return out
 
 
-def _admission(cnf: Cnf, config: EngineConfig, stats: RunStats):
-    """The son screen of a run: admit(row, hint) -> (admitted, witness).
+def _admission(cnf: Cnf, config: EngineConfig):
+    """The son screen of a run: (screen, check, search).
 
-    A perfect filter replaces the policy; any other filter screens in front
-    of it.  There are two kinds of check.  A bool check (a filter's
-    ``admit``, the weak policies) gives no witness.  A search (policy
-    solver, a perfect filter's ``search``) answers as ``sat.solve_row``
-    does: None, or the witness (model as a variable mask, root fixpoint
-    ``(ones, zeros, open clauses)``), and counts as one solver call.
-    ``solve_row`` decides between the built-in solver and a plug; a plug's
-    witness has no fixpoint.
-
-    ``hint``, the parent's witness, stands in for a search on a son that
-    contains it, so the hint test is ``row.contains(mask)``.  A son that
-    misses the hint starts its search from the hint's fixpoint, that of its
-    nearest ancestor that searched, and reads only the formula clauses the
-    fixpoint left open.  The son is a subset of that ancestor, so its own
-    propagation reaches a fixpoint holding the ancestor's, or a conflict,
-    and the search finds the model it finds from scratch.
+    A perfect filter replaces the policy; any other filter is the
+    ``screen``, whose ``admit`` runs in front of it.  With no ``search``,
+    ``check`` is the bool check (a filter's ``admit`` or a weak policy), or
+    None under policy none.  A search counts as one solver call and answers
+    None or the witness (model as a variable mask, root fixpoint ``(ones,
+    zeros, open clauses)``).  It is ``sat.search_from`` itself, which the
+    driver runs on a 012-son's masks, or else ``search(row, start, stats)``:
+    a perfect filter's, or ``solve_row`` for e-rows and a plugged solver,
+    whose witness has no fixpoint.  A son that contains its parent's
+    witness (``row.contains(mask)``) takes it without a search; any other
+    starts from its fixpoint, that of its nearest ancestor that searched.
     """
     filt, policy, solver = config.spmod, config.policy, config.solver
-    exact = filt is not None and filt.exact
-    screen = None if exact else filt
-    search = None
-    if exact:
-        search, check = filt.search, filt.admit
-    elif policy == Policy.SOLVER:
-        search = lambda row, start, stats: solve_row(row, cnf, start, stats, solver=solver)
-    elif policy == Policy.TEST1:
-        check = lambda row: test1(row, cnf)
-    elif policy == Policy.TEST12:
-        check = lambda row: test1(row, cnf) and test2(row, cnf)
-    else:
-        check = lambda row: True
-
-    def admit(row, hint):
-        if screen is not None and not screen.admit(row):
-            stats.weight_pruned += 1
-            return False, None
-        if search is None:
-            return check(row), None
-        if hint is not None and row.contains(hint[0]):
-            return True, hint
-        stats.solver_calls += 1
-        got = search(row, hint and hint[1], stats)
-        return got is not None, got
-
-    return admit
+    if filt is not None and filt.exact:
+        return None, (None if filt.search else filt.admit), filt.search
+    if policy == Policy.SOLVER:
+        if config.method == Method.CLAUSE_E or is_plug(solver):
+            return filt, None, lambda row, start, stats: solve_row(row, cnf, start, stats, solver=solver)
+        return filt, None, search_from
+    if policy == Policy.TEST1:
+        return filt, lambda row: test1(row, cnf), None
+    if policy == Policy.TEST12:
+        return filt, lambda row: test1(row, cnf) and test2(row, cnf), None
+    return filt, None, None
 
 
 def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     """The LIFO driver of var-012, clause-012 and clause-e.
 
-    A method supplies the root row, a row's degree, the candidate sons of a
-    row that is not final, and the output of a final row.  The degree is
-    the fixed-prefix length (var-012) or the number of leading clauses the
-    row settles (pending clause - 1); a row is final at degree ``top``.  A
-    row none of whose candidates is admitted was infeasible all along and is
-    only unmasked now: its removal counts as a harmful deletion.
+    A row's degree is its fixed-prefix length (var-012) or the number of
+    leading clauses it settles (pending clause - 1); a row is final at
+    degree ``top``.  The loop splits 012-rows on their masks.  var-012 pins
+    the lowest free variable, 0 first, and a son's degree is the lowest
+    zero bit of its fixed mask.  clause-012 raises the staircase over the
+    pending clause's free literals in ``Clause.lits`` order and scans
+    ``cnf.masks`` from there.  ``varwise_split``, ``varwise_degree``,
+    ``clausewise012_split`` and ``pending_clause`` are the reference steps;
+    clause-e calls ``clausewise_e_split`` and ``pending_clause``.  A row
+    none of whose candidates ``_admission``'s checks admit was infeasible
+    all along and is only unmasked now: its removal counts as a harmful
+    deletion.
     """
     method, filt, obs = config.method, config.spmod, config.observer
-    w, clauses = cnf.num_vars, cnf.clauses
-    admit = _admission(cnf, config, stats)
-    if method == Method.VAR012:
-        root, top = Row012.full(w), w
-        degree = lambda row, parent: varwise_degree(row)
-        split = lambda row, deg: varwise_split(row)
-    else:
-        root, top = (Row012e if method == Method.CLAUSE_E else Row012).full(w), len(clauses)
-        # a son is a subset of its parent, so the clauses the parent settles
-        # stay settled and its pending clause scan resumes from the parent's
-        degree = lambda row, parent: pending_clause(row, cnf, parent + 1) - 1
-        if method == Method.CLAUSE_E:
-            split = lambda row, deg: clausewise_e_split(row, clauses[deg])
-        else:
-            split = lambda row, deg: clausewise012_split(row, clauses[deg])
+    w, clauses, masks = cnf.num_vars, cnf.clauses, cnf.masks
+    screen, check, search = _admission(cnf, config)
+    var012, clause_e = method == Method.VAR012, method == Method.CLAUSE_E
+    root, top = (Row012e if clause_e else Row012).full(w), w if var012 else len(clauses)
 
     # a bitstring passed only by a weak screen may still miss the model set;
     # on a bitstring, settling every clause (final_e) means being a model
-    check_model = method == Method.VAR012 and config.policy != Policy.SOLVER and (filt is None or not filt.exact)
+    check_model = var012 and config.policy != Policy.SOLVER and (filt is None or not filt.exact)
 
     def finish(row) -> list | None:
         """The output of a final row; None when it holds no model."""
-        if method == Method.CLAUSE_E:
+        if clause_e:
             return purify(row)
         if check_model and not final_e(row, cnf):
             return None
@@ -549,44 +533,97 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
         stats.weight_discards += discards
         return kept
 
-    ok, wit = admit(root, None)
-    if not ok:
-        return []
+    def delete(row) -> None:
+        stats.harmful_deletions += 1
+        if obs:
+            obs.on_harmful(row)
+
     finals: list = []
-    stack = [(root, degree(root, 0), wit)]
-    while stack:
-        row, deg, hint = stack.pop()
-        if obs:
-            obs.on_pop(row, deg, len(stack), len(finals))
-        if filt is not None and filt.final_override(row):
-            out = [row]
-        elif deg == top:
-            out = finish(row)
-        else:
-            sons = []
-            for cand in split(row, deg):
-                ok, cwit = admit(cand, hint)
-                if ok:
-                    cdeg = degree(cand, deg)
-                    if cdeg <= deg:
-                        raise RuntimeError(f"son does not settle its parent's pending clause {deg + 1}")
-                    sons.append((cand, cdeg, cwit))
-            if sons:
-                if obs:
-                    obs.on_split(row, deg, tuple(s for s, _, _ in sons), tuple(d for _, d, _ in sons))
-                stack.extend(reversed(sons))
+    stack: list = []
+    # each turn admits the candidates of ``row`` and pops rows until one
+    # splits; the root is the one candidate of no row (of degree -1), and its
+    # degree is 0, as the full row fixes no variable and settles no clause
+    row, deg, hint, cands = None, -1, None, [(root, 0)]
+    while True:
+        sons = []
+        for son, son_deg in cands:
+            if son_deg <= deg:
+                raise RuntimeError(f"son does not settle its parent's pending clause {deg + 1}")
+            if screen is not None and not screen.admit(son):
+                stats.weight_pruned += 1
                 continue
-            out = None
-        if out is None:
-            stats.harmful_deletions += 1
+            if search is None:
+                if check is not None and not check(son):
+                    continue
+                wit = None
+            elif hint is not None and son.contains(hint[0]):
+                wit = hint
+            else:
+                stats.solver_calls += 1
+                start = hint and hint[1]
+                if search is search_from:  # the built-in search, on the son's masks
+                    wit = search_from(w, masks, son.ones, son.zeros, start, None, stats)
+                else:
+                    wit = search(son, start, stats)
+                if wit is None:
+                    continue
+            sons.append((son, son_deg, wit))
+        if sons:
+            if obs and row is not None:
+                obs.on_split(row, deg, tuple(s for s, _, _ in sons), tuple(d for _, d, _ in sons))
+            stack.extend(reversed(sons))
+        elif row is not None:
+            delete(row)
+        while stack:
+            row, deg, hint = stack.pop()
             if obs:
-                obs.on_harmful(row)
-            continue
-        finals.extend(out)
-        if obs:
-            for piece in out:
-                obs.on_emit(piece)
-    return finals
+                obs.on_pop(row, deg, len(stack), len(finals))
+            if filt is not None and filt.final_override(row):
+                out = [row]
+            elif deg == top:
+                out = finish(row)
+            elif var012:  # pin the lowest free variable, 0 first
+                ones, zeros, bit = row.ones, row.zeros, 1 << deg
+                fixed = ones | zeros | bit
+                son_deg = ((fixed + 1) & ~fixed).bit_length() - 1
+                cands = [(_row012(w, ones, zeros | bit), son_deg), (_row012(w, ones | bit, zeros), son_deg)]
+                break
+            else:
+                # a son is a subset of its parent, so the clauses its parent
+                # settles stay settled and its scan starts at the parent's
+                cands = []
+                if clause_e:
+                    for son in clausewise_e_split(row, clauses[deg]):
+                        cands.append((son, pending_clause(son, cnf, deg + 1) - 1))
+                else:  # the staircase: son j makes the j-th free literal true, the earlier ones false
+                    ones, zeros = row.ones, row.zeros
+                    for slot in clauses[deg].slots:
+                        bit = 1 << (slot >> 1)
+                        if (ones | zeros) & bit:
+                            continue  # fixed against the literal
+                        if slot & 1:
+                            son = _row012(w, ones, zeros | bit)
+                            ones |= bit
+                        else:
+                            son = _row012(w, ones | bit, zeros)
+                            zeros |= bit
+                        son_deg, son_ones, son_zeros = deg, son.ones, son.zeros
+                        while son_deg < top:
+                            pos, neg = masks[son_deg]
+                            if not (pos & son_ones or neg & son_zeros):
+                                break
+                            son_deg += 1
+                        cands.append((son, son_deg))
+                break
+            if out is None:
+                delete(row)
+                continue
+            finals.extend(out)
+            if obs:
+                for piece in out:
+                    obs.on_emit(piece)
+        else:
+            return finals
 
 
 # ---------------------------------------------------------------------------

@@ -251,15 +251,6 @@ def card_012(row: Row012) -> int:
     return 1 << row.free_count
 
 
-def intersect_012(a: Row012, b: Row012) -> Row012 | None:
-    """Componentwise meet of two subcubes, or None when fixed values clash."""
-    if a.width != b.width:
-        raise ValueError("row widths differ")
-    if a.ones & b.zeros or a.zeros & b.ones:
-        return None
-    return _row012(a.width, a.ones | b.ones, a.zeros | b.zeros)
-
-
 # ---------------------------------------------------------------------------
 # 012e-rows
 
@@ -575,15 +566,6 @@ def purify(row: Row012e) -> list[Row012e]:
     return out
 
 
-def pick_model(row: Row012e) -> tuple[int, ...]:
-    """A canonical member of a purified row: every bubble slot asserts its
-    literal, free variables go to 0."""
-    if not row.is_purified():
-        raise PurityError("pick_model requires a purified row")
-    true = row.ones | _union(row.bubble_masks)  # the slots set to 1
-    return tuple(true >> 2 * v & 1 for v in range(row.width))
-
-
 def expand_to_012(row: Row012e) -> list[Row012]:
     """Multiply out the bubbles of a purified row into plain 012-rows.
 
@@ -690,27 +672,6 @@ def impose_on_slots(row: Row012e, slots: Sequence[int]) -> list[Row012e]:
             sons.append(_row012e(w, ones, bubbles))
             break
     return sons
-
-
-def intersect_e(r: Row012e, rho: Row012e) -> list[Row012e]:
-    """Intersection of two 012e-rows as a list of disjoint 012e-rows.
-
-    The operand with fewer bubbles is imposed onto the other: first its fixed
-    slots, then each of its bubbles via impose_on_slots.
-    """
-    if r.width != rho.width:
-        raise ValueError("row widths differ")
-    carrier, imposed = (r, rho) if len(r.bubble_masks) >= len(rho.bubble_masks) else (rho, r)
-    try:
-        work = [_row012e(r.width, *_pin(r.width, carrier.ones, carrier.bubble_masks, imposed.ones))]
-    except EmptyRowError:
-        return []
-    for b in imposed.bubble_masks:
-        members = list(_slots_of(b))
-        work = [son for row in work for son in impose_on_slots(row, members)]
-        if not work:
-            break
-    return work
 
 
 def intersection_card_ie(r: Row012e, rho: Row012e) -> int:

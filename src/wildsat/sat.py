@@ -6,51 +6,16 @@ infeasible is weak; if its "yes" can also be trusted it is perfect.  The
 solver-backed test is perfect; Test 1 and Test 2 are cheap weak tests
 (Test 1 turns perfect on positive CNFs).
 
-The solver is one iterative DPLL over bitmasks, behind both ``dpll_sat`` and
-``find_k_model``.  A clause is its pair of (pos, neg) variable masks
-(``Clause.masks``, bit v-1 for variable v) and an assignment is two ints,
-``ones`` and ``zeros``.  Unit propagation makes passes over the clause masks
-until a pass finds no unit, each pass reading only the clauses the one
-before left unresolved (a satisfied clause stays satisfied).  A node that
-survives it branches on the lowest variable of its open clauses, value 1
-first, and saves its 0 branch with those clauses on a trail; backtracking
-pops the trail, so nothing is copied and there is no recursion limit.
-Variables never forced stay 0.  With a cardinality bound k a node is also
-pruned when it holds more than k ones or too few free variables to reach k
-(a search whose pins do so ends before propagating), or when its ones plus
-a packing of its open clauses exceed k: the unresolved clauses whose free
-literals are all positive, taken in clause order while their free
-variables are disjoint from those already taken, each need a 1 of their
-own.  The bound is sound, so a pruned subtree holds no k-model and the
-first k-model in branching order, or None, is the same as without it.  A
-model is completed by setting the lowest free variables to 1.  The model is
-thus a fixed function of the formula (and row), which the engine relies on
-when it reuses a parent's witness for its sons.
-
-``solve_row`` is the built-in search inside a row, with or without the
-bound k, in masks from start to finish.  It fixes the row's variables: a
-012-row's ``ones``/``zeros``, or the variables of an e-row's 1-slots, with
-each e-bubble as one more (pos, neg) clause after the formula's.  It
-returns the model's ones mask with the root fixpoint, the ``(ones, zeros,
-open clauses)`` propagation reached before any decision, which the engine
-keeps as the witness; the open clauses are the formula's, never a bubble.
-A son's search starts from the fixpoint of its nearest ancestor that
-searched and reads only its open clauses, the others being satisfied
-there.  The son is a subset of the ancestor, so each of the ancestor's
-clauses is, under the son's pins, satisfied or narrowed to one of the
-son's clauses; the son's own propagation therefore reaches a fixpoint
-holding the ancestor's, or a conflict, and the search from there visits
-the nodes, and finds the model, of the search from scratch.  The k-bound
-prunes only nodes that propagation has settled, so this holds with k too.
-Pins that clash with the ancestor's fixpoint mean a conflict.
-``find_model`` and ``find_k_model`` wrap it with a tuple result.
-
-``solve_row`` is also the one place that decides between the built-in
-search and a plugged ``SolverFn``: any solver other than ``dpll_sat``, as
-that name stands at call time, receives a plain ``Cnf`` holding the base
-clauses followed by the row's clauses (``augment_cnf``) and returns a model
-or None.  Its model is checked, packed once and carries no fixpoint.  The
-counters of every search go into a ``RunStats``.
+The solver is one iterative DPLL over bitmasks.  A clause is its pair of
+(pos, neg) variable masks (``Clause.masks``, bit v-1 for variable v) and an
+assignment is two ints, ``ones`` and ``zeros``.  ``_propagate`` is its unit
+propagation and ``_search`` its search, with or without a cardinality
+bound k.  ``search_from`` runs ``_search`` under a row's pins, from the root
+fixpoint of an ancestor row when it has one; it is the core that the
+engine, ``solve_row`` and the cardinality filter call.  ``solve_row`` is
+the search inside a row object: it adds the e-row case and the plugged
+``SolverFn``.  ``dpll_sat``, ``find_model`` and ``find_k_model`` wrap them
+with a tuple result.
 """
 
 from __future__ import annotations
@@ -124,13 +89,20 @@ def _search(
 
     ``ones``/``zeros`` are the variables fixed beforehand, and ``clauses``
     need hold only those they leave unsatisfied; each node reads only the
-    clauses its propagation left open.  With ``k`` only models with exactly
-    k ones count.  Pins past that bound end the search before it
-    propagates, and a k-node is pruned when its ones plus a greedy packing
-    of its all-positive open clauses with disjoint free variables exceed k.
-    Each packed clause needs its own 1, so no k-model is lost and the
-    search returns the model, or None, that it returns without the bound,
-    with no more decisions.
+    clauses its propagation left open.  A node branches on the lowest
+    variable of its open clauses, 1 first, and keeps its 0 branch on a
+    trail, so nothing is copied and there is no recursion limit.  Variables
+    never forced stay 0, so the model is a fixed function of the clauses
+    and pins, which the engine relies on when a son reuses its parent's
+    witness.
+
+    With ``k`` only models with exactly k ones count, and the lowest free
+    variables complete a model to k ones.  Pins past that bound end the
+    search before it propagates, and a k-node is pruned when its ones plus
+    a greedy packing of its all-positive open clauses with disjoint free
+    variables exceed k.  Each packed clause needs its own 1, so no k-model
+    is lost and the search returns the model, or None, that it returns
+    without the bound, with no more decisions.
     """
     if stats is None:
         stats = RunStats()
@@ -231,6 +203,42 @@ def find_model(row: Row012 | Row012e, cnf: Cnf, solver: SolverFn = dpll_sat) -> 
     return None if found is None else _bits(found[0], row.width)
 
 
+def search_from(
+    num_vars: int,
+    clauses: Sequence[tuple[int, int]],
+    ones: int,
+    zeros: int,
+    start: Fixpoint | None = None,
+    k: int | None = None,
+    stats: RunStats | None = None,
+    extra: Sequence[tuple[int, int]] = (),
+) -> tuple[int, Fixpoint] | None:
+    """``_search`` under the pins ``ones``/``zeros``, over ``clauses`` and
+    then ``extra`` (an e-row's bubbles).
+
+    ``start`` is the root fixpoint of a row that holds the pinned one.  Its
+    pins clashing with the row's give None; else they join them and its
+    open clauses replace ``clauses``.  Under the row's pins each clause is
+    satisfied or narrowed to an open one, so the row's propagation reaches
+    the start's fixpoint or a conflict, and the search visits the nodes and
+    finds the model of the search from the pins alone, with k too: the
+    k-bound prunes only nodes that propagation has settled.
+    """
+    if start is not None:
+        f1, f0, clauses = start
+        if ones & f0 or zeros & f1:
+            return None
+        ones |= f1
+        zeros |= f0
+    return _search(num_vars, [*clauses, *extra] if extra else clauses, ones, zeros, k, stats)
+
+
+def is_plug(solver: SolverFn | None) -> bool:
+    """True for a solver other than ``dpll_sat`` as that name stands now:
+    a wrapper put in its place is the built-in search too."""
+    return solver is not None and solver is not dpll_sat
+
+
 def solve_row(
     row: Row012 | Row012e,
     cnf: Cnf,
@@ -240,26 +248,23 @@ def solve_row(
     solver: SolverFn | None = None,
 ) -> tuple[int, Fixpoint | None] | None:
     """The search inside a row: None, or the pair (ones mask of the model,
-    root fixpoint), as ``_search`` returns it, with the root's open clauses
-    cut to the formula's.  With ``k`` only models with exactly k ones count.
+    root fixpoint), with the root's open clauses cut to the formula's.
 
-    ``start`` is the root fixpoint of a row that contains this one; the
-    search then begins at it together with the row's own fixed variables,
-    reads its open clauses in place of ``cnf.masks``, and pins that clash
-    with it give None at once.  The answer is the one the search from the
-    row alone gives (see the module docstring).  ``stats`` receives the
-    counters.
+    The built-in search is ``search_from`` on the row's pins: a 012-row's
+    ``ones``/``zeros``, or the variables of an e-row's 1-slots, with each
+    e-bubble as one more (pos, neg) clause after the formula's.  ``start``,
+    ``stats`` and ``k`` go to it.
 
-    A ``solver`` other than ``dpll_sat`` (looked up at call time) gets
-    ``augment_cnf(cnf, row)`` instead, ignores ``start`` and ``stats`` and
-    takes no ``k``.  Its answer must be None or a 0/1 sequence of length w
-    inside the row that satisfies the formula, else ValueError.  The model
-    comes back with no fixpoint.
+    A plugged ``solver`` (``is_plug``) gets ``augment_cnf(cnf, row)``
+    instead, ignores ``start`` and ``stats`` and takes no ``k``.  Its answer
+    must be None or a 0/1 sequence of length w inside the row that
+    satisfies the formula, else ValueError.  The model comes back with no
+    fixpoint.
     """
     w = row.width
     if w != cnf.num_vars:
         raise ValueError("row width does not match num_vars")
-    if solver is not None and solver is not dpll_sat:
+    if is_plug(solver):
         if k is not None:
             raise ValueError("a plugged solver takes no cardinality bound")
         model = solver(augment_cnf(cnf, row))
@@ -272,17 +277,9 @@ def solve_row(
             raise ValueError(f"the plugged solver answered {model!r}, not a model inside the row")
         return mask, None
     if isinstance(row, Row012):
-        ones, zeros, bubbles = row.ones, row.zeros, ()
-    else:
-        (ones, zeros), bubbles = _var_masks(w, row.ones), [_var_masks(w, b) for b in row.bubble_masks]
-    clauses = cnf.masks
-    if start is not None:
-        if ones & start[1] or zeros & start[0]:
-            return None
-        ones |= start[0]
-        zeros |= start[1]
-        clauses = start[2]
-    found = _search(w, [*clauses, *bubbles] if bubbles else clauses, ones, zeros, k, stats)
+        return search_from(w, cnf.masks, row.ones, row.zeros, start, k, stats)
+    (ones, zeros), bubbles = _var_masks(w, row.ones), [_var_masks(w, b) for b in row.bubble_masks]
+    found = search_from(w, cnf.masks, ones, zeros, start, k, stats, bubbles)
     if found is None or not bubbles:
         return found
     mask, (f1, f0, left) = found  # the open bubbles close the root's list: cut them

@@ -22,13 +22,14 @@ from wildsat.rows import (
     RowList,
     RunStats,
     card_purified,
+    impose_on_slots,
     intersection_card_ie,
     neg_slot,
     pos_slot,
     purify,
     slot_var,
 )
-from wildsat.rows import _condense, _row_text, _slots_of
+from wildsat.rows import _condense, _pin, _row012, _row012e, _row_text, _slots_of, _union
 
 _B = 3  # slot values >= _B reference bubble number (value - _B)
 
@@ -487,3 +488,47 @@ def random_purified_row(rng: random.Random, w: int, max_bubbles: int = 3) -> Row
 
 def row_members_naive(w: int, row) -> set[tuple[int, ...]]:
     return {u for u in all_bitstrings(w) if row.contains(u)}
+
+
+# ---------------------------------------------------------------------------
+# Row operations that only the tests use.  They build on the package's row
+# primitives, so their tests pin those primitives too.
+
+
+def intersect_012(a: Row012, b: Row012) -> Row012 | None:
+    """Componentwise meet of two subcubes, or None when fixed values clash."""
+    if a.width != b.width:
+        raise ValueError("row widths differ")
+    if a.ones & b.zeros or a.zeros & b.ones:
+        return None
+    return _row012(a.width, a.ones | b.ones, a.zeros | b.zeros)
+
+
+def intersect_e(r: Row012e, rho: Row012e) -> list[Row012e]:
+    """Intersection of two 012e-rows as a list of disjoint 012e-rows.
+
+    The operand with fewer bubbles is imposed onto the other: first its fixed
+    slots, then each of its bubbles via impose_on_slots.
+    """
+    if r.width != rho.width:
+        raise ValueError("row widths differ")
+    carrier, imposed = (r, rho) if len(r.bubble_masks) >= len(rho.bubble_masks) else (rho, r)
+    try:
+        work = [_row012e(r.width, *_pin(r.width, carrier.ones, carrier.bubble_masks, imposed.ones))]
+    except EmptyRowError:
+        return []
+    for b in imposed.bubble_masks:
+        members = list(_slots_of(b))
+        work = [son for row in work for son in impose_on_slots(row, members)]
+        if not work:
+            break
+    return work
+
+
+def pick_model(row: Row012e) -> tuple[int, ...]:
+    """A canonical member of a purified row: every bubble slot asserts its
+    literal, free variables go to 0."""
+    if not row.is_purified():
+        raise PurityError("pick_model requires a purified row")
+    true = row.ones | _union(row.bubble_masks)  # the slots set to 1
+    return tuple(true >> 2 * v & 1 for v in range(row.width))

@@ -16,6 +16,7 @@ from oracle import (
     clause_mask,
     cnf_mask,
     evaluate_naive,
+    intersect_e,
     models_of_mask,
     random_cnf,
     random_purified_row,
@@ -43,7 +44,6 @@ from wildsat.rows import (
     RowList,
     card_purified,
     expand_to_012,
-    intersect_e,
     intersection_card_ie,
     purify,
 )

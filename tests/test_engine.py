@@ -4,6 +4,7 @@ and the brute-force oracle."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -451,10 +452,48 @@ class TestResumedPendingClause:
                 assert_disjoint_cover(cnf.num_vars, out.rows, cnf_mask(cnf))
 
     def test_son_missing_the_pending_clause_is_an_error(self, phi2, monkeypatch):
-        # a "son" equal to its parent does not settle the imposed clause
-        monkeypatch.setattr(wildsat.engine, "clausewise012_split", lambda row, clause: [row])
+        # the staircase builds its sons with _row012: a "son" that fixes
+        # nothing does not settle the imposed clause
+        built = []
+        monkeypatch.setattr(wildsat.engine, "_row012", lambda w, ones, zeros: built.append(w) or Row012.full(w))
         with pytest.raises(RuntimeError, match="pending clause"):
             run(phi2, EngineConfig(method=Method.CLAUSE012, policy=Policy.NONE))
+        assert built
+
+
+class TestInlineSteps:
+    """The driver splits 012-rows and takes their degrees from the masks
+    itself; every split must be one the reference helpers give:
+    ``varwise_split``/``varwise_degree`` for var-012,
+    ``clausewise012_split``/``pending_clause`` for clause-012.  Only the
+    admitted sons are reported, so they form an in-order subsequence."""
+
+    class Reference(EngineObserver):
+        def __init__(self, cnf, method):
+            self.cnf, self.method = cnf, method
+
+        def on_split(self, parent, parent_degree, sons, son_degrees):
+            if self.method == Method.VAR012:
+                reference = varwise_split(parent)
+                degrees = [varwise_degree(son) for son in sons]
+            else:
+                reference = clausewise012_split(parent, self.cnf.clauses[parent_degree])
+                degrees = [pending_clause(son, self.cnf) - 1 for son in sons]
+            rest = iter(reference)
+            assert all(any(son == ref for ref in rest) for son in sons)
+            assert list(son_degrees) == degrees
+
+    @given(small_cnfs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_sons_and_degrees_match_the_reference_helpers(self, cnf, data):
+        configs = [EngineConfig(method=m, policy=p) for m in (Method.VAR012, Method.CLAUSE012) for p in Policy]
+        k = data.draw(st.integers(0, cnf.num_vars))
+        configs.append(EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(cnf, k)))
+        for config in configs:
+            config.observer = self.Reference(cnf, config.method)
+            out = run(cnf, config)
+            if config.spmod is None:
+                assert_disjoint_cover(cnf.num_vars, out.rows, cnf_mask(cnf))
 
 
 class TestHarmfulDeletions:
@@ -554,10 +593,17 @@ class TestInvariantErrors:
     def test_cardinality_filter_admitting_a_wrong_weight(self, phi2, monkeypatch):
         # a k-search that admits everything lets rows of every weight reach
         # the bottom; they must be refused, also under python -O
-        monkeypatch.setattr(wildsat.engine, "solve_row", lambda row, cnf, start, stats, k: (0, (0, 0)))
+        calls = []
+
+        def admit_all(w, clauses, ones, zeros, start, k, stats):
+            calls.append(k)
+            return 0, (0, 0, [])
+
+        monkeypatch.setattr(wildsat.engine, "search_from", admit_all)
         config = EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(phi2, 3))
         with pytest.raises(RuntimeError, match="weight"):
             run(phi2, config)
+        assert calls and set(calls) == {3}
 
 
 class TestConfigValidation:
@@ -575,6 +621,45 @@ class TestConfigValidation:
     def test_scan_gate(self):
         with pytest.raises(ValueError):
             run(Cnf(25, ()), EngineConfig(method=Method.SCAN))
+
+    @pytest.mark.parametrize(
+        "method, policy, spmod",
+        [
+            (Method.CLAUSE012, Policy.NONE, None),
+            (Method.VAR012, Policy.TEST1, None),
+            (Method.CLAUSE012, Policy.TEST12, None),
+            (Method.CLAUSE_E, Policy.NONE, None),
+            (Method.SCAN, Policy.SOLVER, None),
+            (Method.VAR012, Policy.SOLVER, lambda cnf: CardinalityFilter(cnf, 2)),
+            (Method.VAR012, Policy.SOLVER, lambda cnf: DnfKFilter(Dnf(cnf.num_vars, (Row012.full(cnf.num_vars),)), 2)),
+            (Method.VAR012, Policy.NONE, lambda cnf: ComplementFilter(RowList(cnf.num_vars, ()))),
+        ],
+        ids=["none", "test1", "test12", "clause-e-none", "scan", "cardinality", "dnf-k", "complement"],
+    )
+    def test_a_plugged_solver_the_run_never_calls_is_rejected(self, phi2, method, policy, spmod):
+        # these runs make no search through the SolverFn plug: the plug
+        # would be silently unused
+        calls = []
+        plug = lambda c: calls.append(c) or wildsat.sat.dpll_sat(c)
+        config = EngineConfig(method=method, policy=policy, spmod=spmod and spmod(phi2), solver=plug)
+        with pytest.raises(ValueError, match="plugged solver"):
+            run(phi2, config)
+        assert calls == []
+
+    @pytest.mark.parametrize("policy", [Policy.NONE, Policy.TEST1, Policy.SOLVER])
+    def test_the_module_dpll_sat_is_never_a_plug(self, policy, monkeypatch):
+        # sat.dpll_sat as it stands, a tracer's wrapper included, is the
+        # built-in search and passes under every policy and filter
+        original = wildsat.sat.dpll_sat
+        positive = Cnf(5, ((1, 2), (2, 3, 4), (5,)))
+        for _ in range(2):
+            for method in (Method.VAR012, Method.CLAUSE012, Method.CLAUSE_E, Method.SCAN):
+                base = EngineConfig(method=method, policy=policy)
+                assert run(positive, replace(base, solver=wildsat.sat.dpll_sat)).rows == run(positive, base).rows
+            spmod = CardinalityFilter(positive, 2)
+            out = run(positive, EngineConfig(method=Method.VAR012, policy=policy, spmod=spmod, solver=wildsat.sat.dpll_sat))
+            assert [str(r) for r in out.rows] == ["01001"]
+            monkeypatch.setattr(wildsat.sat, "dpll_sat", lambda c, stats=None: original(c, stats))
 
 
 class TestPluggableSolver:
@@ -712,22 +797,45 @@ class TestRunRecord:
         # a son's search reads only the clauses its ancestor's fixpoint left
         # open: the counters are those of a search over every clause from
         # that fixpoint, and the rows and decisions those of a search from
-        # scratch, which rediscovers the fixpoint's units and conflicts
-        solve_row = wildsat.engine.solve_row
-        every_clause = lambda row, cnf, start, stats, solver: solve_row(
-            row, cnf, start and (start[0], start[1], cnf.masks), stats, solver=solver
-        )
-        scratch = lambda row, cnf, start, stats, solver: solve_row(row, cnf, None, stats, solver=solver)
+        # scratch, which rediscovers the fixpoint's units and conflicts.
+        # clause-012 runs the mask search itself, clause-e goes through
+        # solve_row
+        search_from, solve_row = wildsat.engine.search_from, wildsat.engine.solve_row
+        calls = []
+
+        def masks_every_clause(w, clauses, ones, zeros, start, k, stats):
+            calls.append(start)
+            return search_from(w, clauses, ones, zeros, start and (start[0], start[1], clauses), k, stats)
+
+        def masks_scratch(w, clauses, ones, zeros, start, k, stats):
+            calls.append(start)
+            return search_from(w, clauses, ones, zeros, None, k, stats)
+
+        def row_every_clause(row, cnf, start, stats, solver):
+            calls.append(start)
+            return solve_row(row, cnf, start and (start[0], start[1], cnf.masks), stats, solver=solver)
+
+        def row_scratch(row, cnf, start, stats, solver):
+            calls.append(start)
+            return solve_row(row, cnf, None, stats, solver=solver)
+
+        seams = {
+            Method.CLAUSE012: ("search_from", search_from, masks_every_clause, masks_scratch),
+            Method.CLAUSE_E: ("solve_row", solve_row, row_every_clause, row_scratch),
+        }
         counters = lambda st: (st.solver_calls, st.decisions, st.propagations, st.conflicts)
         rng = random.Random(199)
         for trial in range(24):
             w = rng.randint(3, 12)
             cnf = random_cnf(rng, w, rng.randint(1, 20), rng.randint(2, min(4, w)), positive=trial % 4 == 0)
-            for method in (Method.CLAUSE012, Method.CLAUSE_E):
+            for method, (seam, *searches) in seams.items():
                 outs = []
-                for search in (solve_row, every_clause, scratch):
-                    monkeypatch.setattr(wildsat.engine, "solve_row", search)
+                for search in searches:
+                    calls.clear()
+                    monkeypatch.setattr(wildsat.engine, seam, search)
                     outs.append(run(cnf, EngineConfig(method=method, policy=Policy.SOLVER)))
+                    if search is not searches[0]:
+                        assert len(calls) == outs[-1].stats.solver_calls > 0
                 ours, full, fresh = (o.stats for o in outs)
                 assert format_rows(outs[0]) == format_rows(outs[1]) == format_rows(outs[2])
                 assert counters(ours) == counters(full)

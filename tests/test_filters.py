@@ -26,6 +26,7 @@ from wildsat.engine import (
     EngineConfig,
     EngineObserver,
     Method,
+    Policy,
     WeightFilter,
     enumerate_dnf_k,
     enumerate_from_complement,
@@ -176,6 +177,17 @@ class TestDnfK:
         with pytest.raises(ValueError, match="row widths differ"):
             run(Cnf(2, ()), EngineConfig(method=Method.VAR012, spmod=filt, observer=emitted))
         assert emitted.rows == []
+
+    @pytest.mark.parametrize("policy", [Policy.NONE, Policy.TEST1, Policy.SOLVER])
+    def test_the_filter_replaces_the_policy_and_the_model_check(self, policy):
+        # an exact filter's answers stand for the run's: under any policy a
+        # var-012 run emits the filter's set, with no model check on the
+        # bitstrings and no harmful deletion
+        dnf = Dnf(3, (row012("122"), row012("201")))
+        cnf = Cnf(3, (Clause((-1,)),))
+        out = run(cnf, EngineConfig(method=Method.VAR012, policy=policy, spmod=DnfKFilter(dnf, 2)))
+        assert {r.symbols for r in out.rows} == {(1, 1, 0), (1, 0, 1)}
+        assert out.stats.harmful_deletions == 0
 
     def test_random_matches_brute_force(self):
         rng = random.Random(311)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import random_cnf
+from oracle import intersect_012, random_cnf
 from wildsat.bench import GenSpec, gen_random_cnf
 from wildsat.engine import CardinalityFilter, EngineConfig, Method, Policy, run
 from wildsat.formulas import Clause, Cnf
@@ -26,7 +26,6 @@ from wildsat.rows import (
     RowList,
     card_012,
     format_rows,
-    intersect_012,
     member_complement,
     parse_rows,
 )

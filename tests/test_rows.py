@@ -13,7 +13,10 @@ from conftest import erow, row012
 from oracle import (
     EBuilder,
     assert_disjoint_cover,
+    intersect_012,
+    intersect_e,
     models_of_mask,
+    pick_model,
     random_purified_row,
     random_row012e,
     row_mask,
@@ -33,13 +36,10 @@ from wildsat.rows import (
     expand_to_012,
     format_rows,
     impose_on_slots,
-    intersect_012,
-    intersect_e,
     intersection_card_ie,
     member_complement,
     neg_slot,
     parse_rows,
-    pick_model,
     pos_slot,
     purify,
     _row012e,

@@ -17,10 +17,10 @@ import random
 
 import pytest
 
-from oracle import random_row012e
+from oracle import intersect_e, random_row012e
 from wildsat.bench import GenSpec, gen_random_cnf
 from wildsat.engine import EngineConfig, Method, Policy, run
-from wildsat.rows import Row012e, expand_to_012, format_rows, impose_on_slots, intersect_e, parse_rows, purify
+from wildsat.rows import Row012e, expand_to_012, format_rows, impose_on_slots, parse_rows, purify
 
 # (results, nonempty results, pieces, sha256 of the pieces' fields)
 IMPOSE_GOLDEN = (600, 578, 795, "c75d389bfd0bc98e314572a8b88d53a070a866b8d9e6fe69a7975f2898011162")
