@@ -52,7 +52,6 @@ from .rows import (
 )
 # find_model and find_k_model are unused here but stay: perfbench's trace probes wrap these names
 from .sat import (
-    Fixpoint,
     SolverFn,
     dpll_sat,
     final_e,
@@ -115,30 +114,24 @@ class SpModFilter:
     misses the special set.  ``exact`` marks the answer perfect, in which
     case the filter replaces the feasibility policy; otherwise it screens
     in front of the policy.  ``methods`` lists the methods the filter runs
-    with.
+    with.  An exact filter whose special models are the models with k ones
+    may name k as ``cardinality``: the driver then runs the built-in
+    k-search on a son's masks (``sat.search_from``) in place of ``admit``.
 
-    An exact filter may offer ``search(row, start, stats)`` in place of
-    ``admit``: a solver-backed check that answers as ``sat.solve_row``
-    does, with a witness (model mask, root fixpoint ``(ones, zeros, open
-    clauses)``) or None, from ``start``, an ancestor's fixpoint, into
-    ``stats``.  The driver counts each search as a solver call and reuses a
-    parent's witness for every son that contains it.
+    The hooks ``final_override(row)`` (True makes the popped row final now,
+    None defers to the mechanism) and ``refine_final(row)`` (the output
+    rows of a final row and the number of subrows dropped; else the row
+    itself) are optional: the driver never calls one left None.
     """
 
     exact = False
     methods: tuple[Method, ...] = (Method.VAR012,)
-    search = None
+    cardinality: int | None = None
+    final_override = None
+    refine_final = None
 
     def admit(self, row) -> bool:
         raise NotImplementedError
-
-    def final_override(self, row) -> bool | None:
-        """True forces finality now; None defers to the mechanism."""
-        return None
-
-    def refine_final(self, row) -> tuple[list, int]:
-        """The output rows of a final row, plus the number of subrows dropped."""
-        return [row], 0
 
 
 class CardinalityFilter(SpModFilter):
@@ -150,19 +143,13 @@ class CardinalityFilter(SpModFilter):
         if not 0 <= k <= cnf.num_vars:
             raise ValueError("k must lie in [0, num_vars]")
         self.cnf = cnf
-        self.k = k
-
-    def search(self, row: Row012, start: Fixpoint | None, stats: RunStats):
-        """The search with the bound k on the row's pins, from the
-        ancestor's fixpoint ``start`` and reading only its open clauses."""
-        cnf = self.cnf
-        return search_from(cnf.num_vars, cnf.masks, row.ones, row.zeros, start, self.k, stats)
+        self.cardinality = k
 
     def refine_final(self, row: Row012) -> tuple[list[Row012], int]:
         """The final bitstring itself; it must have weight k."""
         ones = row.ones.bit_count()
-        if ones != self.k:
-            raise RuntimeError(f"cardinality filter admitted a row of weight {ones}, not {self.k}")
+        if ones != self.cardinality:
+            raise RuntimeError(f"cardinality filter admitted a row of weight {ones}, not {self.cardinality}")
         return [row], 0
 
 
@@ -433,9 +420,10 @@ def validate_config(cnf: Cnf, config: EngineConfig) -> None:
     """Reject method/policy/filter/solver combinations that have no
     semantics, such as a plugged solver that the run never calls."""
     method, policy, filt = config.method, config.policy, config.spmod
+    if not isinstance(method, Method) or not isinstance(policy, Policy):
+        raise ValueError("the method must be a Method and the policy a Policy")
     unsearched = method == Method.SCAN or policy != Policy.SOLVER or (filt is not None and filt.exact)
-    # the default solver is the built-in one even where a tracer wraps sat.dpll_sat
-    if unsearched and config.solver is not dpll_sat and is_plug(config.solver):
+    if unsearched and is_plug(config.solver):
         raise ValueError("a plugged solver runs only under policy solver, with no exact filter, and not with scan")
     if method == Method.SCAN:
         if cnf.num_vars > 24:
@@ -452,6 +440,8 @@ def validate_config(cnf: Cnf, config: EngineConfig) -> None:
         return
     if method not in filt.methods:
         raise ValueError(f"this filter runs with method {' or '.join(m.value for m in filt.methods)}")
+    if filt.exact and filt.cardinality is not None and method == Method.CLAUSE_E:
+        raise ValueError("the k-search of a filter's cardinality runs on 012-rows")
     # an exact filter's answers replace the policy, so the formula it reads must be the run's
     own = getattr(filt, "cnf", cnf)
     if own is not cnf and own != cnf:
@@ -475,15 +465,16 @@ def _admission(cnf: Cnf, config: EngineConfig):
     None under policy none.  A search counts as one solver call and answers
     None or the witness (model as a variable mask, root fixpoint ``(ones,
     zeros, open clauses)``).  It is ``sat.search_from`` itself, which the
-    driver runs on a 012-son's masks, or else ``search(row, start, stats)``:
-    a perfect filter's, or ``solve_row`` for e-rows and a plugged solver,
-    whose witness has no fixpoint.  A son that contains its parent's
-    witness (``row.contains(mask)``) takes it without a search; any other
-    starts from its fixpoint, that of its nearest ancestor that searched.
+    driver runs on a 012-son's masks, bounded by a perfect filter's
+    ``cardinality``; or else ``search(row, start, stats)``, ``solve_row``
+    for e-rows and a plugged solver, whose witness has no fixpoint.  A son
+    that contains its parent's witness (``row.contains(mask)``) takes it
+    without a search; any other starts from its fixpoint, that of its
+    nearest ancestor that searched.
     """
     filt, policy, solver = config.spmod, config.policy, config.solver
     if filt is not None and filt.exact:
-        return None, (None if filt.search else filt.admit), filt.search
+        return (None, filt.admit, None) if filt.cardinality is None else (None, None, search_from)
     if policy == Policy.SOLVER:
         if config.method == Method.CLAUSE_E or is_plug(solver):
             return filt, None, lambda row, start, stats: solve_row(row, cnf, start, stats, solver=solver)
@@ -509,17 +500,21 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     clause-e calls ``clausewise_e_split`` and ``pending_clause``.  A row
     none of whose candidates ``_admission``'s checks admit was infeasible
     all along and is only unmasked now: its removal counts as a harmful
-    deletion.
+    deletion.  The filter's bound and optional hooks are read once, here;
+    a hook the filter leaves None is never called.
     """
     method, filt, obs = config.method, config.spmod, config.observer
     w, clauses, masks = cnf.num_vars, cnf.clauses, cnf.masks
     screen, check, search = _admission(cnf, config)
+    exact = filt is not None and filt.exact
+    k = filt.cardinality if exact else None
+    override, refine = (None, None) if filt is None else (filt.final_override, filt.refine_final)
     var012, clause_e = method == Method.VAR012, method == Method.CLAUSE_E
     root, top = (Row012e if clause_e else Row012).full(w), w if var012 else len(clauses)
 
     # a bitstring passed only by a weak screen may still miss the model set;
     # on a bitstring, settling every clause (final_e) means being a model
-    check_model = var012 and config.policy != Policy.SOLVER and (filt is None or not filt.exact)
+    check_model = var012 and config.policy != Policy.SOLVER and not exact
 
     def finish(row) -> list | None:
         """The output of a final row; None when it holds no model."""
@@ -527,9 +522,9 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
             return purify(row)
         if check_model and not final_e(row, cnf):
             return None
-        if filt is None:
+        if refine is None:
             return [row]
-        kept, discards = filt.refine_final(row)
+        kept, discards = refine(row)
         stats.weight_discards += discards
         return kept
 
@@ -562,7 +557,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
                 stats.solver_calls += 1
                 start = hint and hint[1]
                 if search is search_from:  # the built-in search, on the son's masks
-                    wit = search_from(w, masks, son.ones, son.zeros, start, None, stats)
+                    wit = search_from(w, masks, son.ones, son.zeros, start, k, stats)
                 else:
                     wit = search(son, start, stats)
                 if wit is None:
@@ -578,7 +573,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
             row, deg, hint = stack.pop()
             if obs:
                 obs.on_pop(row, deg, len(stack), len(finals))
-            if filt is not None and filt.final_override(row):
+            if override is not None and override(row):
                 out = [row]
             elif deg == top:
                 out = finish(row)

@@ -12,10 +12,10 @@ assignment is two ints, ``ones`` and ``zeros``.  ``_propagate`` is its unit
 propagation and ``_search`` its search, with or without a cardinality
 bound k.  ``search_from`` runs ``_search`` under a row's pins, from the root
 fixpoint of an ancestor row when it has one; it is the core that the
-engine, ``solve_row`` and the cardinality filter call.  ``solve_row`` is
-the search inside a row object: it adds the e-row case and the plugged
-``SolverFn``.  ``dpll_sat``, ``find_model`` and ``find_k_model`` wrap them
-with a tuple result.
+engine and ``solve_row`` call.  ``solve_row`` is the search inside a row
+object: it adds the e-row case and the plugged ``SolverFn``.
+``dpll_sat``, ``find_model`` and ``find_k_model`` wrap them with a tuple
+result.
 """
 
 from __future__ import annotations
@@ -162,6 +162,9 @@ def dpll_sat(cnf: Cnf, stats: RunStats | None = None) -> tuple[int, ...] | None:
     return None if found is None else _bits(found[0], cnf.num_vars)
 
 
+_BUILT_IN = dpll_sat  # the function above, whatever later stands under its name
+
+
 def find_k_model(
     row: Row012, cnf: Cnf, k: int, stats: RunStats | None = None
 ) -> tuple[int, ...] | None:
@@ -234,9 +237,10 @@ def search_from(
 
 
 def is_plug(solver: SolverFn | None) -> bool:
-    """True for a solver other than ``dpll_sat`` as that name stands now:
-    a wrapper put in its place is the built-in search too."""
-    return solver is not None and solver is not dpll_sat
+    """True for a solver other than ``dpll_sat``: neither the function this
+    module defines nor what stands under that name now, as a wrapper put
+    in its place is the built-in search too."""
+    return solver is not None and solver is not _BUILT_IN and solver is not dpll_sat
 
 
 def solve_row(

@@ -648,18 +648,45 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("policy", [Policy.NONE, Policy.TEST1, Policy.SOLVER])
     def test_the_module_dpll_sat_is_never_a_plug(self, policy, monkeypatch):
-        # sat.dpll_sat as it stands, a tracer's wrapper included, is the
-        # built-in search and passes under every policy and filter
+        # the dpll_sat that sat.py defines, the default solver, and what
+        # stands under that name, a tracer's wrapper included, are the
+        # built-in search under every policy and filter: same rows, same
+        # solver counters
         original = wildsat.sat.dpll_sat
         positive = Cnf(5, ((1, 2), (2, 3, 4), (5,)))
+        spmod = CardinalityFilter(positive, 2)
+
+        def counted(out):
+            st = out.stats
+            return out.rows, st.solver_calls, st.decisions, st.propagations, st.conflicts
+
         for _ in range(2):
             for method in (Method.VAR012, Method.CLAUSE012, Method.CLAUSE_E, Method.SCAN):
                 base = EngineConfig(method=method, policy=policy)
-                assert run(positive, replace(base, solver=wildsat.sat.dpll_sat)).rows == run(positive, base).rows
-            spmod = CardinalityFilter(positive, 2)
-            out = run(positive, EngineConfig(method=Method.VAR012, policy=policy, spmod=spmod, solver=wildsat.sat.dpll_sat))
+                out = run(positive, replace(base, solver=wildsat.sat.dpll_sat))
+                assert counted(out) == counted(run(positive, base))
+            base = EngineConfig(method=Method.VAR012, policy=policy, spmod=spmod)
+            out = run(positive, replace(base, solver=wildsat.sat.dpll_sat))
+            assert counted(out) == counted(run(positive, base))
             assert [str(r) for r in out.rows] == ["01001"]
             monkeypatch.setattr(wildsat.sat, "dpll_sat", lambda c, stats=None: original(c, stats))
+
+    @pytest.mark.parametrize(
+        "field, value", [("method", "clause-e"), ("method", "var-012"), ("policy", "none"), ("policy", "solver")]
+    )
+    def test_a_method_or_policy_given_as_a_string_is_rejected(self, phi2, field, value):
+        # a str equals its enum member, so the checks passed it and the run
+        # then died reading its .value
+        with pytest.raises(ValueError, match="must be a Method and the policy a Policy"):
+            run(phi2, replace(EngineConfig(), **{field: value}))
+
+    def test_a_cardinality_filter_rejected_for_clause_e(self, phi2):
+        # the k-search reads a 012-row's masks
+        class OnERows(CardinalityFilter):
+            methods = (Method.CLAUSE_E,)
+
+        with pytest.raises(ValueError, match="012-rows"):
+            run(phi2, EngineConfig(method=Method.CLAUSE_E, spmod=OnERows(phi2, 2)))
 
 
 class TestPluggableSolver:
@@ -773,21 +800,28 @@ class TestRunRecord:
             st = run(cnf, config).stats
             assert (st.decisions, st.propagations, st.conflicts) == (0, 0, 0)
 
-    def test_k_searches_from_the_ancestor_fixpoint_match_fresh_ones(self):
+    def test_k_searches_from_the_ancestor_fixpoint_match_fresh_ones(self, monkeypatch):
         # the driver starts a k-son's search from its ancestor's fixpoint;
         # from scratch the run is the same
-        class FromScratch(CardinalityFilter):
-            def search(self, row, start, stats):
-                return super().search(row, None, stats)
+        search_from, bounds = wildsat.engine.search_from, []
+
+        def scratch(w, clauses, ones, zeros, start, k, stats):
+            bounds.append(k)
+            return search_from(w, clauses, ones, zeros, None, k, stats)
 
         rng = random.Random(181)
         for trial in range(24):
             w = rng.randint(3, 12)
             cnf = random_cnf(rng, w, rng.randint(1, 16), rng.randint(1, min(4, w)), positive=trial % 2 == 0)
             for k in range(w + 1):
-                filters = (CardinalityFilter, FromScratch)
-                outs = [run(cnf, EngineConfig(method=Method.VAR012, spmod=f(cnf, k))) for f in filters]
+                config = EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(cnf, k))
+                outs = [run(cnf, config)]
+                bounds.clear()
+                with monkeypatch.context() as patched:
+                    patched.setattr(wildsat.engine, "search_from", scratch)
+                    outs.append(run(cnf, config))
                 ours, fresh = (o.stats for o in outs)
+                assert len(bounds) == fresh.solver_calls > 0 and set(bounds) == {k}
                 assert format_rows(outs[0]) == format_rows(outs[1])
                 assert ours.solver_calls == fresh.solver_calls
                 assert ours.decisions == fresh.decisions

@@ -16,6 +16,7 @@ from oracle import (
     overlap_scan,
     random_cnf,
     random_row012,
+    row_mask,
     rows_mask,
 )
 from wildsat.bench import GenSpec, gen_random_cnf
@@ -27,6 +28,7 @@ from wildsat.engine import (
     EngineObserver,
     Method,
     Policy,
+    SpModFilter,
     WeightFilter,
     enumerate_dnf_k,
     enumerate_from_complement,
@@ -339,6 +341,34 @@ class TestComplementFilter:
                 assert_disjoint_cover(w, out.rows, expected)
             else:
                 assert out.rows == ()
+
+
+class _AdmitOnly(SpModFilter):
+    """A filter with ``admit`` alone: the rows that hold a model."""
+
+    methods = (Method.VAR012, Method.CLAUSE012)
+
+    def __init__(self, cnf: Cnf, exact: bool):
+        self.cnf, self.exact, self.models = cnf, exact, cnf_mask(cnf)
+
+    def admit(self, row: Row012) -> bool:
+        return bool(row_mask(row.width, row) & self.models)
+
+
+class TestOptionalHooks:
+    @pytest.mark.parametrize(
+        "method, exact", [(Method.VAR012, True), (Method.CLAUSE012, False)], ids=["exact-var-012", "screen-clause-012"]
+    )
+    def test_a_filter_with_admit_alone(self, method, exact):
+        # final_override and refine_final stay None, and the run never calls them
+        rng = random.Random(223)
+        for _ in range(24):
+            w = rng.randint(1, 8)
+            cnf = random_cnf(rng, w, rng.randint(0, 12), rng.randint(1, min(3, w)))
+            filt = _AdmitOnly(cnf, exact)
+            assert filt.final_override is None and filt.refine_final is None
+            out = run(cnf, EngineConfig(method=method, spmod=filt))
+            assert_disjoint_cover(w, out.rows, cnf_mask(cnf))
 
 
 class TestArgumentChecks:

@@ -3,6 +3,7 @@
 Invariants are real errors: ``python -O`` strips ``assert`` statements, so
 the package may not use them to check anything.  Immutability comes only
 from ``@dataclass(frozen=True)``, never from hand-written attribute hooks.
+The engine dispatches on no filter class: it reads a filter's attributes.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import ast
 from pathlib import Path
 
 import wildsat
+from wildsat import engine
 
 SOURCES = sorted(Path(wildsat.__file__).parent.glob("*.py"))
 
@@ -37,3 +39,49 @@ def test_no_hand_written_setattr():
         if isinstance(fn, ast.FunctionDef) and fn.name in ("__setattr__", "__delattr__")
     ]
     assert not found, f"hand-written attribute hooks (use a frozen dataclass): {', '.join(found)}"
+
+
+def _class_tests(tree: ast.AST, names: set[str]) -> list[int]:
+    """The lines of ``isinstance``/``issubclass`` calls, ``type(...)``
+    comparisons and ``match`` class patterns that name one of ``names``."""
+
+    def named(node) -> bool:
+        elts = node.elts if isinstance(node, ast.Tuple) else [node]
+        return any((e.id if isinstance(e, ast.Name) else getattr(e, "attr", None)) in names for e in elts)
+
+    def called(node, fns) -> bool:
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in fns
+
+    found = []
+    for node in ast.walk(tree):
+        if called(node, ("isinstance", "issubclass")) and len(node.args) == 2 and named(node.args[1]):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(called(s, ("type",)) for s in sides) and any(named(s) for s in sides):
+                found.append(node.lineno)
+        elif isinstance(node, ast.MatchClass) and named(node.cls):
+            found.append(node.lineno)
+    return found
+
+
+def test_the_engine_tests_no_filter_class():
+    # the driver reads a filter's attributes (exact, cardinality, the
+    # optional hooks), never which class it is; a row class may be tested
+    names = {n for n, obj in vars(engine).items() if isinstance(obj, type) and issubclass(obj, engine.SpModFilter)}
+    assert {"SpModFilter", "CardinalityFilter", "ComplementFilter", "WeightFilter", "DnfKFilter"} <= names
+    path = Path(engine.__file__)
+    found = _class_tests(ast.parse(path.read_text(), filename=str(path)), names)
+    assert not found, f"engine.py tests a filter's class at lines {found}"
+    # the rule sees each kind of test, and leaves the row classes alone
+    probe = "\n".join(
+        [
+            "isinstance(f, CardinalityFilter)",
+            "type(f) is engine.ComplementFilter",
+            "issubclass(type(f), (Row012, WeightFilter))",
+            "isinstance(r, Row012)",
+            "type(r) == Row012e",
+            "match f:\n    case DnfKFilter(): pass",
+        ]
+    )
+    assert _class_tests(ast.parse(probe), names) == [1, 2, 3, 7]
