@@ -16,10 +16,12 @@ Mechanisms:
                an e-bubble over its free literal slots, with bubble-overlap
                columns branched off first.
 
-One driver loop serves all three.  It splits 012-rows and takes their
-degrees straight from their masks, and runs the built-in search on a son's
-masks (``sat.search_from``); e-rows go through ``clausewise_e_split``,
-``pending_clause`` and ``sat.solve_row``.  Candidate sons are screened by a
+One driver loop serves all three.  It splits rows and takes their degrees
+straight from their masks, and runs the built-in search on a 012-son's
+masks (``sat.search_from``).  Its clause-e entries are (ones, bubbles)
+masks, split by ``rows.impose_masks``; an e-row is built only for output
+and for a consumer that reads rows (``sat.solve_row``, test1, a filter or
+an observer).  Candidate sons are screened by a
 feasibility policy (perfect solver check, the weak tests, or none) and by
 the filter, if any.  With a weak policy an infeasible row can enter the
 stack; it is unmasked only when none of its candidate sons is admitted
@@ -44,13 +46,17 @@ from .rows import (
     _bit_index,
     _gather,
     _row012,
+    _row012e,
     _slots_of,
+    _spread,
     _totals,
     card_012,
+    impose_masks,
     impose_on_slots,
     purify,
 )
-# find_model and find_k_model are unused here but stay: perfbench's trace probes wrap these names
+# find_model, find_k_model and impose_on_slots are unused here but stay:
+# perfbench's trace probes wrap these names
 from .sat import (
     SolverFn,
     dpll_sat,
@@ -384,11 +390,16 @@ def clausewise012_split(row: Row012, clause: Clause) -> list[Row012]:
 def clausewise_e_split(row: Row012e, clause: Clause) -> list[Row012e]:
     """Impose a clause on a 012e-row: bubble-overlap columns first (each
     shrinking an existing bubble to its slots inside the clause), then one
-    fresh bubble over the remaining free literal slots.  ``impose_on_slots``
-    returns the row itself, alone, exactly when the row already settles
-    the clause, which is an error here."""
-    sons = impose_on_slots(row, clause.slots)
-    if len(sons) == 1 and sons[0] is row:
+    fresh bubble over the remaining free literal slots.  A row that already
+    settles the clause is an error."""
+    w = row.width
+    return [_row012e(w, *son) for son in _e_split(w, row.ones, row.bubble_masks, clause.slots)]
+
+
+def _e_split(width: int, ones: int, bubbles: Sequence[int], slots: Sequence[int]) -> list[tuple[int, list[int]]]:
+    """``clausewise_e_split`` on masks: the sons' (ones, bubbles) pairs."""
+    sons = impose_masks(width, ones, bubbles, slots)
+    if sons is None:
         raise ValueError("row already satisfies the clause")
     return sons
 
@@ -457,33 +468,87 @@ def _scan_rows(cnf: Cnf) -> list[Row012]:
 
 
 def _admission(cnf: Cnf, config: EngineConfig):
-    """The son screen of a run: (screen, check, search).
+    """The son screen of a run: (screen, check, search, contains), over the
+    driver's candidates.
 
-    A perfect filter replaces the policy; any other filter is the
-    ``screen``, whose ``admit`` runs in front of it.  With no ``search``,
+    A perfect filter replaces the policy; any other filter's ``admit`` is
+    the ``screen``, which runs in front of it.  With no ``search``,
     ``check`` is the bool check (a filter's ``admit`` or a weak policy), or
     None under policy none.  A search counts as one solver call and answers
     None or the witness (model as a variable mask, root fixpoint ``(ones,
     zeros, open clauses)``).  It is ``sat.search_from`` itself, which the
     driver runs on a 012-son's masks, bounded by a perfect filter's
-    ``cardinality``; or else ``search(row, start, stats)``, ``solve_row``
+    ``cardinality``; or else ``search(son, start, stats)``, ``solve_row``
     for e-rows and a plugged solver, whose witness has no fixpoint.  A son
-    that contains its parent's witness (``row.contains(mask)``) takes it
-    without a search; any other starts from its fixpoint, that of its
-    nearest ancestor that searched.
+    that contains its parent's witness (``contains(son, witness[0])``)
+    takes it without a search; any other starts from its fixpoint, that of
+    its nearest ancestor that searched.
+
+    A clause-e candidate is its (ones, bubbles) masks.  The screen, the
+    check and the search build its row, and its witness holds the model's
+    true literal slots in place of the variable mask, which ``contains``
+    tests against the masks.
     """
     filt, policy, solver = config.spmod, config.policy, config.solver
+    screen = check = search = None
     if filt is not None and filt.exact:
-        return (None, filt.admit, None) if filt.cardinality is None else (None, None, search_from)
-    if policy == Policy.SOLVER:
-        if config.method == Method.CLAUSE_E or is_plug(solver):
-            return filt, None, lambda row, start, stats: solve_row(row, cnf, start, stats, solver=solver)
-        return filt, None, search_from
-    if policy == Policy.TEST1:
-        return filt, lambda row: test1(row, cnf), None
-    if policy == Policy.TEST12:
-        return filt, lambda row: test1(row, cnf) and test2(row, cnf), None
-    return filt, None, None
+        if filt.cardinality is None:
+            check = filt.admit
+        else:
+            search = search_from
+    else:
+        screen = None if filt is None else filt.admit
+        if policy == Policy.SOLVER:
+            if config.method == Method.CLAUSE_E or is_plug(solver):
+                search = lambda row, start, stats: solve_row(row, cnf, start, stats, solver=solver)
+            else:
+                search = search_from
+        elif policy == Policy.TEST1:
+            check = lambda row: test1(row, cnf)
+        elif policy == Policy.TEST12:
+            check = lambda row: test1(row, cnf) and test2(row, cnf)
+    if config.method != Method.CLAUSE_E:
+        return screen, check, search, Row012.contains
+    w = cnf.num_vars
+    every = (1 << w) - 1
+
+    def on_row(fn):
+        return fn and (lambda son: fn(_row012e(w, *son)))
+
+    def search_e(son, start, stats):
+        found = search(_row012e(w, *son), start, stats)
+        if found is None:
+            return None
+        model, fixpoint = found
+        return _spread(model) | _spread(every ^ model) << 1, fixpoint
+
+    def contains_e(son, true):
+        ones, bubbles = son
+        return not ones & ~true and all(b & true for b in bubbles)
+
+    return on_row(screen), on_row(check), search and search_e, contains_e
+
+
+class _RowObserver(EngineObserver):
+    """Hands an observer of a clause-e run the rows of the driver's
+    (ones, bubbles) entries."""
+
+    def __init__(self, observer: EngineObserver, width: int):
+        self.observer, self.width = observer, width
+
+    def on_pop(self, entry, degree, depth, emitted) -> None:
+        self.observer.on_pop(_row012e(self.width, *entry), degree, depth, emitted)
+
+    def on_split(self, parent, parent_degree, sons, son_degrees) -> None:
+        w = self.width
+        rows = tuple(_row012e(w, *son) for son in sons)
+        self.observer.on_split(_row012e(w, *parent), parent_degree, rows, son_degrees)
+
+    def on_emit(self, row) -> None:
+        self.observer.on_emit(row)
+
+    def on_harmful(self, entry) -> None:
+        self.observer.on_harmful(_row012e(self.width, *entry))
 
 
 def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
@@ -491,26 +556,38 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
 
     A row's degree is its fixed-prefix length (var-012) or the number of
     leading clauses it settles (pending clause - 1); a row is final at
-    degree ``top``.  The loop splits 012-rows on their masks.  var-012 pins
-    the lowest free variable, 0 first, and a son's degree is the lowest
-    zero bit of its fixed mask.  clause-012 raises the staircase over the
+    degree ``top``.  The loop splits rows on their masks.  var-012 pins the
+    lowest free variable, 0 first, and a son's degree is the lowest zero
+    bit of its fixed mask.  clause-012 raises the staircase over the
     pending clause's free literals in ``Clause.lits`` order and scans
-    ``cnf.masks`` from there.  ``varwise_split``, ``varwise_degree``,
-    ``clausewise012_split`` and ``pending_clause`` are the reference steps;
-    clause-e calls ``clausewise_e_split`` and ``pending_clause``.  A row
-    none of whose candidates ``_admission``'s checks admit was infeasible
-    all along and is only unmasked now: its removal counts as a harmful
-    deletion.  The filter's bound and optional hooks are read once, here;
-    a hook the filter leaves None is never called.
+    ``cnf.masks`` from there.  clause-e keeps (ones, bubbles) masks on the
+    stack, imposes the pending clause with ``rows.impose_masks`` and scans
+    ``cnf.slot_masks`` from there; it builds an e-row for a final entry,
+    which ``purify`` splits for output, and for the observer and the
+    filter's hooks when they are set.  ``varwise_split``,
+    ``varwise_degree``, ``clausewise012_split``, ``clausewise_e_split`` and
+    ``pending_clause`` are the reference steps.  A row none of whose
+    candidates ``_admission``'s checks admit was infeasible all along and
+    is only unmasked now: its removal counts as a harmful deletion.  The
+    filter's bound and optional hooks are read once, here; a hook the
+    filter leaves None is never called.
     """
     method, filt, obs = config.method, config.spmod, config.observer
     w, clauses, masks = cnf.num_vars, cnf.clauses, cnf.masks
-    screen, check, search = _admission(cnf, config)
+    screen, check, search, contains = _admission(cnf, config)
     exact = filt is not None and filt.exact
     k = filt.cardinality if exact else None
     override, refine = (None, None) if filt is None else (filt.final_override, filt.refine_final)
     var012, clause_e = method == Method.VAR012, method == Method.CLAUSE_E
-    root, top = (Row012e if clause_e else Row012).full(w), w if var012 else len(clauses)
+    top = w if var012 else len(clauses)
+    if clause_e:  # the entries are (ones, bubbles) masks
+        root, slot_masks = (0, ()), cnf.slot_masks
+        if override is not None:
+            override = lambda entry, hook=override: hook(_row012e(w, *entry))
+        if obs:
+            obs = _RowObserver(obs, w)
+    else:
+        root = Row012.full(w)
 
     # a bitstring passed only by a weak screen may still miss the model set;
     # on a bitstring, settling every clause (final_e) means being a model
@@ -519,7 +596,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     def finish(row) -> list | None:
         """The output of a final row; None when it holds no model."""
         if clause_e:
-            return purify(row)
+            return purify(_row012e(w, *row))
         if check_model and not final_e(row, cnf):
             return None
         if refine is None:
@@ -544,14 +621,14 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
         for son, son_deg in cands:
             if son_deg <= deg:
                 raise RuntimeError(f"son does not settle its parent's pending clause {deg + 1}")
-            if screen is not None and not screen.admit(son):
+            if screen is not None and not screen(son):
                 stats.weight_pruned += 1
                 continue
             if search is None:
                 if check is not None and not check(son):
                     continue
                 wit = None
-            elif hint is not None and son.contains(hint[0]):
+            elif hint is not None and contains(son, hint[0]):
                 wit = hint
             else:
                 stats.solver_calls += 1
@@ -574,7 +651,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
             if obs:
                 obs.on_pop(row, deg, len(stack), len(finals))
             if override is not None and override(row):
-                out = [row]
+                out = [_row012e(w, *row) if clause_e else row]
             elif deg == top:
                 out = finish(row)
             elif var012:  # pin the lowest free variable, 0 first
@@ -588,8 +665,19 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
                 # settles stay settled and its scan starts at the parent's
                 cands = []
                 if clause_e:
-                    for son in clausewise_e_split(row, clauses[deg]):
-                        cands.append((son, pending_clause(son, cnf, deg + 1) - 1))
+                    ones, bubbles = row
+                    for son in _e_split(w, ones, bubbles, clauses[deg].slots):
+                        son_deg, (son_ones, son_bubbles) = deg, son
+                        while son_deg < top:
+                            mask = slot_masks[son_deg]  # a copy of rows.settles
+                            if not son_ones & mask:
+                                for b in son_bubbles:
+                                    if not b & ~mask:
+                                        break
+                                else:
+                                    break
+                            son_deg += 1
+                        cands.append((son, son_deg))
                 else:  # the staircase: son j makes the j-th free literal true, the earlier ones false
                     ones, zeros = row.ones, row.zeros
                     for slot in clauses[deg].slots:

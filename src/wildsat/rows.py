@@ -331,6 +331,8 @@ class Row012e:
 
     @classmethod
     def full(cls, width: int) -> "Row012e":
+        if width < 0:
+            raise ValueError("width must be non-negative")
         return cls(width, (TWO,) * (2 * width))
 
     @classmethod
@@ -601,7 +603,22 @@ def impose_on_slots(row: Row012e, slots: Sequence[int]) -> list[Row012e]:
     pinned to 0.  A row that already hits the slots (the rule of
     ``settles``) is returned unchanged, and so is the remainder once its
     pinned zeros cascade into a hit.  An empty result means no member hits
-    the slots.
+    the slots.  The work is done on masks by ``impose_masks``, whose sons
+    this builds as rows.  Raises ValueError for a slot outside 0..2w-1.
+    """
+    w = row.width
+    sons = impose_masks(w, row.ones, row.bubble_masks, slots)
+    if sons is None:
+        return [row]
+    return [_row012e(w, ones, bubbles) for ones, bubbles in sons]
+
+
+def impose_masks(
+    width: int, ones: int, bubbles: Sequence[int], slots: Sequence[int]
+) -> list[tuple[int, list[int]]] | None:
+    """``impose_on_slots`` on an e-row's masks: the sons as (ones, bubbles)
+    pairs, their bubbles in no particular order, or None when the row
+    already settles the slots.
 
     The remainder is a pair of masks carried from column to column; a son
     is the remainder with its column as a bubble, pinned to 1 when it has
@@ -612,18 +629,17 @@ def impose_on_slots(row: Row012e, slots: Sequence[int]) -> list[Row012e]:
     the ``settles`` test of the remainder.  Raises ValueError for a slot
     outside 0..2w-1.
     """
-    w, ones, bubbles = row.width, row.ones, row.bubble_masks
-    top = 2 * w
+    top = 2 * width
     mask = 0
     for s in slots:
         if not 0 <= s < top:
             raise ValueError("slot out of range")
         mask |= 1 << s
     if settles(ones, bubbles, mask):
-        return [row]
-    even = _evens(w)
+        return None
+    even = _evens(width)
     zeros = (ones & even) << 1 | ones >> 1 & even
-    sons: list[Row012e] = []
+    sons: list[tuple[int, list[int]]] = []
     while True:
         live = mask & ~(ones | zeros)
         if not live:
@@ -640,14 +656,14 @@ def impose_on_slots(row: Row012e, slots: Sequence[int]) -> list[Row012e]:
             column = live & ~_union(bubbles)
             son = [*bubbles] if column & column >> 1 & even else [*bubbles, column]
         if column & (column - 1):
-            sons.append(_row012e(w, ones, son))
+            sons.append((ones, son))
         else:
             try:
-                sons.append(_row012e(w, *_pin(w, ones, son, column)))
+                sons.append(_pin(width, ones, son, column))
             except EmptyRowError:
                 pass
         new = (column & even) << 1 | column >> 1 & even
-        while new:  # _pin(w, ones, bubbles, new), which flags a bubble inside mask
+        while new:  # _pin(width, ones, bubbles, new), which flags a bubble inside mask
             ones |= new
             zeros = (ones & even) << 1 | ones >> 1 & even
             if ones & zeros:
@@ -669,7 +685,7 @@ def impose_on_slots(row: Row012e, slots: Sequence[int]) -> list[Row012e]:
                     return sons  # the remainder is empty
             bubbles = kept
         if inside or ones & mask:  # a copy of settles(ones, bubbles, mask)
-            sons.append(_row012e(w, ones, bubbles))
+            sons.append((ones, bubbles))
             break
     return sons
 

@@ -311,7 +311,10 @@ def row_satisfies_clause(row: Row012 | Row012e, clause: Clause) -> bool:
 def first_unsettled(row: Row012 | Row012e, cnf: Cnf, start: int = 0) -> int:
     """The 0-based index of the first clause from ``start`` on that the row
     does not settle (``row_satisfies_clause``), or h if none.  A 012-row
-    reads ``Cnf.masks``, an e-row ``Cnf.slot_masks``."""
+    reads ``Cnf.masks``, an e-row ``Cnf.slot_masks``.  Raises ValueError
+    for a ``start`` below 0."""
+    if start < 0:
+        raise ValueError("clause indices start at 0")
     if isinstance(row, Row012):
         ones, zeros = row.ones, row.zeros
         masks = cnf.masks

@@ -22,6 +22,7 @@ from oracle import (
     weight_mask,
 )
 import wildsat.engine
+import wildsat.rows
 import wildsat.sat
 from wildsat.bench import GenSpec, gen_random_cnf
 from wildsat.engine import (
@@ -32,6 +33,7 @@ from wildsat.engine import (
     EngineObserver,
     Method,
     Policy,
+    SpModFilter,
     WeightFilter,
     clausewise012_split,
     clausewise_e_split,
@@ -462,10 +464,11 @@ class TestResumedPendingClause:
 
 
 class TestInlineSteps:
-    """The driver splits 012-rows and takes their degrees from the masks
+    """The driver splits rows and takes their degrees from the masks
     itself; every split must be one the reference helpers give:
     ``varwise_split``/``varwise_degree`` for var-012,
-    ``clausewise012_split``/``pending_clause`` for clause-012.  Only the
+    ``clausewise012_split``/``pending_clause`` for clause-012 and
+    ``clausewise_e_split``/``pending_clause`` for clause-e.  Only the
     admitted sons are reported, so they form an in-order subsequence."""
 
     class Reference(EngineObserver):
@@ -477,7 +480,8 @@ class TestInlineSteps:
                 reference = varwise_split(parent)
                 degrees = [varwise_degree(son) for son in sons]
             else:
-                reference = clausewise012_split(parent, self.cnf.clauses[parent_degree])
+                split = clausewise_e_split if self.method == Method.CLAUSE_E else clausewise012_split
+                reference = split(parent, self.cnf.clauses[parent_degree])
                 degrees = [pending_clause(son, self.cnf) - 1 for son in sons]
             rest = iter(reference)
             assert all(any(son == ref for ref in rest) for son in sons)
@@ -487,6 +491,8 @@ class TestInlineSteps:
     @settings(max_examples=100, deadline=None)
     def test_sons_and_degrees_match_the_reference_helpers(self, cnf, data):
         configs = [EngineConfig(method=m, policy=p) for m in (Method.VAR012, Method.CLAUSE012) for p in Policy]
+        e_policies = [Policy.SOLVER, Policy.NONE] + [Policy.TEST1] * cnf.is_positive()
+        configs += [EngineConfig(method=Method.CLAUSE_E, policy=p) for p in e_policies]
         k = data.draw(st.integers(0, cnf.num_vars))
         configs.append(EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(cnf, k)))
         for config in configs:
@@ -494,6 +500,71 @@ class TestInlineSteps:
             out = run(cnf, config)
             if config.spmod is None:
                 assert_disjoint_cover(cnf.num_vars, out.rows, cnf_mask(cnf))
+
+
+class TestClauseERowsAtTheBoundary:
+    """A clause-e run with no observer and no filter keeps (ones, bubbles)
+    masks on its stack and splits them on masks: under policy none it
+    builds an e-row only for each final row, which ``purify`` splits for
+    output, and for the pieces of those with bad pairs."""
+
+    def test_rows_built_only_for_finals_and_their_pieces(self, monkeypatch):
+        built, finals = [], []
+        build, split = wildsat.rows._row012e, wildsat.engine.purify
+
+        def counting(width, ones, bubbles):
+            built.append(ones)
+            return build(width, ones, bubbles)
+
+        def recording(row):
+            finals.append(row)
+            return split(row)
+
+        monkeypatch.setattr(wildsat.rows, "_row012e", counting)
+        # raising=False: the test also runs against a driver that never
+        # imported the builder, and then counts the sons rows.py builds
+        monkeypatch.setattr(wildsat.engine, "_row012e", counting, raising=False)
+        monkeypatch.setattr(wildsat.engine, "purify", recording)
+        cnf = gen_random_cnf(GenSpec(10, 24, 3, seed=3))
+        out = run(cnf, EngineConfig(method=Method.CLAUSE_E, policy=Policy.NONE))
+        monkeypatch.undo()
+        pieces = [split(row) if not row.is_purified() else [] for row in finals]
+        assert any(pieces)  # some final row has bad pairs
+        assert [p for row, ps in zip(finals, pieces) for p in ps or [row]] == list(out.rows)
+        assert len(built) == len(finals) + sum(map(len, pieces))
+
+
+class TestClauseEFilterHooks:
+    """A filter that runs with clause-e gets e-rows in ``admit`` and
+    ``final_override``, built from the driver's masks."""
+
+    class Seen(SpModFilter):
+        methods = (Method.CLAUSE_E,)
+
+        def __init__(self, exact, final):
+            self.exact, self.final = exact, final
+            self.admitted, self.popped = [], []
+
+        def admit(self, row):
+            self.admitted.append(row)
+            return True
+
+        def final_override(self, row):
+            self.popped.append(row)
+            return self.final
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_hooks_see_the_rows_the_observer_sees(self, phi2, exact):
+        filt, rec = self.Seen(exact, None), _PopRecorder()
+        out = run(phi2, EngineConfig(method=Method.CLAUSE_E, policy=Policy.NONE, spmod=filt, observer=rec))
+        assert out.rows == run(phi2, EngineConfig(method=Method.CLAUSE_E, policy=Policy.NONE)).rows
+        assert filt.popped == rec.pops
+        # every candidate is admitted: the root, then the sons of each split
+        assert filt.admitted == [Row012e.full(5)] + [son for sons in rec.splits for son in sons]
+
+    def test_an_override_emits_the_row(self, phi2):
+        out = run(phi2, EngineConfig(method=Method.CLAUSE_E, policy=Policy.NONE, spmod=self.Seen(False, True)))
+        assert out.rows == (Row012e.full(5),)
 
 
 class TestHarmfulDeletions:

@@ -341,8 +341,8 @@ class TestEqualityAcrossRoutes:
 
 class TestHotPathNeverBuildsViews:
     """run(), format_rows() and equivalent() work on the masks alone: they
-    never build the ``slots``/``bubbles`` views, and the only checked
-    construction is the root row of each run."""
+    never build the ``slots``/``bubbles`` views, and make no checked
+    construction (a clause-e run starts from the root's masks)."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -374,6 +374,6 @@ class TestHotPathNeverBuildsViews:
         reordered = run(type(cnf)(cnf.num_vars, cnf.clauses[::-1]), config)
         assert equivalent(out, reordered)
         assert len(out) > 10 and text.count("\n") == len(out) + 1
-        assert counts == {"views": 0, "checked": 2}
+        assert counts == {"views": 0, "checked": 0}
         Row012e.full(2).bubbles  # the probes do see the public paths
-        assert counts == {"views": 1, "checked": 3}
+        assert counts == {"views": 1, "checked": 1}

@@ -666,6 +666,11 @@ class TestArgumentChecks:
         with pytest.raises(error, match=match):
             call()
 
+    def test_e_row_full_rejects_a_negative_width(self):
+        # the width check comes first, not the slot-vector length check
+        with pytest.raises(ValueError, match="width must be non-negative"):
+            Row012e.full(-1)
+
     def test_row_list_iterates_its_rows(self):
         rows = RowList(3, (row012("120"), row012("022")))
         assert list(rows) == list(rows.rows)

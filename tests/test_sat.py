@@ -32,6 +32,7 @@ from wildsat.sat import (
     dpll_sat,
     final_e,
     find_k_model,
+    first_unsettled,
     find_model,
     prob_final,
     row_satisfies_clause,
@@ -309,6 +310,16 @@ class TestFinalE:
             row = random_purified_row(rng, w)
             expected = row_mask(w, row) & ~cnf_mask(cnf) == 0
             assert final_e(row, cnf) == expected
+
+
+class TestFirstUnsettled:
+    @pytest.mark.parametrize("full", [Row012.full, Row012e.full], ids=["012", "012e"])
+    def test_negative_start_rejected(self, full):
+        # a negative start would read the last clause first
+        cnf = Cnf(2, ((1,), (2,)))
+        assert first_unsettled(full(2), cnf, 0) == 0
+        with pytest.raises(ValueError, match="start at 0"):
+            first_unsettled(full(2), cnf, -1)
 
 
 class TestRowSatisfiesClauseE:
