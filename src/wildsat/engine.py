@@ -18,10 +18,12 @@ Mechanisms:
 
 One driver loop serves all three.  It splits rows and takes their degrees
 straight from their masks, and runs the built-in search on a 012-son's
-masks (``sat.search_from``).  Its clause-e entries are (ones, bubbles)
-masks, split by ``rows.impose_masks``; an e-row is built only for output
-and for a consumer that reads rows (``sat.solve_row``, test1, a filter or
-an observer).  Candidate sons are screened by a
+masks (``sat.search_from``).  A clause-012 entry carries the mask of the
+clauses its row settles, whose lowest zero bit is its degree.  Its
+clause-e entries are (ones, bubbles) masks, split by
+``rows.impose_masks``; an e-row is built only for output and for a
+consumer that reads rows (``sat.solve_row``, test1, a filter or an
+observer hook that is overridden).  Candidate sons are screened by a
 feasibility policy (perfect solver check, the weak tests, or none) and by
 the filter, if any.  With a weak policy an infeasible row can enter the
 stack; it is unmasked only when none of its candidate sons is admitted
@@ -334,9 +336,10 @@ def pending_clause(row: Row012 | Row012e, cnf: Cnf, start: int = 1) -> int:
     """Index of the first clause not yet settled by the row; h+1 when final.
 
     The scan begins at clause ``start``; the clauses before it are taken as
-    settled.  ``run`` passes an e-row son its parent's pending clause: a
-    son is a subset of its parent, and a clause settled by the parent stays
-    settled in the son.  Raises ValueError for a ``start`` below 1.
+    settled.  A son is a subset of its parent, and a clause settled by the
+    parent stays settled in the son, so a son's scan may start at its
+    parent's pending clause, as the clause-e driver's inline scan does.
+    Raises ValueError for a ``start`` below 1.
     """
     if start < 1:
         raise ValueError("clause indices start at 1")
@@ -391,14 +394,19 @@ def clausewise_e_split(row: Row012e, clause: Clause) -> list[Row012e]:
     """Impose a clause on a 012e-row: bubble-overlap columns first (each
     shrinking an existing bubble to its slots inside the clause), then one
     fresh bubble over the remaining free literal slots.  A row that already
-    settles the clause is an error."""
-    w = row.width
-    return [_row012e(w, *son) for son in _e_split(w, row.ones, row.bubble_masks, clause.slots)]
+    settles the clause, or a clause wider than the row (a slot out of
+    range), is an error."""
+    w, mask = row.width, clause.slot_mask
+    if mask >> 2 * w:
+        raise ValueError("slot out of range")
+    return [_row012e(w, *son) for son in _e_split(w, row.ones, row.bubble_masks, clause.slots, mask)]
 
 
-def _e_split(width: int, ones: int, bubbles: Sequence[int], slots: Sequence[int]) -> list[tuple[int, list[int]]]:
+def _e_split(
+    width: int, ones: int, bubbles: Sequence[int], slots: Sequence[int], mask: int
+) -> list[tuple[int, list[int]]]:
     """``clausewise_e_split`` on masks: the sons' (ones, bubbles) pairs."""
-    sons = impose_masks(width, ones, bubbles, slots)
+    sons = impose_masks(width, ones, bubbles, slots, mask)
     if sons is None:
         raise ValueError("row already satisfies the clause")
     return sons
@@ -529,26 +537,31 @@ def _admission(cnf: Cnf, config: EngineConfig):
     return on_row(screen), on_row(check), search and search_e, contains_e
 
 
-class _RowObserver(EngineObserver):
-    """Hands an observer of a clause-e run the rows of the driver's
-    (ones, bubbles) entries."""
-
-    def __init__(self, observer: EngineObserver, width: int):
-        self.observer, self.width = observer, width
-
-    def on_pop(self, entry, degree, depth, emitted) -> None:
-        self.observer.on_pop(_row012e(self.width, *entry), degree, depth, emitted)
-
-    def on_split(self, parent, parent_degree, sons, son_degrees) -> None:
-        w = self.width
-        rows = tuple(_row012e(w, *son) for son in sons)
-        self.observer.on_split(_row012e(w, *parent), parent_degree, rows, son_degrees)
-
-    def on_emit(self, row) -> None:
-        self.observer.on_emit(row)
-
-    def on_harmful(self, entry) -> None:
-        self.observer.on_harmful(_row012e(self.width, *entry))
+def _observer_hooks(obs: EngineObserver | None, e_width: int | None) -> tuple:
+    """(on_pop, on_split, on_emit, on_harmful) of a run: the observer's
+    hooks that it overrides, and None for each it leaves as
+    ``EngineObserver``'s no-op (every one, with no observer), so that the
+    driver builds nothing for it.  With ``e_width`` set (clause-e), a hook
+    gets the e-rows of the driver's (ones, bubbles) entries."""
+    hooks = []
+    for name in ("on_pop", "on_split", "on_emit", "on_harmful"):
+        hook = getattr(obs, name, None)
+        hooks.append(None if getattr(hook, "__func__", None) is getattr(EngineObserver, name) else hook)
+    on_pop, on_split, on_emit, on_harmful = hooks
+    if e_width is None:
+        return on_pop, on_split, on_emit, on_harmful
+    w = e_width
+    if on_pop is not None:
+        on_pop = lambda entry, degree, depth, emitted, hook=on_pop: hook(
+            _row012e(w, *entry), degree, depth, emitted
+        )
+    if on_split is not None:
+        on_split = lambda parent, degree, sons, son_degrees, hook=on_split: hook(
+            _row012e(w, *parent), degree, tuple(_row012e(w, *son) for son in sons), son_degrees
+        )
+    if on_harmful is not None:
+        on_harmful = lambda entry, hook=on_harmful: hook(_row012e(w, *entry))
+    return on_pop, on_split, on_emit, on_harmful
 
 
 def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
@@ -559,20 +572,25 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     degree ``top``.  The loop splits rows on their masks.  var-012 pins the
     lowest free variable, 0 first, and a son's degree is the lowest zero
     bit of its fixed mask.  clause-012 raises the staircase over the
-    pending clause's free literals in ``Clause.lits`` order and scans
-    ``cnf.masks`` from there.  clause-e keeps (ones, bubbles) masks on the
-    stack, imposes the pending clause with ``rows.impose_masks`` and scans
-    ``cnf.slot_masks`` from there; it builds an e-row for a final entry,
-    which ``purify`` splits for output, and for the observer and the
-    filter's hooks when they are set.  ``varwise_split``,
+    pending clause's free literals in ``Clause.lits`` order.  Each of its
+    entries carries the mask of the clauses its row settles, and a son's
+    is its parent's ORed with the clauses that hold the son's true literal
+    and the mates of the earlier free ones (the occurrence index of the
+    literal slots, built once per run); its degree is the mask's lowest
+    zero bit.  clause-e keeps (ones, bubbles) masks on the stack, imposes
+    the pending clause with ``rows.impose_masks`` and scans
+    ``cnf.slot_masks`` from there for a son's degree; it builds an e-row
+    for a final entry, which ``purify`` splits for output, and for the
+    observer's and the filter's hooks that are set.  ``varwise_split``,
     ``varwise_degree``, ``clausewise012_split``, ``clausewise_e_split`` and
     ``pending_clause`` are the reference steps.  A row none of whose
     candidates ``_admission``'s checks admit was infeasible all along and
     is only unmasked now: its removal counts as a harmful deletion.  The
-    filter's bound and optional hooks are read once, here; a hook the
-    filter leaves None is never called.
+    filter's bound and optional hooks, and the observer's hooks, are read
+    once, here; a hook left None, or an observer hook left as the no-op,
+    is never called.
     """
-    method, filt, obs = config.method, config.spmod, config.observer
+    method, filt = config.method, config.spmod
     w, clauses, masks = cnf.num_vars, cnf.clauses, cnf.masks
     screen, check, search, contains = _admission(cnf, config)
     exact = filt is not None and filt.exact
@@ -580,14 +598,19 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     override, refine = (None, None) if filt is None else (filt.final_override, filt.refine_final)
     var012, clause_e = method == Method.VAR012, method == Method.CLAUSE_E
     top = w if var012 else len(clauses)
+    on_pop, on_split, on_emit, on_harmful = _observer_hooks(config.observer, w if clause_e else None)
     if clause_e:  # the entries are (ones, bubbles) masks
         root, slot_masks = (0, ()), cnf.slot_masks
         if override is not None:
             override = lambda entry, hook=override: hook(_row012e(w, *entry))
-        if obs:
-            obs = _RowObserver(obs, w)
     else:
         root = Row012.full(w)
+        if not var012:
+            # clause-012, per clause, its staircase steps: a literal's variable
+            # bit, its sign, and the clauses the literal settles when true and
+            # when false
+            occ = _bit_index(cnf.slot_masks, 2 * w)
+            steps = [tuple((1 << (s >> 1), s & 1, occ[s], occ[s ^ 1]) for s in c.slots) for c in clauses]
 
     # a bitstring passed only by a weak screen may still miss the model set;
     # on a bitstring, settling every clause (final_e) means being a model
@@ -607,18 +630,20 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
 
     def delete(row) -> None:
         stats.harmful_deletions += 1
-        if obs:
-            obs.on_harmful(row)
+        if on_harmful is not None:
+            on_harmful(row)
 
     finals: list = []
     stack: list = []
     # each turn admits the candidates of ``row`` and pops rows until one
     # splits; the root is the one candidate of no row (of degree -1), and its
-    # degree is 0, as the full row fixes no variable and settles no clause
-    row, deg, hint, cands = None, -1, None, [(root, 0)]
+    # degree is 0, as the full row fixes no variable and settles no clause.
+    # An entry is (row, degree, witness, settled-clause mask); only
+    # clause-012 reads the mask, which is 0 at the root
+    row, deg, hint, cands = None, -1, None, [(root, 0, 0)]
     while True:
         sons = []
-        for son, son_deg in cands:
+        for son, son_deg, son_settled in cands:
             if son_deg <= deg:
                 raise RuntimeError(f"son does not settle its parent's pending clause {deg + 1}")
             if screen is not None and not screen(son):
@@ -639,17 +664,17 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
                     wit = search(son, start, stats)
                 if wit is None:
                     continue
-            sons.append((son, son_deg, wit))
+            sons.append((son, son_deg, wit, son_settled))
         if sons:
-            if obs and row is not None:
-                obs.on_split(row, deg, tuple(s for s, _, _ in sons), tuple(d for _, d, _ in sons))
+            if on_split is not None and row is not None:
+                on_split(row, deg, tuple(s[0] for s in sons), tuple(s[1] for s in sons))
             stack.extend(reversed(sons))
         elif row is not None:
             delete(row)
         while stack:
-            row, deg, hint = stack.pop()
-            if obs:
-                obs.on_pop(row, deg, len(stack), len(finals))
+            row, deg, hint, settled = stack.pop()
+            if on_pop is not None:
+                on_pop(row, deg, len(stack), len(finals))
             if override is not None and override(row):
                 out = [_row012e(w, *row) if clause_e else row]
             elif deg == top:
@@ -658,53 +683,55 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
                 ones, zeros, bit = row.ones, row.zeros, 1 << deg
                 fixed = ones | zeros | bit
                 son_deg = ((fixed + 1) & ~fixed).bit_length() - 1
-                cands = [(_row012(w, ones, zeros | bit), son_deg), (_row012(w, ones | bit, zeros), son_deg)]
+                cands = [
+                    (_row012(w, ones, zeros | bit), son_deg, None),
+                    (_row012(w, ones | bit, zeros), son_deg, None),
+                ]
                 break
-            else:
+            elif clause_e:
                 # a son is a subset of its parent, so the clauses its parent
                 # settles stay settled and its scan starts at the parent's
                 cands = []
-                if clause_e:
-                    ones, bubbles = row
-                    for son in _e_split(w, ones, bubbles, clauses[deg].slots):
-                        son_deg, (son_ones, son_bubbles) = deg, son
-                        while son_deg < top:
-                            mask = slot_masks[son_deg]  # a copy of rows.settles
-                            if not son_ones & mask:
-                                for b in son_bubbles:
-                                    if not b & ~mask:
-                                        break
-                                else:
+                ones, bubbles = row
+                for son in _e_split(w, ones, bubbles, clauses[deg].slots, slot_masks[deg]):
+                    son_deg, (son_ones, son_bubbles) = deg, son
+                    while son_deg < top:
+                        mask = slot_masks[son_deg]  # a copy of rows.settles
+                        if not son_ones & mask:
+                            for b in son_bubbles:
+                                if not b & ~mask:
                                     break
-                            son_deg += 1
-                        cands.append((son, son_deg))
-                else:  # the staircase: son j makes the j-th free literal true, the earlier ones false
-                    ones, zeros = row.ones, row.zeros
-                    for slot in clauses[deg].slots:
-                        bit = 1 << (slot >> 1)
-                        if (ones | zeros) & bit:
-                            continue  # fixed against the literal
-                        if slot & 1:
-                            son = _row012(w, ones, zeros | bit)
-                            ones |= bit
-                        else:
-                            son = _row012(w, ones | bit, zeros)
-                            zeros |= bit
-                        son_deg, son_ones, son_zeros = deg, son.ones, son.zeros
-                        while son_deg < top:
-                            pos, neg = masks[son_deg]
-                            if not (pos & son_ones or neg & son_zeros):
+                            else:
                                 break
-                            son_deg += 1
-                        cands.append((son, son_deg))
+                        son_deg += 1
+                    cands.append((son, son_deg, None))
+                break
+            else:
+                # the staircase: son j makes the j-th free literal true, the
+                # earlier ones false; a literal the row fixes against adds
+                # nothing, as the row's mask holds the clauses of its mate
+                cands = []
+                ones, zeros = row.ones, row.zeros
+                for bit, neg, true, false in steps[deg]:
+                    if (ones | zeros) & bit:
+                        continue  # fixed against the literal
+                    if neg:
+                        son = _row012(w, ones, zeros | bit)
+                        ones |= bit
+                    else:
+                        son = _row012(w, ones | bit, zeros)
+                        zeros |= bit
+                    son_settled = settled | true
+                    settled |= false
+                    cands.append((son, ((son_settled + 1) & ~son_settled).bit_length() - 1, son_settled))
                 break
             if out is None:
                 delete(row)
                 continue
             finals.extend(out)
-            if obs:
+            if on_emit is not None:
                 for piece in out:
-                    obs.on_emit(piece)
+                    on_emit(piece)
         else:
             return finals
 

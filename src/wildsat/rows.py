@@ -607,18 +607,26 @@ def impose_on_slots(row: Row012e, slots: Sequence[int]) -> list[Row012e]:
     this builds as rows.  Raises ValueError for a slot outside 0..2w-1.
     """
     w = row.width
-    sons = impose_masks(w, row.ones, row.bubble_masks, slots)
+    top, mask = 2 * w, 0
+    for s in slots:
+        if not 0 <= s < top:
+            raise ValueError("slot out of range")
+        mask |= 1 << s
+    sons = impose_masks(w, row.ones, row.bubble_masks, slots, mask)
     if sons is None:
         return [row]
     return [_row012e(w, ones, bubbles) for ones, bubbles in sons]
 
 
 def impose_masks(
-    width: int, ones: int, bubbles: Sequence[int], slots: Sequence[int]
+    width: int, ones: int, bubbles: Sequence[int], slots: Sequence[int], mask: int
 ) -> list[tuple[int, list[int]]] | None:
     """``impose_on_slots`` on an e-row's masks: the sons as (ones, bubbles)
     pairs, their bubbles in no particular order, or None when the row
-    already settles the slots.
+    already settles the slots.  ``mask`` is the slot mask of ``slots``; the
+    caller has checked that they lie in 0..2w-1, as ``impose_on_slots``
+    and ``clausewise_e_split`` do and as a ``Cnf``'s clauses do by
+    construction.
 
     The remainder is a pair of masks carried from column to column; a son
     is the remainder with its column as a bubble, pinned to 1 when it has
@@ -626,15 +634,8 @@ def impose_masks(
     remainder is ``_pin``'s fixpoint written out, so that the same pass over
     the bubbles also records whether a kept bubble lies inside the listed
     slots; the flag of the last round, the one that pins no new slot, is
-    the ``settles`` test of the remainder.  Raises ValueError for a slot
-    outside 0..2w-1.
+    the ``settles`` test of the remainder.
     """
-    top = 2 * width
-    mask = 0
-    for s in slots:
-        if not 0 <= s < top:
-            raise ValueError("slot out of range")
-        mask |= 1 << s
     if settles(ones, bubbles, mask):
         return None
     even = _evens(width)

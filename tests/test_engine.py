@@ -202,6 +202,11 @@ class TestClausewiseESplit:
         assert clausewise_e_split(row, Clause((1, 3))) == impose_on_slots(row, Clause((1, 3)).slots)
         assert clausewise_e_split(row, Clause((1, 3))) != [row]
 
+    @pytest.mark.parametrize("lits", [(3,), (1, -3)])
+    def test_clause_wider_than_the_row_rejected(self, lits):
+        with pytest.raises(ValueError, match="slot out of range"):
+            clausewise_e_split(Row012e.full(2), Clause(lits))
+
     def test_partition_property(self):
         from oracle import clause_mask, random_row012e
         from wildsat.sat import row_satisfies_clause
@@ -454,13 +459,67 @@ class TestResumedPendingClause:
                 assert_disjoint_cover(cnf.num_vars, out.rows, cnf_mask(cnf))
 
     def test_son_missing_the_pending_clause_is_an_error(self, phi2, monkeypatch):
-        # the staircase builds its sons with _row012: a "son" that fixes
-        # nothing does not settle the imposed clause
+        # a clause-012 son's degree comes from the clause occurrence index:
+        # with one that lists no clause, no son settles the imposed clause
         built = []
-        monkeypatch.setattr(wildsat.engine, "_row012", lambda w, ones, zeros: built.append(w) or Row012.full(w))
+        monkeypatch.setattr(wildsat.engine, "_bit_index", lambda masks, nbits: built.append(nbits) or [0] * nbits)
         with pytest.raises(RuntimeError, match="pending clause"):
             run(phi2, EngineConfig(method=Method.CLAUSE012, policy=Policy.NONE))
         assert built
+
+
+class TestSettledClauseMask:
+    """A clause-012 son's degree is the lowest zero bit of its settled-clause
+    mask: its parent's, ORed with the clauses that hold the son's true
+    literal and the mates of the staircase's earlier free literals."""
+
+    class Degrees(EngineObserver):
+        def __init__(self, cnf):
+            self.cnf, self.splits = cnf, []
+
+        def on_split(self, parent, parent_degree, sons, son_degrees):
+            assert list(son_degrees) == [pending_clause(son, self.cnf) - 1 for son in sons]
+            self.splits.append((str(parent), [str(son) for son in sons], list(son_degrees)))
+
+    # clauses -> (rows, harmful deletions under solver and under none,
+    # splits as (parent, sons, son degrees))
+    CASES = {
+        # x1 = 0, set false on the way to the second son, settles (-1 3)
+        ((1, 2), (-1, 3)): (
+            ["121", "012"], 0, 0, [("222", ["122", "012"], [1, 2]), ("122", ["121"], [2])]
+        ),
+        # the row 022 fixes x1 against the literal 1 of the imposed clause
+        ((-1, 2), (1, 3, 2)): (
+            ["021", "010", "112"], 0, 0, [("222", ["022", "112"], [1, 2]), ("022", ["021", "010"], [2, 2])]
+        ),
+        # a literal settles both copies of a duplicated clause at once
+        ((1, 2), (1, 2), (-2, 3), (-2, 3)): (
+            ["102", "111", "011"], 0, 0,
+            [("222", ["122", "012"], [2, 2]), ("122", ["102", "111"], [4, 4]), ("012", ["011"], [4])],
+        ),
+        # under policy none, both sons of the root are harmful deletions
+        ((1, 2), (-1,), (-2,)): ([], 0, 2, [("22", ["12", "01"], [1, 2])]),
+    }
+
+    @pytest.mark.parametrize("policy", [Policy.SOLVER, Policy.NONE])
+    @pytest.mark.parametrize("clauses", list(CASES), ids=["false-literal", "fixed-against", "duplicates", "harmful"])
+    def test_son_degrees_are_the_fresh_pending_clause(self, clauses, policy):
+        rows, solver_harmful, none_harmful, splits = self.CASES[clauses]
+        cnf = Cnf(max(abs(l) for c in clauses for l in c), clauses)
+        rec = self.Degrees(cnf)
+        out = run(cnf, EngineConfig(method=Method.CLAUSE012, policy=policy, observer=rec))
+        assert [str(r) for r in out.rows] == rows
+        assert out.stats.harmful_deletions == (solver_harmful if policy == Policy.SOLVER else none_harmful)
+        if rows:  # under policy solver the unsatisfiable formula's root has no son
+            assert rec.splits == splits
+
+    @pytest.mark.parametrize("method, builds", [(Method.CLAUSE012, 1), (Method.VAR012, 0), (Method.CLAUSE_E, 0)])
+    def test_only_clause012_builds_the_occurrence_index(self, phi2, monkeypatch, method, builds):
+        built, index = [], wildsat.engine._bit_index
+        monkeypatch.setattr(wildsat.engine, "_bit_index", lambda *args: built.append(args) or index(*args))
+        out = run(phi2, EngineConfig(method=method, policy=Policy.SOLVER))
+        assert len(out) > 1
+        assert len(built) == builds
 
 
 class TestInlineSteps:
@@ -532,6 +591,51 @@ class TestClauseERowsAtTheBoundary:
         assert any(pieces)  # some final row has bad pairs
         assert [p for row, ps in zip(finals, pieces) for p in ps or [row]] == list(out.rows)
         assert len(built) == len(finals) + sum(map(len, pieces))
+
+
+class TestObserverHooksLeftAsTheNoOp:
+    """The driver calls, and builds rows for, only the observer hooks that
+    override ``EngineObserver``'s no-ops."""
+
+    class PopsOnly(EngineObserver):
+        def __init__(self):
+            self.pops = 0
+
+        def on_pop(self, row, degree, depth, emitted):
+            assert isinstance(row, Row012e)
+            self.pops += 1
+
+    @pytest.mark.parametrize("observer", ["bare", "pops-only"])
+    def test_clause_e_builds_rows_only_for_the_overridden_hooks(self, monkeypatch, observer):
+        built, finals = [], []
+        build, split = wildsat.rows._row012e, wildsat.engine.purify
+        obs = EngineObserver() if observer == "bare" else self.PopsOnly()
+
+        def counting(width, ones, bubbles):
+            built.append(ones)
+            return build(width, ones, bubbles)
+
+        def recording(row):
+            finals.append(row)
+            return split(row)
+
+        monkeypatch.setattr(wildsat.rows, "_row012e", counting)
+        monkeypatch.setattr(wildsat.engine, "_row012e", counting)
+        monkeypatch.setattr(wildsat.engine, "purify", recording)
+        cnf = gen_random_cnf(GenSpec(10, 24, 3, seed=3))
+        out = run(cnf, EngineConfig(method=Method.CLAUSE_E, policy=Policy.NONE, observer=obs))
+        monkeypatch.undo()
+        pieces = sum(len(split(row)) for row in finals if not row.is_purified())
+        pops = obs.pops if observer == "pops-only" else 0
+        # the run has splits, harmful deletions and purify pieces to build rows for
+        assert pieces and out.stats.harmful_deletions
+        assert len(built) == pops + len(finals) + pieces
+
+    def test_an_overridden_hook_of_an_instance_is_called(self, phi2):
+        obs, splits = EngineObserver(), []
+        obs.on_split = lambda parent, degree, sons, son_degrees: splits.append(sons)
+        run(phi2, EngineConfig(method=Method.CLAUSE012, observer=obs))
+        assert splits and all(isinstance(son, Row012) for sons in splits for son in sons)
 
 
 class TestClauseEFilterHooks:
