@@ -142,14 +142,21 @@ class SpModFilter:
         raise NotImplementedError
 
 
+def _check_k(k: int, num_vars: int) -> None:
+    """Reject a cardinality that is not an int in 0..num_vars (a bool too)."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError("k must be an integer")
+    if not 0 <= k <= num_vars:
+        raise ValueError("k must lie in [0, num_vars]")
+
+
 class CardinalityFilter(SpModFilter):
     """Keep only models with exactly k ones (perfect, solver-backed)."""
 
     exact = True
 
     def __init__(self, cnf: Cnf, k: int):
-        if not 0 <= k <= cnf.num_vars:
-            raise ValueError("k must lie in [0, num_vars]")
+        _check_k(k, cnf.num_vars)
         self.cnf = cnf
         self.cardinality = k
 
@@ -172,8 +179,7 @@ class DnfKFilter(SpModFilter):
     exact = True
 
     def __init__(self, dnf: Dnf, k: int):
-        if not 0 <= k <= dnf.num_vars:
-            raise ValueError("k must lie in [0, num_vars]")
+        _check_k(k, dnf.num_vars)
         self.dnf = dnf
         self.k = k
 
@@ -399,17 +405,10 @@ def clausewise_e_split(row: Row012e, clause: Clause) -> list[Row012e]:
     w, mask = row.width, clause.slot_mask
     if mask >> 2 * w:
         raise ValueError("slot out of range")
-    return [_row012e(w, *son) for son in _e_split(w, row.ones, row.bubble_masks, clause.slots, mask)]
-
-
-def _e_split(
-    width: int, ones: int, bubbles: Sequence[int], slots: Sequence[int], mask: int
-) -> list[tuple[int, list[int]]]:
-    """``clausewise_e_split`` on masks: the sons' (ones, bubbles) pairs."""
-    sons = impose_masks(width, ones, bubbles, slots, mask)
+    sons = impose_masks(w, row.ones, row.bubble_masks, clause.slots, mask)
     if sons is None:
         raise ValueError("row already satisfies the clause")
-    return sons
+    return [_row012e(w, *son) for son in sons]
 
 
 # ---------------------------------------------------------------------------
@@ -486,16 +485,17 @@ def _admission(cnf: Cnf, config: EngineConfig):
     None or the witness (model as a variable mask, root fixpoint ``(ones,
     zeros, open clauses)``).  It is ``sat.search_from`` itself, which the
     driver runs on a 012-son's masks, bounded by a perfect filter's
-    ``cardinality``; or else ``search(son, start, stats)``, ``solve_row``
-    for e-rows and a plugged solver, whose witness has no fixpoint.  A son
-    that contains its parent's witness (``contains(son, witness[0])``)
-    takes it without a search; any other starts from its fixpoint, that of
-    its nearest ancestor that searched.
+    ``cardinality``; or else ``search(son, start, stats)``, which calls
+    ``solve_row`` on the son's row, for clause-e and for a plugged solver
+    (whose witness has no fixpoint).  A son that contains its parent's
+    witness (``contains(son, witness[0])``) takes it without a search; any
+    other starts from its fixpoint, that of its nearest ancestor that
+    searched.
 
-    A clause-e candidate is its (ones, bubbles) masks.  The screen, the
-    check and the search build its row, and its witness holds the model's
-    true literal slots in place of the variable mask, which ``contains``
-    tests against the masks.
+    A clause-e candidate is its (ones, bubbles) masks.  The screen and the
+    check get its row through ``_on_e_row``, and the search builds it for
+    ``solve_row``.  Its witness holds the model's true literal slots in
+    place of the variable mask, which ``contains`` tests against the masks.
     """
     filt, policy, solver = config.spmod, config.policy, config.solver
     screen = check = search = None
@@ -507,7 +507,7 @@ def _admission(cnf: Cnf, config: EngineConfig):
     else:
         screen = None if filt is None else filt.admit
         if policy == Policy.SOLVER:
-            if config.method == Method.CLAUSE_E or is_plug(solver):
+            if is_plug(solver):
                 search = lambda row, start, stats: solve_row(row, cnf, start, stats, solver=solver)
             else:
                 search = search_from
@@ -520,11 +520,8 @@ def _admission(cnf: Cnf, config: EngineConfig):
     w = cnf.num_vars
     every = (1 << w) - 1
 
-    def on_row(fn):
-        return fn and (lambda son: fn(_row012e(w, *son)))
-
     def search_e(son, start, stats):
-        found = search(_row012e(w, *son), start, stats)
+        found = solve_row(_row012e(w, *son), cnf, start, stats, solver=solver)
         if found is None:
             return None
         model, fixpoint = found
@@ -534,7 +531,14 @@ def _admission(cnf: Cnf, config: EngineConfig):
         ones, bubbles = son
         return not ones & ~true and all(b & true for b in bubbles)
 
-    return on_row(screen), on_row(check), search and search_e, contains_e
+    return _on_e_row(screen, w), _on_e_row(check, w), search and search_e, contains_e
+
+
+def _on_e_row(fn, w: int):
+    """``fn`` for the driver's clause-e entries of width w: it gets the
+    e-row of a (ones, bubbles) entry, then the call's other arguments.
+    None stays None."""
+    return None if fn is None else lambda entry, *rest: fn(_row012e(w, *entry), *rest)
 
 
 def _observer_hooks(obs: EngineObserver | None, e_width: int | None) -> tuple:
@@ -542,7 +546,8 @@ def _observer_hooks(obs: EngineObserver | None, e_width: int | None) -> tuple:
     hooks that it overrides, and None for each it leaves as
     ``EngineObserver``'s no-op (every one, with no observer), so that the
     driver builds nothing for it.  With ``e_width`` set (clause-e), a hook
-    gets the e-rows of the driver's (ones, bubbles) entries."""
+    gets the e-rows of the driver's (ones, bubbles) entries: through
+    ``_on_e_row``, and ``on_split`` its sons' as a tuple."""
     hooks = []
     for name in ("on_pop", "on_split", "on_emit", "on_harmful"):
         hook = getattr(obs, name, None)
@@ -551,17 +556,11 @@ def _observer_hooks(obs: EngineObserver | None, e_width: int | None) -> tuple:
     if e_width is None:
         return on_pop, on_split, on_emit, on_harmful
     w = e_width
-    if on_pop is not None:
-        on_pop = lambda entry, degree, depth, emitted, hook=on_pop: hook(
-            _row012e(w, *entry), degree, depth, emitted
-        )
     if on_split is not None:
         on_split = lambda parent, degree, sons, son_degrees, hook=on_split: hook(
             _row012e(w, *parent), degree, tuple(_row012e(w, *son) for son in sons), son_degrees
         )
-    if on_harmful is not None:
-        on_harmful = lambda entry, hook=on_harmful: hook(_row012e(w, *entry))
-    return on_pop, on_split, on_emit, on_harmful
+    return _on_e_row(on_pop, w), on_split, on_emit, _on_e_row(on_harmful, w)
 
 
 def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
@@ -601,8 +600,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     on_pop, on_split, on_emit, on_harmful = _observer_hooks(config.observer, w if clause_e else None)
     if clause_e:  # the entries are (ones, bubbles) masks
         root, slot_masks = (0, ()), cnf.slot_masks
-        if override is not None:
-            override = lambda entry, hook=override: hook(_row012e(w, *entry))
+        override = _on_e_row(override, w)
     else:
         root = Row012.full(w)
         if not var012:
@@ -693,7 +691,10 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
                 # settles stay settled and its scan starts at the parent's
                 cands = []
                 ones, bubbles = row
-                for son in _e_split(w, ones, bubbles, clauses[deg].slots, slot_masks[deg]):
+                split = impose_masks(w, ones, bubbles, clauses[deg].slots, slot_masks[deg])
+                if split is None:
+                    raise ValueError("row already satisfies the clause")
+                for son in split:
                     son_deg, (son_ones, son_bubbles) = deg, son
                     while son_deg < top:
                         mask = slot_masks[son_deg]  # a copy of rows.settles

@@ -9,11 +9,11 @@ solver-backed test is perfect; Test 1 and Test 2 are cheap weak tests
 The solver is one iterative DPLL over bitmasks.  A clause is its pair of
 (pos, neg) variable masks (``Clause.masks``, bit v-1 for variable v) and an
 assignment is two ints, ``ones`` and ``zeros``.  ``_propagate`` is its unit
-propagation and ``_search`` its search, with or without a cardinality
-bound k.  ``search_from`` runs ``_search`` under a row's pins, from the root
-fixpoint of an ancestor row when it has one; it is the core that the
-engine and ``solve_row`` call.  ``solve_row`` is the search inside a row
-object: it adds the e-row case and the plugged ``SolverFn``.
+propagation and ``search_from`` its search under a row's pins, from the
+root fixpoint of an ancestor row when it has one, with or without a
+cardinality bound k; the engine calls it on a 012-son's masks.
+``solve_row`` is the search inside a row object: it adds the e-row case
+and the plugged ``SolverFn``.
 ``dpll_sat``, ``find_model`` and ``find_k_model`` wrap them with a tuple
 result.
 """
@@ -75,26 +75,37 @@ def _propagate(
         clauses = left
 
 
-def _search(
+def search_from(
     num_vars: int,
     clauses: Sequence[tuple[int, int]],
     ones: int = 0,
     zeros: int = 0,
+    start: Fixpoint | None = None,
     k: int | None = None,
     stats: RunStats | None = None,
+    extra: Sequence[tuple[int, int]] = (),
 ) -> tuple[int, Fixpoint] | None:
-    """The first model in branching order as the pair (ones mask, root
-    fixpoint), or None.  The root fixpoint is the ``(ones, zeros, open
-    clauses)`` that unit propagation reaches before any decision.
+    """The first model in branching order under the pins ``ones``/``zeros``,
+    over ``clauses`` and then ``extra`` (an e-row's bubbles), as the pair
+    (ones mask, root fixpoint), or None.  The root fixpoint is the ``(ones,
+    zeros, open clauses)`` that unit propagation reaches before any
+    decision.
 
-    ``ones``/``zeros`` are the variables fixed beforehand, and ``clauses``
-    need hold only those they leave unsatisfied; each node reads only the
-    clauses its propagation left open.  A node branches on the lowest
-    variable of its open clauses, 1 first, and keeps its 0 branch on a
-    trail, so nothing is copied and there is no recursion limit.  Variables
-    never forced stay 0, so the model is a fixed function of the clauses
-    and pins, which the engine relies on when a son reuses its parent's
-    witness.
+    ``clauses`` need hold only those the pins leave unsatisfied; each node
+    reads only the clauses its propagation left open.  A node branches on
+    the lowest variable of its open clauses, 1 first, and keeps its 0
+    branch on a trail, so nothing is copied and there is no recursion
+    limit.  Variables never forced stay 0, so the model is a fixed function
+    of the clauses and pins, which the engine relies on when a son reuses
+    its parent's witness.
+
+    ``start`` is the root fixpoint of a row that holds the pinned one.  Its
+    pins clashing with the row's give None; else they join them and its
+    open clauses replace ``clauses``.  Under the row's pins each clause is
+    satisfied or narrowed to an open one, so the row's propagation reaches
+    the start's fixpoint or a conflict, and the search visits the nodes and
+    finds the model of the search from the pins alone, with k too: the
+    k-bound prunes only nodes that propagation has settled.
 
     With ``k`` only models with exactly k ones count, and the lowest free
     variables complete a model to k ones.  Pins past that bound end the
@@ -104,6 +115,14 @@ def _search(
     is lost and the search returns the model, or None, that it returns
     without the bound, with no more decisions.
     """
+    if start is not None:
+        f1, f0, clauses = start
+        if ones & f0 or zeros & f1:
+            return None
+        ones |= f1
+        zeros |= f0
+    if extra:
+        clauses = [*clauses, *extra]
     if stats is None:
         stats = RunStats()
     full = (1 << num_vars) - 1
@@ -158,7 +177,7 @@ def _bits(ones: int, num_vars: int) -> tuple[int, ...]:
 
 def dpll_sat(cnf: Cnf, stats: RunStats | None = None) -> tuple[int, ...] | None:
     """A model of the formula as a bitstring, or None when unsatisfiable."""
-    found = _search(cnf.num_vars, cnf.masks, stats=stats)
+    found = search_from(cnf.num_vars, cnf.masks, stats=stats)
     return None if found is None else _bits(found[0], cnf.num_vars)
 
 
@@ -174,6 +193,14 @@ def find_k_model(
     return None if found is None else _bits(found[0], row.width)
 
 
+def _width(row: Row012 | Row012e, cnf: Cnf) -> int:
+    """The row's width, which must be the formula's number of variables."""
+    w = row.width
+    if w != cnf.num_vars:
+        raise ValueError("row width does not match num_vars")
+    return w
+
+
 def augment_cnf(cnf: Cnf, row: Row012 | Row012e) -> Cnf:
     """The formula restricted to the row, as a plugged ``SolverFn`` gets it:
     the formula's clauses, then one unit clause per fixed variable in
@@ -182,9 +209,7 @@ def augment_cnf(cnf: Cnf, row: Row012 | Row012e) -> Cnf:
     The base clauses were validated when ``cnf`` was built, so only the
     row's clauses are checked here.
     """
-    w = row.width
-    if w != cnf.num_vars:
-        raise ValueError("row width does not match num_vars")
+    w = _width(row, cnf)
     if isinstance(row, Row012):
         ones, zeros, bubbles = row.ones, row.zeros, ()
     else:  # the 1-slots fix their variables: a negative slot to 0
@@ -204,36 +229,6 @@ def find_model(row: Row012 | Row012e, cnf: Cnf, solver: SolverFn = dpll_sat) -> 
     """
     found = solve_row(row, cnf, solver=solver)
     return None if found is None else _bits(found[0], row.width)
-
-
-def search_from(
-    num_vars: int,
-    clauses: Sequence[tuple[int, int]],
-    ones: int,
-    zeros: int,
-    start: Fixpoint | None = None,
-    k: int | None = None,
-    stats: RunStats | None = None,
-    extra: Sequence[tuple[int, int]] = (),
-) -> tuple[int, Fixpoint] | None:
-    """``_search`` under the pins ``ones``/``zeros``, over ``clauses`` and
-    then ``extra`` (an e-row's bubbles).
-
-    ``start`` is the root fixpoint of a row that holds the pinned one.  Its
-    pins clashing with the row's give None; else they join them and its
-    open clauses replace ``clauses``.  Under the row's pins each clause is
-    satisfied or narrowed to an open one, so the row's propagation reaches
-    the start's fixpoint or a conflict, and the search visits the nodes and
-    finds the model of the search from the pins alone, with k too: the
-    k-bound prunes only nodes that propagation has settled.
-    """
-    if start is not None:
-        f1, f0, clauses = start
-        if ones & f0 or zeros & f1:
-            return None
-        ones |= f1
-        zeros |= f0
-    return _search(num_vars, [*clauses, *extra] if extra else clauses, ones, zeros, k, stats)
 
 
 def is_plug(solver: SolverFn | None) -> bool:
@@ -265,9 +260,7 @@ def solve_row(
     satisfies the formula, else ValueError.  The model comes back with no
     fixpoint.
     """
-    w = row.width
-    if w != cnf.num_vars:
-        raise ValueError("row width does not match num_vars")
+    w = _width(row, cnf)
     if is_plug(solver):
         if k is not None:
             raise ValueError("a plugged solver takes no cardinality bound")
@@ -310,31 +303,16 @@ def row_satisfies_clause(row: Row012 | Row012e, clause: Clause) -> bool:
 
 def first_unsettled(row: Row012 | Row012e, cnf: Cnf, start: int = 0) -> int:
     """The 0-based index of the first clause from ``start`` on that the row
-    does not settle (``row_satisfies_clause``), or h if none.  A 012-row
-    reads ``Cnf.masks``, an e-row ``Cnf.slot_masks``.  Raises ValueError
-    for a ``start`` below 0."""
+    does not settle (``row_satisfies_clause``), or h if none.  Raises
+    ValueError for a ``start`` below 0 or a row of another width."""
     if start < 0:
         raise ValueError("clause indices start at 0")
-    if isinstance(row, Row012):
-        ones, zeros = row.ones, row.zeros
-        masks = cnf.masks
-        for i in range(start, len(masks)):
-            pos, neg = masks[i]
-            if not (pos & ones or neg & zeros):
-                return i
-        return len(masks)
-    ones, bubbles = row.ones, row.bubble_masks
-    slot_masks = cnf.slot_masks
-    for i in range(start, len(slot_masks)):
-        mask = slot_masks[i]  # a copy of rows.settles(ones, bubbles, mask)
-        if ones & mask:
-            continue
-        for b in bubbles:
-            if not b & ~mask:
-                break
-        else:
+    _width(row, cnf)
+    clauses = cnf.clauses
+    for i in range(start, len(clauses)):
+        if not row_satisfies_clause(row, clauses[i]):
             return i
-    return len(slot_masks)
+    return len(clauses)
 
 
 def test1(row: Row012 | Row012e, cnf: Cnf) -> bool:
@@ -342,8 +320,10 @@ def test1(row: Row012 | Row012e, cnf: Cnf) -> bool:
     falsified by the row's fixed values, so no member can satisfy it.
 
     Weak in general; perfect when the formula is positive, because setting
-    every non-zero position to 1 then witnesses feasibility.
+    every non-zero position to 1 then witnesses feasibility.  A row of
+    another width than the formula's is a ValueError.
     """
+    _width(row, cnf)
     if isinstance(row, Row012):
         not_zero, not_one = ~row.zeros, ~row.ones
         return all(pos & not_zero or neg & not_one for pos, neg in cnf.masks)
@@ -359,10 +339,12 @@ def test2(row: Row012, cnf: Cnf) -> bool:
     Ci but p is falsified.  With Cj's positive and Ci's negative literals
     falsified, the literals left open (Ci's positive ones not fixed to 0,
     Cj's negative ones not fixed to 1) must lie within one common p.
-    An e-row's masks are slot masks, so it raises TypeError.
+    An e-row's masks are slot masks, so it raises TypeError; a row of
+    another width than the formula's raises ValueError.
     """
     if not isinstance(row, Row012):
         raise TypeError("test2 is defined on 012-rows")
+    _width(row, cnf)
     ones, zeros = row.ones, row.zeros
     masks = cnf.masks
     for i, (pi, ni) in enumerate(masks):

@@ -182,7 +182,7 @@ def ref_impose_on_slots(row: Row012e, slots) -> list[Row012e]:
 def ref_k_search(
     num_vars: int, clauses, ones: int, zeros: int, k: int
 ) -> tuple[int | None, RunStats]:
-    """The k-model search of ``sat._search`` without the disjoint-clause
+    """The k-model search of ``sat.search_from`` without the disjoint-clause
     bound: a node is pruned only when it holds more than k ones or too few
     free variables to reach k.  Returns the ones mask of the first k-model
     in branching order (or None) and the search's counters."""

@@ -202,10 +202,13 @@ class TestClausewiseESplit:
         assert clausewise_e_split(row, Clause((1, 3))) == impose_on_slots(row, Clause((1, 3)).slots)
         assert clausewise_e_split(row, Clause((1, 3))) != [row]
 
-    @pytest.mark.parametrize("lits", [(3,), (1, -3)])
+    @pytest.mark.parametrize("lits", [(3,), (1, -3), (1, 3)])
     def test_clause_wider_than_the_row_rejected(self, lits):
-        with pytest.raises(ValueError, match="slot out of range"):
-            clausewise_e_split(Row012e.full(2), Clause(lits))
+        # the slot range is checked first, also on the row 12, which settles
+        # (1, -3) and (1, 3) through x1
+        for row in (Row012e.full(2), Row012e.from_row012(row012("12"))):
+            with pytest.raises(ValueError, match="slot out of range"):
+                clausewise_e_split(row, Clause(lits))
 
     def test_partition_property(self):
         from oracle import clause_mask, random_row012e

@@ -385,3 +385,15 @@ class TestArgumentChecks:
     def test_rejected(self, call, match):
         with pytest.raises(ValueError, match=match):
             call()
+
+    # 2.0 would pass the range check and fail later in the run; True would
+    # run as k = 1
+    @pytest.mark.parametrize("k", [2.0, True, "2", None], ids=["float", "bool", "str", "none"])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda k: CardinalityFilter(Cnf(3, ()), k), lambda k: DnfKFilter(Dnf(3, ()), k)],
+        ids=["cardinality", "dnf-k"],
+    )
+    def test_k_that_is_not_an_int_rejected(self, make, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            make(k)

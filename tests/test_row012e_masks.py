@@ -241,9 +241,9 @@ class TestImposeCascades:
 
 
 class TestSettlesCopies:
-    """``first_unsettled``'s e-row loop and ``impose_on_slots``'s settled
-    tests are written-out copies of ``settles``; on every clause they must
-    answer as it does.  The remainder's flag after a cascade is pinned by
+    """``impose_on_slots``'s settled tests are written-out copies of
+    ``settles``, and ``first_unsettled`` reads it through
+    ``row_satisfies_clause``; on every clause they must answer as it does.  The remainder's flag after a cascade is pinned by
     ``TestImposeCascades``, since random rows rarely reach it."""
 
     def test_copies_agree_with_settles(self):

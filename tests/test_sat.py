@@ -27,7 +27,6 @@ from wildsat.sat import test1 as weak_test1
 from wildsat.sat import test2 as weak_test2
 from wildsat.sat import (
     _propagate,
-    _search,
     augment_cnf,
     dpll_sat,
     final_e,
@@ -36,6 +35,7 @@ from wildsat.sat import (
     find_model,
     prob_final,
     row_satisfies_clause,
+    search_from,
     solve_row,
 )
 
@@ -321,6 +321,24 @@ class TestFirstUnsettled:
         with pytest.raises(ValueError, match="start at 0"):
             first_unsettled(full(2), cnf, -1)
 
+    @pytest.mark.parametrize(
+        "row",
+        [row012("1222202"), Row012e.from_row012(row012("1222011")), row012("122")],
+        ids=["012", "012e", "narrow"],
+    )
+    def test_row_of_another_width_rejected(self, row):
+        # the scans read the row's masks against clauses of another width;
+        # they answered, for rows that hold no assignment of the formula
+        from wildsat.engine import pending_clause
+
+        cnf = Cnf(5, ((1, 2), (-3, 4), (5,)))
+        calls = [first_unsettled, final_e, pending_clause, weak_test1]
+        if isinstance(row, Row012):
+            calls.append(weak_test2)
+        for call in calls:
+            with pytest.raises(ValueError, match="row width does not match num_vars"):
+                call(row, cnf)
+
 
 class TestRowSatisfiesClauseE:
     def test_bitwise_rule_matches_slot_sets(self):
@@ -537,7 +555,7 @@ class TestOpenClauses:
                         ours, full = RunStats(), RunStats()
                         got = solve_row(son, cnf, start, ours, k)
                         pins = ones | start[0], zeros | start[1]
-                        want = _search(w, list(cnf.masks) + bubbles, *pins, k, full)
+                        want = search_from(w, list(cnf.masks) + bubbles, *pins, k=k, stats=full)
                         assert (got is None) == (want is None)
                         if got is not None:
                             assert got[0] == want[0] and got[1][:2] == want[1][:2]
