@@ -16,14 +16,15 @@ Mechanisms:
                an e-bubble over its free literal slots, with bubble-overlap
                columns branched off first.
 
-One driver loop serves all three.  It splits rows and takes their degrees
-straight from their masks, and runs the built-in search on a 012-son's
-masks (``sat.search_from``).  A clause-012 entry carries the mask of the
-clauses its row settles, whose lowest zero bit is its degree.  Its
-clause-e entries are (ones, bubbles) masks, split by
-``rows.impose_masks``; an e-row is built only for output and for a
-consumer that reads rows (``sat.solve_row``, test1, a filter or an
-observer hook that is overridden).  Candidate sons are screened by a
+One driver loop serves all three, and its stack holds masks, not rows:
+a 012 entry is (ones, zeros), a clause-e entry (ones, bubbles), split by
+``rows.impose_masks``.  It takes degrees straight from the masks, runs
+the built-in search on a 012-son's masks (``sat.search_from``) and tests
+the hint on them.  A clause-012 entry carries the mask of the clauses
+its row settles, whose lowest zero bit is its degree.  A row is built
+only for output and for a consumer that reads rows (``sat.solve_row``,
+a weak test, a filter or an observer hook that is overridden), through
+one adapter, ``_on_row``.  Candidate sons are screened by a
 feasibility policy (perfect solver check, the weak tests, or none) and by
 the filter, if any.  With a weak policy an infeasible row can enter the
 stack; it is unmasked only when none of its candidate sons is admitted
@@ -203,9 +204,9 @@ class ComplementFilter(SpModFilter):
     row's overlap with the complement.  The complement rows are indexed
     once by the variables they fix to 1 and to 0, so the overlap sums only
     the rows whose fixed values do not clash with the row's.  ``admit``
-    keeps the overlap of each row it admits until ``final_override`` takes
-    it, when the driver pops the row; only a row ``admit`` never saw is
-    read a second time.
+    keeps the overlap of each row it admits, keyed by its fields, until
+    ``final_override`` takes it when the driver pops the row; only a row
+    ``admit`` never saw is read a second time.
     """
 
     exact = True
@@ -222,7 +223,7 @@ class ComplementFilter(SpModFilter):
         # bit v of a key clashes with a 1 at variable v, bit w + v with a 0
         self._clash = _bit_index((r.zeros | r.ones << w for r in rows), 2 * w)
         self._every = (1 << len(rows)) - 1
-        self._overlaps: dict[Row012, int] = {}
+        self._overlaps: dict[tuple[int, int, int], int] = {}
 
     def _overlap(self, row: Row012) -> int:
         """The number of the row's members inside the complement rows."""
@@ -239,12 +240,12 @@ class ComplementFilter(SpModFilter):
     def admit(self, row: Row012) -> bool:
         overlap = self._overlap(row)
         if overlap < card_012(row):
-            self._overlaps[row] = overlap
+            self._overlaps[row.width, row.ones, row.zeros] = overlap
             return True
         return False
 
     def final_override(self, row: Row012) -> bool | None:
-        overlap = self._overlaps.pop(row, None)
+        overlap = self._overlaps.pop((row.width, row.ones, row.zeros), None)
         if overlap is None:
             overlap = self._overlap(row)
         return True if overlap == 0 else None
@@ -474,9 +475,9 @@ def _scan_rows(cnf: Cnf) -> list[Row012]:
     return out
 
 
-def _admission(cnf: Cnf, config: EngineConfig):
-    """The son screen of a run: (screen, check, search, contains), over the
-    driver's candidates.
+def _admission(cnf: Cnf, config: EngineConfig, build):
+    """The son screen of a run: (screen, check, search), over the driver's
+    candidates, whose rows ``build(w, *entry)`` makes.
 
     A perfect filter replaces the policy; any other filter's ``admit`` is
     the ``screen``, which runs in front of it.  With no ``search``,
@@ -487,15 +488,15 @@ def _admission(cnf: Cnf, config: EngineConfig):
     driver runs on a 012-son's masks, bounded by a perfect filter's
     ``cardinality``; or else ``search(son, start, stats)``, which calls
     ``solve_row`` on the son's row, for clause-e and for a plugged solver
-    (whose witness has no fixpoint).  A son that contains its parent's
-    witness (``contains(son, witness[0])``) takes it without a search; any
-    other starts from its fixpoint, that of its nearest ancestor that
-    searched.
+    (whose witness has no fixpoint).  The driver hands a son that contains
+    its parent's witness the witness without a search; any other starts
+    from its fixpoint, that of its nearest ancestor that searched.
 
-    A clause-e candidate is its (ones, bubbles) masks.  The screen and the
-    check get its row through ``_on_e_row``, and the search builds it for
-    ``solve_row``.  Its witness holds the model's true literal slots in
-    place of the variable mask, which ``contains`` tests against the masks.
+    A candidate is its masks: (ones, zeros) for 012, (ones, bubbles) for
+    clause-e.  The screen, the check and a plugged solver's search get its
+    row through ``_on_row``; clause-e's search builds it for ``solve_row``.
+    A clause-e witness holds the model's true literal slots in place of the
+    variable mask, so that its hint test reads the masks too.
     """
     filt, policy, solver = config.spmod, config.policy, config.solver
     screen = check = search = None
@@ -515,52 +516,45 @@ def _admission(cnf: Cnf, config: EngineConfig):
             check = lambda row: test1(row, cnf)
         elif policy == Policy.TEST12:
             check = lambda row: test1(row, cnf) and test2(row, cnf)
-    if config.method != Method.CLAUSE_E:
-        return screen, check, search, Row012.contains
     w = cnf.num_vars
+    screen, check = _on_row(screen, build, w), _on_row(check, build, w)
+    if config.method != Method.CLAUSE_E:
+        return screen, check, search if search is search_from else _on_row(search, build, w)
     every = (1 << w) - 1
 
     def search_e(son, start, stats):
-        found = solve_row(_row012e(w, *son), cnf, start, stats, solver=solver)
+        found = solve_row(build(w, *son), cnf, start, stats, solver=solver)
         if found is None:
             return None
         model, fixpoint = found
         return _spread(model) | _spread(every ^ model) << 1, fixpoint
 
-    def contains_e(son, true):
-        ones, bubbles = son
-        return not ones & ~true and all(b & true for b in bubbles)
-
-    return _on_e_row(screen, w), _on_e_row(check, w), search and search_e, contains_e
+    return screen, check, search and search_e
 
 
-def _on_e_row(fn, w: int):
-    """``fn`` for the driver's clause-e entries of width w: it gets the
-    e-row of a (ones, bubbles) entry, then the call's other arguments.
+def _on_row(fn, build, w: int):
+    """``fn`` for the driver's entries of width w: it gets the row
+    ``build(w, *entry)`` of an entry, then the call's other arguments.
     None stays None."""
-    return None if fn is None else lambda entry, *rest: fn(_row012e(w, *entry), *rest)
+    return None if fn is None else lambda entry, *rest: fn(build(w, *entry), *rest)
 
 
-def _observer_hooks(obs: EngineObserver | None, e_width: int | None) -> tuple:
+def _observer_hooks(obs: EngineObserver | None, build, w: int) -> tuple:
     """(on_pop, on_split, on_emit, on_harmful) of a run: the observer's
     hooks that it overrides, and None for each it leaves as
     ``EngineObserver``'s no-op (every one, with no observer), so that the
-    driver builds nothing for it.  With ``e_width`` set (clause-e), a hook
-    gets the e-rows of the driver's (ones, bubbles) entries: through
-    ``_on_e_row``, and ``on_split`` its sons' as a tuple."""
+    driver builds nothing for it.  A hook gets the rows of the driver's
+    entries: through ``_on_row``, and ``on_split`` its sons' as a tuple."""
     hooks = []
     for name in ("on_pop", "on_split", "on_emit", "on_harmful"):
         hook = getattr(obs, name, None)
         hooks.append(None if getattr(hook, "__func__", None) is getattr(EngineObserver, name) else hook)
     on_pop, on_split, on_emit, on_harmful = hooks
-    if e_width is None:
-        return on_pop, on_split, on_emit, on_harmful
-    w = e_width
     if on_split is not None:
         on_split = lambda parent, degree, sons, son_degrees, hook=on_split: hook(
-            _row012e(w, *parent), degree, tuple(_row012e(w, *son) for son in sons), son_degrees
+            build(w, *parent), degree, tuple(build(w, *son) for son in sons), son_degrees
         )
-    return _on_e_row(on_pop, w), on_split, on_emit, _on_e_row(on_harmful, w)
+    return _on_row(on_pop, build, w), on_split, on_emit, _on_row(on_harmful, build, w)
 
 
 def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
@@ -568,56 +562,58 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
 
     A row's degree is its fixed-prefix length (var-012) or the number of
     leading clauses it settles (pending clause - 1); a row is final at
-    degree ``top``.  The loop splits rows on their masks.  var-012 pins the
-    lowest free variable, 0 first, and a son's degree is the lowest zero
-    bit of its fixed mask.  clause-012 raises the staircase over the
-    pending clause's free literals in ``Clause.lits`` order.  Each of its
-    entries carries the mask of the clauses its row settles, and a son's
-    is its parent's ORed with the clauses that hold the son's true literal
-    and the mates of the earlier free ones (the occurrence index of the
+    degree ``top``.  The stack holds masks: (ones, zeros) for var-012 and
+    clause-012, (ones, bubbles) for clause-e.  var-012 pins the lowest
+    free variable, 0 first, and a son's degree is the lowest zero bit of
+    its fixed mask.  clause-012 raises the staircase over the pending
+    clause's free literals in ``Clause.lits`` order.  Each of its entries
+    carries the mask of the clauses its row settles, and a son's is its
+    parent's ORed with the clauses that hold the son's true literal and
+    the mates of the earlier free ones (the occurrence index of the
     literal slots, built once per run); its degree is the mask's lowest
-    zero bit.  clause-e keeps (ones, bubbles) masks on the stack, imposes
-    the pending clause with ``rows.impose_masks`` and scans
-    ``cnf.slot_masks`` from there for a son's degree; it builds an e-row
-    for a final entry, which ``purify`` splits for output, and for the
-    observer's and the filter's hooks that are set.  ``varwise_split``,
-    ``varwise_degree``, ``clausewise012_split``, ``clausewise_e_split`` and
-    ``pending_clause`` are the reference steps.  A row none of whose
-    candidates ``_admission``'s checks admit was infeasible all along and
-    is only unmasked now: its removal counts as a harmful deletion.  The
-    filter's bound and optional hooks, and the observer's hooks, are read
-    once, here; a hook left None, or an observer hook left as the no-op,
-    is never called.
+    zero bit.  clause-e imposes the pending clause with
+    ``rows.impose_masks`` and scans ``cnf.slot_masks`` from there for a
+    son's degree.  The hint test reads the witness against a son's masks.
+    A row is built (``_row012`` or ``_row012e``) only for a final entry,
+    which ``finish`` turns into output, and, through ``_on_row``, for the
+    observer's and the filter's hooks and the checks that are set.
+    ``varwise_split``, ``varwise_degree``, ``clausewise012_split``,
+    ``clausewise_e_split`` and ``pending_clause`` are the reference steps.
+    A row none of whose candidates ``_admission``'s checks admit was
+    infeasible all along and is only unmasked now: its removal counts as a
+    harmful deletion.  The filter's bound and optional hooks, and the
+    observer's hooks, are read once, here; a hook left None, or an
+    observer hook left as the no-op, is never called.  The loop counts its
+    pops (as pushes, per split) and hint hits in local ints and writes them
+    to ``stats`` when it returns.
     """
     method, filt = config.method, config.spmod
     w, clauses, masks = cnf.num_vars, cnf.clauses, cnf.masks
-    screen, check, search, contains = _admission(cnf, config)
+    var012, clause_e = method == Method.VAR012, method == Method.CLAUSE_E
+    build = _row012e if clause_e else _row012
+    screen, check, search = _admission(cnf, config, build)
     exact = filt is not None and filt.exact
     k = filt.cardinality if exact else None
-    override, refine = (None, None) if filt is None else (filt.final_override, filt.refine_final)
-    var012, clause_e = method == Method.VAR012, method == Method.CLAUSE_E
+    override, refine = (None, None) if filt is None else (_on_row(filt.final_override, build, w), filt.refine_final)
     top = w if var012 else len(clauses)
-    on_pop, on_split, on_emit, on_harmful = _observer_hooks(config.observer, w if clause_e else None)
-    if clause_e:  # the entries are (ones, bubbles) masks
-        root, slot_masks = (0, ()), cnf.slot_masks
-        override = _on_e_row(override, w)
-    else:
-        root = Row012.full(w)
-        if not var012:
-            # clause-012, per clause, its staircase steps: a literal's variable
-            # bit, its sign, and the clauses the literal settles when true and
-            # when false
-            occ = _bit_index(cnf.slot_masks, 2 * w)
-            steps = [tuple((1 << (s >> 1), s & 1, occ[s], occ[s ^ 1]) for s in c.slots) for c in clauses]
+    on_pop, on_split, on_emit, on_harmful = _observer_hooks(config.observer, build, w)
+    root, slot_masks = ((0, ()) if clause_e else (0, 0)), cnf.slot_masks
+    if not (var012 or clause_e):
+        # clause-012, per clause, its staircase steps: a literal's variable
+        # bit, its sign, and the clauses the literal settles when true and
+        # when false
+        occ = _bit_index(slot_masks, 2 * w)
+        steps = [tuple((1 << (s >> 1), s & 1, occ[s], occ[s ^ 1]) for s in c.slots) for c in clauses]
 
     # a bitstring passed only by a weak screen may still miss the model set;
     # on a bitstring, settling every clause (final_e) means being a model
     check_model = var012 and config.policy != Policy.SOLVER and not exact
 
-    def finish(row) -> list | None:
-        """The output of a final row; None when it holds no model."""
+    def finish(entry) -> list | None:
+        """The output of a final entry; None when it holds no model."""
+        row = build(w, *entry)
         if clause_e:
-            return purify(_row012e(w, *row))
+            return purify(row)
         if check_model and not final_e(row, cnf):
             return None
         if refine is None:
@@ -626,19 +622,20 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
         stats.weight_discards += discards
         return kept
 
-    def delete(row) -> None:
+    def delete(entry) -> None:
         stats.harmful_deletions += 1
         if on_harmful is not None:
-            on_harmful(row)
+            on_harmful(entry)
 
     finals: list = []
     stack: list = []
-    # each turn admits the candidates of ``row`` and pops rows until one
-    # splits; the root is the one candidate of no row (of degree -1), and its
-    # degree is 0, as the full row fixes no variable and settles no clause.
-    # An entry is (row, degree, witness, settled-clause mask); only
-    # clause-012 reads the mask, which is 0 at the root
-    row, deg, hint, cands = None, -1, None, [(root, 0, 0)]
+    pops = hint_hits = 0
+    # each turn admits the candidates of ``entry`` and pops entries until one
+    # splits; the root is the one candidate of no entry (of degree -1), and
+    # its degree is 0, as the full row fixes no variable and settles no
+    # clause.  A stack item is (entry, degree, witness, settled-clause mask);
+    # only clause-012 reads the mask, which is 0 at the root
+    entry, deg, hint, cands = None, -1, None, [(root, 0, 0)]
     while True:
         sons = []
         for son, son_deg, son_settled in cands:
@@ -651,46 +648,50 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
                 if check is not None and not check(son):
                     continue
                 wit = None
-            elif hint is not None and contains(son, hint[0]):
+            # the hint test: the witness sets the son's ones (1-slots) and
+            # none of its zeros, or hits each of its bubbles
+            elif hint is not None and hint[0] & son[0] == son[0] and (
+                all(b & hint[0] for b in son[1]) if clause_e else not hint[0] & son[1]
+            ):
+                hint_hits += 1
                 wit = hint
             else:
                 stats.solver_calls += 1
                 start = hint and hint[1]
                 if search is search_from:  # the built-in search, on the son's masks
-                    wit = search_from(w, masks, son.ones, son.zeros, start, k, stats)
+                    wit = search_from(w, masks, son[0], son[1], start, k, stats)
                 else:
                     wit = search(son, start, stats)
                 if wit is None:
                     continue
             sons.append((son, son_deg, wit, son_settled))
         if sons:
-            if on_split is not None and row is not None:
-                on_split(row, deg, tuple(s[0] for s in sons), tuple(s[1] for s in sons))
+            if on_split is not None and entry is not None:
+                on_split(entry, deg, tuple(s[0] for s in sons), tuple(s[1] for s in sons))
             stack.extend(reversed(sons))
-        elif row is not None:
-            delete(row)
+            pops += len(sons)  # the loop ends on an empty stack: every push is popped
+        elif entry is not None:
+            delete(entry)
         while stack:
-            row, deg, hint, settled = stack.pop()
+            entry, deg, hint, settled = stack.pop()
             if on_pop is not None:
-                on_pop(row, deg, len(stack), len(finals))
-            if override is not None and override(row):
-                out = [_row012e(w, *row) if clause_e else row]
+                on_pop(entry, deg, len(stack), len(finals))
+            if override is not None and override(entry):
+                out = [build(w, *entry)]
             elif deg == top:
-                out = finish(row)
+                out = finish(entry)
             elif var012:  # pin the lowest free variable, 0 first
-                ones, zeros, bit = row.ones, row.zeros, 1 << deg
+                ones, zeros = entry
+                bit = 1 << deg
                 fixed = ones | zeros | bit
                 son_deg = ((fixed + 1) & ~fixed).bit_length() - 1
-                cands = [
-                    (_row012(w, ones, zeros | bit), son_deg, None),
-                    (_row012(w, ones | bit, zeros), son_deg, None),
-                ]
+                cands = [((ones, zeros | bit), son_deg, None), ((ones | bit, zeros), son_deg, None)]
                 break
             elif clause_e:
                 # a son is a subset of its parent, so the clauses its parent
                 # settles stay settled and its scan starts at the parent's
                 cands = []
-                ones, bubbles = row
+                ones, bubbles = entry
                 split = impose_masks(w, ones, bubbles, clauses[deg].slots, slot_masks[deg])
                 if split is None:
                     raise ValueError("row already satisfies the clause")
@@ -712,28 +713,29 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
                 # earlier ones false; a literal the row fixes against adds
                 # nothing, as the row's mask holds the clauses of its mate
                 cands = []
-                ones, zeros = row.ones, row.zeros
+                ones, zeros = entry
                 for bit, neg, true, false in steps[deg]:
                     if (ones | zeros) & bit:
                         continue  # fixed against the literal
                     if neg:
-                        son = _row012(w, ones, zeros | bit)
+                        son = (ones, zeros | bit)
                         ones |= bit
                     else:
-                        son = _row012(w, ones | bit, zeros)
+                        son = (ones | bit, zeros)
                         zeros |= bit
                     son_settled = settled | true
                     settled |= false
                     cands.append((son, ((son_settled + 1) & ~son_settled).bit_length() - 1, son_settled))
                 break
             if out is None:
-                delete(row)
+                delete(entry)
                 continue
             finals.extend(out)
             if on_emit is not None:
                 for piece in out:
                     on_emit(piece)
         else:
+            stats.pops, stats.hint_hits = pops, hint_hits
             return finals
 
 

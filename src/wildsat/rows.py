@@ -87,8 +87,10 @@ class Row012:
     layout of ``Clause.masks`` and of the solver's assignment: ``ones``
     holds the variables fixed to 1 and ``zeros`` those fixed to 0; every
     other variable below ``width`` is a don't-care.  Pinning a variable,
-    the hint test ``contains`` and the clause tests of ``wildsat.sat`` are
-    a few AND/OR/popcount steps on them.
+    the member test ``contains`` and the clause tests of ``wildsat.sat``
+    are a few AND/OR/popcount steps on them.  The driver keeps only the
+    masks on its stack and tests its hint on them inline; it builds a row
+    for output and for a consumer that reads one.
 
     ``Row012(symbols)`` takes one 0/1/2 per variable and validates every
     symbol in ``__post_init__``.  Sons come from ``_row012``, which checks
@@ -169,8 +171,8 @@ class Row012:
         """True when the bitstring ``member`` belongs to the row.
 
         The member is one 0/1 per variable, or a variable mask (bit i for
-        variable i+1), as the driver's witnesses are: the test is then two
-        ANDs.
+        variable i+1), as the solver's models are: the test is then two
+        ANDs, the driver's hint test.
         """
         if not isinstance(member, int) or member >> self.width:
             member = _member_mask(member, self.width)
@@ -776,7 +778,10 @@ class RunStats:
     ``propagations`` and ``conflicts`` are the built-in solver's counters,
     summed over the run's searches under policy solver and over the
     k-searches of ``CardinalityFilter``; the ``sat`` functions that take
-    ``stats`` count into a ``RunStats``."""
+    ``stats`` count into a ``RunStats``.  ``hint_hits`` (the sons that took
+    their parent's witness in place of a search) and ``pops`` (the stack
+    entries the driver popped) are the driver's counts, which the command
+    line does not print."""
 
     method: str = ""
     policy: str = ""
@@ -792,6 +797,8 @@ class RunStats:
     decisions: int = 0
     propagations: int = 0
     conflicts: int = 0
+    hint_hits: int = 0
+    pops: int = 0
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from wildsat.engine import (
     WeightFilter,
     clausewise012_split,
     clausewise_e_split,
+    enumerate_hitting_sets,
     pending_clause,
     run,
     validate_config,
@@ -596,6 +597,30 @@ class TestClauseERowsAtTheBoundary:
         assert len(built) == len(finals) + sum(map(len, pieces))
 
 
+class Test012RowsAtTheBoundary:
+    """var-012 and clause-012 keep (ones, zeros) masks on the stack and test
+    the hint on them: with no observer and no screen, a run builds one
+    ``Row012`` per output row and none for a candidate son."""
+
+    @pytest.mark.parametrize("job", ["hitting-sets", "clause-012/solver"])
+    def test_rows_built_only_for_output(self, monkeypatch, job):
+        built, build = [], wildsat.engine._row012
+
+        def counting(width, ones, zeros):
+            built.append(ones)
+            return build(width, ones, zeros)
+
+        monkeypatch.setattr(wildsat.engine, "_row012", counting)
+        if job == "hitting-sets":
+            rng = random.Random(5)
+            out = enumerate_hitting_sets([rng.sample(range(1, 13), 3) for _ in range(10)], 4, 12)
+        else:
+            out = run(gen_random_cnf(GenSpec(10, 24, 3, seed=3)), EngineConfig(method=Method.CLAUSE012))
+        monkeypatch.undo()
+        assert len(built) == len(out.rows) > 0
+        assert out.stats.solver_calls and out.stats.hint_hits  # sons were searched and hinted
+
+
 class TestObserverHooksLeftAsTheNoOp:
     """The driver calls, and builds rows for, only the observer hooks that
     override ``EngineObserver``'s no-ops."""
@@ -1053,6 +1078,35 @@ class TestRunRecord:
                 assert counters(ours) == counters(full)
                 assert (ours.solver_calls, ours.decisions) == (fresh.solver_calls, fresh.decisions)
                 assert ours.propagations <= fresh.propagations and ours.conflicts <= fresh.conflicts
+
+    class Pops(EngineObserver):
+        def __init__(self):
+            self.pops = 0
+
+        def on_pop(self, row, degree, depth, emitted):
+            self.pops += 1
+
+    @pytest.mark.parametrize("method", [Method.VAR012, Method.CLAUSE012, Method.CLAUSE_E])
+    def test_pops_are_the_observer_pops(self, method):
+        cnf = gen_random_cnf(GenSpec(10, 24, 3, seed=3))
+        obs = self.Pops()
+        out = run(cnf, EngineConfig(method=method, observer=obs))
+        assert obs.pops > len(out.rows)
+        assert out.stats.pops == obs.pops == run(cnf, EngineConfig(method=method)).stats.pops
+
+    @pytest.mark.parametrize("method", [Method.VAR012, Method.CLAUSE012, Method.CLAUSE_E])
+    def test_hint_hits_only_under_a_search(self, method):
+        cnf = gen_random_cnf(GenSpec(10, 24, 3, seed=3))
+        assert run(cnf, EngineConfig(method=method)).stats.hint_hits > 0
+        assert run(cnf, EngineConfig(method=method, policy=Policy.NONE)).stats.hint_hits == 0
+
+    def test_no_hint_hits_under_an_exact_filter_without_cardinality(self):
+        cnf = gen_random_cnf(GenSpec(8, 16, 3, seed=2))
+        complement = run(cnf, EngineConfig(method=Method.CLAUSE012))
+        config = EngineConfig(method=Method.VAR012, spmod=ComplementFilter(complement))
+        out = run(Cnf(8, ()), config)
+        assert out.stats.pops > len(out.rows) > 0
+        assert out.stats.hint_hits == 0
 
     @pytest.mark.parametrize("method", list(Method))
     def test_one_walk_totals_match_the_row_list(self, method):

@@ -4,17 +4,23 @@ Invariants are real errors: ``python -O`` strips ``assert`` statements, so
 the package may not use them to check anything.  Immutability comes only
 from ``@dataclass(frozen=True)``, never from hand-written attribute hooks.
 The engine dispatches on no filter class: it reads a filter's attributes.
+The engine imports no name it never uses, save the ones the benchmark's
+trace probes wrap on it, which its "unused here but stay" comment lists.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
+import re
+import sys
 from pathlib import Path
 
 import wildsat
 from wildsat import engine
 
 SOURCES = sorted(Path(wildsat.__file__).parent.glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _nodes():
@@ -85,3 +91,34 @@ def test_the_engine_tests_no_filter_class():
         ]
     )
     assert _class_tests(ast.parse(probe), names) == [1, 2, 3, 7]
+
+
+def _unused_imports(tree: ast.AST) -> set[str]:
+    """The names a module imports and never reads (``__future__``
+    features are no names)."""
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_the_engine_imports_only_what_it_uses_or_the_probes_wrap(monkeypatch):
+    # perfbench/tracing.py is loaded read-only, from its file
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # for its dataclasses
+    spec.loader.exec_module(tracing)
+    probed = {attr for owner, attr, *_ in tracing.PROBES if owner is engine}
+    text = Path(engine.__file__).read_text()
+    unused = _unused_imports(ast.parse(text))
+    assert not unused - probed, f"engine.py imports {sorted(unused - probed)} and never uses them"
+    stay = re.search(r"^# (.+) (?:is|are) unused here but stay", text, re.M)
+    listed = set(re.split(r", | and ", stay.group(1))) if stay else set()
+    assert listed == unused, f"the 'unused here but stay' comment lists {sorted(listed)}, not {sorted(unused)}"
+    # the scan sees an unused import, and a read in any position
+    probe = "from __future__ import annotations\nimport a.b\nfrom c import d, e as f\nx = f.y\nprint(a)"
+    assert _unused_imports(ast.parse(probe)) == {"d"}

@@ -6,7 +6,8 @@ a traced job runs, and ``Tracer()`` raises LookupError when one of them is
 gone.  A refactor that renames or inlines a probed name fails here instead
 of in a traced benchmark run.  A traced job must also give the pinned
 output: the tracer swaps ``sat.dpll_sat`` for a wrapper and the job passes
-that wrapper as the solver, which the engine must still take as its own.
+that wrapper as the solver, which the engine must still take as its own,
+and the run record must count the hint hits that the driver tests inline.
 ``perfbench/`` is loaded read-only, from its files.
 """
 
@@ -45,9 +46,8 @@ def test_a_traced_job_gives_the_pinned_output(monkeypatch, name):
     out = tracer.run_job(workloads.run_job, wl, inst)
     assert workloads.check(wl, inst, out, expected) == []
     assert [r.stats.solver_calls for r in out.results] == expected["solver_calls"]
-    if wl.policy.value == "solver":
-        # the hint test stays behind the probed name: rows.contains and
-        # sat.hint_hit_ratio read in a traced run
-        assert tracer.by_span()["rows.contains"].calls > 0
-        assert tracer.tallies["rows.contains_true"] > 0
+    # the driver tests the hint on a son's masks and counts its hits in the
+    # run record: the sons of instance 0 that took their parent's witness
+    hint_hits = {"solve-012": [1389], "esoft-none": [0], "equiv": [0, 0], "hitting-k": [3214]}
+    assert [r.stats.hint_hits for r in out.results] == hint_hits[name]
     assert tracer.by_span()["sat.dpll"].calls == 0
