@@ -23,7 +23,7 @@ the built-in search on a 012-son's masks (``sat.search_from``) and tests
 the hint on them.  A clause-012 entry carries the mask of the clauses
 its row settles, whose lowest zero bit is its degree.  A row is built
 only for output and for a consumer that reads rows (``sat.solve_row``,
-a weak test, a filter or an observer hook that is overridden), through
+a weak test, a filter or an observer hook that is set), through
 one adapter, ``_on_row``.  Candidate sons are screened by a
 feasibility policy (perfect solver check, the weak tests, or none) and by
 the filter, if any.  With a weak policy an infeasible row can enter the
@@ -92,19 +92,15 @@ class Policy(str, Enum):
 
 
 class EngineObserver:
-    """Optional instrumentation hooks; subclass and override what you need."""
+    """Optional instrumentation hooks: ``on_pop(row, degree, depth,
+    emitted)``, with ``depth`` the stack size after the pop and ``emitted``
+    the rows output so far; ``on_split(parent, parent_degree, sons,
+    son_degrees)``; ``on_emit(row)``; ``on_harmful(row)``.  Each is None
+    until a subclass or an instance sets it, and the driver never calls, or
+    builds a row for, a hook left None.
+    """
 
-    def on_pop(self, row, degree, depth, emitted) -> None:
-        """``depth``: the stack size after the pop; ``emitted``: rows output so far."""
-
-    def on_split(self, parent, parent_degree, sons, son_degrees) -> None:
-        pass
-
-    def on_emit(self, row) -> None:
-        pass
-
-    def on_harmful(self, row) -> None:
-        pass
+    on_pop = on_split = on_emit = on_harmful = None
 
 
 @dataclass
@@ -119,28 +115,27 @@ class EngineConfig:
 class SpModFilter:
     """Restriction of the enumeration to a special subset of the models.
 
-    ``admit`` answers a bool, and must answer False only when the row
+    ``admit(row)`` answers a bool, and must answer False only when the row
     misses the special set.  ``exact`` marks the answer perfect, in which
     case the filter replaces the feasibility policy; otherwise it screens
     in front of the policy.  ``methods`` lists the methods the filter runs
     with.  An exact filter whose special models are the models with k ones
     may name k as ``cardinality``: the driver then runs the built-in
     k-search on a son's masks (``sat.search_from``) in place of ``admit``.
+    ``final_override(row)`` (True makes the popped row final now, None
+    defers to the mechanism) and ``refine_final(row)`` (the output rows of
+    a final row and the number of subrows dropped; else the row itself)
+    are optional.
 
-    The hooks ``final_override(row)`` (True makes the popped row final now,
-    None defers to the mechanism) and ``refine_final(row)`` (the output
-    rows of a final row and the number of subrows dropped; else the row
-    itself) are optional: the driver never calls one left None.
+    Each hook is None until a subclass sets it, and the driver never calls
+    one left None.  ``validate_config`` rejects a filter with no ``admit``
+    unless it is exact and names a ``cardinality``.
     """
 
     exact = False
     methods: tuple[Method, ...] = (Method.VAR012,)
     cardinality: int | None = None
-    final_override = None
-    refine_final = None
-
-    def admit(self, row) -> bool:
-        raise NotImplementedError
+    admit = final_override = refine_final = None
 
 
 def _check_k(k: int, num_vars: int) -> None:
@@ -437,7 +432,8 @@ def run(cnf: Cnf, config: EngineConfig | None = None) -> RowList:
 
 def validate_config(cnf: Cnf, config: EngineConfig) -> None:
     """Reject method/policy/filter/solver combinations that have no
-    semantics, such as a plugged solver that the run never calls."""
+    semantics, such as a plugged solver that the run never calls or a
+    filter that gives it nothing to call."""
     method, policy, filt = config.method, config.policy, config.spmod
     if not isinstance(method, Method) or not isinstance(policy, Policy):
         raise ValueError("the method must be a Method and the policy a Policy")
@@ -457,6 +453,8 @@ def validate_config(cnf: Cnf, config: EngineConfig) -> None:
             raise ValueError("policy test1 with clause-e requires a positive CNF")
     if filt is None:
         return
+    if filt.admit is None and not (filt.exact and filt.cardinality is not None):
+        raise ValueError("the filter has no admit, and is not an exact filter with a cardinality")
     if method not in filt.methods:
         raise ValueError(f"this filter runs with method {' or '.join(m.value for m in filt.methods)}")
     if filt.exact and filt.cardinality is not None and method == Method.CLAUSE_E:
@@ -541,15 +539,12 @@ def _on_row(fn, build, w: int):
 
 def _observer_hooks(obs: EngineObserver | None, build, w: int) -> tuple:
     """(on_pop, on_split, on_emit, on_harmful) of a run: the observer's
-    hooks that it overrides, and None for each it leaves as
-    ``EngineObserver``'s no-op (every one, with no observer), so that the
-    driver builds nothing for it.  A hook gets the rows of the driver's
-    entries: through ``_on_row``, and ``on_split`` its sons' as a tuple."""
-    hooks = []
-    for name in ("on_pop", "on_split", "on_emit", "on_harmful"):
-        hook = getattr(obs, name, None)
-        hooks.append(None if getattr(hook, "__func__", None) is getattr(EngineObserver, name) else hook)
-    on_pop, on_split, on_emit, on_harmful = hooks
+    hooks, each None when the observer leaves it None or has no such
+    attribute (every one, with no observer).  A hook gets the rows of the
+    driver's entries: through ``_on_row``, and ``on_split`` its sons' as a
+    tuple."""
+    names = ("on_pop", "on_split", "on_emit", "on_harmful")
+    on_pop, on_split, on_emit, on_harmful = (getattr(obs, name, None) for name in names)
     if on_split is not None:
         on_split = lambda parent, degree, sons, son_degrees, hook=on_split: hook(
             build(w, *parent), degree, tuple(build(w, *son) for son in sons), son_degrees
@@ -560,32 +555,19 @@ def _observer_hooks(obs: EngineObserver | None, build, w: int) -> tuple:
 def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     """The LIFO driver of var-012, clause-012 and clause-e.
 
-    A row's degree is its fixed-prefix length (var-012) or the number of
-    leading clauses it settles (pending clause - 1); a row is final at
-    degree ``top``.  The stack holds masks: (ones, zeros) for var-012 and
-    clause-012, (ones, bubbles) for clause-e.  var-012 pins the lowest
-    free variable, 0 first, and a son's degree is the lowest zero bit of
-    its fixed mask.  clause-012 raises the staircase over the pending
-    clause's free literals in ``Clause.lits`` order.  Each of its entries
-    carries the mask of the clauses its row settles, and a son's is its
-    parent's ORed with the clauses that hold the son's true literal and
-    the mates of the earlier free ones (the occurrence index of the
-    literal slots, built once per run); its degree is the mask's lowest
-    zero bit.  clause-e imposes the pending clause with
-    ``rows.impose_masks`` and scans ``cnf.slot_masks`` from there for a
-    son's degree.  The hint test reads the witness against a son's masks.
-    A row is built (``_row012`` or ``_row012e``) only for a final entry,
-    which ``finish`` turns into output, and, through ``_on_row``, for the
-    observer's and the filter's hooks and the checks that are set.
-    ``varwise_split``, ``varwise_degree``, ``clausewise012_split``,
+    A row is final at degree ``top``: w for var-012, h for the clause-wise
+    methods, whose degree is pending clause - 1.  var-012 pins the lowest
+    free variable, 0 first.  clause-012 raises the staircase over the
+    pending clause's free literals in ``Clause.lits`` order; a son's
+    settled-clause mask is its parent's ORed with the clauses that hold the
+    son's true literal and the mates of the earlier free ones (from the
+    occurrence index of the literal slots, built once per run).  clause-e
+    scans ``cnf.slot_masks`` from the parent's pending clause for a son's
+    degree.  ``varwise_split``, ``varwise_degree``, ``clausewise012_split``,
     ``clausewise_e_split`` and ``pending_clause`` are the reference steps.
-    A row none of whose candidates ``_admission``'s checks admit was
-    infeasible all along and is only unmasked now: its removal counts as a
-    harmful deletion.  The filter's bound and optional hooks, and the
-    observer's hooks, are read once, here; a hook left None, or an
-    observer hook left as the no-op, is never called.  The loop counts its
-    pops (as pushes, per split) and hint hits in local ints and writes them
-    to ``stats`` when it returns.
+    The filter's bound and hooks and the observer's hooks are read once,
+    here.  Pops (as pushes, per split) and hint hits are counted in local
+    ints and written to ``stats`` when the loop returns.
     """
     method, filt = config.method, config.spmod
     w, clauses, masks = cnf.num_vars, cnf.clauses, cnf.masks
@@ -693,8 +675,8 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
                 cands = []
                 ones, bubbles = entry
                 split = impose_masks(w, ones, bubbles, clauses[deg].slots, slot_masks[deg])
-                if split is None:
-                    raise ValueError("row already satisfies the clause")
+                if split is None:  # the scan found the clause pending
+                    raise RuntimeError(f"row already settles its pending clause {deg + 1}")
                 for son in split:
                     son_deg, (son_ones, son_bubbles) = deg, son
                     while son_deg < top:

@@ -163,7 +163,9 @@ def evaluate_dnf(dnf: Dnf, u: Sequence[int]) -> bool:
 
 def parse_dimacs(text: str | bytes) -> Cnf:
     """Parse DIMACS CNF.  Tautologous clauses are dropped (the count is kept
-    on the returned Cnf); duplicate literals inside a clause are merged."""
+    on the returned Cnf); duplicate literals inside a clause are merged.
+    The one ``p cnf`` header comes before the first clause: a second one is
+    an error, and so is a file with none, at its last line."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     num_vars = None
@@ -172,11 +174,14 @@ def parse_dimacs(text: str | bytes) -> Cnf:
     tautologies = 0
     pending: list[int] = []
     pending_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
+            if num_vars is not None:
+                raise DimacsError("duplicate 'p cnf' header", lineno)
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsError("malformed header (expected 'p cnf <vars> <clauses>')", lineno)
@@ -208,6 +213,8 @@ def parse_dimacs(text: str | bytes) -> Cnf:
             if not pending:
                 pending_line = lineno
             pending.append(lit)
+    if num_vars is None:
+        raise DimacsError("missing 'p cnf' header", len(lines) or 1)
     if pending:
         raise DimacsError("clause not terminated by 0", pending_line)
     return Cnf(num_vars, tuple(clauses), tautologies_dropped=tautologies)

@@ -9,6 +9,11 @@ fails the test suite, not only a benchmark run.  The two counters, which
 the benchmark's check does not read, are compared here as well: a change
 that makes more searches, or lets more infeasible rows in, fails too.
 ``perfbench/workloads.py`` is loaded read-only, from its file.
+
+No workload runs the paper's headline configuration, ``EngineConfig()``:
+clause-e with policy solver, the command line's default.  It runs here on
+the first ``esoft-none`` instances, whose rows do not depend on the policy,
+with its solver counters pinned.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from wildsat import engine, formulas, rows
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 FIRST = 4
@@ -46,3 +53,26 @@ def test_pinned_outputs(name, index):
     got = workloads.observed(wl, out)
     for key in ("solver_calls", "harmful_deletions"):
         assert got[key] == expected[key], key
+
+
+# (solver_calls, decisions, propagations, conflicts, hint_hits,
+# harmful_deletions) of EngineConfig() on esoft-none instances 0..3
+HEADLINE = [
+    (720, 1248, 1063, 33, 1154, 0),
+    (257, 499, 451, 25, 470, 0),
+    (518, 895, 976, 97, 1015, 0),
+    (541, 1008, 907, 31, 1027, 0),
+]
+
+
+@pytest.mark.parametrize("index", range(FIRST))
+def test_the_headline_configuration(index):
+    wl = workloads.WORKLOADS["esoft-none"]
+    inst = workloads.make_instance(wl, index)
+    expected = workloads.load_expected(wl)[index]
+    out = engine.run(formulas.parse_dimacs(inst.texts[0]), engine.EngineConfig())
+    assert (out.stats.method, out.stats.policy) == ("clause-e", "solver")
+    assert workloads.sha256(rows.format_rows(out)) == expected["rows_sha256"][0]
+    st = out.stats
+    got = (st.solver_calls, st.decisions, st.propagations, st.conflicts, st.hint_hits, st.harmful_deletions)
+    assert got == HEADLINE[index]

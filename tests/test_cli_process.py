@@ -33,6 +33,7 @@ def files(tmp_path):
     (tmp_path / "comp.rows").write_text("rows w=5 n=1\ne1 ex 1 2 2\n")
     (tmp_path / "three.cnf").write_text("p cnf 3 1\n1 2 0\n")
     (tmp_path / "e.rows").write_text("rows w=3 n=1\ne1 e1 2\n")
+    (tmp_path / "two-headers.cnf").write_text("p cnf 2 1\n1 0\np cnf 5 1\n5 0\n")
     return tmp_path
 
 
@@ -61,6 +62,7 @@ REJECTIONS = [
     ),
     (["count", "{d}/bad.cnf"], "bad.cnf: line 3"),
     (["count-k", "{d}/absent.cnf"], "absent.cnf"),
+    (["count", "{d}/two-headers.cnf"], "two-headers.cnf: line 3: duplicate 'p cnf' header"),
 ]
 
 

@@ -623,7 +623,7 @@ class Test012RowsAtTheBoundary:
 
 class TestObserverHooksLeftAsTheNoOp:
     """The driver calls, and builds rows for, only the observer hooks that
-    override ``EngineObserver``'s no-ops."""
+    are set; ``EngineObserver`` leaves each None."""
 
     class PopsOnly(EngineObserver):
         def __init__(self):
@@ -807,6 +807,36 @@ class TestInvariantErrors:
         with pytest.raises(RuntimeError, match="weight"):
             run(phi2, config)
         assert calls and set(calls) == {3}
+
+    def test_a_pending_clause_the_row_settles(self, phi2, monkeypatch):
+        # the degree scan has found the clause pending, so a split that
+        # finds it settled is a driver bug, not a bad input
+        monkeypatch.setattr(wildsat.engine, "impose_masks", lambda *args: None)
+        with pytest.raises(RuntimeError, match="pending clause 1"):
+            run(phi2, EngineConfig(method=Method.CLAUSE_E, policy=Policy.NONE))
+
+
+class TestAbsentHooks:
+    """A consumer hook the class does not set is a None attribute, and a
+    filter that leaves the run nothing to call is rejected up front."""
+
+    def test_the_base_hooks_are_none(self):
+        for name in ("on_pop", "on_split", "on_emit", "on_harmful"):
+            assert getattr(EngineObserver, name) is None, name
+        for name in ("admit", "final_override", "refine_final"):
+            assert getattr(SpModFilter, name) is None, name
+
+    class Exact(SpModFilter):
+        exact = True
+
+    @pytest.mark.parametrize("filt", [Exact(), SpModFilter()], ids=["exact", "screening"])
+    @pytest.mark.parametrize("policy", [Policy.SOLVER, Policy.NONE])
+    def test_a_filter_with_nothing_to_call_is_rejected(self, phi2, monkeypatch, filt, policy):
+        built = []
+        monkeypatch.setattr(wildsat.engine, "_row012", lambda *args: built.append(args))
+        with pytest.raises(ValueError, match="no admit"):
+            run(phi2, EngineConfig(method=Method.VAR012, policy=policy, spmod=filt))
+        assert built == []
 
 
 class TestConfigValidation:

@@ -89,6 +89,10 @@ class TestParseDimacs:
             ("1 0\n", 1),
             ("p cnf 2 1\n1 2\n", 2),
             ("p cnf -1 0\n", 1),
+            ("p cnf 2 1\n1 0\np cnf 5 1\n5 0\n", 3),
+            ("p cnf 5 1\n5 0\np cnf 2 0\n", 3),
+            ("", 1),
+            ("c only\n\nc comments\n", 3),
         ],
     )
     def test_errors_name_line(self, text, line):
@@ -96,6 +100,21 @@ class TestParseDimacs:
             parse_dimacs(text)
         assert err.value.line == line
         assert f"line {line}" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # a second header would change the width in mid-file
+            ("p cnf 2 1\n1 0\np cnf 5 1\n5 0\n", "line 3: duplicate 'p cnf' header"),
+            ("p cnf 5 1\n5 0\np cnf 2 0\n", "line 3: duplicate 'p cnf' header"),
+            ("", "line 1: missing 'p cnf' header"),
+            ("c only\nc comments", "line 2: missing 'p cnf' header"),
+        ],
+    )
+    def test_header_errors(self, text, message):
+        with pytest.raises(DimacsError) as err:
+            parse_dimacs(text)
+        assert str(err.value) == message
 
 
 class TestSerializeDimacs:

@@ -6,6 +6,8 @@ from ``@dataclass(frozen=True)``, never from hand-written attribute hooks.
 The engine dispatches on no filter class: it reads a filter's attributes.
 The engine imports no name it never uses, save the ones the benchmark's
 trace probes wrap on it, which its "unused here but stay" comment lists.
+An absent consumer hook is a None attribute, never a method that does
+nothing.
 """
 
 from __future__ import annotations
@@ -122,3 +124,44 @@ def test_the_engine_imports_only_what_it_uses_or_the_probes_wrap(monkeypatch):
     # the scan sees an unused import, and a read in any position
     probe = "from __future__ import annotations\nimport a.b\nfrom c import d, e as f\nx = f.y\nprint(a)"
     assert _unused_imports(ast.parse(probe)) == {"d"}
+
+
+def _empty_methods(tree: ast.AST) -> list[str]:
+    """``Class.method`` for each method whose body is only a docstring,
+    ``pass`` or ``...``."""
+
+    def empty(stmt) -> bool:
+        return isinstance(stmt, ast.Pass) or isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+
+    return [
+        f"{node.name}.{fn.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for fn in node.body
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and all(map(empty, fn.body))
+    ]
+
+
+def test_the_engine_has_no_no_op_hooks():
+    # the driver calls a hook only when it is not None, so a method that
+    # does nothing would be called, and have rows built for it, for nothing
+    path = Path(engine.__file__)
+    found = _empty_methods(ast.parse(path.read_text(), filename=str(path)))
+    assert not found, f"engine.py methods that do nothing (leave the hook None): {', '.join(found)}"
+    # the scan sees each kind of empty body, and leaves a working one alone
+    probe = "\n".join(
+        [
+            "class Hooks:",
+            "    def on_pop(self, row):",
+            '        """Called on each pop."""',
+            "    def on_split(self, parent):",
+            "        pass",
+            "    def on_emit(self, row):",
+            '        """Called on each row."""',
+            "        ...",
+            "    def on_harmful(self, row):",
+            "        return None",
+            "    on_done = None",
+        ]
+    )
+    assert _empty_methods(ast.parse(probe)) == ["Hooks.on_pop", "Hooks.on_split", "Hooks.on_emit"]
