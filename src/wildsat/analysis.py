@@ -10,13 +10,16 @@ from .rows import (
     Row012e,
     RowList,
     _bit_index,
+    _card,
     _evens,
     _gather,
-    _slots_of,
-    card_purified,
-    intersection_card_ie,
+    _intersection_card,
+    _mates,
     purify,
 )
+# intersection_card_ie is unused here but stays: perfbench's trace probes
+# wrap this name
+from .rows import intersection_card_ie
 
 
 @dataclass(frozen=True)
@@ -118,25 +121,36 @@ def equivalent(rows_a: RowList, rows_b: RowList) -> EquivalenceResult:
     set equality.  On failure the witnessing row index (of the first list)
     is reported.
 
-    The second list's pieces are indexed once by their 1-slots.  A piece
-    of the second list that holds 1 on a 0-slot of a piece of the first
-    misses it, so only the other pieces go to ``intersection_card_ie``, in
-    list order; a skipped pair would have added 0.
+    Both lists must be disjoint, as the engine's output always is; on
+    overlapping rows the sums prove nothing: ``2 2`` against the list
+    ``1 2``, ``1 2`` reads equal.
+
+    Each purified piece's masks are read once, and its cardinality comes
+    from ``_card`` without a second purity test: ``purify`` output is
+    purified by construction.  The second list's pieces are indexed once by
+    their 1-slots.  A piece of the second list that holds 1 on a 0-slot of
+    a piece of the first misses it, so only the other pieces go to
+    ``_intersection_card``, in list order; a skipped pair would have added 0.
     """
     if rows_a.width != rows_b.width:
         raise ValueError("row lists have different widths")
-    pa, pb = _purified(rows_a), _purified(rows_b)
-    cards = [card_purified(p) for _, p in pa]
+    w = rows_a.width
+    pa = [(i, p.ones, p.bubble_masks) for i, p in _purified(rows_a)]
+    pb = [(q.ones, q.bubble_masks) for _, q in _purified(rows_b)]
+    cards = [_card(w, ones, bubbles) for _, ones, bubbles in pa]
     na = sum(cards)
-    nb = sum(card_purified(p) for _, p in pb)
+    nb = sum(_card(w, ones, bubbles) for ones, bubbles in pb)
     if na != nb:
         return EquivalenceResult(False, None, f"model counts differ: {na} != {nb}")
-    others = [q for _, q in pb]
-    one = _bit_index((q.ones for q in others), 2 * rows_b.width)
-    every = (1 << len(others)) - 1
-    for (i, piece), card in zip(pa, cards):
-        meets = every & ~_gather(one, piece.zeros)
-        inside = sum(intersection_card_ie(piece, others[j]) for j in _slots_of(meets))
+    one = _bit_index((ones for ones, _ in pb), 2 * w)
+    every = (1 << len(pb)) - 1
+    for (i, ones, bubbles), card in zip(pa, cards):
+        meets = every & ~_gather(one, _mates(ones, w))
+        inside = 0
+        while meets:
+            low = meets & -meets
+            inside += _intersection_card(w, ones, bubbles, *pb[low.bit_length() - 1])
+            meets ^= low
         if inside != card:
             return EquivalenceResult(
                 False, i, f"row {i} has members outside the other list"

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .engine import EngineConfig, Method, Policy, run, validate_config
+from .engine import EngineConfig, Policy, run, validate_config
 from .formulas import Clause, Cnf
 from .rows import RunStats
 

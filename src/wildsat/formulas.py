@@ -165,7 +165,8 @@ def parse_dimacs(text: str | bytes) -> Cnf:
     """Parse DIMACS CNF.  Tautologous clauses are dropped (the count is kept
     on the returned Cnf); duplicate literals inside a clause are merged.
     The one ``p cnf`` header comes before the first clause: a second one is
-    an error, and so is a file with none, at its last line."""
+    an error, and so is a file with none, at its last line, or a clause
+    count other than the header's (dropped tautologies count as written)."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     num_vars = None
@@ -217,6 +218,9 @@ def parse_dimacs(text: str | bytes) -> Cnf:
         raise DimacsError("missing 'p cnf' header", len(lines) or 1)
     if pending:
         raise DimacsError("clause not terminated by 0", pending_line)
+    found = len(clauses) + tautologies
+    if found != declared:
+        raise DimacsError(f"header declares {declared} clauses, found {found}", len(lines))
     return Cnf(num_vars, tuple(clauses), tautologies_dropped=tautologies)
 
 

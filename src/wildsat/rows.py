@@ -442,8 +442,11 @@ def _bit_index(masks: Iterable[int], nbits: int) -> list[int]:
     bit i for the i-th mask.  Every mask must lie below ``nbits``."""
     index = [0] * nbits
     for i, m in enumerate(masks):
-        for b in _slots_of(m):
-            index[b] |= 1 << i
+        bit = 1 << i
+        while m:  # _slots_of inlined, as in _gather
+            low = m & -m
+            index[low.bit_length() - 1] |= bit
+            m ^= low
     return index
 
 
@@ -694,52 +697,59 @@ def impose_masks(
 
 
 def intersection_card_ie(r: Row012e, rho: Row012e) -> int:
-    """Cardinality of the intersection of two purified rows.
+    """Cardinality of the intersection of two purified rows, counted by
+    ``_intersection_card`` on their masks.  Raises PurityError when either
+    row has a bad pair and ValueError when their widths differ."""
+    if _bad(r) or _bad(rho):
+        raise PurityError("intersection_card_ie requires purified rows")
+    if r.width != rho.width:
+        raise ValueError("row widths differ")
+    return _intersection_card(r.width, r.ones, r.bubble_masks, rho.ones, rho.bubble_masks)
+
+
+def _intersection_card(
+    width: int, ones_p: int, bubbles_p: Sequence[int], ones_q: int, bubbles_q: Sequence[int]
+) -> int:
+    """``intersection_card_ie`` on the masks of two purified rows p and q,
+    which it does not check.
 
     First a reject on the masks: the result is 0 when a slot holds 1 in one
     row and 0 in the other, or when a bubble of either row lies inside the
-    other row's 0-slots (no member of the other row sets any of its slots
-    to 1).  Each test proves the rows disjoint with a few bit operations.
-    Any other pair goes to inclusion-exclusion over rho's bubbles: each
-    term pins a subset of rho's bubbles entirely to 0 inside r (after
-    pinning rho's 1-slots), one ``_pin`` each, and takes the purified-row
-    cardinality of the masks.  Emptiness that shows only after cascades,
-    such as a bubble shrunk to one slot that then clashes, is left to that
+    other row's 0-slots.  Otherwise q's 1-slots are pinned into p, one
+    ``_pin`` unless p already holds them, and inclusion-exclusion runs over
+    the bubbles of q that the pinned p leaves open: each term pins a subset
+    of them entirely to 0, one ``_pin`` each, and takes the purified-row
+    cardinality of the masks.  A term that pins to 0 a bubble the pinned p
+    ``settles`` would clash or empty a bubble, so it is 0 and skipped; when
+    p settles every bubble of q, p lies inside q and the sum is p's own
+    cardinality.  Emptiness that shows only after cascades is left to the
     sum, which comes to 0.
     """
-    w = r.width
-    even = _evens(w)
-    ones_r, bubbles_r = r.ones, r.bubble_masks
-    ones_rho, bubbles_rho = rho.ones, rho.bubble_masks
-    bub_r = bub_rho = 0
-    for b in bubbles_r:
-        bub_r |= b
-    for b in bubbles_rho:
-        bub_rho |= b
-    # the purity test of rows.bad_pairs; rho's own mask when it is wider
-    if (bub_r & bub_r >> 1 | bub_rho & bub_rho >> 1) & even or w != rho.width and _bad(rho):
-        raise PurityError("intersection_card_ie requires purified rows")
-    if w != rho.width:
-        raise ValueError("row widths differ")
-    zeros_rho = (ones_rho & even) << 1 | ones_rho >> 1 & even
-    if ones_r & zeros_rho:
+    even = _evens(width)
+    zeros_q = (ones_q & even) << 1 | ones_q >> 1 & even
+    if ones_p & zeros_q:
         return 0
-    for b in bubbles_r:
-        if b & zeros_rho == b:
+    for b in bubbles_p:
+        if b & zeros_q == b:
             return 0
-    zeros_r = (ones_r & even) << 1 | ones_r >> 1 & even
-    for b in bubbles_rho:
-        if b & zeros_r == b:
+    zeros_p = (ones_p & even) << 1 | ones_p >> 1 & even
+    for b in bubbles_q:
+        if b & zeros_p == b:
             return 0
-    try:
-        ones, bubbles = _pin(w, ones_r, bubbles_r, ones_rho)
-    except EmptyRowError:
-        return 0
-    total = 0
-    for bits in itertools.product((0, 1), repeat=len(bubbles_rho)):
-        violated = _union(b for b, v in zip(bubbles_rho, bits) if v)
+    ones, bubbles = ones_p, bubbles_p
+    if ones_q & ~ones_p:
         try:
-            term = _card(w, *_pin(w, ones, bubbles, _mates(violated, w)))
+            ones, bubbles = _pin(width, ones_p, bubbles_p, ones_q)
+        except EmptyRowError:
+            return 0
+    open_q = [b for b in bubbles_q if not settles(ones, bubbles, b)]
+    if not open_q:
+        return _card(width, ones, bubbles)
+    total = 0
+    for bits in itertools.product((0, 1), repeat=len(open_q)):
+        violated = _union(b for b, v in zip(open_q, bits) if v)
+        try:
+            term = _card(width, *_pin(width, ones, bubbles, _mates(violated, width)))
         except EmptyRowError:
             continue
         total += -term if sum(bits) % 2 else term

@@ -34,6 +34,7 @@ def files(tmp_path):
     (tmp_path / "three.cnf").write_text("p cnf 3 1\n1 2 0\n")
     (tmp_path / "e.rows").write_text("rows w=3 n=1\ne1 e1 2\n")
     (tmp_path / "two-headers.cnf").write_text("p cnf 2 1\n1 0\np cnf 5 1\n5 0\n")
+    (tmp_path / "short.cnf").write_text("p cnf 2 5\n1 0\n")
     return tmp_path
 
 
@@ -63,6 +64,7 @@ REJECTIONS = [
     (["count", "{d}/bad.cnf"], "bad.cnf: line 3"),
     (["count-k", "{d}/absent.cnf"], "absent.cnf"),
     (["count", "{d}/two-headers.cnf"], "two-headers.cnf: line 3: duplicate 'p cnf' header"),
+    (["count", "{d}/short.cnf"], "short.cnf: line 2: header declares 5 clauses, found 1"),
 ]
 
 

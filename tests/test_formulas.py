@@ -109,6 +109,11 @@ class TestParseDimacs:
             ("p cnf 5 1\n5 0\np cnf 2 0\n", "line 3: duplicate 'p cnf' header"),
             ("", "line 1: missing 'p cnf' header"),
             ("c only\nc comments", "line 2: missing 'p cnf' header"),
+            # the clause count is checked at the last line; a dropped
+            # tautology counts as written
+            ("p cnf 2 5\n1 0", "line 2: header declares 5 clauses, found 1"),
+            ("p cnf 2 1\n1 0\n2 0\nc end\n", "line 4: header declares 1 clauses, found 2"),
+            ("p cnf 2 1\n1 -1 0\n2 0\n", "line 3: header declares 1 clauses, found 2"),
         ],
     )
     def test_header_errors(self, text, message):

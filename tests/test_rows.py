@@ -416,6 +416,31 @@ class TestIntersectionCardIEReject:
             assert expected > 0
 
 
+class TestIntersectionCardIEPruning:
+    """Inclusion-exclusion runs only over the bubbles of rho that r, with
+    rho's 1-slots pinned, leaves open; r's 1-slots are not pinned again."""
+
+    @staticmethod
+    def _count_pins(monkeypatch) -> list:
+        pins, pin = [], rows_module._pin
+        monkeypatch.setattr(rows_module, "_pin", lambda *args: pins.append(args) or pin(*args))
+        return pins
+
+    def test_a_row_inside_the_other_pins_nothing(self, monkeypatch):
+        r, _ = _table7_pair()
+        pins = self._count_pins(monkeypatch)
+        assert intersection_card_ie(r, r) == card_purified(r)
+        assert pins == []
+
+    def test_only_the_open_bubble_makes_terms(self, monkeypatch):
+        # r: x1 = 1 and (x2 or x3); rho: (x1 or x4), which r settles, and
+        # (~x2 or ~x3), which it leaves open
+        r, rho = erow("1 0 e 2 e 2 2 2"), erow("e1 2 2 e2 2 e2 e1 2")
+        pins = self._count_pins(monkeypatch)
+        assert intersection_card_ie(r, rho) == (row_mask(4, r) & row_mask(4, rho)).bit_count() == 4
+        assert len(pins) == 2  # the empty subset and {~x2, ~x3}
+
+
 def _bad_pairs_walk(row: Row012e) -> tuple[int, ...]:
     """The slot walk bad_pairs replaced, kept as the reference."""
     return tuple(

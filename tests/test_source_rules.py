@@ -4,7 +4,7 @@ Invariants are real errors: ``python -O`` strips ``assert`` statements, so
 the package may not use them to check anything.  Immutability comes only
 from ``@dataclass(frozen=True)``, never from hand-written attribute hooks.
 The engine dispatches on no filter class: it reads a filter's attributes.
-The engine imports no name it never uses, save the ones the benchmark's
+A module imports no name it never uses, save the ones the benchmark's
 trace probes wrap on it, which its "unused here but stay" comment lists.
 An absent consumer hook is a None attribute, never a method that does
 nothing.
@@ -108,19 +108,26 @@ def _unused_imports(tree: ast.AST) -> set[str]:
     return imported - read
 
 
-def test_the_engine_imports_only_what_it_uses_or_the_probes_wrap(monkeypatch):
+def test_each_module_imports_only_what_it_uses_or_the_probes_wrap(monkeypatch):
     # perfbench/tracing.py is loaded read-only, from its file
     spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # for its dataclasses
     spec.loader.exec_module(tracing)
-    probed = {attr for owner, attr, *_ in tracing.PROBES if owner is engine}
-    text = Path(engine.__file__).read_text()
-    unused = _unused_imports(ast.parse(text))
-    assert not unused - probed, f"engine.py imports {sorted(unused - probed)} and never uses them"
-    stay = re.search(r"^# (.+) (?:is|are) unused here but stay", text, re.M)
-    listed = set(re.split(r", | and ", stay.group(1))) if stay else set()
-    assert listed == unused, f"the 'unused here but stay' comment lists {sorted(listed)}, not {sorted(unused)}"
+    checked = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue  # the package root's imports are its exports
+        module = importlib.import_module(f"wildsat.{path.stem}")
+        probed = {attr for owner, attr, *_ in tracing.PROBES if owner is module}
+        text = path.read_text()
+        unused = _unused_imports(ast.parse(text))
+        assert not unused - probed, f"{path.name} imports {sorted(unused - probed)} and never uses them"
+        stay = re.search(r"^# (.+) (?:is|are) unused here but stay", text, re.M)
+        listed = set(re.split(r", | and ", stay.group(1))) if stay else set()
+        assert listed == unused, f"{path.name}'s 'unused here but stay' comment lists {sorted(listed)}"
+        checked.append(path.stem)
+    assert {"analysis", "engine", "rows", "sat"} <= set(checked)  # the scan is not empty
     # the scan sees an unused import, and a read in any position
     probe = "from __future__ import annotations\nimport a.b\nfrom c import d, e as f\nx = f.y\nprint(a)"
     assert _unused_imports(ast.parse(probe)) == {"d"}
