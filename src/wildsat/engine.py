@@ -48,6 +48,7 @@ from .rows import (
     RunStats,
     _bit_index,
     _gather,
+    _purify,
     _row012,
     _row012e,
     _slots_of,
@@ -58,7 +59,7 @@ from .rows import (
     impose_on_slots,
     purify,
 )
-# find_model, find_k_model and impose_on_slots are unused here but stay:
+# find_model, find_k_model, impose_on_slots and purify are unused here but stay:
 # perfbench's trace probes wrap these names
 from .sat import (
     SolverFn,
@@ -593,9 +594,9 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
 
     def finish(entry) -> list | None:
         """The output of a final entry; None when it holds no model."""
-        row = build(w, *entry)
         if clause_e:
-            return purify(row)
+            return _purify(w, *entry)
+        row = build(w, *entry)
         if check_model and not final_e(row, cnf):
             return None
         if refine is None:

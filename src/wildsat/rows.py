@@ -489,7 +489,7 @@ def _condense(width: int, ones: int) -> Row012:
     return _row012(width, *_var_masks(width, ones))
 
 
-def _pin(width: int, ones: int, bubbles: Iterable[int], new: int) -> tuple[int, list[int]]:
+def _pin(width: int, ones: int, bubbles: Sequence[int], new: int) -> tuple[int, Sequence[int]]:
     """Pin the slots of ``new`` to 1 and propagate, on masks.
 
     Pinning a slot to 0 is pinning its mate to 1.  Each round fixes the
@@ -498,9 +498,9 @@ def _pin(width: int, ones: int, bubbles: Iterable[int], new: int) -> tuple[int, 
     the next round.  Raises EmptyRowError when a bubble is left empty or a
     slot and its mate both hold 1.  This is unit propagation, so the result
     does not depend on the order of the pins.  The bubbles come back in no
-    particular order.
+    particular order, as a new list; ``bubbles`` is read, never changed or
+    copied, and with ``new == 0`` it comes back as it was passed.
     """
-    bubbles = list(bubbles)
     even = _evens(width)
     while new:
         ones |= new
@@ -554,18 +554,25 @@ def purify(row: Row012e) -> list[Row012e]:
     Every bad pair is instantiated both ways (value 1 first, variables in
     increasing order), each instantiation one ``_pin`` of the chosen slots;
     instantiations that contradict are dropped.  At least one row survives.
+    The pieces come from ``_purify`` on the row's masks.
     """
-    bad = list(_slots_of(_bad(row)))
+    return _purify(row.width, row.ones, row.bubble_masks) if _bad(row) else [row]
+
+
+def _purify(width: int, ones: int, bubbles: Sequence[int]) -> list[Row012e]:
+    """``purify`` on an e-row's masks: the one row they make when it has no
+    bad pair, else the pieces, with no row built for the masks."""
+    bub = _union(bubbles)
+    bad = list(_slots_of(bub & bub >> 1 & _evens(width)))
     if not bad:
-        return [row]
-    w, ones, bubbles = row.width, row.ones, row.bubble_masks
+        return [_row012e(width, ones, bubbles)]
     out = []
     for values in itertools.product((1, 0), repeat=len(bad)):
         new = 0
         for s, v in zip(bad, values):
             new |= 1 << (s if v else s + 1)
         try:
-            out.append(_row012e(w, *_pin(w, ones, bubbles, new)))
+            out.append(_row012e(width, *_pin(width, ones, bubbles, new)))
         except EmptyRowError:
             continue
     if not out:
@@ -625,7 +632,7 @@ def impose_on_slots(row: Row012e, slots: Sequence[int]) -> list[Row012e]:
 
 def impose_masks(
     width: int, ones: int, bubbles: Sequence[int], slots: Sequence[int], mask: int
-) -> list[tuple[int, list[int]]] | None:
+) -> list[tuple[int, Sequence[int]]] | None:
     """``impose_on_slots`` on an e-row's masks: the sons as (ones, bubbles)
     pairs, their bubbles in no particular order, or None when the row
     already settles the slots.  ``mask`` is the slot mask of ``slots``; the
@@ -633,66 +640,87 @@ def impose_masks(
     and ``clausewise_e_split`` do and as a ``Cnf``'s clauses do by
     construction.
 
-    The remainder is a pair of masks carried from column to column; a son
-    is the remainder with its column as a bubble, pinned to 1 when it has
-    one slot, through one ``_pin``.  Pinning the column to 0 in the
-    remainder is ``_pin``'s fixpoint written out, so that the same pass over
-    the bubbles also records whether a kept bubble lies inside the listed
-    slots; the flag of the last round, the one that pins no new slot, is
-    the ``settles`` test of the remainder.
+    The remainder is a pair of masks carried from column to column, with
+    ``bub``, the union of its bubbles, which tells a held column from a
+    fresh one.  Bubbles are disjoint and hold neither a fixed slot nor both
+    slots of a variable, so one walk over the bubbles per column finds
+    everything the column changes: the son keeps every bubble but
+    ``held``, and a one-slot son pins the column, which shrinks only the
+    bubble holding its mate; the remainder pins the column's mates to 1,
+    which drops the bubbles they hit, and the column to 0, which shrinks
+    only ``held``, to ``held & ~mask``.  That is never empty, since a
+    bubble inside the listed slots would settle them.  ``_pin`` runs only
+    where a bubble shrinks to one slot, and the remainder then takes the
+    ``settles`` test; otherwise it settles exactly when a mate of the
+    column is listed.
     """
-    if settles(ones, bubbles, mask):
+    if ones & mask:
         return None
+    bub = 0
+    for b in bubbles:  # settles(ones, bubbles, mask), which also takes the union
+        if not b & ~mask:
+            return None
+        bub |= b
     even = _evens(width)
-    zeros = (ones & even) << 1 | ones >> 1 & even
-    sons: list[tuple[int, list[int]]] = []
-    while True:
-        live = mask & ~(ones | zeros)
-        if not live:
-            break  # every listed slot is 0: the remainder has no hitting member
+    live = mask & ~(ones | (ones & even) << 1 | ones >> 1 & even)
+    sons: list[tuple[int, Sequence[int]]] = []
+    while live:
         for first in slots:
             if live >> first & 1:
                 break
-        for held in bubbles:
-            if held >> first & 1:
-                column = held & mask
-                son = [column if b == held else b for b in bubbles]
-                break
+        held = 0
+        if bub >> first & 1:
+            for held in bubbles:
+                if held >> first & 1:
+                    break
+            column = held & mask
         else:
-            column = live & ~_union(bubbles)
-            son = [*bubbles] if column & column >> 1 & even else [*bubbles, column]
+            column = live & ~bub
+        mates = (column & even) << 1 | column >> 1 & even
+        kept, hits = [], []  # the bubbles but held that no mate hits, and those it hits
+        for b in bubbles:
+            if b & mates:
+                hits.append(b)
+            elif b != held:
+                kept.append(b)
         if column & (column - 1):
+            son = kept + hits
+            if not column & mates:  # a column with a variable's two slots adds no bubble
+                son.append(column)
             sons.append((ones, son))
+        elif not hits:
+            sons.append((ones | column, kept[:]))
+        elif (b := hits[0] & ~mates) & (b - 1):
+            sons.append((ones | column, [*kept, b]))
         else:
             try:
-                sons.append(_pin(width, ones, son, column))
+                sons.append(_pin(width, ones | column, kept, b))
             except EmptyRowError:
                 pass
-        new = (column & even) << 1 | column >> 1 & even
-        while new:  # _pin(width, ones, bubbles, new), which flags a bubble inside mask
-            ones |= new
-            zeros = (ones & even) << 1 | ones >> 1 & even
-            if ones & zeros:
-                return sons  # the remainder is empty
-            new = 0
-            inside = False
-            kept = []
-            for b in bubbles:
-                if b & ones:
-                    continue
-                b &= ~zeros
-                if b & (b - 1):
-                    kept.append(b)
-                    if not b & ~mask:
-                        inside = True
-                elif b:
-                    new |= b
-                else:
-                    return sons  # the remainder is empty
-            bubbles = kept
-        if inside or ones & mask:  # a copy of settles(ones, bubbles, mask)
+        if column & mates:
+            break  # the remainder sets a variable's two slots to 0: it is empty
+        ones |= mates
+        bubbles, rest = kept, held & ~mask
+        if rest & (rest - 1):
+            kept.append(rest)
+        elif rest:  # held is left with one slot, which cascades
+            try:
+                ones, bubbles = _pin(width, ones, kept, rest)
+            except EmptyRowError:
+                break
+            if settles(ones, bubbles, mask):
+                sons.append((ones, bubbles))
+                break
+            live = mask & ~(ones | (ones & even) << 1 | ones >> 1 & even)
+            bub = _union(bubbles)
+            continue
+        if mates & mask:
             sons.append((ones, bubbles))
             break
+        live &= ~(column | mates)
+        bub ^= held ^ rest
+        for b in hits:
+            bub ^= b
     return sons
 
 

@@ -87,33 +87,17 @@ def search_from(
 ) -> tuple[int, Fixpoint] | None:
     """The first model in branching order under the pins ``ones``/``zeros``,
     over ``clauses`` and then ``extra`` (an e-row's bubbles), as the pair
-    (ones mask, root fixpoint), or None.  The root fixpoint is the ``(ones,
-    zeros, open clauses)`` that unit propagation reaches before any
-    decision.
+    (ones mask, root ``Fixpoint``), or None.
 
-    ``clauses`` need hold only those the pins leave unsatisfied; each node
-    reads only the clauses its propagation left open.  A node branches on
-    the lowest variable of its open clauses, 1 first, and keeps its 0
-    branch on a trail, so nothing is copied and there is no recursion
-    limit.  Variables never forced stay 0, so the model is a fixed function
-    of the clauses and pins, which the engine relies on when a son reuses
-    its parent's witness.
-
-    ``start`` is the root fixpoint of a row that holds the pinned one.  Its
-    pins clashing with the row's give None; else they join them and its
-    open clauses replace ``clauses``.  Under the row's pins each clause is
-    satisfied or narrowed to an open one, so the row's propagation reaches
-    the start's fixpoint or a conflict, and the search visits the nodes and
-    finds the model of the search from the pins alone, with k too: the
-    k-bound prunes only nodes that propagation has settled.
-
-    With ``k`` only models with exactly k ones count, and the lowest free
-    variables complete a model to k ones.  Pins past that bound end the
-    search before it propagates, and a k-node is pruned when its ones plus
-    a greedy packing of its all-positive open clauses with disjoint free
-    variables exceed k.  Each packed clause needs its own 1, so no k-model
-    is lost and the search returns the model, or None, that it returns
-    without the bound, with no more decisions.
+    ``clauses`` need hold only those the pins leave unsatisfied.  A node
+    branches on the lowest variable of its open clauses, 1 first, keeping
+    its 0 branch on a trail; variables never forced stay 0, so the model is
+    a fixed function of the clauses and pins.  ``start``, the root fixpoint
+    of a row that holds the pinned one, joins its pins to them (None on a
+    clash) and its open clauses replace ``clauses``.  With ``k`` only
+    models with exactly k ones count, the lowest free variables completing
+    one; a k-node is pruned when its ones plus a greedy packing of its
+    all-positive open clauses with disjoint free variables exceed k.
     """
     if start is not None:
         f1, f0, clauses = start

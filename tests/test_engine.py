@@ -45,7 +45,7 @@ from wildsat.engine import (
     varwise_split,
 )
 from wildsat.formulas import Clause, Cnf, Dnf
-from wildsat.rows import Row012, Row012e, RowList, format_rows, impose_on_slots
+from wildsat.rows import Row012, Row012e, RowList, format_rows, impose_on_slots, purify
 from wildsat.sat import row_satisfies_clause
 
 # Working-stack rows of the clause-wise 012 run on phi2, condensed to w=5.
@@ -568,33 +568,35 @@ class TestInlineSteps:
 class TestClauseERowsAtTheBoundary:
     """A clause-e run with no observer and no filter keeps (ones, bubbles)
     masks on its stack and splits them on masks: under policy none it
-    builds an e-row only for each final row, which ``purify`` splits for
-    output, and for the pieces of those with bad pairs."""
+    builds an e-row only for each final with no bad pair and for each
+    ``purify`` piece of the others, which ``rows._purify`` cuts from the
+    final's masks."""
 
     def test_rows_built_only_for_finals_and_their_pieces(self, monkeypatch):
         built, finals = [], []
-        build, split = wildsat.rows._row012e, wildsat.engine.purify
+        build, split = wildsat.rows._row012e, wildsat.engine._purify
 
         def counting(width, ones, bubbles):
             built.append(ones)
             return build(width, ones, bubbles)
 
-        def recording(row):
-            finals.append(row)
-            return split(row)
+        def recording(width, ones, bubbles):
+            finals.append(build(width, ones, bubbles))  # the real builder: not counted
+            return split(width, ones, bubbles)
 
         monkeypatch.setattr(wildsat.rows, "_row012e", counting)
         # raising=False: the test also runs against a driver that never
         # imported the builder, and then counts the sons rows.py builds
         monkeypatch.setattr(wildsat.engine, "_row012e", counting, raising=False)
-        monkeypatch.setattr(wildsat.engine, "purify", recording)
+        monkeypatch.setattr(wildsat.engine, "_purify", recording)
         cnf = gen_random_cnf(GenSpec(10, 24, 3, seed=3))
         out = run(cnf, EngineConfig(method=Method.CLAUSE_E, policy=Policy.NONE))
         monkeypatch.undo()
-        pieces = [split(row) if not row.is_purified() else [] for row in finals]
-        assert any(pieces)  # some final row has bad pairs
+        pieces = [purify(row) if not row.is_purified() else [] for row in finals]
+        assert any(pieces) and not all(pieces)  # finals with and without bad pairs
         assert [p for row, ps in zip(finals, pieces) for p in ps or [row]] == list(out.rows)
-        assert len(built) == len(finals) + sum(map(len, pieces))
+        clean = sum(not ps for ps in pieces)
+        assert len(built) == clean + sum(map(len, pieces))
 
 
 class Test012RowsAtTheBoundary:
@@ -636,28 +638,29 @@ class TestObserverHooksLeftAsTheNoOp:
     @pytest.mark.parametrize("observer", ["bare", "pops-only"])
     def test_clause_e_builds_rows_only_for_the_overridden_hooks(self, monkeypatch, observer):
         built, finals = [], []
-        build, split = wildsat.rows._row012e, wildsat.engine.purify
+        build, split = wildsat.rows._row012e, wildsat.engine._purify
         obs = EngineObserver() if observer == "bare" else self.PopsOnly()
 
         def counting(width, ones, bubbles):
             built.append(ones)
             return build(width, ones, bubbles)
 
-        def recording(row):
-            finals.append(row)
-            return split(row)
+        def recording(width, ones, bubbles):
+            finals.append(build(width, ones, bubbles))  # the real builder: not counted
+            return split(width, ones, bubbles)
 
         monkeypatch.setattr(wildsat.rows, "_row012e", counting)
         monkeypatch.setattr(wildsat.engine, "_row012e", counting)
-        monkeypatch.setattr(wildsat.engine, "purify", recording)
+        monkeypatch.setattr(wildsat.engine, "_purify", recording)
         cnf = gen_random_cnf(GenSpec(10, 24, 3, seed=3))
         out = run(cnf, EngineConfig(method=Method.CLAUSE_E, policy=Policy.NONE, observer=obs))
         monkeypatch.undo()
-        pieces = sum(len(split(row)) for row in finals if not row.is_purified())
+        clean = sum(row.is_purified() for row in finals)
+        pieces = sum(len(purify(row)) for row in finals if not row.is_purified())
         pops = obs.pops if observer == "pops-only" else 0
         # the run has splits, harmful deletions and purify pieces to build rows for
         assert pieces and out.stats.harmful_deletions
-        assert len(built) == pops + len(finals) + pieces
+        assert len(built) == pops + clean + pieces
 
     def test_an_overridden_hook_of_an_instance_is_called(self, phi2):
         obs, splits = EngineObserver(), []

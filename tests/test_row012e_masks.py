@@ -17,6 +17,8 @@ import random
 from dataclasses import FrozenInstanceError
 
 import pytest
+import wildsat.engine
+import wildsat.rows
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +44,7 @@ from wildsat.rows import (
     _row012e,
     card_purified,
     format_rows,
+    impose_masks,
     impose_on_slots,
     parse_rows,
     purify,
@@ -205,7 +208,7 @@ class TestImposeCascades:
     after a chain of unit cascades: pinning the column to 0 leaves a bubble
     {t1}, t1 = 1 empties the mate's bubble down to {t2}, and so on, until a
     bubble inside the listed slots or a 1 on one of them is left.  The
-    fused column pass must read that from its last round."""
+    remainder must take the ``settles`` test after that cascade."""
 
     @given(st.integers(1, 6), st.booleans(), st.integers(0, 2**32))
     @settings(max_examples=300, deadline=None)
@@ -240,11 +243,125 @@ class TestImposeCascades:
             assert rest.ones >> m2 & 1
 
 
+def _count_pins(monkeypatch) -> list[int]:
+    """Patch ``rows._pin`` to count its calls into the returned list."""
+    calls, pin = [], wildsat.rows._pin
+
+    def counting(*args):
+        calls.append(args[3])
+        return pin(*args)
+
+    monkeypatch.setattr(wildsat.rows, "_pin", counting)
+    return calls
+
+
+def _e_row(w: int, bubbles, fixed=()) -> Row012e:
+    b = EBuilder(w)
+    for bubble in bubbles:
+        b.new_bubble(bubble)
+    for slot in fixed:
+        b.set_fixed(slot, 1)
+    return b.freeze()
+
+
+class TestImposeOnePass:
+    """``impose_masks`` walks the bubbles once per column and runs ``_pin``
+    only where a bubble shrinks to one slot: in a one-slot son, the bubble
+    holding the column's mate; in the remainder, ``held`` cut to its slots
+    outside the clause.  Slots 2v-2 and 2v-1 are x_v and ~x_v."""
+
+    @given(st.integers(1, MAX_W), st.integers(0, 2**32), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bubble_free_rows_pin_nothing(self, w, seed, data):
+        rng = random.Random(seed)
+        b = EBuilder(w)
+        for v in range(w):
+            if rng.random() < 0.4:
+                b.set_fixed(2 * v, rng.randint(0, 1))
+        row = b.freeze()
+        slots = data.draw(st.lists(st.integers(0, 2 * w - 1), min_size=1, max_size=6, unique=True))
+        with pytest.MonkeyPatch.context() as mp:
+            pins = _count_pins(mp)
+            sons = impose_on_slots(row, slots)
+        assert sons == ref_impose_on_slots(row, slots)
+        assert pins == []
+
+    def test_one_slot_son_collapses_the_mates_bubble(self, monkeypatch):
+        # x4 = 0 leaves x1 the one live slot; x1 = 1 cuts {~x1, x2} down to
+        # x2, whose 1 cuts {~x2, x3} down to x3
+        row = _e_row(4, [[1, 2], [3, 4]], fixed=[7])
+        pins = _count_pins(monkeypatch)
+        sons = impose_on_slots(row, [0, 6])
+        assert sons == ref_impose_on_slots(row, [0, 6])
+        assert sons == [_e_row(4, [], fixed=[0, 2, 4, 7])]
+        assert pins == [1 << 2]  # the son's one cascade; the remainder has no live slot
+
+    def test_held_leftover_cascades_into_settling(self, monkeypatch):
+        # {x1, x2} is held by x1; its leftover x2 = 1 leaves {~x2, x3} as x3,
+        # a listed slot, so the remainder settles the clause
+        row = _e_row(4, [[0, 2], [3, 4]])
+        pins = _count_pins(monkeypatch)
+        sons = impose_on_slots(row, [0, 4, 6])
+        assert sons == ref_impose_on_slots(row, [0, 4, 6])
+        assert sons == [_e_row(4, [[3, 4]], fixed=[0]), _e_row(4, [], fixed=[1, 2, 4])]
+        assert pins == [1 << 2]  # the remainder's one cascade; the son pins none
+
+    def test_remainder_dropped(self):
+        # a held bubble always leaves slots outside the clause: one inside
+        # it settles the clause, and the row comes back whole
+        row = _e_row(4, [[0, 2], [4, 7]])
+        assert impose_on_slots(row, [2, 0, 6]) == [row] == ref_impose_on_slots(row, [2, 0, 6])
+        # the remainder is dropped when the listed slots run out: the sons
+        # are the two columns' alone, x1 = 1 and then x4 = 1
+        sons = impose_on_slots(row, [0, 6])
+        assert sons == ref_impose_on_slots(row, [0, 6])
+        assert [s.ones & 0b1000001 for s in sons] == [0b1, 0b1000000]
+        # or when a column holds a variable's two slots, which no Cnf clause
+        # lists: the son is the row itself, as that column adds no bubble
+        row = _e_row(4, [[0, 2], [1, 4]])
+        assert impose_on_slots(row, [6, 7, 0]) == ref_impose_on_slots(row, [6, 7, 0]) == [row]
+        sons = impose_masks(4, row.ones, row.bubble_masks, [6, 7, 0], 0b11000001)
+        assert [(ones, sorted(bubbles)) for ones, bubbles in sons] == [(0, [0b101, 0b10010])]
+
+    def test_pin_leaves_its_input_unchanged(self):
+        for bubbles in ([0b1100, 0b110000], (0b1100, 0b110000)):
+            before = copy.copy(bubbles)
+            ones, out = _pin(3, 0, bubbles, 0b1)
+            assert bubbles == before and out is not bubbles
+            assert _pin(3, 0, bubbles, 0) == (0, bubbles)
+
+
+class TestImposeAtDriverScale:
+    """Random rows rarely reach cascades, so every ``impose_masks`` call of
+    two clause-e/none runs is checked against ``ref_impose_on_slots``."""
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_every_split_matches_the_reference(self, monkeypatch, seed):
+        calls, split = [], wildsat.engine.impose_masks
+
+        def recording(width, ones, bubbles, slots, mask):
+            before = len(pins)
+            sons = split(width, ones, bubbles, slots, mask)
+            calls.append((_row012e(width, ones, bubbles), slots, sons, len(pins) - before))
+            return sons
+
+        monkeypatch.setattr(wildsat.engine, "impose_masks", recording)
+        pins = _count_pins(monkeypatch)
+        run(gen_random_cnf(GenSpec(16, 32, 4, seed=seed)), EngineConfig(method=Method.CLAUSE_E, policy=Policy.NONE))
+        monkeypatch.undo()
+        cascades = [n for *_, n in calls if n]
+        assert len(calls) > 500 and len(cascades) > 100 and max(cascades) > 1
+        for row, slots, sons, _ in calls:
+            assert sons is not None  # the driver splits only on a pending clause
+            assert [_row012e(row.width, *son) for son in sons] == ref_impose_on_slots(row, slots)
+
+
 class TestSettlesCopies:
-    """``impose_on_slots``'s settled tests are written-out copies of
-    ``settles``, and ``first_unsettled`` reads it through
-    ``row_satisfies_clause``; on every clause they must answer as it does.  The remainder's flag after a cascade is pinned by
-    ``TestImposeCascades``, since random rows rarely reach it."""
+    """``impose_masks`` opens with a written-out copy of ``settles``, and
+    ``first_unsettled`` reads it through ``row_satisfies_clause``; on
+    every clause they must answer as it does.  The remainder's test after a
+    cascade is pinned by ``TestImposeCascades`` and
+    ``TestImposeAtDriverScale``, since random rows rarely reach it."""
 
     def test_copies_agree_with_settles(self):
         rng = random.Random(157)
