@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .engine import EngineConfig, Policy, run, validate_config
+from .engine import EngineConfig, Method, Policy, run, validate_config
 from .formulas import Clause, Cnf
 from .rows import RunStats
 
@@ -45,7 +45,7 @@ def gen_random_cnf(spec: GenSpec) -> Cnf:
 
 def run_bench(
     spec: GenSpec,
-    methods: "list[Method]",
+    methods: list[Method],
     policy: Policy = Policy.SOLVER,
 ) -> list[RunStats]:
     """Run the selected methods on one generated instance, sequentially so

@@ -818,8 +818,9 @@ class RunStats:
     k-searches of ``CardinalityFilter``; the ``sat`` functions that take
     ``stats`` count into a ``RunStats``.  ``hint_hits`` (the sons that took
     their parent's witness in place of a search) and ``pops`` (the stack
-    entries the driver popped) are the driver's counts, which the command
-    line does not print."""
+    entries the driver popped, a level of a witness walk counting as one,
+    so it equals an ``on_pop`` observer's count) are the driver's counts,
+    which the command line does not print."""
 
     method: str = ""
     policy: str = ""

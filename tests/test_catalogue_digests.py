@@ -13,7 +13,8 @@ that makes more searches, or lets more infeasible rows in, fails too.
 No workload runs the paper's headline configuration, ``EngineConfig()``:
 clause-e with policy solver, the command line's default.  It runs here on
 the first ``esoft-none`` instances, whose rows do not depend on the policy,
-with its solver counters pinned.
+with its solver counters pinned.  The full search counters of the first
+``hitting-k`` and ``solve-012`` jobs, pops among them, are pinned as well.
 """
 
 from __future__ import annotations
@@ -76,3 +77,30 @@ def test_the_headline_configuration(index):
     st = out.stats
     got = (st.solver_calls, st.decisions, st.propagations, st.conflicts, st.hint_hits, st.harmful_deletions)
     assert got == HEADLINE[index]
+
+
+# (solver_calls, decisions, propagations, conflicts, hint_hits, pops) of
+# the searched workloads' instances 0..3, through the benchmark's own job
+COUNTERS = {
+    "hitting-k": [
+        (3215, 1477, 1387, 134, 3214, 3755),
+        (5374, 1541, 1451, 160, 5373, 6326),
+        (4773, 744, 979, 70, 4772, 5536),
+        (4487, 1212, 1122, 20, 4486, 5271),
+    ],
+    "solve-012": [
+        (1186, 778, 916, 119, 1389, 2314),
+        (946, 750, 672, 85, 1000, 1756),
+        (1347, 975, 1080, 115, 1526, 2633),
+        (912, 788, 510, 10, 986, 1860),
+    ],
+}
+
+
+@pytest.mark.parametrize("index", range(FIRST))
+@pytest.mark.parametrize("name", list(COUNTERS))
+def test_search_counters(name, index):
+    wl = workloads.WORKLOADS[name]
+    st = workloads.run_job(wl, workloads.make_instance(wl, index)).results[0].stats
+    got = (st.solver_calls, st.decisions, st.propagations, st.conflicts, st.hint_hits, st.pops)
+    assert got == COUNTERS[name][index]

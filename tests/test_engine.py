@@ -623,6 +623,72 @@ class Test012RowsAtTheBoundary:
         assert out.stats.solver_calls and out.stats.hint_hits  # sons were searched and hinted
 
 
+class TestWitnessWalk:
+    """A var-012 run with the built-in search, no screen, no override and
+    no ``on_pop`` or ``on_split`` walks a popped entry's path to its
+    witness in one loop; setting ``on_pop`` keeps the per-level loop.  Both
+    give the same rows in the same order and the same counters."""
+
+    class PopCounter(EngineObserver):
+        def __init__(self):
+            self.pops = 0
+
+        def on_pop(self, row, degree, depth, emitted):
+            self.pops += 1
+
+    @staticmethod
+    def counters(out):
+        st = out.stats
+        return st.solver_calls, st.decisions, st.propagations, st.conflicts, st.hint_hits, st.pops
+
+    def test_the_walk_matches_the_per_level_loop(self):
+        rng = random.Random(30)
+        cnfs = [
+            random_cnf(rng, w, rng.randint(0, 2 * w), rng.randint(1, min(3, w)), positive)
+            for positive in (False, True)
+            for w in range(1, 11)
+            for _ in range(3)
+        ]
+        walked = 0
+        for cnf in cnfs:
+            w = cnf.num_vars
+            configs = [EngineConfig(method=Method.VAR012, policy=Policy.SOLVER)]
+            configs += [EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(cnf, k)) for k in range(w + 1)]
+            for config in configs:
+                plain = run(cnf, config)
+                obs = self.PopCounter()
+                per_level = run(cnf, replace(config, observer=obs))
+                assert format_rows(plain) == format_rows(per_level)
+                assert self.counters(plain) == self.counters(per_level)
+                assert plain.stats.pops == obs.pops
+                walked += len(plain.rows) > 1
+        assert walked > 100
+
+    @pytest.mark.parametrize("observer", [None, "on_pop", "on_split"])
+    def test_a_held_back_son_and_a_one_level_walk(self, monkeypatch, observer):
+        # x1 or x2: the root's witness is 10, so its first walked bit is 1
+        # and the 0-son x1=0 is held back; popped one level above its final,
+        # it walks one level.  The walk searches 11 before the held-back
+        # son's 0-son 00; the per-level loop searches 00 first.
+        searched, search = [], wildsat.engine.search_from
+
+        def recording(w, masks, ones, zeros, *rest):
+            searched.append((ones, zeros))
+            return search(w, masks, ones, zeros, *rest)
+
+        monkeypatch.setattr(wildsat.engine, "search_from", recording)
+        obs = EngineObserver()
+        if observer is not None:
+            setattr(obs, observer, lambda *args: None)
+        out = run(Cnf(2, (Clause((1, 2)),)), EngineConfig(method=Method.VAR012, observer=obs))
+        assert [str(row) for row in out.rows] == ["01", "10", "11"]
+        walk_order = [(0, 0), (0, 0b01), (0b11, 0), (0, 0b11)]
+        per_level = [(0, 0), (0, 0b01), (0, 0b11), (0b11, 0)]
+        assert searched == (walk_order if observer is None else per_level)
+        # root, 0-son, 01 and the walked 1-son, 10 and the searched 11
+        assert (out.stats.solver_calls, out.stats.hint_hits, out.stats.pops) == (4, 3, 6)
+
+
 class TestObserverHooksLeftAsTheNoOp:
     """The driver calls, and builds rows for, only the observer hooks that
     are set; ``EngineObserver`` leaves each None."""

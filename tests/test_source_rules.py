@@ -7,15 +7,17 @@ The engine dispatches on no filter class: it reads a filter's attributes.
 A module imports no name it never uses, save the ones the benchmark's
 trace probes wrap on it, which its "unused here but stay" comment lists.
 An absent consumer hook is a None attribute, never a method that does
-nothing.
+nothing.  Every annotation of the package resolves.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib.util
+import inspect
 import re
 import sys
+import typing
 from pathlib import Path
 
 import wildsat
@@ -131,6 +133,40 @@ def test_each_module_imports_only_what_it_uses_or_the_probes_wrap(monkeypatch):
     # the scan sees an unused import, and a read in any position
     probe = "from __future__ import annotations\nimport a.b\nfrom c import d, e as f\nx = f.y\nprint(a)"
     assert _unused_imports(ast.parse(probe)) == {"d"}
+
+
+def _annotated(module) -> list:
+    """The functions and classes a module defines, and the methods,
+    static and class methods and property getters of its classes."""
+    found = []
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            found.append(obj)
+        elif inspect.isclass(obj):
+            found.append(obj)
+            for attr in vars(obj).values():
+                fn = attr.fget if isinstance(attr, property) else getattr(attr, "__func__", attr)
+                if inspect.isfunction(fn):
+                    found.append(fn)
+    return found
+
+
+def test_every_annotation_resolves():
+    # with postponed annotations a name the module never imports fails only
+    # when the hints are read, as typing.get_type_hints reads them
+    checked, failed = [], []
+    for path in SOURCES:
+        module = importlib.import_module("wildsat" if path.stem == "__init__" else f"wildsat.{path.stem}")
+        for obj in _annotated(module):
+            try:
+                typing.get_type_hints(obj)
+            except NameError as err:
+                failed.append(f"{path.name} {obj.__qualname__}: {err}")
+            checked.append(obj.__qualname__)
+    assert {"run_bench", "EngineConfig", "Row012.contains", "search_from"} <= set(checked)  # the scan is not empty
+    assert not failed, "; ".join(failed)
 
 
 def _empty_methods(tree: ast.AST) -> list[str]:
