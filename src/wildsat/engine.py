@@ -21,12 +21,13 @@ a 012 entry is (ones, zeros), a clause-e entry (ones, bubbles), split by
 ``rows.impose_masks``.  It takes degrees straight from the masks, runs
 the built-in search on a 012-son's masks (``sat.search_from``) and tests
 the hint on them.  A clause-012 entry carries the mask of the clauses
-its row settles, whose lowest zero bit is its degree.  A row is built
-only for output and for a consumer that reads rows (``sat.solve_row``,
-a weak test, a filter or an observer hook that is set), through
-one adapter, ``_on_row``.  Candidate sons are screened by a
-feasibility policy (perfect solver check, the weak tests, or none) and by
-the filter, if any.  With a weak policy an infeasible row can enter the
+its row settles, whose lowest zero bit is its degree.  A filter's
+``admit`` and ``final_override`` read a 012 entry's masks.  A row is
+built only for output and for a consumer that reads rows (a weak test, a
+plugged solver's or clause-e's ``sat.solve_row``, an observer hook that
+is set), through one adapter, ``_on_row``.  Candidate sons are screened
+by a feasibility policy (perfect solver check, the weak tests, or none)
+and by the filter, if any.  With a weak policy an infeasible row can enter the
 stack; it is unmasked only when none of its candidate sons is admitted
 (or, for var-012, when it is a bitstring that is no model), and its
 removal then counts as a harmful deletion.
@@ -54,7 +55,6 @@ from .rows import (
     _slots_of,
     _spread,
     _totals,
-    card_012,
     impose_masks,
     impose_on_slots,
     purify,
@@ -118,26 +118,30 @@ class EngineConfig:
 class SpModFilter:
     """Restriction of the enumeration to a special subset of the models.
 
-    ``admit(row)`` answers a bool, and must answer False only when the row
-    misses the special set.  ``exact`` marks the answer perfect, in which
-    case the filter replaces the feasibility policy; otherwise it screens
-    in front of the policy.  ``methods`` lists the methods the filter runs
-    with.  An exact filter whose special models are the models with k ones
-    may name k as ``cardinality``: the driver then runs the built-in
-    k-search on a son's masks (``sat.search_from``) in place of ``admit``.
-    ``final_override(row)`` (True makes the popped row final now, None
-    defers to the mechanism) and ``refine_final(row)`` (the output rows of
-    a final row and the number of subrows dropped; else the row itself)
-    are optional.
+    Filters run on 012-rows.  ``admit(ones, zeros)`` gets a candidate's
+    variable masks (a ``Row012``'s fields) and answers a bool, False only
+    when the row misses the special set.  ``exact`` marks the answer
+    perfect, in which case the filter replaces the feasibility policy;
+    otherwise it screens in front of the policy.  ``methods`` lists the
+    methods the filter runs with.  An exact filter whose special models are
+    the models with k ones may name k as ``cardinality``: the driver then
+    runs the built-in k-search on a son's masks (``sat.search_from``) in
+    place of ``admit``.  ``final_override(ones, zeros)`` (True makes the
+    popped row final now, None defers to the mechanism) and
+    ``refine_final(row)`` (the output rows of a final ``Row012`` and the
+    number of subrows dropped; else the row itself) are optional.
+    ``num_vars`` is the width the filter was built for, None when unchecked.
 
     Each hook is None until a subclass sets it, and the driver never calls
-    one left None.  ``validate_config`` rejects a filter with no ``admit``
-    unless it is exact and names a ``cardinality``.
+    one left None.  ``validate_config`` rejects, before the run, a filter
+    with clause-e, one of another width than the run's, and one with no
+    ``admit`` unless it is exact and names a ``cardinality``.
     """
 
     exact = False
     methods: tuple[Method, ...] = (Method.VAR012,)
     cardinality: int | None = None
+    num_vars: int | None = None
     admit = final_override = refine_final = None
 
 
@@ -156,7 +160,7 @@ class CardinalityFilter(SpModFilter):
 
     def __init__(self, cnf: Cnf, k: int):
         _check_k(k, cnf.num_vars)
-        self.cnf = cnf
+        self.cnf, self.num_vars = cnf, cnf.num_vars
         self.cardinality = k
 
     def refine_final(self, row: Row012) -> tuple[list[Row012], int]:
@@ -179,17 +183,14 @@ class DnfKFilter(SpModFilter):
 
     def __init__(self, dnf: Dnf, k: int):
         _check_k(k, dnf.num_vars)
-        self.dnf = dnf
+        self.dnf, self.num_vars = dnf, dnf.num_vars
         self.k = k
 
-    def admit(self, row: Row012) -> bool:
-        if row.width != self.dnf.num_vars:
-            raise ValueError("row widths differ")
-        ones, zeros, k = row.ones, row.zeros, self.k
+    def admit(self, ones: int, zeros: int) -> bool:
         for t in self.dnf.terms:
             if ones & t.zeros or zeros & t.ones:
                 continue
-            if (ones | t.ones).bit_count() <= k <= row.width - (zeros | t.zeros).bit_count():
+            if (ones | t.ones).bit_count() <= self.k <= self.num_vars - (zeros | t.zeros).bit_count():
                 return True
         return False
 
@@ -201,10 +202,11 @@ class ComplementFilter(SpModFilter):
     rows, and final as soon as it misses all of them.  Both tests read the
     row's overlap with the complement.  The complement rows are indexed
     once by the variables they fix to 1 and to 0, so the overlap sums only
-    the rows whose fixed values do not clash with the row's.  ``admit``
-    keeps the overlap of each row it admits, keyed by its fields, until
-    ``final_override`` takes it when the driver pops the row; only a row
-    ``admit`` never saw is read a second time.
+    the rows whose fixed values do not clash with the row's.  The rows must
+    be disjoint, each clashing with every other, or the overlap would count
+    a member twice.  ``admit`` keeps the overlap of each row it admits,
+    keyed by its masks, until ``final_override`` takes it when the driver
+    pops the row; only a row ``admit`` never saw is read a second time.
     """
 
     exact = True
@@ -216,36 +218,36 @@ class ComplementFilter(SpModFilter):
                 raise ValueError("complement rows must be 012-rows")
             if r.width != w:
                 raise ValueError("row widths differ")
-        self.rows = complement_rows
+        self.rows, self.num_vars = complement_rows, w
         self._fixed = [r.ones | r.zeros for r in rows]
         # bit v of a key clashes with a 1 at variable v, bit w + v with a 0
         self._clash = _bit_index((r.zeros | r.ones << w for r in rows), 2 * w)
         self._every = (1 << len(rows)) - 1
-        self._overlaps: dict[tuple[int, int, int], int] = {}
+        for i, r in enumerate(rows):
+            if _gather(self._clash, r.ones | r.zeros << w) | 1 << i != self._every:
+                raise ValueError(f"complement rows overlap: row {i + 1} shares members with a later row")
+        self._overlaps: dict[tuple[int, int], int] = {}
 
-    def _overlap(self, row: Row012) -> int:
+    def _overlap(self, ones: int, zeros: int) -> int:
         """The number of the row's members inside the complement rows."""
-        if row.width != self.rows.width:
-            raise ValueError("row widths differ")
-        ones, zeros, w = row.ones, row.zeros, row.width
-        fixed = ones | zeros
+        w, fixed = self.num_vars, ones | zeros
         clash = _gather(self._clash, ones | zeros << w)
         n = 0
         for i in _slots_of(self._every & ~clash):
             n += 1 << (w - (fixed | self._fixed[i]).bit_count())
         return n
 
-    def admit(self, row: Row012) -> bool:
-        overlap = self._overlap(row)
-        if overlap < card_012(row):
-            self._overlaps[row.width, row.ones, row.zeros] = overlap
+    def admit(self, ones: int, zeros: int) -> bool:
+        overlap = self._overlap(ones, zeros)
+        if overlap < 1 << self.num_vars - (ones | zeros).bit_count():
+            self._overlaps[ones, zeros] = overlap
             return True
         return False
 
-    def final_override(self, row: Row012) -> bool | None:
-        overlap = self._overlaps.pop((row.width, row.ones, row.zeros), None)
+    def final_override(self, ones: int, zeros: int) -> bool | None:
+        overlap = self._overlaps.pop((ones, zeros), None)
         if overlap is None:
-            overlap = self._overlap(row)
+            overlap = self._overlap(ones, zeros)
         return True if overlap == 0 else None
 
 
@@ -270,27 +272,20 @@ class WeightFilter(SpModFilter):
             raise ValueError("weights must be non-negative")
         if len(slot_weights) % 2:
             raise ValueError("need one weight per literal slot (2w values)")
-        self.weights = tuple(slot_weights)
+        self.weights, self.num_vars = tuple(slot_weights), len(slot_weights) // 2
         self.bound = bound
         pos, neg = self.weights[0::2], self.weights[1::2]
         self._pos, self._neg = _byte_sums(pos), _byte_sums(neg)
         self._min = _byte_sums(tuple(map(min, pos, neg)))
         self._max = _byte_sums(tuple(map(max, pos, neg)))
 
-    def _weight(self, row: Row012, free: list[list[int]]) -> int:
-        if 2 * row.width != len(self.weights):
-            side = "wider" if 2 * row.width > len(self.weights) else "narrower"
-            raise ValueError(f"row is {side} than the weights")
-        return _mask_sum(self._pos, row.ones) + _mask_sum(self._neg, row.zeros) + _mask_sum(free, row.twos)
+    def _weight(self, ones: int, zeros: int, free: list[list[int]]) -> int:
+        """The row's weight with each free variable's entry taken from ``free``."""
+        twos = (1 << self.num_vars) - 1 ^ (ones | zeros)
+        return _mask_sum(self._pos, ones) + _mask_sum(self._neg, zeros) + _mask_sum(free, twos)
 
-    def min_weight(self, row: Row012) -> int:
-        return self._weight(row, self._min)
-
-    def max_weight(self, row: Row012) -> int:
-        return self._weight(row, self._max)
-
-    def admit(self, row: Row012) -> bool:
-        return self.min_weight(row) <= self.bound
+    def admit(self, ones: int, zeros: int) -> bool:
+        return self._weight(ones, zeros, self._min) <= self.bound
 
     def refine_final(self, row: Row012) -> tuple[list[Row012], int]:
         """Disjoint subrows holding exactly the members within the bound,
@@ -300,10 +295,10 @@ class WeightFilter(SpModFilter):
         stack = [row]
         while stack:
             r = stack.pop()
-            if self.min_weight(r) > self.bound:
+            if not self.admit(r.ones, r.zeros):
                 discards += 1
                 continue
-            if self.max_weight(r) <= self.bound:
+            if self._weight(r.ones, r.zeros, self._max) <= self.bound:
                 kept.append(r)
                 continue
             stack.extend(reversed(varwise_split(r)))
@@ -460,8 +455,11 @@ def validate_config(cnf: Cnf, config: EngineConfig) -> None:
         raise ValueError("the filter has no admit, and is not an exact filter with a cardinality")
     if method not in filt.methods:
         raise ValueError(f"this filter runs with method {' or '.join(m.value for m in filt.methods)}")
-    if filt.exact and filt.cardinality is not None and method == Method.CLAUSE_E:
-        raise ValueError("the k-search of a filter's cardinality runs on 012-rows")
+    if method == Method.CLAUSE_E:
+        raise ValueError("filters run on 012-rows")
+    if filt.num_vars not in (None, cnf.num_vars):
+        side = "wider" if cnf.num_vars > filt.num_vars else "narrower"
+        raise ValueError(f"row widths differ: the run's rows are {side} than the filter's")
     # an exact filter's answers replace the policy, so the formula it reads must be the run's
     own = getattr(filt, "cnf", cnf)
     if own is not cnf and own != cnf:
@@ -477,31 +475,19 @@ def _scan_rows(cnf: Cnf) -> list[Row012]:
 
 
 def _admission(cnf: Cnf, config: EngineConfig, build):
-    """The son screen of a run: (screen, check, search), over the driver's
-    candidates, whose rows ``build(w, *entry)`` makes.
+    """The son screen of a run: (screen, check, search), each called with a
+    candidate's two masks.
 
-    A perfect filter replaces the policy; any other filter's ``admit`` is
-    the ``screen``, which runs in front of it.  With no ``search``,
-    ``check`` is the bool check (a filter's ``admit`` or a weak policy), or
-    None under policy none.  A search counts as one solver call and answers
-    None or the witness (model as a variable mask, root fixpoint ``(ones,
-    zeros, open clauses)``).  It is ``sat.search_from`` itself, which the
-    driver runs on a 012-son's masks, bounded by a perfect filter's
-    ``cardinality``; or else ``search(son, start, stats)``, which calls
-    ``solve_row`` on the son's row, for clause-e and for a plugged solver
-    (whose witness has no fixpoint).  The driver hands a son that contains
-    its parent's witness the witness without a search; any other starts
-    from its fixpoint, that of its nearest ancestor that searched.
-
-    A candidate is its masks: (ones, zeros) for 012, (ones, bubbles) for
-    clause-e.  The screen, the check and a plugged solver's search get its
-    row through ``_on_row``; clause-e's search builds it for ``solve_row``.
-    A clause-e witness holds the model's true literal slots in place of the
+    A search counts as one solver call and answers None or the witness
+    (model as a variable mask, root fixpoint ``(ones, zeros, open
+    clauses)``, None for a plugged solver).  ``sat.search_from`` itself is
+    the built-in search, which the driver calls on a 012-son's masks.  A
+    clause-e witness holds the model's true literal slots in place of the
     variable mask, so that its hint test reads the masks too.
     """
-    filt, policy, solver = config.spmod, config.policy, config.solver
+    filt, policy, solver, w = config.spmod, config.policy, config.solver, cnf.num_vars
     screen = check = search = None
-    if filt is not None and filt.exact:
+    if filt is not None and filt.exact:  # a perfect filter replaces the policy
         if filt.cardinality is None:
             check = filt.admit
         else:
@@ -510,21 +496,19 @@ def _admission(cnf: Cnf, config: EngineConfig, build):
         screen = None if filt is None else filt.admit
         if policy == Policy.SOLVER:
             if is_plug(solver):
-                search = lambda row, start, stats: solve_row(row, cnf, start, stats, solver=solver)
+                search = _on_row(lambda row, start, stats: solve_row(row, cnf, start, stats, solver=solver), build, w)
             else:
                 search = search_from
         elif policy == Policy.TEST1:
-            check = lambda row: test1(row, cnf)
+            check = _on_row(lambda row: test1(row, cnf), build, w)
         elif policy == Policy.TEST12:
-            check = lambda row: test1(row, cnf) and test2(row, cnf)
-    w = cnf.num_vars
-    screen, check = _on_row(screen, build, w), _on_row(check, build, w)
+            check = _on_row(lambda row: test1(row, cnf) and test2(row, cnf), build, w)
     if config.method != Method.CLAUSE_E:
-        return screen, check, search if search is search_from else _on_row(search, build, w)
+        return screen, check, search
     every = (1 << w) - 1
 
-    def search_e(son, start, stats):
-        found = solve_row(build(w, *son), cnf, start, stats, solver=solver)
+    def search_e(ones, bubbles, start, stats):
+        found = solve_row(build(w, ones, bubbles), cnf, start, stats, solver=solver)
         if found is None:
             return None
         model, fixpoint = found
@@ -534,10 +518,10 @@ def _admission(cnf: Cnf, config: EngineConfig, build):
 
 
 def _on_row(fn, build, w: int):
-    """``fn`` for the driver's entries of width w: it gets the row
-    ``build(w, *entry)`` of an entry, then the call's other arguments.
-    None stays None."""
-    return None if fn is None else lambda entry, *rest: fn(build(w, *entry), *rest)
+    """``fn`` for the driver's entries of width w, which the driver calls
+    with an entry's two masks, then the call's other arguments: ``fn`` gets
+    the row ``build(w, *masks)`` in place of the masks.  None stays None."""
+    return None if fn is None else lambda a, b, *rest: fn(build(w, a, b), *rest)
 
 
 def _observer_hooks(obs: EngineObserver | None, build, w: int) -> tuple:
@@ -590,7 +574,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     screen, check, search = _admission(cnf, config, build)
     exact = filt is not None and filt.exact
     k = filt.cardinality if exact else None
-    override, refine = (None, None) if filt is None else (_on_row(filt.final_override, build, w), filt.refine_final)
+    override, refine = (None, None) if filt is None else (filt.final_override, filt.refine_final)
     top = w if var012 else len(clauses)
     on_pop, on_split, on_emit, on_harmful = _observer_hooks(config.observer, build, w)
     root, slot_masks = ((0, ()) if clause_e else (0, 0)), cnf.slot_masks
@@ -623,7 +607,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     def delete(entry) -> None:
         stats.harmful_deletions += 1
         if on_harmful is not None:
-            on_harmful(entry)
+            on_harmful(*entry)
 
     finals: list = []
     stack: list = []
@@ -639,11 +623,11 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
         for son, son_deg, son_settled in cands:
             if son_deg <= deg:
                 raise RuntimeError(f"son does not settle its parent's pending clause {deg + 1}")
-            if screen is not None and not screen(son):
+            if screen is not None and not screen(*son):
                 stats.weight_pruned += 1
                 continue
             if search is None:
-                if check is not None and not check(son):
+                if check is not None and not check(*son):
                     continue
                 wit = None
             # the hint test: the witness sets the son's ones (1-slots) and
@@ -659,7 +643,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
                 if search is search_from:  # the built-in search, on the son's masks
                     wit = search_from(w, masks, son[0], son[1], start, k, stats)
                 else:
-                    wit = search(son, start, stats)
+                    wit = search(*son, start, stats)
                 if wit is None:
                     continue
             sons.append((son, son_deg, wit, son_settled))
@@ -673,8 +657,8 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
         while stack:
             entry, deg, hint, settled = stack.pop()
             if on_pop is not None:
-                on_pop(entry, deg, len(stack), len(finals))
-            if override is not None and override(entry):
+                on_pop(*entry, deg, len(stack), len(finals))
+            if override is not None and override(*entry):
                 out = [build(w, *entry)]
             elif deg == top:
                 out = finish(entry)

@@ -816,11 +816,14 @@ class RunStats:
     ``propagations`` and ``conflicts`` are the built-in solver's counters,
     summed over the run's searches under policy solver and over the
     k-searches of ``CardinalityFilter``; the ``sat`` functions that take
-    ``stats`` count into a ``RunStats``.  ``hint_hits`` (the sons that took
-    their parent's witness in place of a search) and ``pops`` (the stack
-    entries the driver popped, a level of a witness walk counting as one,
-    so it equals an ``on_pop`` observer's count) are the driver's counts,
-    which the command line does not print."""
+    ``stats`` count into a ``RunStats``.  ``weight_pruned`` counts the
+    candidates that a filter's ``admit`` rejected as a screen (any filter
+    that is not exact), and ``weight_discards`` the subrows of final rows
+    that a filter's ``refine_final`` dropped.  ``hint_hits`` (the sons that
+    took their parent's witness in place of a search) and ``pops`` (the
+    stack entries the driver popped, a level of a witness walk counting as
+    one, so it equals an ``on_pop`` observer's count) are the driver's
+    counts, which the command line does not print."""
 
     method: str = ""
     policy: str = ""

@@ -35,6 +35,8 @@ def files(tmp_path):
     (tmp_path / "e.rows").write_text("rows w=3 n=1\ne1 e1 2\n")
     (tmp_path / "two-headers.cnf").write_text("p cnf 2 1\n1 0\np cnf 5 1\n5 0\n")
     (tmp_path / "short.cnf").write_text("p cnf 2 5\n1 0\n")
+    (tmp_path / "two.cnf").write_text("p cnf 2 0\n")
+    (tmp_path / "overlap.rows").write_text("rows w=2 n=2\n1 2\n2 1\n")
     return tmp_path
 
 
@@ -65,6 +67,11 @@ REJECTIONS = [
     (["count-k", "{d}/absent.cnf"], "absent.cnf"),
     (["count", "{d}/two-headers.cnf"], "two-headers.cnf: line 3: duplicate 'p cnf' header"),
     (["count", "{d}/short.cnf"], "short.cnf: line 2: header declares 5 clauses, found 1"),
+    (
+        # both rows hold 11: counted twice, it would leave no model, not 00
+        ["enumerate", "{d}/two.cnf", "--method", "var-012", "--complement", "{d}/overlap.rows"],
+        "overlap.rows: complement rows overlap: row 1 ",
+    ),
 ]
 
 

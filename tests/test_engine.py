@@ -735,37 +735,39 @@ class TestObserverHooksLeftAsTheNoOp:
         assert splits and all(isinstance(son, Row012) for sons in splits for son in sons)
 
 
-class TestClauseEFilterHooks:
-    """A filter that runs with clause-e gets e-rows in ``admit`` and
-    ``final_override``, built from the driver's masks."""
+class TestFilterHooks:
+    """A filter's ``admit`` and ``final_override`` get the (ones, zeros)
+    masks of the driver's candidates and popped entries: the fields of the
+    rows the observer sees."""
 
     class Seen(SpModFilter):
-        methods = (Method.CLAUSE_E,)
+        methods = (Method.CLAUSE012,)
 
         def __init__(self, exact, final):
             self.exact, self.final = exact, final
             self.admitted, self.popped = [], []
 
-        def admit(self, row):
-            self.admitted.append(row)
+        def admit(self, ones, zeros):
+            self.admitted.append((ones, zeros))
             return True
 
-        def final_override(self, row):
-            self.popped.append(row)
+        def final_override(self, ones, zeros):
+            self.popped.append((ones, zeros))
             return self.final
 
     @pytest.mark.parametrize("exact", [False, True])
-    def test_hooks_see_the_rows_the_observer_sees(self, phi2, exact):
+    def test_hooks_see_the_masks_of_the_rows_the_observer_sees(self, phi2, exact):
         filt, rec = self.Seen(exact, None), _PopRecorder()
-        out = run(phi2, EngineConfig(method=Method.CLAUSE_E, policy=Policy.NONE, spmod=filt, observer=rec))
-        assert out.rows == run(phi2, EngineConfig(method=Method.CLAUSE_E, policy=Policy.NONE)).rows
-        assert filt.popped == rec.pops
+        out = run(phi2, EngineConfig(method=Method.CLAUSE012, policy=Policy.NONE, spmod=filt, observer=rec))
+        assert out.rows == run(phi2, EngineConfig(method=Method.CLAUSE012, policy=Policy.NONE)).rows
+        masks = lambda rows: [(r.ones, r.zeros) for r in rows]
+        assert filt.popped == masks(rec.pops)
         # every candidate is admitted: the root, then the sons of each split
-        assert filt.admitted == [Row012e.full(5)] + [son for sons in rec.splits for son in sons]
+        assert filt.admitted == masks([Row012.full(5)] + [son for sons in rec.splits for son in sons])
 
     def test_an_override_emits_the_row(self, phi2):
-        out = run(phi2, EngineConfig(method=Method.CLAUSE_E, policy=Policy.NONE, spmod=self.Seen(False, True)))
-        assert out.rows == (Row012e.full(5),)
+        out = run(phi2, EngineConfig(method=Method.CLAUSE012, policy=Policy.NONE, spmod=self.Seen(False, True)))
+        assert out.rows == (Row012.full(5),)
 
 
 class TestHarmfulDeletions:
@@ -982,13 +984,32 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="must be a Method and the policy a Policy"):
             run(phi2, replace(EngineConfig(), **{field: value}))
 
-    def test_a_cardinality_filter_rejected_for_clause_e(self, phi2):
-        # the k-search reads a 012-row's masks
-        class OnERows(CardinalityFilter):
-            methods = (Method.CLAUSE_E,)
+    class AdmitOnly(SpModFilter):
+        def admit(self, ones, zeros):
+            return True
 
-        with pytest.raises(ValueError, match="012-rows"):
-            run(phi2, EngineConfig(method=Method.CLAUSE_E, spmod=OnERows(phi2, 2)))
+    @pytest.mark.parametrize(
+        "cls, args",
+        [
+            (CardinalityFilter, lambda cnf: (cnf, 2)),
+            (DnfKFilter, lambda cnf: (Dnf(cnf.num_vars, (Row012.full(cnf.num_vars),)), 2)),
+            (ComplementFilter, lambda cnf: (RowList(cnf.num_vars, ()),)),
+            (WeightFilter, lambda cnf: ([1] * (2 * cnf.num_vars), 3)),
+            (AdmitOnly, lambda cnf: ()),
+        ],
+        ids=["cardinality", "dnf-k", "complement", "weight", "admit-only"],
+    )
+    def test_every_filter_rejected_for_clause_e(self, phi2, cls, args):
+        # filters read a 012-row's masks, so even a filter that lists
+        # clause-e in its methods is rejected before the first pop
+        on_e_rows = type(f"OnERows{cls.__name__}", (cls,), {"methods": (Method.CLAUSE_E,)})
+        rec = _PopRecorder()
+        config = EngineConfig(method=Method.CLAUSE_E, spmod=on_e_rows(*args(phi2)), observer=rec)
+        with pytest.raises(ValueError, match="filters run on 012-rows"):
+            validate_config(phi2, config)
+        with pytest.raises(ValueError, match="filters run on 012-rows"):
+            run(phi2, config)
+        assert rec.pops == rec.emits == []
 
 
 class TestPluggableSolver:

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import wildsat.engine
 from conftest import row012
 from oracle import (
     all_bitstrings,
@@ -34,21 +35,41 @@ from wildsat.engine import (
     enumerate_from_complement,
     enumerate_hitting_sets,
     run,
+    validate_config,
 )
 from wildsat.formulas import Clause, Cnf, Dnf, weight
-from wildsat.rows import Row012, Row012e, RowList, RunStats
+from wildsat.rows import Row012, Row012e, RowList, RunStats, _row012
 
 
 def _models(cnf):
     return [u for u in all_bitstrings(cnf.num_vars) if evaluate_naive(cnf, u)]
 
 
+def _masks(text: str) -> tuple[int, int]:
+    """The (ones, zeros) masks a filter's hooks get for the row ``text``."""
+    row = row012(text)
+    return row.ones, row.zeros
+
+
+def _built_for(w: int) -> list:
+    """One built-in filter of each kind, built for w variables."""
+    return [
+        WeightFilter([1] * (2 * w), 5),
+        DnfKFilter(Dnf(w, (Row012.full(w),)), 0),
+        ComplementFilter(RowList(w, ())),
+        CardinalityFilter(Cnf(w, ()), 0),
+    ]
+
+
 class _Emitted(EngineObserver):
     def __init__(self):
-        self.rows = []
+        self.rows, self.pops = [], []
 
     def on_emit(self, row):
         self.rows.append(row)
+
+    def on_pop(self, row, *_):
+        self.pops.append(row)
 
 
 class TestCardinalityFilter:
@@ -116,20 +137,26 @@ class TestWeightFilter:
 
     @pytest.mark.parametrize("num_vars", [3, 9, 17])
     def test_row_wider_than_the_weights_rejected(self, num_vars):
-        # one variable short, inside the last partial byte or past a full one
+        # one variable short, inside the last partial byte or past a full
+        # one; validate_config rejects each built-in filter of that width
         cnf = Cnf(num_vars, (Clause((1, 2)),))
-        filt = WeightFilter([1] * (2 * num_vars - 2), 5)
-        with pytest.raises(ValueError, match="wider than the weights"):
-            run(cnf, EngineConfig(method=Method.VAR012, spmod=filt))
+        for filt in _built_for(num_vars - 1):
+            with pytest.raises(ValueError, match="wider than the filter's"):
+                validate_config(cnf, EngineConfig(method=Method.VAR012, spmod=filt))
 
     def test_row_narrower_than_the_weights_rejected(self):
-        # six weights on a 2-variable run: the extra pair may not be ignored
+        # six weights on a 2-variable run: the extra pair may not be ignored,
+        # nor the third variable of any other built-in filter; the run stops
+        # before its first pop
         cnf = Cnf(2, (Clause((1, 2)),))
-        filt = WeightFilter([1, 1, 1, 1, 9, 9], 2)
-        emitted = _Emitted()
-        with pytest.raises(ValueError, match="narrower than the weights"):
-            run(cnf, EngineConfig(method=Method.VAR012, spmod=filt, observer=emitted))
-        assert emitted.rows == []
+        for filt in [WeightFilter([1, 1, 1, 1, 9, 9], 2), *_built_for(3)]:
+            emitted = _Emitted()
+            config = EngineConfig(method=Method.VAR012, spmod=filt, observer=emitted)
+            with pytest.raises(ValueError, match="narrower than the filter's"):
+                validate_config(cnf, config)
+            with pytest.raises(ValueError, match="narrower than the filter's"):
+                run(cnf, config)
+            assert emitted.rows == emitted.pops == []
 
     def _brute(self, cnf, weights, bound):
         out = set()
@@ -173,12 +200,16 @@ class TestDnfK:
         assert {r.symbols for r in out.rows} == {(1, 0, 0), (0, 0, 1)}
 
     def test_dnf_of_another_width_rejected(self):
-        # a 3-variable DNF on a 2-variable run may not emit the non-model 10
-        filt = DnfKFilter(Dnf(3, (Row012((1, 2, 2)),)), 1)
-        emitted = _Emitted()
-        with pytest.raises(ValueError, match="row widths differ"):
-            run(Cnf(2, ()), EngineConfig(method=Method.VAR012, spmod=filt, observer=emitted))
-        assert emitted.rows == []
+        # a 3-variable DNF on a 2-variable run may not emit the non-model 10,
+        # nor may a 1-variable DNF read the run's first variable alone
+        for dnf in (Dnf(3, (Row012((1, 2, 2)),)), Dnf(1, (Row012((1,)),))):
+            emitted = _Emitted()
+            config = EngineConfig(method=Method.VAR012, spmod=DnfKFilter(dnf, 1), observer=emitted)
+            with pytest.raises(ValueError, match="row widths differ"):
+                validate_config(Cnf(2, ()), config)
+            with pytest.raises(ValueError, match="row widths differ"):
+                run(Cnf(2, ()), config)
+            assert emitted.rows == emitted.pops == []
 
     @pytest.mark.parametrize("policy", [Policy.NONE, Policy.TEST1, Policy.SOLVER])
     def test_the_filter_replaces_the_policy_and_the_model_check(self, policy):
@@ -285,7 +316,9 @@ class TestComplementFilter:
         assert len(comp) == 48
         scans = []
         overlap = ComplementFilter._overlap
-        monkeypatch.setattr(ComplementFilter, "_overlap", lambda self, row: scans.append(row) or overlap(self, row))
+        monkeypatch.setattr(
+            ComplementFilter, "_overlap", lambda self, *masks: scans.append(masks) or overlap(self, *masks)
+        )
         pops = []
 
         class Pops(EngineObserver):
@@ -301,13 +334,23 @@ class TestComplementFilter:
 
     def test_final_override_of_a_row_admit_never_saw(self):
         filt = ComplementFilter(RowList(3, (row012("122"),)))
-        assert filt.final_override(row012("022")) is True
-        assert filt.final_override(row012("222")) is None
-        assert filt.admit(row012("112")) is False
-        assert filt.admit(row012("222")) is True
-        assert filt.final_override(row012("222")) is None
-        with pytest.raises(ValueError, match="widths differ"):
-            filt.admit(row012("22"))
+        assert filt.final_override(*_masks("022")) is True
+        assert filt.final_override(*_masks("222")) is None
+        assert filt.admit(*_masks("112")) is False
+        assert filt.admit(*_masks("222")) is True
+        assert filt.final_override(*_masks("222")) is None
+
+    def test_overlapping_complement_rows_rejected(self):
+        # 12 and 21 share the member 11, so the overlap of the full row
+        # would read 2 + 2 and emit nothing, where 00 is the answer
+        with pytest.raises(ValueError, match="complement rows overlap: row 1 "):
+            enumerate_from_complement(RowList(2, (row012("12"), row012("21"))))
+        # the pair need not be adjacent: 122 holds 102
+        with pytest.raises(ValueError, match="complement rows overlap: row 1 "):
+            ComplementFilter(RowList(3, (row012("102"), row012("002"), row012("122"))))
+        # each row clashes with every other: accepted
+        out = enumerate_from_complement(RowList(3, (row012("102"), row012("002"), row012("112"))))
+        assert [str(r) for r in out.rows] == ["012"]
 
     def test_complement_row_of_another_width_rejected(self):
         for rows in ((row012("12"),), (row012("122"), row012("1222"))):
@@ -316,15 +359,20 @@ class TestComplementFilter:
 
     def test_overlap_matches_plain_scan(self):
         # the index lets through only the rows that do not clash; the sum
-        # must be the plain scan's, on lists that need not be disjoint
+        # must be the plain scan's, on the disjoint lists the filter takes
         rng = random.Random(331)
         for _ in range(200):
             w = rng.randint(1, 8)
-            comp = RowList(w, tuple(random_row012(rng, w) for _ in range(rng.randint(0, 12))))
+            rows = []
+            for _ in range(rng.randint(0, 12)):
+                r = random_row012(rng, w)
+                if all(r.ones & q.zeros or r.zeros & q.ones for q in rows):
+                    rows.append(r)
+            comp = RowList(w, tuple(rows))
             filt = ComplementFilter(comp)
             for _ in range(5):
                 row = random_row012(rng, w)
-                assert filt._overlap(row) == overlap_scan(comp, row)
+                assert filt._overlap(row.ones, row.zeros) == overlap_scan(comp, row)
 
     def test_random_matches_brute_force(self):
         rng = random.Random(317)
@@ -351,8 +399,9 @@ class _AdmitOnly(SpModFilter):
     def __init__(self, cnf: Cnf, exact: bool):
         self.cnf, self.exact, self.models = cnf, exact, cnf_mask(cnf)
 
-    def admit(self, row: Row012) -> bool:
-        return bool(row_mask(row.width, row) & self.models)
+    def admit(self, ones: int, zeros: int) -> bool:
+        w = self.cnf.num_vars
+        return bool(row_mask(w, _row012(w, ones, zeros)) & self.models)
 
 
 class TestOptionalHooks:
@@ -369,6 +418,25 @@ class TestOptionalHooks:
             assert filt.final_override is None and filt.refine_final is None
             out = run(cnf, EngineConfig(method=method, spmod=filt))
             assert_disjoint_cover(w, out.rows, cnf_mask(cnf))
+
+
+class TestRowBuilds:
+    """A filter reads a candidate's masks, so a filtered run builds a row
+    only for its output."""
+
+    @pytest.mark.parametrize("kind", ["complement", "dnf-k"])
+    def test_one_row_per_output_row(self, monkeypatch, kind):
+        if kind == "complement":
+            comp = run(gen_random_cnf(GenSpec(12, 20, 3, seed=3)), EngineConfig(method=Method.CLAUSE012))
+            enumerate_rows = lambda: enumerate_from_complement(comp)
+        else:
+            dnf = Dnf(6, (row012("122202"), row012("202121"), row012("022222")))
+            enumerate_rows = lambda: enumerate_dnf_k(dnf, 3)
+        built, build = [], wildsat.engine._row012
+        monkeypatch.setattr(wildsat.engine, "_row012", lambda *args: built.append(args) or build(*args))
+        out = enumerate_rows()
+        assert len(out) > 10
+        assert len(built) == len(out)
 
 
 class TestArgumentChecks:

@@ -3,7 +3,9 @@
 Invariants are real errors: ``python -O`` strips ``assert`` statements, so
 the package may not use them to check anything.  Immutability comes only
 from ``@dataclass(frozen=True)``, never from hand-written attribute hooks.
-The engine dispatches on no filter class: it reads a filter's attributes.
+The engine dispatches on no filter class: it reads a filter's attributes,
+and every filter it defines records in ``__init__`` the width it was built
+for, which ``validate_config`` checks once per run.
 A module imports no name it never uses, save the ones the benchmark's
 trace probes wrap on it, which its "unused here but stay" comment lists.
 An absent consumer hook is a None attribute, never a method that does
@@ -95,6 +97,56 @@ def test_the_engine_tests_no_filter_class():
         ]
     )
     assert _class_tests(ast.parse(probe), names) == [1, 2, 3, 7]
+
+
+def _filters_without_a_width(tree: ast.AST, names: set[str]) -> list[str]:
+    """The classes among ``names`` whose ``__init__`` stores no
+    ``self.num_vars``."""
+
+    def stores(fn) -> bool:
+        return any(
+            isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store) and n.attr == "num_vars"
+            and isinstance(n.value, ast.Name) and n.value.id == "self"
+            for n in ast.walk(fn)
+        )
+
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name in names
+        and not any(isinstance(fn, ast.FunctionDef) and fn.name == "__init__" and stores(fn) for fn in node.body)
+    ]
+
+
+def test_every_engine_filter_records_its_width():
+    # validate_config compares a filter's num_vars with the run's width;
+    # a filter that left the base class's None would run unchecked
+    names = {n for n, obj in vars(engine).items() if isinstance(obj, type) and issubclass(obj, engine.SpModFilter)}
+    names.discard("SpModFilter")
+    assert {"CardinalityFilter", "ComplementFilter", "WeightFilter", "DnfKFilter"} <= names
+    path = Path(engine.__file__)
+    found = _filters_without_a_width(ast.parse(path.read_text(), filename=str(path)), names)
+    assert not found, f"engine.py filters whose __init__ sets no self.num_vars: {', '.join(found)}"
+    # the rule sees a width set in a tuple, and no width, a width only read
+    # or one set outside __init__
+    probe = "\n".join(
+        [
+            "class A(SpModFilter):",
+            "    def __init__(self, cnf):",
+            "        self.cnf, self.num_vars = cnf, cnf.num_vars",
+            "class B(SpModFilter):",
+            "    exact = True",
+            "class C(SpModFilter):",
+            "    def __init__(self, cnf):",
+            "        n = self.num_vars",
+            "class D(SpModFilter):",
+            "    def __init__(self, cnf):",
+            "        self.cnf = cnf",
+            "    def setup(self, w):",
+            "        self.num_vars = w",
+        ]
+    )
+    assert _filters_without_a_width(ast.parse(probe), {"A", "B", "C", "D"}) == ["B", "C", "D"]
 
 
 def _unused_imports(tree: ast.AST) -> set[str]:
