@@ -80,46 +80,31 @@ def _stats_fields(st: RunStats) -> list[str]:
 
 
 def _build_config(args, cnf: Cnf) -> EngineConfig:
-    """The run's configuration; a rejected argument raises ValueError."""
-    method = Method(args.method)
-    spmod = None
-    k = getattr(args, "k", None)
-    weights_path = getattr(args, "weights", None)
-    bound = getattr(args, "bound", None)
-    complement_path = getattr(args, "complement", None)
-    chosen = [
-        (name, cls)
-        for name, cls, on in (
-            ("--k", CardinalityFilter, k is not None),
-            ("--weights/--bound", WeightFilter, weights_path is not None),
-            ("--complement", ComplementFilter, complement_path is not None),
-        )
-        if on
-    ]
-    if len(chosen) > 1:
-        raise ValueError(f"conflicting filters: {', '.join(name for name, _ in chosen)}")
-    # before any filter file is read
-    for name, cls in chosen:
-        if method not in cls.methods:
-            raise ValueError(f"{name} requires --method {' or '.join(m.value for m in cls.methods)}")
-    if k is not None:
-        spmod = CardinalityFilter(cnf, k)
-    if weights_path is not None:
-        if bound is None:
-            raise ValueError("--weights requires --bound")
-        weights = _load(weights_path, _parse_weights)
-        if len(weights) != 2 * cnf.num_vars:
-            raise ValueError(f"{weights_path}: weights file must have {2 * cnf.num_vars} slot lines")
-        spmod = WeightFilter(weights, bound)
-    if bound is not None and weights_path is None:
-        raise ValueError("--bound requires --weights")
-    if complement_path is not None:
-        spmod = _load(complement_path, lambda text: ComplementFilter(parse_rows(text)))
-        if spmod.rows.width != cnf.num_vars:
-            raise ValueError(f"{complement_path}: complement row width does not match the CNF")
-    config = EngineConfig(method=method, policy=Policy(args.feasibility), spmod=spmod)
+    """The run's configuration, checked by ``validate_config``; a rejected
+    argument raises ValueError.  The flags decide only which one filter is
+    named and that ``--weights`` comes with ``--bound``.  The method and
+    policy are checked before a filter file is read; the file is read,
+    built and checked in one ``_load``, so its errors name its path."""
+    k, weights, bound, complement = (getattr(args, f, None) for f in ("k", "weights", "bound", "complement"))
+    flags = (("--k", k), ("--weights/--bound", weights), ("--complement", complement))
+    named = [flag for flag, value in flags if value is not None]
+    if len(named) > 1:
+        raise ValueError(f"conflicting filters: {', '.join(named)}")
+    if (weights is None) != (bound is None):
+        raise ValueError("--bound requires --weights" if weights is None else "--weights requires --bound")
+    config = EngineConfig(method=Method(args.method), policy=Policy(args.feasibility))
     validate_config(cnf, config)
-    return config
+
+    def checked(spmod) -> EngineConfig:
+        config.spmod = spmod
+        validate_config(cnf, config)
+        return config
+
+    if weights is not None:
+        return _load(weights, lambda text: checked(WeightFilter(_parse_weights(text), bound)))
+    if complement is not None:
+        return _load(complement, lambda text: checked(ComplementFilter(parse_rows(text))))
+    return config if k is None else checked(CardinalityFilter(cnf, k))
 
 
 def _add_engine_flags(sub: argparse.ArgumentParser, with_filters: bool = True) -> None:

@@ -688,9 +688,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
             elif var012:  # pin the lowest free variable, 0 first
                 ones, zeros = entry
                 bit = 1 << deg
-                fixed = ones | zeros | bit
-                son_deg = ((fixed + 1) & ~fixed).bit_length() - 1
-                cands = [((ones, zeros | bit), son_deg, None), ((ones | bit, zeros), son_deg, None)]
+                cands = [((ones, zeros | bit), deg + 1, None), ((ones | bit, zeros), deg + 1, None)]
                 break
             elif clause_e:
                 # a son is a subset of its parent, so the clauses its parent

@@ -237,12 +237,10 @@ def _pack(u: Sequence[int]) -> int:
 
 
 def _member_mask(member: Sequence[int] | int, width: int) -> int:
-    """A bitstring of ``width`` variables, given as 0/1 values or as a
-    variable mask, as a variable mask."""
+    """A bitstring of ``width`` variables, given as 0/1 values, as a
+    variable mask; ``contains`` passes an int only when it is too wide."""
     if isinstance(member, int):
-        if member >> width:
-            raise ValueError("member mask does not fit the row width")
-        return member
+        raise ValueError("member mask does not fit the row width")
     if len(member) != width:
         raise ValueError("bitstring length does not match row width")
     return _pack(member)

@@ -232,7 +232,8 @@ class TestCli:
         ],
     )
     def test_conflicting_flags_exit_usage(self, phi2_file, argv, capsys):
-        # rejected before any filter file ("w", "c") is read
+        # rejected by the flags, by validate_config or, for a filter file
+        # ("w", "c") that is not there, by the read
         argv = [a if a != "X" else str(phi2_file) for a in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -375,10 +376,18 @@ class TestCliInputErrors:
         [
             (["--k", "1", "--complement", "c"], {}, "conflicting filters: --k, --complement"),
             (["--weights", "w"], {}, "--weights requires --bound"),
-            (["--weights", "w", "--bound", "1"], {"w": "1 1\n2 1\n"}, "w: weights file must have 10 slot lines"),
+            (["--weights", "w", "--bound", "1"], {"w": "1 1\n2 1\n"}, "w: row widths differ"),
             (["--weights", "w", "--bound", "1"], {"w": "1 1\n3 1\n"}, "w: weights file must cover slots 1..2w"),
-            (["--complement", "c"], {"c": "rows w=4 n=1\n2 2 2 2\n"}, "c: complement row width does not match"),
+            (["--complement", "c"], {"c": "rows w=4 n=1\n2 2 2 2\n"}, "c: row widths differ"),
             (["--complement", "c"], {"c": "rows w=5 n=1\ne1 e1 2 2 2\n"}, "c: complement rows must be 012-rows"),
+            # the filter's method rule is judged on the built filter, after
+            # the file is read; a rule of the flags alone names no file
+            (["--method", "clause-012", "--complement", "c"], {"c": "rows w=5 n=1\n2 2 2 2 0\n"}, "c: this filter runs"),
+            (
+                ["--method", "clause-e", "--feasibility", "test12", "--complement", "c"],
+                {"c": "rows w=5 n=1\n2 2 2 2 0\n"},
+                "error: clause-e supports policies",
+            ),
         ],
     )
     def test_rejected_filter_request(self, flags, files, needle, phi2_file, tmp_path, capsys):

@@ -212,6 +212,9 @@ class TestDnfFormat:
         with pytest.raises(ValueError):
             parse_dnf("21\n021\n")
 
+    def test_blank_and_comment_lines_skipped(self):
+        assert parse_dnf("c two terms\n\n212\n  \nc x\n021\n") == parse_dnf("212\n021\n")
+
     def test_evaluate_dnf(self):
         dnf = parse_dnf("212\n021\n")
         for u in all_bitstrings(3):
@@ -227,6 +230,7 @@ class TestArgumentChecks:
             (lambda: Dnf(3, (Row012.full(2),)), "term width"),
             (lambda: parse_dnf("21x\n"), "strings over 0/1/2"),
             (lambda: parse_dnf(""), "empty DNF input"),
+            (lambda: Cnf(2, ((1, 3),)), "literal outside 1..num_vars"),
         ],
     )
     def test_rejected(self, call, match):

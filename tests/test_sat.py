@@ -134,6 +134,10 @@ class TestFeasibleSolver:
         assert find_model(row012("122"), cnf, solver=lambda c: [1, 0, 1]) == (1, 0, 1)
         assert find_model(row012("122"), cnf, solver=lambda c: None) is None
 
+    def test_a_plug_takes_no_cardinality_bound(self):
+        with pytest.raises(ValueError, match="a plugged solver takes no cardinality bound"):
+            solve_row(row012("122"), Cnf(3, ((1, 2),)), k=1, solver=lambda c: [1, 0, 0])
+
     def test_augmented_clauses_pinned(self, phi2):
         # a plug gets the formula's clauses, one unit per fixed variable in
         # increasing order, then one clause per e-bubble

@@ -5,7 +5,8 @@ the package may not use them to check anything.  Immutability comes only
 from ``@dataclass(frozen=True)``, never from hand-written attribute hooks.
 The engine dispatches on no filter class: it reads a filter's attributes,
 and every filter it defines records in ``__init__`` the width it was built
-for, which ``validate_config`` checks once per run.
+for, which ``validate_config`` checks once per run.  The CLI reads no
+filter's methods and no width, so those rules have no second home.
 A module imports no name it never uses, save the ones the benchmark's
 trace probes wrap on it, which its "unused here but stay" comment lists.
 An absent consumer hook is a None attribute, never a method that does
@@ -23,7 +24,7 @@ import typing
 from pathlib import Path
 
 import wildsat
-from wildsat import engine
+from wildsat import cli, engine
 
 SOURCES = sorted(Path(wildsat.__file__).parent.glob("*.py"))
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -147,6 +148,31 @@ def test_every_engine_filter_records_its_width():
         ]
     )
     assert _filters_without_a_width(ast.parse(probe), {"A", "B", "C", "D"}) == ["B", "C", "D"]
+
+
+def _reads(tree: ast.AST, attrs: set[str], allowed: set[str]) -> list[str]:
+    """``line expression`` for each read of an attribute named in
+    ``attrs``, save the expressions in ``allowed``."""
+    return [
+        f"{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in attrs
+        and ast.unparse(node) not in allowed
+    ]
+
+
+def test_the_cli_holds_no_engine_rule():
+    # validate_config judges a filter's methods and width against the run;
+    # a CLI that read either would hold a copy of the rule.  bench's
+    # --methods flag and equiv's "different variable counts" verdict are
+    # no filter rule
+    attrs, allowed = {"methods", "num_vars", "width"}, {"args.methods", "cnf_a.num_vars", "cnf_b.num_vars"}
+    path = Path(cli.__file__)
+    found = _reads(ast.parse(path.read_text(), filename=str(path)), attrs, allowed)
+    assert not found, f"cli.py reads engine rule attributes: {', '.join(found)}"
+    # the rule sees a read anywhere in a chain, and leaves a store alone
+    probe = "cls.methods\nif spmod.rows.width != 3: pass\nn = 2 * cnf.num_vars\nf.num_vars = 3\nargs.methods"
+    assert _reads(ast.parse(probe), attrs, allowed) == ["1 cls.methods", "2 spmod.rows.width", "3 cnf.num_vars"]
 
 
 def _unused_imports(tree: ast.AST) -> set[str]:
