@@ -22,6 +22,9 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name, value in (("w", self.w), ("h", self.h), ("lambda", self.lam)):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
         if self.w < 1:
             raise ValueError("w must be positive")
         if self.h < 0:

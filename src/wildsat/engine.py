@@ -98,9 +98,7 @@ class EngineObserver:
     the rows output so far; ``on_split(parent, parent_degree, sons,
     son_degrees)``; ``on_emit(row)``; ``on_harmful(row)``.  Each is None
     until a subclass or an instance sets it, and the driver never calls, or
-    builds a row for, a hook left None.  Setting ``on_pop`` or
-    ``on_split`` keeps the per-level order of the driver's pops and splits
-    (see ``_drive``).
+    builds a row for, a hook left None.
     """
 
     on_pop = on_split = on_emit = on_harmful = None
@@ -556,16 +554,13 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     here.  Pops (as pushes, per split) and hint hits are counted in local
     ints and written to ``stats`` when the loop returns.
 
-    A var-012 run with the built-in search, no screen, no
-    ``final_override`` and no ``on_pop`` or ``on_split`` walks: a popped
-    entry with witness m pins each variable from its degree up in one
-    inner loop.  The son that agrees with m takes the hint and is never
-    pushed; the other is searched from the hint's fixpoint.  Admitted
-    1-sons are pushed at once; then m's final and the admitted 0-sons,
-    shallowest on top.  That is the per-level loop's pop order, and a
-    walked level counts as one pop and one hint hit, so the rows and every
-    counter are the same.  Every other run keeps the per-level loop, the
-    only order a hook or a screen may see.
+    A var-012 run with the built-in search and no screen,
+    ``final_override`` or ``on_split`` walks a popped entry to a final in
+    one inner loop, level by level as the per-level loop would: the son
+    that the path's witness misses is searched from the witness's
+    fixpoint, the other takes the witness, and the path goes on through
+    the admitted 0-son, pushing the admitted 1-son, or else through the
+    1-son.
     """
     method, filt = config.method, config.spmod
     w, clauses, masks = cnf.num_vars, cnf.clauses, cnf.masks
@@ -588,8 +583,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     # a bitstring passed only by a weak screen may still miss the model set;
     # on a bitstring, settling every clause (final_e) means being a model
     check_model = var012 and config.policy != Policy.SOLVER and not exact
-    walk = var012 and search is search_from and screen is None and override is None
-    walk = walk and on_pop is None and on_split is None
+    walk = var012 and search is search_from and screen is None and override is None and on_split is None
 
     def finish(entry) -> list | None:
         """The output of a final entry; None when it holds no model."""
@@ -662,29 +656,28 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
                 out = [build(w, *entry)]
             elif deg == top:
                 out = finish(entry)
-            elif walk:  # the path to the witness m (see the docstring)
+            elif walk:  # down the levels to a final (see the docstring)
                 ones, zeros = entry
-                m, start = hint
-                held, base = [], len(stack)
-                for j in range(deg, top):
-                    bit = 1 << j
-                    if m & bit:
-                        wit = search_from(w, masks, ones, zeros | bit, start, k, stats)
-                        if wit is not None:
-                            held.append(((ones, zeros | bit), j + 1, wit, 0))
-                        ones |= bit
-                    else:
+                stats.solver_calls += top - deg  # a level searches one son
+                hint_hits += top - deg  # and the other takes the witness
+                for deg in range(deg + 1, top + 1):
+                    bit, (m, start) = 1 << deg - 1, hint
+                    if not m & bit:  # the 0-son keeps m, the 1-son is searched
                         wit = search_from(w, masks, ones | bit, zeros, start, k, stats)
                         if wit is not None:
-                            stack.append(((ones | bit, zeros), j + 1, wit, 0))
+                            stack.append(((ones | bit, zeros), deg, wit, 0))
                         zeros |= bit
-                stack.append(((ones, zeros), top, hint, 0))
-                stack.extend(reversed(held))
-                walked = top - deg
-                stats.solver_calls += walked
-                hint_hits += walked
-                pops += len(stack) - base + walked - 1  # the walked sons but the final were not pushed
-                continue
+                    elif (wit := search_from(w, masks, ones, zeros | bit, start, k, stats)) is None:
+                        ones |= bit  # the 1-son alone, with m
+                    else:  # the 0-son with its own witness, the 1-son pushed with m
+                        stack.append(((ones | bit, zeros), deg, hint, 0))
+                        zeros |= bit
+                        hint = wit
+                    pops += 1 if wit is None else 2  # the path's son, and the son pushed
+                    if on_pop is not None:
+                        on_pop(ones, zeros, deg, len(stack), len(finals))
+                entry = ones, zeros
+                out = finish(entry)
             elif var012:  # pin the lowest free variable, 0 first
                 ones, zeros = entry
                 bit = 1 << deg

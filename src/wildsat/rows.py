@@ -819,8 +819,7 @@ class RunStats:
     that is not exact), and ``weight_discards`` the subrows of final rows
     that a filter's ``refine_final`` dropped.  ``hint_hits`` (the sons that
     took their parent's witness in place of a search) and ``pops`` (the
-    stack entries the driver popped, a level of a witness walk counting as
-    one, so it equals an ``on_pop`` observer's count) are the driver's
+    entries the driver popped, one per ``on_pop`` call) are the driver's
     counts, which the command line does not print."""
 
     method: str = ""

@@ -43,10 +43,25 @@ class TestGen:
         with pytest.raises(ValueError):
             GenSpec(3, 1, 4)
 
-    @pytest.mark.parametrize("w, h, match", [(0, 1, "w must be positive"), (3, -1, "h must be non-negative")])
+    @pytest.mark.parametrize(
+        "w, h, match",
+        [
+            (0, 1, "w must be positive"),
+            (3, -1, "h must be non-negative"),
+            (3.0, 1, "w must be an integer"),
+            (True, 1, "w must be an integer"),
+            (3, 1.0, "h must be an integer"),
+            (3, True, "h must be an integer"),
+        ],
+    )
     def test_size_validation(self, w, h, match):
         with pytest.raises(ValueError, match=match):
             GenSpec(w, h, 1)
+
+    @pytest.mark.parametrize("lam", [1.0, True, "1"])
+    def test_lambda_must_be_an_integer(self, lam):
+        with pytest.raises(ValueError, match="lambda must be an integer"):
+            GenSpec(3, 1, lam)
 
     def test_can_hit_the_one_clause_target(self):
         # some seed produces exactly the clause (x2 or not-x6) over 9 vars

@@ -625,51 +625,41 @@ class Test012RowsAtTheBoundary:
 
 class TestWitnessWalk:
     """A var-012 run with the built-in search, no screen, no override and
-    no ``on_pop`` or ``on_split`` walks a popped entry's path to its
-    witness in one loop; setting ``on_pop`` keeps the per-level loop.  Both
-    give the same rows in the same order and the same counters."""
+    no ``on_split`` walks a popped entry's levels in one inner loop, in the
+    per-level loop's order; setting ``on_split`` keeps the per-level loop.
+    Both make the same searches and give the same rows and counters."""
 
-    class PopCounter(EngineObserver):
+    class PopLog(EngineObserver):
         def __init__(self):
-            self.pops = 0
+            self.popped = []
 
         def on_pop(self, row, degree, depth, emitted):
-            self.pops += 1
+            self.popped.append((str(row), degree, depth, emitted))
 
     @staticmethod
     def counters(out):
         st = out.stats
         return st.solver_calls, st.decisions, st.propagations, st.conflicts, st.hint_hits, st.pops
 
-    def test_the_walk_matches_the_per_level_loop(self):
-        rng = random.Random(30)
-        cnfs = [
+    @staticmethod
+    def cnfs(seed):
+        rng = random.Random(seed)
+        return [
             random_cnf(rng, w, rng.randint(0, 2 * w), rng.randint(1, min(3, w)), positive)
             for positive in (False, True)
             for w in range(1, 11)
             for _ in range(3)
         ]
-        walked = 0
-        for cnf in cnfs:
-            w = cnf.num_vars
-            configs = [EngineConfig(method=Method.VAR012, policy=Policy.SOLVER)]
-            configs += [EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(cnf, k)) for k in range(w + 1)]
-            for config in configs:
-                plain = run(cnf, config)
-                obs = self.PopCounter()
-                per_level = run(cnf, replace(config, observer=obs))
-                assert format_rows(plain) == format_rows(per_level)
-                assert self.counters(plain) == self.counters(per_level)
-                assert plain.stats.pops == obs.pops
-                walked += len(plain.rows) > 1
-        assert walked > 100
 
-    @pytest.mark.parametrize("observer", [None, "on_pop", "on_split"])
-    def test_a_held_back_son_and_a_one_level_walk(self, monkeypatch, observer):
-        # x1 or x2: the root's witness is 10, so its first walked bit is 1
-        # and the 0-son x1=0 is held back; popped one level above its final,
-        # it walks one level.  The walk searches 11 before the held-back
-        # son's 0-son 00; the per-level loop searches 00 first.
+    @staticmethod
+    def configs(cnf):
+        configs = [EngineConfig(method=Method.VAR012, policy=Policy.SOLVER)]
+        return configs + [
+            EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(cnf, k)) for k in range(cnf.num_vars + 1)
+        ]
+
+    @staticmethod
+    def recorder(monkeypatch):
         searched, search = [], wildsat.engine.search_from
 
         def recording(w, masks, ones, zeros, *rest):
@@ -677,15 +667,60 @@ class TestWitnessWalk:
             return search(w, masks, ones, zeros, *rest)
 
         monkeypatch.setattr(wildsat.engine, "search_from", recording)
+        return searched
+
+    @staticmethod
+    def splits():
+        obs = EngineObserver()
+        obs.on_split = lambda *args: None
+        return obs
+
+    def test_the_walk_matches_the_per_level_loop(self):
+        walked = 0
+        for cnf in self.cnfs(30):
+            for config in self.configs(cnf):
+                plain = run(cnf, config)
+                reference = self.PopLog()  # on_split keeps the per-level loop
+                reference.on_split = lambda *args: None
+                per_level = run(cnf, replace(config, observer=reference))
+                obs = self.PopLog()
+                popped = run(cnf, replace(config, observer=obs))
+                for out in (per_level, popped):
+                    assert format_rows(plain) == format_rows(out)
+                    assert self.counters(plain) == self.counters(out)
+                assert obs.popped == reference.popped
+                assert plain.stats.pops == len(obs.popped)
+                walked += len(plain.rows) > 1
+        assert walked > 100
+
+    def test_the_walk_makes_the_per_level_searches(self, monkeypatch):
+        searched = self.recorder(monkeypatch)
+        walked = 0
+        for cnf in self.cnfs(33):
+            for config in self.configs(cnf):
+                calls = []
+                for obs in (None, self.PopLog(), self.splits()):
+                    run(cnf, replace(config, observer=obs))
+                    calls.append(searched[:])
+                    searched.clear()
+                assert calls[0] == calls[1] == calls[2]
+                walked += len(calls[0]) > 2
+        assert walked > 100
+
+    @pytest.mark.parametrize("observer", [None, "on_pop", "on_split"])
+    def test_a_zero_son_with_its_own_witness_takes_the_path(self, monkeypatch, observer):
+        # x1 or x2: the root's witness is 10, so the 0-son x1=0 is searched;
+        # admitted with witness 01, it takes the path and x1=1 is pushed
+        # with 10.  The path searches 00 before the pushed son searches 11
+        searched = self.recorder(monkeypatch)
         obs = EngineObserver()
         if observer is not None:
             setattr(obs, observer, lambda *args: None)
         out = run(Cnf(2, (Clause((1, 2)),)), EngineConfig(method=Method.VAR012, observer=obs))
         assert [str(row) for row in out.rows] == ["01", "10", "11"]
-        walk_order = [(0, 0), (0, 0b01), (0b11, 0), (0, 0b11)]
-        per_level = [(0, 0), (0, 0b01), (0, 0b11), (0b11, 0)]
-        assert searched == (walk_order if observer is None else per_level)
-        # root, 0-son, 01 and the walked 1-son, 10 and the searched 11
+        assert searched == [(0, 0), (0, 0b01), (0, 0b11), (0b11, 0)]
+        # searched: the root, x1=0, 00 and 11; x1=1, 01 and 10 take a
+        # witness; the six admitted entries are popped
         assert (out.stats.solver_calls, out.stats.hint_hits, out.stats.pops) == (4, 3, 6)
 
 
