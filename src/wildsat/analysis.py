@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .formulas import _check_k
 from .rows import (
     Row012,
     Row012e,
@@ -29,6 +30,8 @@ class CountPolynomial:
     coefficients: tuple[int, ...]
 
     def count(self, k: int) -> int:
+        """The number of models with k ones; k must be an int in 0..w."""
+        _check_k(k, len(self.coefficients) - 1)
         return self.coefficients[k]
 
     def total(self) -> int:

@@ -21,9 +21,8 @@ a 012 entry is (ones, zeros), a clause-e entry (ones, bubbles), split by
 ``rows.impose_masks``.  It takes degrees straight from the masks, runs
 the built-in search on a 012-son's masks (``sat.search_from``) and tests
 the hint on them.  A clause-012 entry carries the mask of the clauses
-its row settles, whose lowest zero bit is its degree.  A filter's
-``admit`` and ``final_override`` read a 012 entry's masks.  A row is
-built only for output and for a consumer that reads rows (a weak test, a
+its row settles, whose lowest zero bit is its degree.  A row is built
+only for output and for a consumer that reads rows (a weak test, a
 plugged solver's or clause-e's ``sat.solve_row``, an observer hook that
 is set), through one adapter, ``_on_row``.  Candidate sons are screened
 by a feasibility policy (perfect solver check, the weak tests, or none)
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .formulas import Clause, Cnf, Dnf, evaluate
+from .formulas import Clause, Cnf, Dnf, _check_k, evaluate
 from .rows import (
     Row012,
     Row012e,
@@ -64,7 +63,6 @@ from .rows import (
 from .sat import (
     SolverFn,
     dpll_sat,
-    final_e,
     find_k_model,
     first_unsettled,
     find_model,
@@ -116,19 +114,20 @@ class EngineConfig:
 class SpModFilter:
     """Restriction of the enumeration to a special subset of the models.
 
-    Filters run on 012-rows.  ``admit(ones, zeros)`` gets a candidate's
-    variable masks (a ``Row012``'s fields) and answers a bool, False only
-    when the row misses the special set.  ``exact`` marks the answer
-    perfect, in which case the filter replaces the feasibility policy;
-    otherwise it screens in front of the policy.  ``methods`` lists the
-    methods the filter runs with.  An exact filter whose special models are
-    the models with k ones may name k as ``cardinality``: the driver then
-    runs the built-in k-search on a son's masks (``sat.search_from``) in
-    place of ``admit``.  ``final_override(ones, zeros)`` (True makes the
-    popped row final now, None defers to the mechanism) and
-    ``refine_final(row)`` (the output rows of a final ``Row012`` and the
-    number of subrows dropped; else the row itself) are optional.
-    ``num_vars`` is the width the filter was built for, None when unchecked.
+    Filters run on 012-rows, and every hook reads a 012 entry's ``(ones,
+    zeros)`` masks.  ``admit(ones, zeros)`` answers a bool, False only when
+    the entry misses the special set.  ``exact`` marks the answer perfect,
+    in which case the filter replaces the feasibility policy; otherwise it
+    screens in front of the policy.  ``methods`` lists the methods the
+    filter runs with.  An exact filter whose special models are the models
+    with k ones may name k as ``cardinality``: the driver then runs the
+    built-in k-search on a son's masks (``sat.search_from``) in place of
+    ``admit``, and refuses a final of another weight.
+    ``final_override(ones, zeros)`` (True makes the popped entry final now,
+    None defers to the mechanism) and ``refine_final(ones, zeros)`` (the
+    masks of a final's output rows and the number of subrows dropped) are
+    optional.  ``num_vars`` is the width the filter was built for, None
+    when unchecked.
 
     Each hook is None until a subclass sets it, and the driver never calls
     one left None.  ``validate_config`` rejects, before the run, a filter
@@ -143,14 +142,6 @@ class SpModFilter:
     admit = final_override = refine_final = None
 
 
-def _check_k(k: int, num_vars: int) -> None:
-    """Reject a cardinality that is not an int in 0..num_vars (a bool too)."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValueError("k must be an integer")
-    if not 0 <= k <= num_vars:
-        raise ValueError("k must lie in [0, num_vars]")
-
-
 class CardinalityFilter(SpModFilter):
     """Keep only models with exactly k ones (perfect, solver-backed)."""
 
@@ -160,13 +151,6 @@ class CardinalityFilter(SpModFilter):
         _check_k(k, cnf.num_vars)
         self.cnf, self.num_vars = cnf, cnf.num_vars
         self.cardinality = k
-
-    def refine_final(self, row: Row012) -> tuple[list[Row012], int]:
-        """The final bitstring itself; it must have weight k."""
-        ones = row.ones.bit_count()
-        if ones != self.cardinality:
-            raise RuntimeError(f"cardinality filter admitted a row of weight {ones}, not {self.cardinality}")
-        return [row], 0
 
 
 class DnfKFilter(SpModFilter):
@@ -266,8 +250,10 @@ class WeightFilter(SpModFilter):
     methods = (Method.VAR012, Method.CLAUSE012)
 
     def __init__(self, slot_weights: Sequence[int], bound: int):
-        if any(w < 0 for w in slot_weights):
-            raise ValueError("weights must be non-negative")
+        # a bool is no weight, and a weight or bound of another type would
+        # fail only at the root's admit
+        if any(type(x) is not int for x in (*slot_weights, bound)) or min(slot_weights, default=0) < 0:
+            raise ValueError("weights must be non-negative integers, and the bound an integer")
         if len(slot_weights) % 2:
             raise ValueError("need one weight per literal slot (2w values)")
         self.weights, self.num_vars = tuple(slot_weights), len(slot_weights) // 2
@@ -285,21 +271,24 @@ class WeightFilter(SpModFilter):
     def admit(self, ones: int, zeros: int) -> bool:
         return self._weight(ones, zeros, self._min) <= self.bound
 
-    def refine_final(self, row: Row012) -> tuple[list[Row012], int]:
-        """Disjoint subrows holding exactly the members within the bound,
-        plus the number of discarded subrows."""
-        kept: list[Row012] = []
+    def refine_final(self, ones: int, zeros: int) -> tuple[list[tuple[int, int]], int]:
+        """The masks of disjoint subrows holding exactly the members within
+        the bound, plus the number of discarded subrows.  An entry whose
+        dearest member is over the bound splits at its lowest free bit,
+        0-son first."""
+        kept: list[tuple[int, int]] = []
         discards = 0
-        stack = [row]
+        stack = [(ones, zeros)]
         while stack:
-            r = stack.pop()
-            if not self.admit(r.ones, r.zeros):
+            ones, zeros = stack.pop()
+            if not self.admit(ones, zeros):
                 discards += 1
-                continue
-            if self._weight(r.ones, r.zeros, self._max) <= self.bound:
-                kept.append(r)
-                continue
-            stack.extend(reversed(varwise_split(r)))
+            elif self._weight(ones, zeros, self._max) <= self.bound:
+                kept.append((ones, zeros))
+            else:  # a bitstring's cheapest member is its dearest, so a free bit is left
+                fixed = ones | zeros
+                bit = (fixed + 1) & ~fixed
+                stack += (ones | bit, zeros), (ones, zeros | bit)
         return kept, discards
 
 
@@ -352,16 +341,6 @@ def varwise_degree(row: Row012) -> int:
     """
     fixed = row.ones | row.zeros
     return ((fixed + 1) & ~fixed).bit_length() - 1
-
-
-def varwise_split(row: Row012) -> list[Row012]:
-    """Pin the first don't-care (the lowest free bit) to 0 and to 1."""
-    free = row.twos
-    if not free:
-        raise ValueError("cannot split a bitstring row")
-    w, ones, zeros = row.width, row.ones, row.zeros
-    bit = free & -free
-    return [_row012(w, ones, zeros | bit), _row012(w, ones | bit, zeros)]
 
 
 def clausewise012_split(row: Row012, clause: Clause) -> list[Row012]:
@@ -538,21 +517,9 @@ def _observer_hooks(obs: EngineObserver | None, build, w: int) -> tuple:
 
 
 def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
-    """The LIFO driver of var-012, clause-012 and clause-e.
-
-    A row is final at degree ``top``: w for var-012, h for the clause-wise
-    methods, whose degree is pending clause - 1.  var-012 pins the lowest
-    free variable, 0 first.  clause-012 raises the staircase over the
-    pending clause's free literals in ``Clause.lits`` order; a son's
-    settled-clause mask is its parent's ORed with the clauses that hold the
-    son's true literal and the mates of the earlier free ones (from the
-    occurrence index of the literal slots, built once per run).  clause-e
-    scans ``cnf.slot_masks`` from the parent's pending clause for a son's
-    degree.  ``varwise_split``, ``varwise_degree``, ``clausewise012_split``,
-    ``clausewise_e_split`` and ``pending_clause`` are the reference steps.
-    The filter's bound and hooks and the observer's hooks are read once,
-    here.  Pops (as pushes, per split) and hint hits are counted in local
-    ints and written to ``stats`` when the loop returns.
+    """The LIFO driver of var-012, clause-012 and clause-e.  Pops (as
+    pushes, per split) and hint hits are counted in local ints and written
+    to ``stats`` when the loop returns.
 
     A var-012 run with the built-in search and no screen,
     ``final_override`` or ``on_split`` walks a popped entry to a final in
@@ -581,7 +548,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
         steps = [tuple((1 << (s >> 1), s & 1, occ[s], occ[s ^ 1]) for s in c.slots) for c in clauses]
 
     # a bitstring passed only by a weak screen may still miss the model set;
-    # on a bitstring, settling every clause (final_e) means being a model
+    # on a bitstring, settling every clause (sat.final_e) means being a model
     check_model = var012 and config.policy != Policy.SOLVER and not exact
     walk = var012 and search is search_from and screen is None and override is None and on_split is None
 
@@ -589,14 +556,16 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
         """The output of a final entry; None when it holds no model."""
         if clause_e:
             return _purify(w, *entry)
-        row = build(w, *entry)
-        if check_model and not final_e(row, cnf):
+        ones, zeros = entry
+        if check_model and not all(pos & ones or neg & zeros for pos, neg in masks):
             return None
+        if k is not None and ones.bit_count() != k:
+            raise RuntimeError(f"the k-search admitted a final of weight {ones.bit_count()}, not {k}")
         if refine is None:
-            return [row]
-        kept, discards = refine(row)
+            return [build(w, ones, zeros)]
+        kept, discards = refine(ones, zeros)
         stats.weight_discards += discards
-        return kept
+        return [build(w, *son) for son in kept]
 
     def delete(entry) -> None:
         stats.harmful_deletions += 1

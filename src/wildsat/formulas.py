@@ -144,6 +144,14 @@ def weight(u: Sequence[int]) -> int:
     return sum(u)
 
 
+def _check_k(k: int, num_vars: int) -> None:
+    """Reject a cardinality that is not an int in 0..num_vars (a bool too)."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError("k must be an integer")
+    if not 0 <= k <= num_vars:
+        raise ValueError("k must lie in [0, num_vars]")
+
+
 def evaluate(cnf: Cnf, u: Sequence[int]) -> bool:
     """True iff every clause has a literal satisfied by the bitstring."""
     if len(u) != cnf.num_vars:

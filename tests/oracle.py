@@ -525,6 +525,46 @@ def intersect_e(r: Row012e, rho: Row012e) -> list[Row012e]:
     return work
 
 
+def varwise_split(row: Row012) -> list[Row012]:
+    """Pin the first don't-care (the lowest free bit) to 0 and to 1."""
+    free = row.twos
+    if not free:
+        raise ValueError("cannot split a bitstring row")
+    w, ones, zeros = row.width, row.ones, row.zeros
+    bit = free & -free
+    return [_row012(w, ones, zeros | bit), _row012(w, ones | bit, zeros)]
+
+
+def ref_weight(weights, row: Row012, pick) -> int:
+    """The weight of the row's member that ``pick`` (min or max) chooses
+    for each free variable, summed by a plain loop over the slot weights:
+    slot 2i is variable i+1 set to 1, slot 2i+1 the variable set to 0."""
+    total = 0
+    for i in range(row.width):
+        v = row.value(i + 1)
+        total += pick(weights[2 * i : 2 * i + 2]) if v == 2 else weights[2 * i + 1 - v]
+    return total
+
+
+def ref_refine_final(weights, bound: int, row: Row012) -> tuple[list[Row012], int]:
+    """``WeightFilter.refine_final`` on rows: a subrow whose cheapest
+    member is over the bound is discarded, one whose dearest member is
+    within it is kept, and any other splits by ``varwise_split``, 0-son
+    first.  Returns the kept subrows and the number of discarded ones."""
+    kept: list[Row012] = []
+    discards = 0
+    stack = [row]
+    while stack:
+        r = stack.pop()
+        if ref_weight(weights, r, min) > bound:
+            discards += 1
+        elif ref_weight(weights, r, max) <= bound:
+            kept.append(r)
+        else:
+            stack.extend(reversed(varwise_split(r)))
+    return kept, discards
+
+
 def pick_model(row: Row012e) -> tuple[int, ...]:
     """A canonical member of a purified row: every bubble slot asserts its
     literal, free variables go to 0."""

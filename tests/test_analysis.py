@@ -61,6 +61,13 @@ class TestCountByCardinality:
     def test_count_reads_one_coefficient(self):
         poly = count_by_cardinality(RowList(3, (row012("212"),)))
         assert [poly.count(k) for k in range(4)] == [0, 1, 2, 1]
+        # -1 would read the weight-3 count, 4 run off the end
+        for k in (-1, 4, 9):
+            with pytest.raises(ValueError, match="k must lie"):
+                poly.count(k)
+        for k in (1.0, True, "1", None):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                poly.count(k)
 
     def test_eq11_profile(self):
         # tallying the six models by hand: weights 2,3,4,5,3,4

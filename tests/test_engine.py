@@ -19,6 +19,7 @@ from oracle import (
     index_of,
     random_cnf,
     row_mask,
+    varwise_split,
     weight_mask,
 )
 import wildsat.engine
@@ -42,7 +43,6 @@ from wildsat.engine import (
     run,
     validate_config,
     varwise_degree,
-    varwise_split,
 )
 from wildsat.formulas import Clause, Cnf, Dnf
 from wildsat.rows import Row012, Row012e, RowList, format_rows, impose_on_slots, purify

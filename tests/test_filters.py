@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wildsat.engine
 from conftest import row012
@@ -17,6 +19,8 @@ from oracle import (
     overlap_scan,
     random_cnf,
     random_row012,
+    ref_refine_final,
+    ref_weight,
     row_mask,
     rows_mask,
 )
@@ -39,6 +43,21 @@ from wildsat.engine import (
 )
 from wildsat.formulas import Clause, Cnf, Dnf, weight
 from wildsat.rows import Row012, Row012e, RowList, RunStats, _row012
+
+
+@st.composite
+def weight_finals(draw):
+    """A width of 0 to 20, slot weights, an entry's masks and a bound from
+    one below the entry's cheapest member to its dearest.  At most 10
+    variables are free, which bounds the subrows the split visits."""
+    w = draw(st.integers(0, 20))
+    weights = draw(st.lists(st.integers(0, 4), min_size=2 * w, max_size=2 * w))
+    free = sum(1 << v for v in draw(st.sets(st.integers(0, w - 1), max_size=10))) if w else 0
+    ones = draw(st.integers(0, (1 << w) - 1)) & ~free
+    zeros = (1 << w) - 1 ^ free ^ ones
+    row = _row012(w, ones, zeros)
+    bound = draw(st.integers(ref_weight(weights, row, min) - 1, ref_weight(weights, row, max)))
+    return w, weights, bound, ones, zeros
 
 
 def _models(cnf):
@@ -185,6 +204,17 @@ class TestWeightFilter:
                     assert u not in got, "overlapping members"
                     got.add(u)
             assert got == expected
+
+    @given(weight_finals())
+    @settings(max_examples=200, deadline=None)
+    def test_refine_final_matches_the_row_reference(self, final):
+        # the masks version keeps the same subrows, in the same order, and
+        # drops as many as the row-based split it replaced
+        w, weights, bound, ones, zeros = final
+        kept, discards = WeightFilter(weights, bound).refine_final(ones, zeros)
+        ref_kept, ref_discards = ref_refine_final(weights, bound, _row012(w, ones, zeros))
+        assert kept == [(r.ones, r.zeros) for r in ref_kept]
+        assert discards == ref_discards
 
 
 class TestDnfK:
@@ -424,19 +454,26 @@ class TestRowBuilds:
     """A filter reads a candidate's masks, so a filtered run builds a row
     only for its output."""
 
-    @pytest.mark.parametrize("kind", ["complement", "dnf-k"])
+    @pytest.mark.parametrize("kind", ["complement", "dnf-k", "weight"])
     def test_one_row_per_output_row(self, monkeypatch, kind):
         if kind == "complement":
             comp = run(gen_random_cnf(GenSpec(12, 20, 3, seed=3)), EngineConfig(method=Method.CLAUSE012))
             enumerate_rows = lambda: enumerate_from_complement(comp)
-        else:
+        elif kind == "dnf-k":
             dnf = Dnf(6, (row012("122202"), row012("202121"), row012("022222")))
             enumerate_rows = lambda: enumerate_dnf_k(dnf, 3)
+        else:
+            # at most 5 ones: refine_final splits the finals that hold heavier members
+            cnf = gen_random_cnf(GenSpec(12, 20, 3, seed=3))
+            config = EngineConfig(method=Method.CLAUSE012, spmod=WeightFilter([1, 0] * 12, 5))
+            enumerate_rows = lambda: run(cnf, config)
         built, build = [], wildsat.engine._row012
         monkeypatch.setattr(wildsat.engine, "_row012", lambda *args: built.append(args) or build(*args))
         out = enumerate_rows()
         assert len(out) > 10
         assert len(built) == len(out)
+        if kind == "weight":  # a dropped subrow means a final was split
+            assert out.stats.weight_discards > 0
 
 
 class TestArgumentChecks:
@@ -447,6 +484,11 @@ class TestArgumentChecks:
             (lambda: DnfKFilter(Dnf(2, ()), -1), "k must lie"),
             (lambda: WeightFilter([1, -1], 0), "non-negative"),
             (lambda: WeightFilter([1, 1, 1], 0), "2w values"),
+            (lambda: WeightFilter([1, 1], None), "integer"),
+            (lambda: WeightFilter([1, 1], "3"), "integer"),
+            (lambda: WeightFilter([1, 1], 2.0), "integer"),
+            (lambda: WeightFilter(["1", 1], 3), "integer"),
+            (lambda: WeightFilter([True, 1], 3), "integer"),
             (lambda: ComplementFilter(RowList(2, (Row012e.full(2),))), "012-rows"),
         ],
     )

@@ -19,8 +19,9 @@ from oracle import (
     random_row012e,
     ref_k_search,
     row_mask,
+    varwise_split,
 )
-from wildsat.engine import clausewise012_split, clausewise_e_split, varwise_split
+from wildsat.engine import clausewise012_split, clausewise_e_split
 from wildsat.formulas import Clause, Cnf, evaluate, weight
 from wildsat.rows import Row012, Row012e, RunStats, _var_masks, slot_of_lit
 from wildsat.sat import test1 as weak_test1

@@ -5,7 +5,8 @@ the package may not use them to check anything.  Immutability comes only
 from ``@dataclass(frozen=True)``, never from hand-written attribute hooks.
 The engine dispatches on no filter class: it reads a filter's attributes,
 and every filter it defines records in ``__init__`` the width it was built
-for, which ``validate_config`` checks once per run.  The CLI reads no
+for, which ``validate_config`` checks once per run; every hook it defines
+takes a 012 entry's ``(ones, zeros)`` masks.  The CLI reads no
 filter's methods and no width, so those rules have no second home.
 A module imports no name it never uses, save the ones the benchmark's
 trace probes wrap on it, which its "unused here but stay" comment lists.
@@ -245,6 +246,49 @@ def test_every_annotation_resolves():
             checked.append(obj.__qualname__)
     assert {"run_bench", "EngineConfig", "Row012.contains", "search_from"} <= set(checked)  # the scan is not empty
     assert not failed, "; ".join(failed)
+
+
+def _filter_hooks(tree: ast.AST) -> dict[str, str]:
+    """``Class.hook`` to its parameters, unannotated, for each ``admit``,
+    ``final_override`` and ``refine_final`` a class defines."""
+    hooks = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name in ("admit", "final_override", "refine_final"):
+                    for arg in ast.walk(fn.args):
+                        if isinstance(arg, ast.arg):
+                            arg.annotation = None
+                    hooks[f"{node.name}.{fn.name}"] = ast.unparse(fn.args)
+    return hooks
+
+
+def test_every_filter_hook_reads_masks():
+    # the driver hands every filter hook a 012 entry's two masks, never a row
+    path = Path(engine.__file__)
+    hooks = _filter_hooks(ast.parse(path.read_text(), filename=str(path)))
+    assert {"DnfKFilter.admit", "ComplementFilter.final_override", "WeightFilter.refine_final"} <= set(hooks)
+    wrong = [f"{name}({params})" for name, params in hooks.items() if params != "self, ones, zeros"]
+    assert not wrong, f"engine.py filter hooks that take no (ones, zeros) masks: {', '.join(wrong)}"
+    # the driver checks a k-search final's weight, so the cardinality filter is data alone
+    assert not [name for name in hooks if name.startswith("CardinalityFilter.")]
+    # the scan reads each hook's parameters, annotated or starred, and
+    # leaves other methods alone
+    probe = "\n".join(
+        [
+            "class A(SpModFilter):",
+            "    def admit(self, ones: int, zeros: int) -> bool: ...",
+            "    def refine_final(self, row): ...",
+            "class B(SpModFilter):",
+            "    def final_override(self, *masks): ...",
+            "    def split(self, row): ...",
+        ]
+    )
+    assert _filter_hooks(ast.parse(probe)) == {
+        "A.admit": "self, ones, zeros",
+        "A.refine_final": "self, row",
+        "B.final_override": "self, *masks",
+    }
 
 
 def _empty_methods(tree: ast.AST) -> list[str]:
