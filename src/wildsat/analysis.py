@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 from .formulas import _check_k
 from .rows import (
-    Row012,
-    Row012e,
     RowList,
     _bit_index,
     _card,
@@ -16,11 +14,12 @@ from .rows import (
     _gather,
     _intersection_card,
     _mates,
-    purify,
+    _purify,
+    _spread,
 )
-# intersection_card_ie is unused here but stays: perfbench's trace probes
-# wrap this name
-from .rows import intersection_card_ie
+# intersection_card_ie and purify are unused here but stay: perfbench's
+# trace probes wrap these names
+from .rows import intersection_card_ie, purify
 
 
 @dataclass(frozen=True)
@@ -51,17 +50,16 @@ class EquivalenceResult:
         return self.equal
 
 
-def _purified(rows: RowList) -> list[tuple[int, Row012e]]:
-    """Purified e-row pieces tagged with their originating row index.
-    Raises ValueError when a row is not as wide as its list."""
-    out = []
-    for i, row in enumerate(rows.rows):
-        if row.width != rows.width:
-            raise ValueError("row widths differ")
-        if isinstance(row, Row012):
-            row = Row012e.from_row012(row)
-        for piece in purify(row):
-            out.append((i, piece))
+def _purified(rows: RowList) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The purified pieces of a list's rows as ``(row index, ones,
+    bubbles)``: a 012-row's masks spread to slots, an e-row's cut by
+    ``_purify``.  Raises ValueError when a row is not as wide as its list."""
+    w, out = rows.width, []
+    for i, (ones, rest) in enumerate(rows.masks):
+        if type(rest) is int:
+            out.append((i, _spread(ones) | _spread(rest) << 1, ()))
+        else:
+            out.extend((i, *piece) for piece in _purify(w, ones, rest))
     return out
 
 
@@ -82,23 +80,23 @@ def _binomials(n: int) -> list[int]:
     return row
 
 
-def _row_polynomial(piece: Row012e) -> list[int]:
-    """Generating polynomial of a purified row: coefficient of x^k counts the
-    members with k ones.
+def _row_polynomial(width: int, ones: int, bubbles: tuple[int, ...]) -> list[int]:
+    """Generating polynomial of a purified row's masks: coefficient of x^k
+    counts the members with k ones.
 
     Fixed-one variables contribute a factor x, free variables (1+x).  A
     bubble contributes its full slot-assignment product minus the all-zero
     assignment; a positive slot at 1 adds an x, a negative slot at 0 does
     (the variable is then 1), so the subtracted term is x^(negative slots).
     """
-    even = _evens(piece.width)  # the positive slots
+    even = _evens(width)  # the positive slots
     poly = [1]
-    fixed_ones = (piece.ones & even).bit_count()
+    fixed_ones = (ones & even).bit_count()
     poly = _poly_mul(poly, [0] * fixed_ones + [1]) if fixed_ones else poly
-    free = piece.free_count
+    free = width - ones.bit_count() - sum(b.bit_count() for b in bubbles)  # one slot per set variable
     if free:
         poly = _poly_mul(poly, _binomials(free))
-    for b in piece.bubble_masks:
+    for b in bubbles:
         factor = _binomials(b.bit_count())
         factor[(b & ~even).bit_count()] -= 1
         poly = _poly_mul(poly, factor)
@@ -109,8 +107,8 @@ def count_by_cardinality(rows: RowList) -> CountPolynomial:
     """Model counts split by cardinality, summed over (purified) rows."""
     w = rows.width
     coeff = [0] * (w + 1)
-    for _, piece in _purified(rows):
-        for k, c in enumerate(_row_polynomial(piece)):
+    for _, ones, bubbles in _purified(rows):
+        for k, c in enumerate(_row_polynomial(w, ones, bubbles)):
             coeff[k] += c
     return CountPolynomial(tuple(coeff))
 
@@ -129,7 +127,7 @@ def equivalent(rows_a: RowList, rows_b: RowList) -> EquivalenceResult:
     ``1 2``, ``1 2`` reads equal.
 
     Each purified piece's masks are read once, and its cardinality comes
-    from ``_card`` without a second purity test: ``purify`` output is
+    from ``_card`` without a second purity test: ``_purify`` output is
     purified by construction.  The second list's pieces are indexed once by
     their 1-slots.  A piece of the second list that holds 1 on a 0-slot of
     a piece of the first misses it, so only the other pieces go to
@@ -138,8 +136,8 @@ def equivalent(rows_a: RowList, rows_b: RowList) -> EquivalenceResult:
     if rows_a.width != rows_b.width:
         raise ValueError("row lists have different widths")
     w = rows_a.width
-    pa = [(i, p.ones, p.bubble_masks) for i, p in _purified(rows_a)]
-    pb = [(q.ones, q.bubble_masks) for _, q in _purified(rows_b)]
+    pa = _purified(rows_a)
+    pb = [(ones, bubbles) for _, ones, bubbles in _purified(rows_b)]
     cards = [_card(w, ones, bubbles) for _, ones, bubbles in pa]
     na = sum(cards)
     nb = sum(_card(w, ones, bubbles) for ones, bubbles in pb)

@@ -21,12 +21,13 @@ a 012 entry is (ones, zeros), a clause-e entry (ones, bubbles), split by
 ``rows.impose_masks``.  It takes degrees straight from the masks, runs
 the built-in search on a 012-son's masks (``sat.search_from``) and tests
 the hint on them.  A clause-012 entry carries the mask of the clauses
-its row settles, whose lowest zero bit is its degree.  A row is built
-only for output and for a consumer that reads rows (a weak test, a
-plugged solver's or clause-e's ``sat.solve_row``, an observer hook that
-is set), through one adapter, ``_on_row``.  Candidate sons are screened
-by a feasibility policy (perfect solver check, the weak tests, or none)
-and by the filter, if any.  With a weak policy an infeasible row can enter the
+its row settles, whose lowest zero bit is its degree.  Finals leave as
+masks, from which ``run`` makes its ``RowList``; the driver builds a row
+only for a consumer that reads one (a weak test, a plugged solver's or
+clause-e's ``sat.solve_row``, an observer hook that is set), through one
+adapter, ``_on_row``.  Candidate sons are screened by a feasibility
+policy (perfect solver check, the weak tests, or none) and by the
+filter, if any.  With a weak policy an infeasible row can enter the
 stack; it is unmasked only when none of its candidate sons is admitted
 (or, for var-012, when it is a bitstring that is no model), and its
 removal then counts as a harmful deletion.
@@ -48,9 +49,11 @@ from .rows import (
     RunStats,
     _bit_index,
     _gather,
+    _pack,
     _purify,
     _row012,
     _row012e,
+    _row_list,
     _slots_of,
     _spread,
     _totals,
@@ -194,19 +197,16 @@ class ComplementFilter(SpModFilter):
     exact = True
 
     def __init__(self, complement_rows: RowList):
-        w, rows = complement_rows.width, complement_rows.rows
-        for r in rows:
-            if not isinstance(r, Row012):
-                raise ValueError("complement rows must be 012-rows")
-            if r.width != w:
-                raise ValueError("row widths differ")
+        w, masks = complement_rows.width, complement_rows.masks
+        if any(type(zeros) is not int for _, zeros in masks):
+            raise ValueError("complement rows must be 012-rows")
         self.rows, self.num_vars = complement_rows, w
-        self._fixed = [r.ones | r.zeros for r in rows]
+        self._fixed = [ones | zeros for ones, zeros in masks]
         # bit v of a key clashes with a 1 at variable v, bit w + v with a 0
-        self._clash = _bit_index((r.zeros | r.ones << w for r in rows), 2 * w)
-        self._every = (1 << len(rows)) - 1
-        for i, r in enumerate(rows):
-            if _gather(self._clash, r.ones | r.zeros << w) | 1 << i != self._every:
+        self._clash = _bit_index((zeros | ones << w for ones, zeros in masks), 2 * w)
+        self._every = (1 << len(masks)) - 1
+        for i, (ones, zeros) in enumerate(masks):
+            if _gather(self._clash, ones | zeros << w) | 1 << i != self._every:
                 raise ValueError(f"complement rows overlap: row {i + 1} shares members with a later row")
         self._overlaps: dict[tuple[int, int], int] = {}
 
@@ -392,17 +392,15 @@ def run(cnf: Cnf, config: EngineConfig | None = None) -> RowList:
     validate_config(cnf, config)
     t0 = time.perf_counter()
     stats = RunStats(method=config.method.value, policy=config.policy.value)
-    rows = _scan_rows(cnf) if config.method == Method.SCAN else _drive(cnf, config, stats)
+    finals = _scan_rows(cnf) if config.method == Method.SCAN else _drive(cnf, config, stats)
     stats.time_s = time.perf_counter() - t0
-    out = RowList(cnf.num_vars, tuple(rows), stats)
-    stats.rows = len(out)
-    # clause-e emits purify's pieces, which are purified by construction
-    stats.models, free = _totals(rows)
-    stats.gamma_avg = free / len(rows) if rows else 0.0
     w = cnf.num_vars
+    stats.rows = len(finals)
+    stats.models, free = _totals(w, finals)
+    stats.gamma_avg = free / len(finals) if finals else 0.0
     # prob_final has no value at w = 0, where the one row is final
     stats.prob = prob_final(w, stats.gamma_avg, len(cnf.clauses), cnf.mean_clause_len()) if w else 1.0
-    return out
+    return _row_list(w, tuple(finals), stats)
 
 
 def validate_config(cnf: Cnf, config: EngineConfig) -> None:
@@ -443,11 +441,12 @@ def validate_config(cnf: Cnf, config: EngineConfig) -> None:
         raise ValueError("the filter was built on another formula than the run's")
 
 
-def _scan_rows(cnf: Cnf) -> list[Row012]:
-    out = []
+def _scan_rows(cnf: Cnf) -> list[tuple[int, int]]:
+    every, out = (1 << cnf.num_vars) - 1, []
     for u in itertools.product((0, 1), repeat=cnf.num_vars):
         if evaluate(cnf, u):
-            out.append(Row012(u))
+            ones = _pack(u)
+            out.append((ones, every ^ ones))
     return out
 
 
@@ -513,7 +512,7 @@ def _observer_hooks(obs: EngineObserver | None, build, w: int) -> tuple:
         on_split = lambda parent, degree, sons, son_degrees, hook=on_split: hook(
             build(w, *parent), degree, tuple(build(w, *son) for son in sons), son_degrees
         )
-    return _on_row(on_pop, build, w), on_split, on_emit, _on_row(on_harmful, build, w)
+    return _on_row(on_pop, build, w), on_split, _on_row(on_emit, build, w), _on_row(on_harmful, build, w)
 
 
 def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
@@ -553,7 +552,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     walk = var012 and search is search_from and screen is None and override is None and on_split is None
 
     def finish(entry) -> list | None:
-        """The output of a final entry; None when it holds no model."""
+        """The output masks of a final entry; None when it holds no model."""
         if clause_e:
             return _purify(w, *entry)
         ones, zeros = entry
@@ -562,10 +561,10 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
         if k is not None and ones.bit_count() != k:
             raise RuntimeError(f"the k-search admitted a final of weight {ones.bit_count()}, not {k}")
         if refine is None:
-            return [build(w, ones, zeros)]
+            return [entry]
         kept, discards = refine(ones, zeros)
         stats.weight_discards += discards
-        return [build(w, *son) for son in kept]
+        return kept
 
     def delete(entry) -> None:
         stats.harmful_deletions += 1
@@ -622,7 +621,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
             if on_pop is not None:
                 on_pop(*entry, deg, len(stack), len(finals))
             if override is not None and override(*entry):
-                out = [build(w, *entry)]
+                out = [entry]
             elif deg == top:
                 out = finish(entry)
             elif walk:  # down the levels to a final (see the docstring)
@@ -698,7 +697,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
             finals.extend(out)
             if on_emit is not None:
                 for piece in out:
-                    on_emit(piece)
+                    on_emit(*piece)
         else:
             stats.pops, stats.hint_hits = pops, hint_hits
             return finals

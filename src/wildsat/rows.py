@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
 
 ZERO, ONE, TWO = 0, 1, 2
@@ -88,9 +88,8 @@ class Row012:
     holds the variables fixed to 1 and ``zeros`` those fixed to 0; every
     other variable below ``width`` is a don't-care.  Pinning a variable,
     the member test ``contains`` and the clause tests of ``wildsat.sat``
-    are a few AND/OR/popcount steps on them.  The driver keeps only the
-    masks on its stack and tests its hint on them inline; it builds a row
-    for output and for a consumer that reads one.
+    are a few AND/OR/popcount steps on them.  The driver and ``RowList``
+    hold only the masks; a row is built for a consumer that reads one.
 
     ``Row012(symbols)`` takes one 0/1/2 per variable and validates every
     symbol in ``__post_init__``.  Sons come from ``_row012``, which checks
@@ -194,7 +193,7 @@ class Row012:
         return Row012, (self.symbols,)
 
     def __str__(self) -> str:
-        return _row_text(self)[::2]
+        return _row_text(self.width, self.ones, self.zeros)[::2]
 
 
 _set_width = Row012.width.__set__
@@ -219,10 +218,9 @@ _CHUNK_TEXTS = [
 ]
 
 
-def _row_text(row: Row012) -> str:
-    """The row's symbols separated by spaces, read off its masks four
+def _row_text(w: int, ones: int, zeros: int) -> str:
+    """A 012-row's symbols separated by spaces, read off its masks four
     variables at a time; the text is cut off at the row's width."""
-    ones, zeros, w = row.ones, row.zeros, row.width
     parts = []
     for _ in range((w + 3) // 4):
         parts.append(_CHUNK_TEXTS[(ones & 15) | (zeros & 15) << 4])
@@ -273,7 +271,7 @@ class Row012e:
     Sons come from ``_row012e``, which checks nothing: every operation
     combines the masks of valid rows through the pin fixpoint ``_pin``.
     ``slots`` and ``bubbles`` are views derived from the masks on each
-    access; nothing on the enumeration path reads them.
+    access; the driver and ``RowList`` hold only the masks.
     """
 
     __slots__ = ("width", "ones", "bubble_masks")  # not slots=True, which breaks frozen setattr on 3.11
@@ -404,8 +402,13 @@ def _row012e(width: int, ones: int, bubbles: Sequence[int]) -> Row012e:
     row = object.__new__(Row012e)
     _set_e_width(row, width)
     _set_e_ones(row, ones)
-    _set_e_masks(row, tuple(sorted(bubbles, key=lambda b: b & -b)) if len(bubbles) > 1 else tuple(bubbles))
+    _set_e_masks(row, _in_order(bubbles))
     return row
+
+
+def _in_order(bubbles: Sequence[int]) -> tuple[int, ...]:
+    """The bubble masks as a tuple in order of their lowest bit."""
+    return tuple(sorted(bubbles, key=lambda b: b & -b)) if len(bubbles) > 1 else tuple(bubbles)
 
 
 def _slots_of(mask: int) -> Iterator[int]:
@@ -552,27 +555,29 @@ def purify(row: Row012e) -> list[Row012e]:
     Every bad pair is instantiated both ways (value 1 first, variables in
     increasing order), each instantiation one ``_pin`` of the chosen slots;
     instantiations that contradict are dropped.  At least one row survives.
-    The pieces come from ``_purify`` on the row's masks.
+    The pieces are built from the masks ``_purify`` answers.
     """
-    return _purify(row.width, row.ones, row.bubble_masks) if _bad(row) else [row]
+    return [_row012e(row.width, *piece) for piece in _purify(row.width, row.ones, row.bubble_masks)]
 
 
-def _purify(width: int, ones: int, bubbles: Sequence[int]) -> list[Row012e]:
-    """``purify`` on an e-row's masks: the one row they make when it has no
-    bad pair, else the pieces, with no row built for the masks."""
+def _purify(width: int, ones: int, bubbles: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """``purify`` on an e-row's masks, answered as masks: ``(ones,
+    bubbles)`` per piece, the bubbles a tuple in order of their lowest bit;
+    the row's own masks when it has no bad pair."""
     bub = _union(bubbles)
-    bad = list(_slots_of(bub & bub >> 1 & _evens(width)))
+    bad = bub & bub >> 1 & _evens(width)
     if not bad:
-        return [_row012e(width, ones, bubbles)]
-    out = []
+        return [(ones, _in_order(bubbles))]
+    bad, out = list(_slots_of(bad)), []
     for values in itertools.product((1, 0), repeat=len(bad)):
         new = 0
         for s, v in zip(bad, values):
             new |= 1 << (s if v else s + 1)
         try:
-            out.append(_row012e(width, *_pin(width, ones, bubbles, new)))
+            piece_ones, piece_bubbles = _pin(width, ones, bubbles, new)
         except EmptyRowError:
             continue
+        out.append((piece_ones, _in_order(piece_bubbles)))
     if not out:
         raise RuntimeError("purification of a nonempty row produced nothing")
     return out
@@ -782,22 +787,23 @@ def _intersection_card(
     return total
 
 
-def _totals(rows: Iterable[Row012 | Row012e]) -> tuple[int, int]:
-    """The models and the free variables of 012-rows and purified e-rows,
-    each summed in one walk; unlike ``card_e``, no row is tested for
-    purity."""
+def _totals(width: int, masks: Iterable[tuple]) -> tuple[int, int]:
+    """The models and the free variables of a list's rows, each summed in
+    one walk over their masks.  An e-row with a bad pair counts the models
+    of its ``_purify`` pieces and its own free variables."""
     models = free = 0
-    for row in rows:
-        if isinstance(row, Row012):
-            f = row.width - (row.ones | row.zeros).bit_count()
+    even = _evens(width)
+    for ones, rest in masks:
+        if type(rest) is int:
+            f = width - (ones | rest).bit_count()
             models += 1 << f
         else:
             n, bub = 1, 0
-            for b in row.bubble_masks:
+            for b in rest:
                 n *= (1 << b.bit_count()) - 1
                 bub |= b
-            f = _free_count(row.width, row.ones, bub)
-            models += n << f
+            f = width - ones.bit_count() - ((bub | bub >> 1) & even).bit_count()  # _free_count inlined
+            models += sum(_card(width, *p) for p in _purify(width, ones, rest)) if bub & bub >> 1 & even else n << f
         free += f
     return models, free
 
@@ -840,31 +846,61 @@ class RunStats:
     pops: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RowList:
-    """An ordered, pairwise-disjoint collection of rows over one width."""
+    """An ordered, pairwise-disjoint collection of rows over one width,
+    held as their masks: ``(ones, zeros)`` for a 012-row, ``(ones,
+    bubbles)`` for an e-row, its bubbles a tuple in order of their lowest
+    bit.  ``RowList(width, rows, stats)`` reads the rows' masks once, and
+    ``_row_list`` takes masks; ``rows`` builds the rows on its first read
+    and keeps them.  ``widths`` holds each row's width when one is not the
+    list's."""
 
     width: int
-    rows: tuple = ()
-    stats: RunStats | None = None
+    _masks: tuple
+    stats: RunStats | None
+    widths: tuple[int, ...] | None
+
+    def __init__(self, width: int, rows: Iterable[Row012 | Row012e] = (), stats: RunStats | None = None) -> None:
+        rows = tuple(rows)
+        masks = tuple((r.ones, r.zeros) if isinstance(r, Row012) else (r.ones, r.bubble_masks) for r in rows)
+        widths = None if all(r.width == width for r in rows) else tuple(r.width for r in rows)
+        vars(self).update(width=width, _masks=masks, stats=stats, widths=widths, rows=rows)
+
+    @property
+    def masks(self) -> tuple:
+        """The rows' masks; raises ValueError when a row is not as wide as the list."""
+        if self.widths is not None:
+            raise ValueError("row widths differ")
+        return self._masks
+
+    @cached_property
+    def rows(self) -> tuple:
+        """The rows, built from the masks on the first read and kept."""
+        return tuple(
+            _row012(w, ones, rest) if type(rest) is int else _row012e(w, ones, rest)
+            for w, (ones, rest) in zip(self.widths or itertools.repeat(self.width), self._masks)
+        )
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._masks)
 
     def __iter__(self):
         return iter(self.rows)
 
     def total_models(self) -> int:
-        n = 0
-        for row in self.rows:
-            n += card_012(row) if isinstance(row, Row012) else card_e(row)
-        return n
+        return _totals(self.width, self.masks)[0]
 
     def gamma_avg(self) -> float:
         """Mean number of free variables per row (don't-care pairs for e-rows)."""
-        if not self.rows:
-            return 0.0
-        return sum(row.free_count for row in self.rows) / len(self.rows)
+        return _totals(self.width, self.masks)[1] / len(self) if self._masks else 0.0
+
+
+def _row_list(width: int, masks: tuple, stats: RunStats | None = None) -> RowList:
+    """A list from masks of its width, built without checks."""
+    out = object.__new__(RowList)
+    vars(out).update(width=width, _masks=masks, stats=stats, widths=None)
+    return out
 
 
 def member_complement(rows: RowList) -> RowList:
@@ -873,12 +909,10 @@ def member_complement(rows: RowList) -> RowList:
     Maps an enumeration of a model set to one of its member-wise complement
     (every member bitwise flipped).
     """
-    flipped = []
-    for row in rows.rows:
-        if not isinstance(row, Row012):
-            raise TypeError("member_complement is defined on 012-rows")
-        flipped.append(_row012(row.width, row.zeros, row.ones))
-    return RowList(rows.width, tuple(flipped))
+    masks = rows.masks
+    if any(type(zeros) is not int for _, zeros in masks):
+        raise TypeError("member_complement is defined on 012-rows")
+    return _row_list(rows.width, tuple((zeros, ones) for ones, zeros in masks))
 
 
 # ---------------------------------------------------------------------------
@@ -897,33 +931,32 @@ _SLOT_TOKENS = [t[::-1] for t in itertools.product(("2", "1", "0", "1"), repeat=
 
 
 def format_rows(rows: RowList) -> str:
-    """The row list as text.  An e-row's tokens are read off its 1-slots
-    four variables at a time, then its bubbles write their eK/nK tokens.
-    Raises ValueError for a row whose width is not the list's, and
-    PurityError for an e-row with bad pairs."""
-    w = rows.width
-    lines = [f"rows w={w} n={len(rows.rows)}"]
-    for row in rows.rows:
-        if row.width != w:
-            raise ValueError("row widths differ")
-        if isinstance(row, Row012):
-            lines.append(_row_text(row))
+    """The row list as text, read off its masks.  An e-row's tokens are
+    read off its 1-slots four variables at a time, then its bubbles write
+    their eK/nK tokens.  Raises ValueError for a row whose width is not the
+    list's, and PurityError for an e-row with bad pairs."""
+    w, even = rows.width, _evens(rows.width)
+    lines = [f"rows w={w} n={len(rows)}"]
+    for ones, rest in rows.masks:
+        if type(rest) is int:
+            lines.append(_row_text(w, ones, rest))
             continue
-        if _bad(row):
-            raise PurityError("serialize purified rows only (purify first)")
         toks: list[str] = []
-        ones = row.ones
         for _ in range((w + 3) // 4):
             toks.extend(_SLOT_TOKENS[ones & 255])
             ones >>= 8
         del toks[w:]
-        for k, b in enumerate(row.bubble_masks, 1):
+        bub = 0
+        for k, b in enumerate(rest, 1):
+            bub |= b
             e, n = f"e{k}", f"n{k}"
             while b:  # _slots_of inlined: the generator costs more on this hot path
                 low = b & -b
                 s = low.bit_length() - 1
                 toks[s >> 1] = n if s & 1 else e
                 b ^= low
+        if bub & bub >> 1 & even:  # _bad inlined, on the union the loop takes
+            raise PurityError("serialize purified rows only (purify first)")
         lines.append(" ".join(toks))
     return "\n".join(lines) + "\n"
 

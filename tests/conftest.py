@@ -9,6 +9,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import wildsat.engine
+import wildsat.rows
 from wildsat.formulas import Cnf, parse_dimacs
 from oracle import EBuilder
 from wildsat.rows import Row012, Row012e, RowList
@@ -63,6 +65,29 @@ def erow(pattern: str, width: int | None = None) -> Row012e:
     for _, slots in sorted(groups.items()):
         b.new_bubble(slots)
     return b.freeze()
+
+
+@pytest.fixture
+def row_builds(monkeypatch) -> list:
+    """The arguments of each row built through the unchecked builders
+    ``_row012`` and ``_row012e``, under their names in ``wildsat.rows``
+    (``RowList.rows``, ``purify``) and in ``wildsat.engine`` (the
+    driver's row adapters)."""
+    built: list = []
+    for name in ("_row012", "_row012e"):
+        counting = lambda *args, build=getattr(wildsat.rows, name): built.append(args) or build(*args)
+        for module in (wildsat.rows, wildsat.engine):
+            monkeypatch.setattr(module, name, counting)
+    return built
+
+
+def assert_built_on_first_read(out: RowList, built: list) -> None:
+    """The first read of ``out.rows`` builds one row per output row and
+    keeps them; a second read builds none."""
+    before = len(built)
+    rows = out.rows
+    assert len(built) - before == len(rows) == len(out) > 0
+    assert out.rows is rows and len(built) - before == len(out)
 
 
 @pytest.fixture

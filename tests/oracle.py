@@ -264,7 +264,8 @@ def ref_e_row_text(row: Row012e) -> str:
     slots overwritten with eK (positive slot) or nK (negative slot)."""
     if not row.is_purified():
         raise PurityError("serialize purified rows only (purify first)")
-    toks = _row_text(_condense(row.width, row.ones)).split(" ")
+    cube = _condense(row.width, row.ones)
+    toks = _row_text(cube.width, cube.ones, cube.zeros).split(" ")
     for k, b in enumerate(row.bubble_masks, 1):
         for s in _slots_of(b):
             toks[s >> 1] = f"n{k}" if s & 1 else f"e{k}"

@@ -3,6 +3,8 @@ and the brute-force oracle."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from dataclasses import replace
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EQ11_ROWS, erow, row012
+from conftest import EQ11_ROWS, assert_built_on_first_read, erow, row012
 from oracle import (
     all_bitstrings,
     assert_disjoint_cover,
@@ -38,6 +40,7 @@ from wildsat.engine import (
     WeightFilter,
     clausewise012_split,
     clausewise_e_split,
+    enumerate_from_complement,
     enumerate_hitting_sets,
     pending_clause,
     run,
@@ -45,7 +48,17 @@ from wildsat.engine import (
     varwise_degree,
 )
 from wildsat.formulas import Clause, Cnf, Dnf
-from wildsat.rows import Row012, Row012e, RowList, format_rows, impose_on_slots, purify
+from wildsat.rows import (
+    PurityError,
+    Row012,
+    Row012e,
+    RowList,
+    card_e,
+    format_rows,
+    impose_on_slots,
+    parse_rows,
+    purify,
+)
 from wildsat.sat import row_satisfies_clause
 
 # Working-stack rows of the clause-wise 012 run on phi2, condensed to w=5.
@@ -567,60 +580,105 @@ class TestInlineSteps:
 
 class TestClauseERowsAtTheBoundary:
     """A clause-e run with no observer and no filter keeps (ones, bubbles)
-    masks on its stack and splits them on masks: under policy none it
-    builds an e-row only for each final with no bad pair and for each
-    ``purify`` piece of the others, which ``rows._purify`` cuts from the
-    final's masks."""
+    masks on its stack, splits them on masks and emits the masks of each
+    final's ``rows._purify`` pieces: ``run`` and ``format_rows`` build no
+    e-row, and the first read of ``rows`` builds one per output row."""
 
-    def test_rows_built_only_for_finals_and_their_pieces(self, monkeypatch):
-        built, finals = [], []
-        build, split = wildsat.rows._row012e, wildsat.engine._purify
-
-        def counting(width, ones, bubbles):
-            built.append(ones)
-            return build(width, ones, bubbles)
+    def test_rows_built_only_for_finals_and_their_pieces(self, monkeypatch, row_builds):
+        finals, split = [], wildsat.engine._purify
 
         def recording(width, ones, bubbles):
-            finals.append(build(width, ones, bubbles))  # the real builder: not counted
+            finals.append((width, ones, bubbles))
             return split(width, ones, bubbles)
 
-        monkeypatch.setattr(wildsat.rows, "_row012e", counting)
-        # raising=False: the test also runs against a driver that never
-        # imported the builder, and then counts the sons rows.py builds
-        monkeypatch.setattr(wildsat.engine, "_row012e", counting, raising=False)
         monkeypatch.setattr(wildsat.engine, "_purify", recording)
         cnf = gen_random_cnf(GenSpec(10, 24, 3, seed=3))
         out = run(cnf, EngineConfig(method=Method.CLAUSE_E, policy=Policy.NONE))
+        format_rows(out)
+        assert row_builds == []
+        assert_built_on_first_read(out, row_builds)
         monkeypatch.undo()
-        pieces = [purify(row) if not row.is_purified() else [] for row in finals]
-        assert any(pieces) and not all(pieces)  # finals with and without bad pairs
-        assert [p for row, ps in zip(finals, pieces) for p in ps or [row]] == list(out.rows)
-        clean = sum(not ps for ps in pieces)
-        assert len(built) == clean + sum(map(len, pieces))
+        # finals with and without bad pairs; the rows are their pieces
+        rows = [wildsat.rows._row012e(*final) for final in finals]
+        assert any(row.is_purified() for row in rows) and not all(row.is_purified() for row in rows)
+        assert list(out.rows) == [piece for row in rows for piece in purify(row)]
 
 
 class Test012RowsAtTheBoundary:
     """var-012 and clause-012 keep (ones, zeros) masks on the stack and test
-    the hint on them: with no observer and no screen, a run builds one
-    ``Row012`` per output row and none for a candidate son."""
+    the hint on them: with no observer and no screen, ``run`` and
+    ``format_rows`` build no ``Row012``, for a candidate son or for an
+    output row, and the first read of ``rows`` builds one per output row."""
 
     @pytest.mark.parametrize("job", ["hitting-sets", "clause-012/solver"])
-    def test_rows_built_only_for_output(self, monkeypatch, job):
-        built, build = [], wildsat.engine._row012
-
-        def counting(width, ones, zeros):
-            built.append(ones)
-            return build(width, ones, zeros)
-
-        monkeypatch.setattr(wildsat.engine, "_row012", counting)
+    def test_rows_built_only_for_output(self, row_builds, job):
         if job == "hitting-sets":
             rng = random.Random(5)
             out = enumerate_hitting_sets([rng.sample(range(1, 13), 3) for _ in range(10)], 4, 12)
         else:
             out = run(gen_random_cnf(GenSpec(10, 24, 3, seed=3)), EngineConfig(method=Method.CLAUSE012))
-        monkeypatch.undo()
-        assert len(built) == len(out.rows) > 0
+        format_rows(out)
+        assert row_builds == []
         assert out.stats.solver_calls and out.stats.hint_hits  # sons were searched and hinted
+        assert_built_on_first_read(out, row_builds)
+
+
+class TestRowListPaths:
+    """A run's list is made from the driver's masks, and ``RowList(width,
+    rows, stats)`` reads the masks of rows: the two give equal lists and the
+    same text, and a list survives pickle and deepcopy before and after its
+    rows are built."""
+
+    @staticmethod
+    def runs():
+        rng = random.Random(41)
+        for positive in (False, True):
+            cnf = random_cnf(rng, 7, 14, 3, positive)
+            for method in Method:
+                for policy in Policy:
+                    config = EngineConfig(method=method, policy=policy)
+                    try:
+                        validate_config(cnf, config)
+                    except ValueError:
+                        continue
+                    yield run(cnf, config)
+        cnf = gen_random_cnf(GenSpec(8, 12, 3, seed=2))
+        weighed = run(cnf, EngineConfig(method=Method.CLAUSE012, spmod=WeightFilter([1, 0] * 8, 3)))
+        assert weighed.stats.weight_discards  # refine_final split a final
+        yield weighed
+        yield enumerate_from_complement(run(cnf, EngineConfig(method=Method.CLAUSE012)))  # final_override
+
+    @staticmethod
+    def assert_one_list(out, text):
+        twins = [pickle.loads(pickle.dumps(out)), copy.deepcopy(out)]  # masks only
+        assert format_rows(RowList(out.width, out.rows)) == text
+        assert RowList(out.width, out.rows, out.stats) == out
+        twins += [pickle.loads(pickle.dumps(out)), copy.deepcopy(out)]  # rows built
+        for twin in twins:
+            assert twin == out and twin.rows == out.rows and format_rows(twin) == text
+
+    def test_masks_and_rows_give_one_list(self):
+        ran = set()
+        for out in self.runs():
+            self.assert_one_list(out, format_rows(out))
+            if len(out):
+                ran.add((out.stats.method, out.stats.policy))
+        assert len(ran) == 4 + 4 + 3 + 4  # every method under each legal policy, with rows
+
+    def test_a_mixed_list_from_parse_rows(self):
+        text = "rows w=3 n=3\n1 0 2\n0 e1 e1\n1 1 2\n"
+        parsed = parse_rows(text)
+        assert [type(row) for row in parsed.rows] == [Row012, Row012e, Row012]
+        assert format_rows(parsed) == text
+        self.assert_one_list(parsed, text)
+
+    def test_an_unpurified_list_is_refused(self, table3):
+        rows = RowList(5, (table3[11],))
+        assert not table3[11].is_purified()
+        for out in (rows, pickle.loads(pickle.dumps(rows)), copy.deepcopy(rows)):
+            assert out == rows and out.total_models() == card_e(table3[11])
+            with pytest.raises(PurityError):
+                format_rows(out)
 
 
 class TestWitnessWalk:
@@ -737,31 +795,18 @@ class TestObserverHooksLeftAsTheNoOp:
             self.pops += 1
 
     @pytest.mark.parametrize("observer", ["bare", "pops-only"])
-    def test_clause_e_builds_rows_only_for_the_overridden_hooks(self, monkeypatch, observer):
-        built, finals = [], []
-        build, split = wildsat.rows._row012e, wildsat.engine._purify
+    def test_clause_e_builds_rows_only_for_the_overridden_hooks(self, row_builds, observer):
         obs = EngineObserver() if observer == "bare" else self.PopsOnly()
-
-        def counting(width, ones, bubbles):
-            built.append(ones)
-            return build(width, ones, bubbles)
-
-        def recording(width, ones, bubbles):
-            finals.append(build(width, ones, bubbles))  # the real builder: not counted
-            return split(width, ones, bubbles)
-
-        monkeypatch.setattr(wildsat.rows, "_row012e", counting)
-        monkeypatch.setattr(wildsat.engine, "_row012e", counting)
-        monkeypatch.setattr(wildsat.engine, "_purify", recording)
         cnf = gen_random_cnf(GenSpec(10, 24, 3, seed=3))
         out = run(cnf, EngineConfig(method=Method.CLAUSE_E, policy=Policy.NONE, observer=obs))
-        monkeypatch.undo()
-        clean = sum(row.is_purified() for row in finals)
-        pieces = sum(len(purify(row)) for row in finals if not row.is_purified())
+        format_rows(out)
         pops = obs.pops if observer == "pops-only" else 0
-        # the run has splits, harmful deletions and purify pieces to build rows for
-        assert pieces and out.stats.harmful_deletions
-        assert len(built) == pops + clean + pieces
+        # the run has harmful deletions and finals with bad pairs (the test
+        # above), and builds a row for none of them, only for each pop a set
+        # on_pop reads
+        assert out.stats.harmful_deletions
+        assert len(row_builds) == pops
+        assert_built_on_first_read(out, row_builds)
 
     def test_an_overridden_hook_of_an_instance_is_called(self, phi2):
         obs, splits = EngineObserver(), []

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import wildsat.engine
-from conftest import row012
+from conftest import assert_built_on_first_read, row012
 from oracle import (
     all_bitstrings,
     assert_disjoint_cover,
@@ -42,7 +41,7 @@ from wildsat.engine import (
     validate_config,
 )
 from wildsat.formulas import Clause, Cnf, Dnf, weight
-from wildsat.rows import Row012, Row012e, RowList, RunStats, _row012
+from wildsat.rows import Row012, Row012e, RowList, RunStats, _row012, format_rows
 
 
 @st.composite
@@ -451,11 +450,12 @@ class TestOptionalHooks:
 
 
 class TestRowBuilds:
-    """A filter reads a candidate's masks, so a filtered run builds a row
-    only for its output."""
+    """A filter reads a candidate's masks, so a filtered run and its
+    ``format_rows`` build no row, and the first read of ``rows`` builds one
+    per output row."""
 
     @pytest.mark.parametrize("kind", ["complement", "dnf-k", "weight"])
-    def test_one_row_per_output_row(self, monkeypatch, kind):
+    def test_one_row_per_output_row(self, row_builds, kind):
         if kind == "complement":
             comp = run(gen_random_cnf(GenSpec(12, 20, 3, seed=3)), EngineConfig(method=Method.CLAUSE012))
             enumerate_rows = lambda: enumerate_from_complement(comp)
@@ -467,11 +467,10 @@ class TestRowBuilds:
             cnf = gen_random_cnf(GenSpec(12, 20, 3, seed=3))
             config = EngineConfig(method=Method.CLAUSE012, spmod=WeightFilter([1, 0] * 12, 5))
             enumerate_rows = lambda: run(cnf, config)
-        built, build = [], wildsat.engine._row012
-        monkeypatch.setattr(wildsat.engine, "_row012", lambda *args: built.append(args) or build(*args))
         out = enumerate_rows()
-        assert len(out) > 10
-        assert len(built) == len(out)
+        format_rows(out)
+        assert len(out) > 10 and row_builds == []
+        assert_built_on_first_read(out, row_builds)
         if kind == "weight":  # a dropped subrow means a final was split
             assert out.stats.weight_discards > 0
 

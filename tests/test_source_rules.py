@@ -6,8 +6,9 @@ from ``@dataclass(frozen=True)``, never from hand-written attribute hooks.
 The engine dispatches on no filter class: it reads a filter's attributes,
 and every filter it defines records in ``__init__`` the width it was built
 for, which ``validate_config`` checks once per run; every hook it defines
-takes a 012 entry's ``(ones, zeros)`` masks.  The CLI reads no
-filter's methods and no width, so those rules have no second home.
+takes a 012 entry's ``(ones, zeros)`` masks.  The driver builds no row:
+its finals stay masks.  The CLI reads no filter's methods and no width,
+so those rules have no second home.
 A module imports no name it never uses, save the ones the benchmark's
 trace probes wrap on it, which its "unused here but stay" comment lists.
 An absent consumer hook is a None attribute, never a method that does
@@ -289,6 +290,45 @@ def test_every_filter_hook_reads_masks():
         "A.refine_final": "self, row",
         "B.final_override": "self, *masks",
     }
+
+
+def _calls(tree: ast.AST, fn: str, names: set[str]) -> list[str]:
+    """``line name`` for each call, inside the functions named ``fn``, of
+    a name or attribute in ``names``."""
+    return [
+        f"{node.lineno} {called}"
+        for top in ast.walk(tree)
+        if isinstance(top, ast.FunctionDef) and top.name == fn
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and (called := getattr(node.func, "id", getattr(node.func, "attr", None))) in names
+    ]
+
+
+def test_the_driver_builds_no_row():
+    # a run's finals stay masks until a caller reads RowList.rows; the
+    # adapters of _admission and _observer_hooks build a row only for a
+    # consumer that reads one
+    names = {"build", "_row012", "_row012e"}
+    path = Path(engine.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "_drive" for node in ast.walk(tree))
+    found = _calls(tree, "_drive", names)
+    assert not found, f"engine._drive builds rows at lines {', '.join(found)}"
+    # the rule sees a call in a nested function and through a module, and
+    # leaves a builder passed as a value and other functions alone
+    probe = "\n".join(
+        [
+            "def _drive(cnf):",
+            "    def finish(entry):",
+            "        return [build(w, *entry)]",
+            "    hooks = _observer_hooks(obs, build, w)",
+            "    out = [rows._row012e(w, *p) for p in pieces]",
+            "def other():",
+            "    return _row012(w, 0, 0)",
+        ]
+    )
+    assert set(_calls(ast.parse(probe), "_drive", names)) == {"3 build", "5 _row012e"}
 
 
 def _empty_methods(tree: ast.AST) -> list[str]:
