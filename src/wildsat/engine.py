@@ -20,12 +20,14 @@ One driver loop serves all three, and its stack holds masks, not rows:
 a 012 entry is (ones, zeros), a clause-e entry (ones, bubbles), split by
 ``rows.impose_masks``.  It takes degrees straight from the masks, runs
 the built-in search on a 012-son's masks (``sat.search_from``) and tests
-the hint on them.  A clause-012 entry carries the mask of the clauses
-its row settles, whose lowest zero bit is its degree.  Finals leave as
-masks, from which ``run`` makes its ``RowList``; the driver builds a row
-only for a consumer that reads one (a weak test, a plugged solver's or
-clause-e's ``sat.solve_row``, an observer hook that is set), through one
-adapter, ``_on_row``.  Candidate sons are screened by a feasibility
+the hint on them.  When only the built-in search reads the sons, a
+var-012 or clause-012 entry walks down its first admitted sons to a
+final with no round trip through the stack (``_drive``).  A clause-012
+entry carries the mask of the clauses its row settles, whose lowest zero
+bit is its degree.  Finals leave as masks, from which ``run`` makes its
+``RowList``; the driver builds a row only for a consumer that reads one
+(a weak test, a plugged solver's or clause-e's ``sat.solve_row``, an
+observer hook that is set), through one adapter, ``_on_row``.  Candidate sons are screened by a feasibility
 policy (perfect solver check, the weak tests, or none) and by the
 filter, if any.  With a weak policy an infeasible row can enter the
 stack; it is unmasked only when none of its candidate sons is admitted
@@ -520,13 +522,15 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     pushes, per split) and hint hits are counted in local ints and written
     to ``stats`` when the loop returns.
 
-    A var-012 run with the built-in search and no screen,
+    A var-012 or clause-012 run with the built-in search and no screen,
     ``final_override`` or ``on_split`` walks a popped entry to a final in
-    one inner loop, level by level as the per-level loop would: the son
-    that the path's witness misses is searched from the witness's
-    fixpoint, the other takes the witness, and the path goes on through
-    the admitted 0-son, pushing the admitted 1-son, or else through the
-    1-son.
+    one inner loop, making the searches, pops and observer calls of the
+    route through the candidate list in the same order.  var-012 goes level
+    by level: the son that the path's witness misses is searched from the
+    witness's fixpoint, the other takes the witness, and the path goes on
+    through the admitted 0-son, pushing the admitted 1-son, or else through
+    the 1-son.  clause-012's staircase admits each son as it makes it,
+    pushes the admitted sons after the first and goes on through the first.
     """
     method, filt = config.method, config.spmod
     w, clauses, masks = cnf.num_vars, cnf.clauses, cnf.masks
@@ -549,7 +553,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     # a bitstring passed only by a weak screen may still miss the model set;
     # on a bitstring, settling every clause (sat.final_e) means being a model
     check_model = var012 and config.policy != Policy.SOLVER and not exact
-    walk = var012 and search is search_from and screen is None and override is None and on_split is None
+    walk = search is search_from and screen is None and override is None and on_split is None
 
     def finish(entry) -> list | None:
         """The output masks of a final entry; None when it holds no model."""
@@ -624,7 +628,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
                 out = [entry]
             elif deg == top:
                 out = finish(entry)
-            elif walk:  # down the levels to a final (see the docstring)
+            elif walk and var012:  # down the levels to a final (see the docstring)
                 ones, zeros = entry
                 stats.solver_calls += top - deg  # a level searches one son
                 hint_hits += top - deg  # and the other takes the witness
@@ -675,22 +679,51 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
             else:
                 # the staircase: son j makes the j-th free literal true, the
                 # earlier ones false; a literal the row fixes against adds
-                # nothing, as the row's mask holds the clauses of its mate
+                # nothing, as the row's mask holds the clauses of its mate.
+                # The walk admits each son as it makes it, against the witness
+                # that every entry of a searched run has (see the docstring)
                 cands = []
-                ones, zeros = entry
-                for bit, neg, true, false in steps[deg]:
-                    if (ones | zeros) & bit:
-                        continue  # fixed against the literal
-                    if neg:
-                        son = (ones, zeros | bit)
-                        ones |= bit
-                    else:
-                        son = (ones | bit, zeros)
-                        zeros |= bit
-                    son_settled = settled | true
-                    settled |= false
-                    cands.append((son, ((son_settled + 1) & ~son_settled).bit_length() - 1, son_settled))
-                break
+                while True:
+                    ones, zeros = entry
+                    for bit, neg, true, false in steps[deg]:
+                        if (ones | zeros) & bit:
+                            continue  # fixed against the literal
+                        if neg:
+                            son_ones, son_zeros = ones, zeros | bit
+                            ones |= bit
+                        else:
+                            son_ones, son_zeros = ones | bit, zeros
+                            zeros |= bit
+                        son_settled = settled | true
+                        settled |= false
+                        son_deg = ((son_settled + 1) & ~son_settled).bit_length() - 1
+                        if not walk:
+                            cands.append(((son_ones, son_zeros), son_deg, son_settled))
+                        elif son_deg <= deg:
+                            raise RuntimeError(f"son does not settle its parent's pending clause {deg + 1}")
+                        elif hint[0] & son_ones == son_ones and not hint[0] & son_zeros:
+                            hint_hits += 1
+                            cands.append(((son_ones, son_zeros), son_deg, hint, son_settled))
+                        else:
+                            stats.solver_calls += 1
+                            wit = search_from(w, masks, son_ones, son_zeros, hint[1], k, stats)
+                            if wit is not None:
+                                cands.append(((son_ones, son_zeros), son_deg, wit, son_settled))
+                    if not walk or not cands:
+                        break
+                    stack += cands[:0:-1]  # the sons after the first, to pop in order
+                    pops += len(cands)
+                    entry, deg, hint, settled = cands[0]
+                    if on_pop is not None:
+                        on_pop(*entry, deg, len(stack), len(finals))
+                    if deg == top:
+                        break
+                    cands = []
+                if not walk:
+                    break
+                # the walk ends at a final or at an entry with no son admitted;
+                # with no k, there is no filter and the final is its own output
+                out = None if not cands else [entry] if k is None else finish(entry)
             if out is None:
                 delete(entry)
                 continue

@@ -165,10 +165,6 @@ def evaluate(cnf: Cnf, u: Sequence[int]) -> bool:
     return True
 
 
-def evaluate_dnf(dnf: Dnf, u: Sequence[int]) -> bool:
-    return any(t.contains(u) for t in dnf.terms)
-
-
 def parse_dimacs(text: str | bytes) -> Cnf:
     """Parse DIMACS CNF.  Tautologous clauses are dropped (the count is kept
     on the returned Cnf); duplicate literals inside a clause are merged.
@@ -257,7 +253,3 @@ def parse_dnf(text: str, num_vars: int | None = None) -> Dnf:
     if width is None:
         raise ValueError("empty DNF input and no width given")
     return Dnf(width, tuple(terms))
-
-
-def serialize_dnf(dnf: Dnf) -> str:
-    return "\n".join(str(t) for t in dnf.terms) + ("\n" if dnf.terms else "")

@@ -244,11 +244,6 @@ def _member_mask(member: Sequence[int] | int, width: int) -> int:
     return _pack(member)
 
 
-def card_012(row: Row012) -> int:
-    """Number of bitstrings in the subcube: 2 ** (number of don't-cares)."""
-    return 1 << row.free_count
-
-
 # ---------------------------------------------------------------------------
 # 012e-rows
 
@@ -332,10 +327,6 @@ class Row012e:
         if width < 0:
             raise ValueError("width must be non-negative")
         return cls(width, (TWO,) * (2 * width))
-
-    @classmethod
-    def from_row012(cls, row: Row012) -> "Row012e":
-        return _row012e(row.width, _spread(row.ones) | _spread(row.zeros) << 1, ())
 
     def bad_pairs(self) -> tuple[int, ...]:
         """Variables whose two slots are covered by distinct bubbles, in
@@ -440,15 +431,14 @@ def _union(masks: Iterable[int]) -> int:
 
 def _bit_index(masks: Iterable[int], nbits: int) -> list[int]:
     """``index[b]`` is the set of the masks holding bit b, as a mask with
-    bit i for the i-th mask.  Every mask must lie below ``nbits``."""
-    index = [0] * nbits
-    for i, m in enumerate(masks):
-        bit = 1 << i
-        while m:  # _slots_of inlined, as in _gather
-            low = m & -m
-            index[low.bit_length() - 1] |= bit
-            m ^= low
-    return index
+    bit i for the i-th mask.  Every mask must lie below ``nbits``.  The
+    index is the transpose of the bit matrix whose rows are the masks, last
+    mask first and bit 0 last, so that each column reads as one int."""
+    spec = f"0{nbits}b"
+    rows = [format(m, spec) for m in masks][::-1]
+    if not (rows and nbits):  # no mask gives no column, and 0 formats as "0"
+        return [0] * nbits
+    return [int("".join(column), 2) for column in zip(*rows)][::-1]
 
 
 def _gather(index: list[int], mask: int) -> int:
@@ -524,29 +514,14 @@ def _pin(width: int, ones: int, bubbles: Sequence[int], new: int) -> tuple[int, 
     return ones, bubbles
 
 
-def card_purified(row: Row012e) -> int:
-    """Cardinality of a purified row: product of (2^len - 1) over bubbles
-    times 2^(free variables)."""
-    if _bad(row):
-        raise PurityError(f"row has bad pairs at variables {row.bad_pairs()}")
-    return _card(row.width, row.ones, row.bubble_masks)
-
-
 def _card(width: int, ones: int, bubbles: Iterable[int]) -> int:
+    """Members of a purified row: (2^len - 1) per bubble, 2 per free variable."""
     n = 1
     bub = 0
     for b in bubbles:
         n *= (1 << b.bit_count()) - 1
         bub |= b
     return n << _free_count(width, ones, bub)
-
-
-def card_e(row: Row012e) -> int:
-    """Cardinality of an arbitrary 012e-row: a purified row is counted as
-    it is, any other through its ``purify`` pieces, purified by construction."""
-    if not _bad(row):
-        return _card(row.width, row.ones, row.bubble_masks)
-    return sum(_card(p.width, p.ones, p.bubble_masks) for p in purify(row))
 
 
 def purify(row: Row012e) -> list[Row012e]:

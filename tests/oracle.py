@@ -21,7 +21,6 @@ from wildsat.rows import (
     Row012e,
     RowList,
     RunStats,
-    card_purified,
     impose_on_slots,
     intersection_card_ie,
     neg_slot,
@@ -29,7 +28,7 @@ from wildsat.rows import (
     purify,
     slot_var,
 )
-from wildsat.rows import _condense, _pin, _row012, _row012e, _row_text, _slots_of, _union
+from wildsat.rows import _card, _condense, _pin, _row012, _row012e, _row_text, _slots_of, _spread, _union
 
 _B = 3  # slot values >= _B reference bubble number (value - _B)
 
@@ -272,6 +271,40 @@ def ref_e_row_text(row: Row012e) -> str:
     return " ".join(toks)
 
 
+def card_012(row: Row012) -> int:
+    """Number of bitstrings in the subcube: 2 ** (number of don't-cares)."""
+    return 1 << row.free_count
+
+
+def card_purified(row: Row012e) -> int:
+    """Cardinality of a purified row: product of (2^len - 1) over bubbles
+    times 2^(free variables)."""
+    if row.bad_pairs():
+        raise PurityError(f"row has bad pairs at variables {row.bad_pairs()}")
+    return _card(row.width, row.ones, row.bubble_masks)
+
+
+def card_e(row: Row012e) -> int:
+    """Cardinality of an arbitrary 012e-row, summed over its ``purify``
+    pieces (a purified row is its own one piece)."""
+    return sum(card_purified(p) for p in purify(row))
+
+
+def from_row012(row: Row012) -> Row012e:
+    """The 012e-row with the 012-row's members: its fixed slots, no bubble."""
+    return _row012e(row.width, _spread(row.ones) | _spread(row.zeros) << 1, ())
+
+
+def ref_bit_index(masks, nbits: int) -> list[int]:
+    """``rows._bit_index`` one set bit at a time: index[b] has bit i when
+    the i-th mask holds bit b."""
+    index = [0] * nbits
+    for i, m in enumerate(masks):
+        for s in _slots_of(m):
+            index[s] |= 1 << i
+    return index
+
+
 def equivalent_pairwise(rows_a: RowList, rows_b: RowList) -> EquivalenceResult:
     """``equivalent`` without its slot index: the counts, then every piece
     of the first list against every piece of the second, in list order."""
@@ -282,7 +315,7 @@ def equivalent_pairwise(rows_a: RowList, rows_b: RowList) -> EquivalenceResult:
         return [
             (i, p)
             for i, row in enumerate(rows.rows)
-            for p in purify(Row012e.from_row012(row) if isinstance(row, Row012) else row)
+            for p in purify(from_row012(row) if isinstance(row, Row012) else row)
         ]
 
     pa, pb = pieces(rows_a), pieces(rows_b)

@@ -13,6 +13,7 @@ from conftest import EQ4_ROWS, EQ11_ROWS, PHI0_DIMACS, PHI2_DIMACS, erow, row012
 from oracle import (
     all_bitstrings,
     assert_disjoint_cover,
+    card_purified,
     clause_mask,
     cnf_mask,
     evaluate_naive,
@@ -42,7 +43,6 @@ from wildsat.formulas import Dnf, parse_dimacs, weight
 from wildsat.rows import (
     Row012,
     RowList,
-    card_purified,
     expand_to_012,
     intersection_card_ie,
     purify,

@@ -16,7 +16,9 @@ from conftest import EQ11_ROWS, assert_built_on_first_read, erow, row012
 from oracle import (
     all_bitstrings,
     assert_disjoint_cover,
+    card_e,
     cnf_mask,
+    from_row012,
     full_mask,
     index_of,
     random_cnf,
@@ -53,7 +55,6 @@ from wildsat.rows import (
     Row012,
     Row012e,
     RowList,
-    card_e,
     format_rows,
     impose_on_slots,
     parse_rows,
@@ -205,7 +206,7 @@ class TestClausewiseESplit:
 
     def test_satisfied_clause_rejected(self):
         with pytest.raises(ValueError, match="already satisfies"):
-            clausewise_e_split(Row012e.from_row012(row012("122")), Clause((1, 2)))
+            clausewise_e_split(from_row012(row012("122")), Clause((1, 2)))
 
     def test_clause_settled_by_a_bubble_rejected(self):
         # no listed slot holds 1, but the bubble x1 | x2 lies inside x1 | x2 | x3
@@ -220,7 +221,7 @@ class TestClausewiseESplit:
     def test_clause_wider_than_the_row_rejected(self, lits):
         # the slot range is checked first, also on the row 12, which settles
         # (1, -3) and (1, 3) through x1
-        for row in (Row012e.full(2), Row012e.from_row012(row012("12"))):
+        for row in (Row012e.full(2), from_row012(row012("12"))):
             with pytest.raises(ValueError, match="slot out of range"):
                 clausewise_e_split(row, Clause(lits))
 
@@ -482,6 +483,15 @@ class TestResumedPendingClause:
         monkeypatch.setattr(wildsat.engine, "_bit_index", lambda masks, nbits: built.append(nbits) or [0] * nbits)
         with pytest.raises(RuntimeError, match="pending clause"):
             run(phi2, EngineConfig(method=Method.CLAUSE012, policy=Policy.NONE))
+        assert built
+
+    def test_walk_son_missing_the_pending_clause_is_an_error(self, phi2, monkeypatch):
+        # under policy solver the clause-012 walk admits a son as its
+        # staircase makes it, so the degree check runs there
+        built = []
+        monkeypatch.setattr(wildsat.engine, "_bit_index", lambda masks, nbits: built.append(nbits) or [0] * nbits)
+        with pytest.raises(RuntimeError, match="pending clause"):
+            run(phi2, EngineConfig(method=Method.CLAUSE012, policy=Policy.SOLVER))
         assert built
 
 
@@ -780,6 +790,70 @@ class TestWitnessWalk:
         # searched: the root, x1=0, 00 and 11; x1=1, 01 and 10 take a
         # witness; the six admitted entries are popped
         assert (out.stats.solver_calls, out.stats.hint_hits, out.stats.pops) == (4, 3, 6)
+
+
+class TestClause012Walk:
+    """A clause-012 run with the built-in search and no screen, no override
+    and no ``on_split`` admits each staircase son as it makes it and goes
+    down the first; setting ``on_split`` keeps the route through the
+    candidate list.  Both make the same searches in the same order and give
+    the same rows, counters and observer calls."""
+
+    class Log(EngineObserver):
+        def __init__(self):
+            self.popped, self.emitted = [], []
+
+        def on_pop(self, row, degree, depth, emitted):
+            self.popped.append((str(row), degree, depth, emitted))
+
+        def on_emit(self, row):
+            self.emitted.append(str(row))
+
+    @staticmethod
+    def cnfs(seed):
+        rng = random.Random(seed)
+        return [
+            random_cnf(rng, w, rng.randint(0, 2 * w), rng.randint(1, min(3, w)), positive)
+            for positive in (False, True)
+            for w in range(1, 11)
+            for _ in range(12)
+        ]
+
+    @staticmethod
+    def runs(cnf):
+        """The run with no observer, with a logging observer (the walk) and
+        with the same observer and an ``on_split`` (the candidate route)."""
+        config = EngineConfig(method=Method.CLAUSE012, policy=Policy.SOLVER)
+        walked, split = TestClause012Walk.Log(), TestClause012Walk.Log()
+        split.on_split = lambda *args: None
+        outs = [run(cnf, replace(config, observer=obs)) for obs in (None, walked, split)]
+        return outs, walked, split
+
+    def test_the_walk_matches_the_candidate_route(self):
+        walked = 0
+        for cnf in self.cnfs(36):
+            (plain, walk, split), walk_log, split_log = self.runs(cnf)
+            for out in (walk, split):
+                assert format_rows(plain) == format_rows(out)
+                assert TestWitnessWalk.counters(plain) == TestWitnessWalk.counters(out)
+            assert walk_log.popped == split_log.popped
+            assert walk_log.emitted == split_log.emitted == [str(row) for row in plain.rows]
+            assert plain.stats.pops == len(walk_log.popped)
+            walked += len(plain.rows) > 1
+        assert walked > 100
+
+    def test_the_walk_makes_the_candidate_route_searches(self, monkeypatch):
+        searched = TestWitnessWalk.recorder(monkeypatch)
+        walked = 0
+        for cnf in self.cnfs(37):
+            calls, outs = [], []
+            for obs in (None, TestWitnessWalk.PopLog(), TestWitnessWalk.splits()):
+                outs.append(run(cnf, EngineConfig(method=Method.CLAUSE012, policy=Policy.SOLVER, observer=obs)))
+                calls.append(searched[:])
+                searched.clear()
+            assert calls[0] == calls[1] == calls[2]
+            walked += len(outs[0]) > 1
+        assert walked > 100
 
 
 class TestObserverHooksLeftAsTheNoOp:

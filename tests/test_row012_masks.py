@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import intersect_012, random_cnf
+from oracle import card_012, from_row012, intersect_012, random_cnf
 from wildsat.bench import GenSpec, gen_random_cnf
 from wildsat.engine import CardinalityFilter, EngineConfig, Method, Policy, run
 from wildsat.formulas import Clause, Cnf
@@ -24,7 +24,6 @@ from wildsat.rows import (
     Row012,
     Row012e,
     RowList,
-    card_012,
     format_rows,
     member_complement,
     parse_rows,
@@ -265,8 +264,8 @@ class TestEqualityAcrossRoutes:
         assert Row012(()) != Row012((2,))
         assert Row012((1,)) != (1,)
         r = Row012((1, 2))
-        assert Row012e.from_row012(r) != r and r != Row012e.from_row012(r)
-        e = Row012e.from_row012(r)
+        assert from_row012(r) != r and r != from_row012(r)
+        e = from_row012(r)
         assert e != (e.width, e.ones, e.bubble_masks)
 
     @given(st.lists(st.integers(0, 2), max_size=MAX_W))

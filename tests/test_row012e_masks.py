@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from oracle import (
     EBuilder,
+    card_purified,
     random_cnf,
     random_ebuilder,
     random_row012e,
@@ -42,7 +43,6 @@ from wildsat.rows import (
     RowList,
     _pin,
     _row012e,
-    card_purified,
     format_rows,
     impose_masks,
     impose_on_slots,

@@ -13,12 +13,16 @@ from conftest import erow, row012
 from oracle import (
     EBuilder,
     assert_disjoint_cover,
+    card_012,
+    card_e,
+    card_purified,
     intersect_012,
     intersect_e,
     models_of_mask,
     pick_model,
     random_purified_row,
     random_row012e,
+    ref_bit_index,
     row_mask,
 )
 import wildsat.rows as rows_module
@@ -30,9 +34,6 @@ from wildsat.rows import (
     Row012,
     Row012e,
     RowList,
-    card_012,
-    card_e,
-    card_purified,
     expand_to_012,
     format_rows,
     impose_on_slots,
@@ -42,6 +43,7 @@ from wildsat.rows import (
     parse_rows,
     pos_slot,
     purify,
+    _bit_index,
     _row012e,
 )
 
@@ -59,6 +61,22 @@ TABLE6_PIECES = [
 
 TABLE4_R = "e1 e4 e3 e5 2 e2 e6 e4 e6 e1 e6 e5 e4 e3 e4 e1 e2 2"
 TABLE4_RPP = "1 0 1 0 2 e2 1 0 2 2 0 1 e4 2 e4 2 e2 2"
+
+
+class TestBitIndex:
+    """``_bit_index`` transposes the bit matrix of its masks; the oracle
+    sets one bit at a time."""
+
+    @given(st.integers(0, 70).flatmap(lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=12))))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_per_bit_loop(self, case):
+        nbits, masks = case
+        assert _bit_index(iter(masks), nbits) == ref_bit_index(masks, nbits)
+
+    def test_no_bits_and_no_masks(self):
+        assert _bit_index([0, 0], 0) == []
+        assert _bit_index([], 3) == [0, 0, 0]
+        assert _bit_index([0b101, 0b110], 3) == [0b01, 0b10, 0b11]
 
 
 class TestCard012:

@@ -13,6 +13,7 @@ from oracle import (
     bitstring_of,
     cnf_mask,
     evaluate_naive,
+    from_row012,
     models_of_mask,
     random_cnf,
     random_row012,
@@ -328,7 +329,7 @@ class TestFirstUnsettled:
 
     @pytest.mark.parametrize(
         "row",
-        [row012("1222202"), Row012e.from_row012(row012("1222011")), row012("122")],
+        [row012("1222202"), from_row012(row012("1222011")), row012("122")],
         ids=["012", "012e", "narrow"],
     )
     def test_row_of_another_width_rejected(self, row):
