@@ -18,21 +18,19 @@ Mechanisms:
 
 One driver loop serves all three, and its stack holds masks, not rows:
 a 012 entry is (ones, zeros), a clause-e entry (ones, bubbles), split by
-``rows.impose_masks``.  It takes degrees straight from the masks, runs
-the built-in search on a 012-son's masks (``sat.search_from``) and tests
-the hint on them.  When only the built-in search reads the sons, a
-var-012 or clause-012 entry walks down its first admitted sons to a
-final with no round trip through the stack (``_drive``).  A clause-012
-entry carries the mask of the clauses its row settles, whose lowest zero
-bit is its degree.  Finals leave as masks, from which ``run`` makes its
-``RowList``; the driver builds a row only for a consumer that reads one
-(a weak test, a plugged solver's or clause-e's ``sat.solve_row``, an
-observer hook that is set), through one adapter, ``_on_row``.  Candidate sons are screened by a feasibility
-policy (perfect solver check, the weak tests, or none) and by the
-filter, if any.  With a weak policy an infeasible row can enter the
-stack; it is unmasked only when none of its candidate sons is admitted
-(or, for var-012, when it is a bitstring that is no model), and its
-removal then counts as a harmful deletion.
+``rows.impose_masks``.  Each son is admitted where it is made, by one
+admission in ``_drive``: its degree comes straight from the masks, and
+the built-in search (``sat.search_from``) and the hint test read them.
+A clause-012 entry carries the mask of the clauses its row settles, whose
+lowest zero bit is its degree.  Finals leave as masks, from which ``run``
+makes its ``RowList``; the driver builds a row only for a consumer that
+reads one: a weak test or an observer hook that is set, through the
+adapter ``_on_row``, and a plugged solver's or clause-e's search, through
+``sat.solve_row``.  Sons are screened by a feasibility policy (perfect solver
+check, the weak tests, or none) and by the filter, if any.  With a weak
+policy an infeasible row can enter the stack; it is unmasked only when
+none of its sons is admitted (or, for var-012, when it is a bitstring
+that is no model), and its removal then counts as a harmful deletion.
 """
 
 from __future__ import annotations
@@ -453,17 +451,28 @@ def _scan_rows(cnf: Cnf) -> list[tuple[int, int]]:
 
 
 def _admission(cnf: Cnf, config: EngineConfig, build):
-    """The son screen of a run: (screen, check, search), each called with a
-    candidate's two masks.
+    """The son screen of a run: (screen, check, search).  The screen and the
+    check are called with a son's two masks, the search with
+    ``sat.search_from``'s seven arguments, which hold the son's masks.
 
     A search counts as one solver call and answers None or the witness
     (model as a variable mask, root fixpoint ``(ones, zeros, open
     clauses)``, None for a plugged solver).  ``sat.search_from`` itself is
-    the built-in search, which the driver calls on a 012-son's masks.  A
-    clause-e witness holds the model's true literal slots in place of the
-    variable mask, so that its hint test reads the masks too.
+    the built-in search on a 012-son; a plugged solver and clause-e search
+    the son's row.  A clause-e witness holds the model's true literal slots
+    in place of the variable mask, so that its hint test reads the masks
+    too.
     """
     filt, policy, solver, w = config.spmod, config.policy, config.solver, cnf.num_vars
+    clause_e, every = config.method == Method.CLAUSE_E, (1 << w) - 1
+
+    def search_row(w, masks, ones, rest, start, k, stats):
+        found = solve_row(build(w, ones, rest), cnf, start, stats, solver=solver)
+        if found is None or not clause_e:
+            return found
+        model, fixpoint = found
+        return _spread(model) | _spread(every ^ model) << 1, fixpoint
+
     screen = check = search = None
     if filt is not None and filt.exact:  # a perfect filter replaces the policy
         if filt.cardinality is None:
@@ -473,26 +482,12 @@ def _admission(cnf: Cnf, config: EngineConfig, build):
     else:
         screen = None if filt is None else filt.admit
         if policy == Policy.SOLVER:
-            if is_plug(solver):
-                search = _on_row(lambda row, start, stats: solve_row(row, cnf, start, stats, solver=solver), build, w)
-            else:
-                search = search_from
+            search = search_row if clause_e or is_plug(solver) else search_from
         elif policy == Policy.TEST1:
             check = _on_row(lambda row: test1(row, cnf), build, w)
         elif policy == Policy.TEST12:
             check = _on_row(lambda row: test1(row, cnf) and test2(row, cnf), build, w)
-    if config.method != Method.CLAUSE_E:
-        return screen, check, search
-    every = (1 << w) - 1
-
-    def search_e(ones, bubbles, start, stats):
-        found = solve_row(build(w, ones, bubbles), cnf, start, stats, solver=solver)
-        if found is None:
-            return None
-        model, fixpoint = found
-        return _spread(model) | _spread(every ^ model) << 1, fixpoint
-
-    return screen, check, search and search_e
+    return screen, check, search
 
 
 def _on_row(fn, build, w: int):
@@ -518,19 +513,27 @@ def _observer_hooks(obs: EngineObserver | None, build, w: int) -> tuple:
 
 
 def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
-    """The LIFO driver of var-012, clause-012 and clause-e.  Pops (as
-    pushes, per split) and hint hits are counted in local ints and written
-    to ``stats`` when the loop returns.
+    """The LIFO driver of var-012, clause-012 and clause-e.
 
-    A var-012 or clause-012 run with the built-in search and no screen,
-    ``final_override`` or ``on_split`` walks a popped entry to a final in
-    one inner loop, making the searches, pops and observer calls of the
-    route through the candidate list in the same order.  var-012 goes level
-    by level: the son that the path's witness misses is searched from the
-    witness's fixpoint, the other takes the witness, and the path goes on
-    through the admitted 0-son, pushing the admitted 1-son, or else through
-    the 1-son.  clause-012's staircase admits each son as it makes it,
-    pushes the admitted sons after the first and goes on through the first.
+    Each turn admits the sons of one entry in one loop, as they are made:
+    the root (the one son of no entry, taken as degree -1), var-012's two
+    sons of a level, clause-e's ``impose_masks`` sons, or clause-012's
+    staircase, which makes its sons inside the loop.  A son faces the
+    degree check, the screen, then the hint test and the counted search,
+    or the check.  The turn pushes the admitted sons after the first and
+    goes down the first, or unmasks the entry when it admits none; then it
+    pops until an entry splits, emitting the finals on the way.
+
+    A var-012 run with the built-in search and no screen,
+    ``final_override`` or ``on_split`` walks a popped entry to a final,
+    making the searches, pops and observer calls of the per-level split in
+    the same order: the son that the path's witness misses is searched from
+    the witness's fixpoint, the other takes the witness, and the path goes
+    on through the admitted 0-son, pushing the admitted 1-son, or else
+    through the 1-son.
+
+    Pops (as admitted sons, per split), hint hits and solver calls are
+    counted in local ints and written to ``stats`` when the loop returns.
     """
     method, filt = config.method, config.spmod
     w, clauses, masks = cnf.num_vars, cnf.clauses, cnf.masks
@@ -542,8 +545,8 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     override, refine = (None, None) if filt is None else (filt.final_override, filt.refine_final)
     top = w if var012 else len(clauses)
     on_pop, on_split, on_emit, on_harmful = _observer_hooks(config.observer, build, w)
-    root, slot_masks = ((0, ()) if clause_e else (0, 0)), cnf.slot_masks
-    if not (var012 or clause_e):
+    slot_masks, staircase = cnf.slot_masks, not (var012 or clause_e)
+    if staircase:
         # clause-012, per clause, its staircase steps: a literal's variable
         # bit, its sign, and the clauses the literal settles when true and
         # when false
@@ -553,7 +556,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     # a bitstring passed only by a weak screen may still miss the model set;
     # on a bitstring, settling every clause (sat.final_e) means being a model
     check_model = var012 and config.policy != Policy.SOLVER and not exact
-    walk = search is search_from and screen is None and override is None and on_split is None
+    walk = var012 and search is search_from and screen is None and override is None and on_split is None
 
     def finish(entry) -> list | None:
         """The output masks of a final entry; None when it holds no model."""
@@ -570,6 +573,9 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
         stats.weight_discards += discards
         return kept
 
+    if not (clause_e or check_model or k is not None or refine is not None):
+        finish = None  # a final is its own output
+
     def delete(entry) -> None:
         stats.harmful_deletions += 1
         if on_harmful is not None:
@@ -577,60 +583,83 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
 
     finals: list = []
     stack: list = []
-    pops = hint_hits = 0
-    # each turn admits the candidates of ``entry`` and pops entries until one
-    # splits; the root is the one candidate of no entry (of degree -1), and
-    # its degree is 0, as the full row fixes no variable and settles no
-    # clause.  A stack item is (entry, degree, witness, settled-clause mask);
-    # only clause-012 reads the mask, which is 0 at the root
-    entry, deg, hint, cands = None, -1, None, [(root, 0, 0)]
+    pops = hint_hits = calls = 0
+    # a stack item is (entry, degree, witness, settled-clause mask), and only
+    # clause-012 reads the mask.  ``made`` holds a turn's sons as (ones, rest,
+    # degree, settled), or clause-012's staircase steps, which carry the
+    # entry's masks and settled mask from son to son.  The root's degree is 0,
+    # as the full row fixes no variable and settles no clause; for clause-012
+    # the root is the step of no literal, taken from the empty masks
+    ones = rest = settled = 0
+    m = start = None  # the witness's model mask and fixpoint
+    entry, deg, hint, made = None, -1, None, [(0, () if clause_e else 0, 0, 0)]
     while True:
         sons = []
-        for son, son_deg, son_settled in cands:
+        if hint is not None:  # every entry of a searched run but the root has one
+            m, start = hint
+        for bit, neg, true, false in made:
+            if staircase:
+                # son j makes the j-th free literal true, the earlier ones
+                # false; a literal the row fixes against adds nothing, as the
+                # row's mask holds the clauses of its mate
+                if (ones | rest) & bit:
+                    continue
+                if neg:
+                    son_ones, son_rest = ones, rest | bit
+                    ones |= bit
+                else:
+                    son_ones, son_rest = ones | bit, rest
+                    rest |= bit
+                son_settled = settled | true
+                settled |= false
+                son_deg = ((son_settled + 1) & ~son_settled).bit_length() - 1
+            else:
+                son_ones, son_rest, son_deg, son_settled = bit, neg, true, false
             if son_deg <= deg:
                 raise RuntimeError(f"son does not settle its parent's pending clause {deg + 1}")
-            if screen is not None and not screen(*son):
+            if screen is not None and not screen(son_ones, son_rest):
                 stats.weight_pruned += 1
                 continue
-            if search is None:
-                if check is not None and not check(*son):
-                    continue
-                wit = None
             # the hint test: the witness sets the son's ones (1-slots) and
             # none of its zeros, or hits each of its bubbles
-            elif hint is not None and hint[0] & son[0] == son[0] and (
-                all(b & hint[0] for b in son[1]) if clause_e else not hint[0] & son[1]
+            if m is not None and m & son_ones == son_ones and (
+                all(b & m for b in son_rest) if clause_e else not m & son_rest
             ):
                 hint_hits += 1
                 wit = hint
-            else:
-                stats.solver_calls += 1
-                start = hint and hint[1]
-                if search is search_from:  # the built-in search, on the son's masks
-                    wit = search_from(w, masks, son[0], son[1], start, k, stats)
-                else:
-                    wit = search(*son, start, stats)
+            elif search is not None:
+                calls += 1
+                wit = search(w, masks, son_ones, son_rest, start, k, stats)
                 if wit is None:
                     continue
-            sons.append((son, son_deg, wit, son_settled))
+            elif check is not None and not check(son_ones, son_rest):
+                continue
+            else:
+                wit = None
+            sons.append(((son_ones, son_rest), son_deg, wit, son_settled))
         if sons:
             if on_split is not None and entry is not None:
                 on_split(entry, deg, tuple(s[0] for s in sons), tuple(s[1] for s in sons))
-            stack.extend(reversed(sons))
-            pops += len(sons)  # the loop ends on an empty stack: every push is popped
-        elif entry is not None:
-            delete(entry)
-        while stack:
+            stack += sons[:0:-1]  # the sons after the first, to pop in order
+            pops += len(sons)  # the loop ends on an empty stack: every son is popped or gone down
+            entry, deg, hint, settled = sons[0]
+        else:
+            if entry is not None:
+                delete(entry)
+            if not stack:
+                stats.pops, stats.hint_hits, stats.solver_calls = pops, hint_hits, calls
+                return finals
             entry, deg, hint, settled = stack.pop()
+        while True:
             if on_pop is not None:
                 on_pop(*entry, deg, len(stack), len(finals))
             if override is not None and override(*entry):
                 out = [entry]
             elif deg == top:
-                out = finish(entry)
-            elif walk and var012:  # down the levels to a final (see the docstring)
+                out = [entry] if finish is None else finish(entry)
+            elif walk:  # var-012's walk down the levels (see the docstring)
                 ones, zeros = entry
-                stats.solver_calls += top - deg  # a level searches one son
+                calls += top - deg  # a level searches one son
                 hint_hits += top - deg  # and the other takes the witness
                 for deg in range(deg + 1, top + 1):
                     bit, (m, start) = 1 << deg - 1, hint
@@ -649,91 +678,46 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
                     if on_pop is not None:
                         on_pop(ones, zeros, deg, len(stack), len(finals))
                 entry = ones, zeros
-                out = finish(entry)
-            elif var012:  # pin the lowest free variable, 0 first
-                ones, zeros = entry
-                bit = 1 << deg
-                cands = [((ones, zeros | bit), deg + 1, None), ((ones | bit, zeros), deg + 1, None)]
-                break
-            elif clause_e:
-                # a son is a subset of its parent, so the clauses its parent
-                # settles stay settled and its scan starts at the parent's
-                cands = []
-                ones, bubbles = entry
-                split = impose_masks(w, ones, bubbles, clauses[deg].slots, slot_masks[deg])
-                if split is None:  # the scan found the clause pending
-                    raise RuntimeError(f"row already settles its pending clause {deg + 1}")
-                for son in split:
-                    son_deg, (son_ones, son_bubbles) = deg, son
-                    while son_deg < top:
-                        mask = slot_masks[son_deg]  # a copy of rows.settles
-                        if not son_ones & mask:
-                            for b in son_bubbles:
-                                if not b & ~mask:
+                out = [entry] if finish is None else finish(entry)
+            else:  # the entry splits
+                ones, rest = entry
+                if staircase:
+                    made = steps[deg]
+                elif var012:  # pin the lowest free variable, 0 first
+                    bit = 1 << deg
+                    made = [(ones, rest | bit, deg + 1, 0), (ones | bit, rest, deg + 1, 0)]
+                else:
+                    # a clause-e son is a subset of its parent, so the clauses
+                    # its parent settles stay settled and its scan starts at
+                    # the parent's
+                    split = impose_masks(w, ones, rest, clauses[deg].slots, slot_masks[deg])
+                    if split is None:  # the scan found the clause pending
+                        raise RuntimeError(f"row already settles its pending clause {deg + 1}")
+                    made = []
+                    for son_ones, son_bubbles in split:
+                        son_deg = deg
+                        while son_deg < top:
+                            mask = slot_masks[son_deg]  # a copy of rows.settles
+                            if not son_ones & mask:
+                                for b in son_bubbles:
+                                    if not b & ~mask:
+                                        break
+                                else:
                                     break
-                            else:
-                                break
-                        son_deg += 1
-                    cands.append((son, son_deg, None))
+                            son_deg += 1
+                        made.append((son_ones, son_bubbles, son_deg, 0))
                 break
-            else:
-                # the staircase: son j makes the j-th free literal true, the
-                # earlier ones false; a literal the row fixes against adds
-                # nothing, as the row's mask holds the clauses of its mate.
-                # The walk admits each son as it makes it, against the witness
-                # that every entry of a searched run has (see the docstring)
-                cands = []
-                while True:
-                    ones, zeros = entry
-                    for bit, neg, true, false in steps[deg]:
-                        if (ones | zeros) & bit:
-                            continue  # fixed against the literal
-                        if neg:
-                            son_ones, son_zeros = ones, zeros | bit
-                            ones |= bit
-                        else:
-                            son_ones, son_zeros = ones | bit, zeros
-                            zeros |= bit
-                        son_settled = settled | true
-                        settled |= false
-                        son_deg = ((son_settled + 1) & ~son_settled).bit_length() - 1
-                        if not walk:
-                            cands.append(((son_ones, son_zeros), son_deg, son_settled))
-                        elif son_deg <= deg:
-                            raise RuntimeError(f"son does not settle its parent's pending clause {deg + 1}")
-                        elif hint[0] & son_ones == son_ones and not hint[0] & son_zeros:
-                            hint_hits += 1
-                            cands.append(((son_ones, son_zeros), son_deg, hint, son_settled))
-                        else:
-                            stats.solver_calls += 1
-                            wit = search_from(w, masks, son_ones, son_zeros, hint[1], k, stats)
-                            if wit is not None:
-                                cands.append(((son_ones, son_zeros), son_deg, wit, son_settled))
-                    if not walk or not cands:
-                        break
-                    stack += cands[:0:-1]  # the sons after the first, to pop in order
-                    pops += len(cands)
-                    entry, deg, hint, settled = cands[0]
-                    if on_pop is not None:
-                        on_pop(*entry, deg, len(stack), len(finals))
-                    if deg == top:
-                        break
-                    cands = []
-                if not walk:
-                    break
-                # the walk ends at a final or at an entry with no son admitted;
-                # with no k, there is no filter and the final is its own output
-                out = None if not cands else [entry] if k is None else finish(entry)
             if out is None:
                 delete(entry)
-                continue
-            finals.extend(out)
-            if on_emit is not None:
-                for piece in out:
-                    on_emit(*piece)
-        else:
-            stats.pops, stats.hint_hits = pops, hint_hits
-            return finals
+            else:
+                finals += out
+                if on_emit is not None:
+                    for piece in out:
+                        on_emit(*piece)
+            if not stack:  # the next turn makes no son and ends the run
+                entry, made = None, ()
+                break
+            entry, deg, hint, settled = stack.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -826,39 +826,31 @@ class RowList:
     """An ordered, pairwise-disjoint collection of rows over one width,
     held as their masks: ``(ones, zeros)`` for a 012-row, ``(ones,
     bubbles)`` for an e-row, its bubbles a tuple in order of their lowest
-    bit.  ``RowList(width, rows, stats)`` reads the rows' masks once, and
-    ``_row_list`` takes masks; ``rows`` builds the rows on its first read
-    and keeps them.  ``widths`` holds each row's width when one is not the
-    list's."""
+    bit.  ``RowList(width, rows, stats)`` reads the rows' masks once and
+    raises ValueError for a row of another width; ``_row_list`` takes
+    masks.  ``rows`` builds the rows on its first read and keeps them."""
 
     width: int
-    _masks: tuple
+    masks: tuple
     stats: RunStats | None
-    widths: tuple[int, ...] | None
 
     def __init__(self, width: int, rows: Iterable[Row012 | Row012e] = (), stats: RunStats | None = None) -> None:
         rows = tuple(rows)
-        masks = tuple((r.ones, r.zeros) if isinstance(r, Row012) else (r.ones, r.bubble_masks) for r in rows)
-        widths = None if all(r.width == width for r in rows) else tuple(r.width for r in rows)
-        vars(self).update(width=width, _masks=masks, stats=stats, widths=widths, rows=rows)
-
-    @property
-    def masks(self) -> tuple:
-        """The rows' masks; raises ValueError when a row is not as wide as the list."""
-        if self.widths is not None:
+        if any(r.width != width for r in rows):
             raise ValueError("row widths differ")
-        return self._masks
+        masks = tuple((r.ones, r.zeros) if isinstance(r, Row012) else (r.ones, r.bubble_masks) for r in rows)
+        vars(self).update(width=width, masks=masks, stats=stats, rows=rows)
 
     @cached_property
     def rows(self) -> tuple:
         """The rows, built from the masks on the first read and kept."""
+        w = self.width
         return tuple(
-            _row012(w, ones, rest) if type(rest) is int else _row012e(w, ones, rest)
-            for w, (ones, rest) in zip(self.widths or itertools.repeat(self.width), self._masks)
+            _row012(w, ones, rest) if type(rest) is int else _row012e(w, ones, rest) for ones, rest in self.masks
         )
 
     def __len__(self) -> int:
-        return len(self._masks)
+        return len(self.masks)
 
     def __iter__(self):
         return iter(self.rows)
@@ -868,13 +860,13 @@ class RowList:
 
     def gamma_avg(self) -> float:
         """Mean number of free variables per row (don't-care pairs for e-rows)."""
-        return _totals(self.width, self.masks)[1] / len(self) if self._masks else 0.0
+        return _totals(self.width, self.masks)[1] / len(self) if self.masks else 0.0
 
 
 def _row_list(width: int, masks: tuple, stats: RunStats | None = None) -> RowList:
     """A list from masks of its width, built without checks."""
     out = object.__new__(RowList)
-    vars(out).update(width=width, _masks=masks, stats=stats, widths=None)
+    vars(out).update(width=width, masks=masks, stats=stats)
     return out
 
 

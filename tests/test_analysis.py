@@ -103,13 +103,15 @@ class TestCountByCardinality:
             assert count_by_cardinality(out).total() == out.total_models()
 
     def test_row_wider_or_narrower_than_its_list(self):
-        for rows in (
-            RowList(2, (Row012((1, 1, 1)),)),
-            RowList(3, (row012("222"), row012("12"))),
-            RowList(2, (Row012e(3, (1, 0, 2, 2, 2, 2)),)),
+        # no list holds a row of another width, so count_by_cardinality
+        # never reads one
+        for width, rows in (
+            (2, (Row012((1, 1, 1)),)),
+            (3, (row012("222"), row012("12"))),
+            (2, (Row012e(3, (1, 0, 2, 2, 2, 2)),)),
         ):
             with pytest.raises(ValueError, match="row widths differ"):
-                count_by_cardinality(rows)
+                RowList(width, rows)
 
 
 class TestEquivalent:
@@ -184,16 +186,14 @@ class TestEquivalent:
         assert found_witness > 0
 
     def test_row_wider_or_narrower_than_its_list(self):
-        good = RowList(2, (row012("22"),))
-        for bad in (
-            RowList(2, (Row012((1, 1, 1)),)),
-            RowList(2, (row012("1"), row012("02"))),
-            RowList(2, (Row012e(3, (1, 0, 2, 2, 2, 2)),)),
+        # no list holds a row of another width, so equivalent never reads one
+        for rows in (
+            (Row012((1, 1, 1)),),
+            (row012("1"), row012("02")),
+            (Row012e(3, (1, 0, 2, 2, 2, 2)),),
         ):
             with pytest.raises(ValueError, match="row widths differ"):
-                equivalent(good, bad)
-            with pytest.raises(ValueError, match="row widths differ"):
-                equivalent(bad, good)
+                RowList(2, rows)
 
 
 def _flip_var(cnf: Cnf, var: int) -> Cnf:

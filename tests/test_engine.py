@@ -486,8 +486,8 @@ class TestResumedPendingClause:
         assert built
 
     def test_walk_son_missing_the_pending_clause_is_an_error(self, phi2, monkeypatch):
-        # under policy solver the clause-012 walk admits a son as its
-        # staircase makes it, so the degree check runs there
+        # the one admission checks a son's degree as the staircase makes
+        # it, under policy solver as under none (the test above)
         built = []
         monkeypatch.setattr(wildsat.engine, "_bit_index", lambda masks, nbits: built.append(nbits) or [0] * nbits)
         with pytest.raises(RuntimeError, match="pending clause"):
@@ -793,11 +793,11 @@ class TestWitnessWalk:
 
 
 class TestClause012Walk:
-    """A clause-012 run with the built-in search and no screen, no override
-    and no ``on_split`` admits each staircase son as it makes it and goes
-    down the first; setting ``on_split`` keeps the route through the
-    candidate list.  Both make the same searches in the same order and give
-    the same rows, counters and observer calls."""
+    """A clause-012 run admits each staircase son as it makes it and goes
+    down the first, under every policy, a screen and a plugged solver.
+    ``on_split`` (which closes var-012's walk) changes nothing of that: a
+    run with it makes the same searches in the same order and gives the
+    same rows, counters and observer calls as a run without."""
 
     class Log(EngineObserver):
         def __init__(self):
@@ -820,29 +820,44 @@ class TestClause012Walk:
         ]
 
     @staticmethod
-    def runs(cnf):
-        """The run with no observer, with a logging observer (the walk) and
-        with the same observer and an ``on_split`` (the candidate route)."""
-        config = EngineConfig(method=Method.CLAUSE012, policy=Policy.SOLVER)
-        walked, split = TestClause012Walk.Log(), TestClause012Walk.Log()
+    def configs(cnf):
+        """The solver, the weak policies and none, a weight screen in front
+        of the solver and a plugged solver."""
+        base = EngineConfig(method=Method.CLAUSE012, policy=Policy.SOLVER)
+        weights = [(3 * v) % 4 for v in range(2 * cnf.num_vars)]
+        return [replace(base, policy=policy) for policy in Policy] + [
+            replace(base, spmod=WeightFilter(weights, sum(weights) // 3)),
+            replace(base, solver=lambda c: wildsat.sat.dpll_sat(c)),
+        ]
+
+    @staticmethod
+    def runs(cnf, config):
+        """The run with no observer, with a logging observer and with the
+        same observer and an ``on_split``."""
+        logged, split = TestClause012Walk.Log(), TestClause012Walk.Log()
         split.on_split = lambda *args: None
-        outs = [run(cnf, replace(config, observer=obs)) for obs in (None, walked, split)]
-        return outs, walked, split
+        outs = [run(cnf, replace(config, observer=obs)) for obs in (None, logged, split)]
+        return outs, logged, split
 
-    def test_the_walk_matches_the_candidate_route(self):
-        walked = 0
+    @staticmethod
+    def stats(out):
+        return {**vars(out.stats), "time_s": None}
+
+    def test_on_split_changes_no_row_counter_or_hook_call(self):
+        walked = [0] * 6  # per config, the runs with more than one row
         for cnf in self.cnfs(36):
-            (plain, walk, split), walk_log, split_log = self.runs(cnf)
-            for out in (walk, split):
-                assert format_rows(plain) == format_rows(out)
-                assert TestWitnessWalk.counters(plain) == TestWitnessWalk.counters(out)
-            assert walk_log.popped == split_log.popped
-            assert walk_log.emitted == split_log.emitted == [str(row) for row in plain.rows]
-            assert plain.stats.pops == len(walk_log.popped)
-            walked += len(plain.rows) > 1
-        assert walked > 100
+            for i, config in enumerate(self.configs(cnf)):
+                (plain, logged, split), log, split_log = self.runs(cnf, config)
+                for out in (logged, split):
+                    assert format_rows(plain) == format_rows(out)
+                    assert self.stats(plain) == self.stats(out)
+                assert log.popped == split_log.popped
+                assert log.emitted == split_log.emitted == [str(row) for row in plain.rows]
+                assert plain.stats.pops == len(log.popped)
+                walked[i] += len(plain.rows) > 1
+        assert min(walked) > 50, walked
 
-    def test_the_walk_makes_the_candidate_route_searches(self, monkeypatch):
+    def test_on_split_changes_no_search(self, monkeypatch):
         searched = TestWitnessWalk.recorder(monkeypatch)
         walked = 0
         for cnf in self.cnfs(37):

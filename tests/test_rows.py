@@ -586,19 +586,19 @@ class TestRowTextFormat:
         assert parse_rows(text).rows == (r,)
 
     @pytest.mark.parametrize(
-        "rows",
+        "width, rows",
         [
-            RowList(3, (row012("11"),)),
-            RowList(1, (Row012e.full(2),)),
-            RowList(3, (Row012e.full(2),)),
-            RowList(2, (row012("12"), row012("121"))),
+            (3, (row012("11"),)),
+            (1, (Row012e.full(2),)),
+            (3, (Row012e.full(2),)),
+            (2, (row012("12"), row012("121"))),
         ],
         ids=["012-narrow", "e-wide", "e-narrow", "second-row"],
     )
-    def test_row_width_mismatch_rejected(self, rows):
-        # parse_rows would reject what format_rows wrote
+    def test_row_width_mismatch_rejected(self, width, rows):
+        # parse_rows would reject what format_rows wrote, so no list holds it
         with pytest.raises(ValueError, match="row widths differ"):
-            format_rows(rows)
+            RowList(width, rows)
 
     def test_serialising_bad_pairs_rejected(self, table3):
         with pytest.raises(PurityError):

@@ -7,8 +7,8 @@ The engine dispatches on no filter class: it reads a filter's attributes,
 and every filter it defines records in ``__init__`` the width it was built
 for, which ``validate_config`` checks once per run; every hook it defines
 takes a 012 entry's ``(ones, zeros)`` masks.  The driver builds no row:
-its finals stay masks.  The CLI reads no filter's methods and no width,
-so those rules have no second home.
+its finals stay masks, and it admits a son in one place.  The CLI reads
+no filter's methods and no width, so those rules have no second home.
 A module imports no name it never uses, save the ones the benchmark's
 trace probes wrap on it, which its "unused here but stay" comment lists.
 An absent consumer hook is a None attribute, never a method that does
@@ -370,3 +370,39 @@ def test_the_engine_has_no_no_op_hooks():
         ]
     )
     assert _empty_methods(ast.parse(probe)) == ["Hooks.on_pop", "Hooks.on_split", "Hooks.on_emit"]
+
+
+def _admission_marks(tree: ast.AST) -> dict[str, list[int]]:
+    """The lines of a son admission's two marks: the son-degree
+    ``RuntimeError`` and the hint hit ``hint_hits += 1``."""
+    phrase = "does not settle its parent's pending clause"
+    marks: dict[str, list[int]] = {"degree check": [], "hint hit": []}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and any(
+            isinstance(n, ast.Constant) and phrase in str(n.value) for n in ast.walk(node)
+        ):
+            marks["degree check"].append(node.lineno)
+        elif isinstance(node, ast.AugAssign) and ast.unparse(node) == "hint_hits += 1":
+            marks["hint hit"].append(node.lineno)
+    return marks
+
+
+def test_the_driver_admits_a_son_in_one_place():
+    # every son, var-wise or clause-wise, faces the one admission in
+    # _drive's loop, so its degree check and its hint hit are written once
+    path = Path(engine.__file__)
+    marks = _admission_marks(ast.parse(path.read_text(), filename=str(path)))
+    assert all(len(lines) == 1 for lines in marks.values()), f"engine.py admits sons at {marks}"
+    # the scan sees each mark, also in an f-string, and leaves the walk's
+    # counted hits and other errors alone
+    probe = "\n".join(
+        [
+            "raise RuntimeError(f\"son does not settle its parent's pending clause {deg + 1}\")",
+            "hint_hits += 1",
+            "hint_hits += top - deg",
+            "raise RuntimeError(\"son does not settle its parent's pending clause\")",
+            "raise RuntimeError(f'row already settles its pending clause {deg + 1}')",
+            "hint_hits += 1",
+        ]
+    )
+    assert _admission_marks(ast.parse(probe)) == {"degree check": [1, 4], "hint hit": [2, 6]}
