@@ -50,16 +50,25 @@ class EquivalenceResult:
         return self.equal
 
 
-def _purified(rows: RowList) -> list[tuple[int, int, tuple[int, ...]]]:
-    """The purified pieces of a list's rows as ``(row index, ones,
-    bubbles)``: a 012-row's masks spread to slots, an e-row's cut by
-    ``_purify``.  Raises ValueError when a row is not as wide as its list."""
-    w, out = rows.width, []
+def _purified(rows: RowList) -> list[tuple[int, int, tuple[int, ...], int]]:
+    """The purified pieces of a list's rows as ``(row index, ones, bubbles,
+    cardinality)``: a 012-row's masks spread to slots, an e-row with no bad
+    pair as it is (a ``RowList`` holds its bubbles in lowest-bit order), an
+    e-row with one cut by ``_purify``.  The walk that looks for a bad pair
+    also counts the row."""
+    w, even, out = rows.width, _evens(rows.width), []
     for i, (ones, rest) in enumerate(rows.masks):
         if type(rest) is int:
-            out.append((i, _spread(ones) | _spread(rest) << 1, ()))
-        else:
-            out.extend((i, *piece) for piece in _purify(w, ones, rest))
+            out.append((i, _spread(ones) | _spread(rest) << 1, (), 1 << (w - (ones | rest).bit_count())))
+            continue
+        n, bub = 1, 0
+        for b in rest:
+            n *= (1 << b.bit_count()) - 1
+            bub |= b
+        if bub & bub >> 1 & even:
+            out.extend((i, *piece, _card(w, *piece)) for piece in _purify(w, ones, rest))
+        else:  # _free_count inlined, on the union the loop takes
+            out.append((i, ones, rest, n << (w - ones.bit_count() - ((bub | bub >> 1) & even).bit_count())))
     return out
 
 
@@ -107,7 +116,7 @@ def count_by_cardinality(rows: RowList) -> CountPolynomial:
     """Model counts split by cardinality, summed over (purified) rows."""
     w = rows.width
     coeff = [0] * (w + 1)
-    for _, ones, bubbles in _purified(rows):
+    for _, ones, bubbles, _ in _purified(rows):
         for k, c in enumerate(_row_polynomial(w, ones, bubbles)):
             coeff[k] += c
     return CountPolynomial(tuple(coeff))
@@ -126,31 +135,31 @@ def equivalent(rows_a: RowList, rows_b: RowList) -> EquivalenceResult:
     overlapping rows the sums prove nothing: ``2 2`` against the list
     ``1 2``, ``1 2`` reads equal.
 
-    Each purified piece's masks are read once, and its cardinality comes
-    from ``_card`` without a second purity test: ``_purify`` output is
-    purified by construction.  The second list's pieces are indexed once by
-    their 1-slots.  A piece of the second list that holds 1 on a 0-slot of
-    a piece of the first misses it, so only the other pieces go to
-    ``_intersection_card``, in list order; a skipped pair would have added 0.
+    Each list's rows are read as they are: an e-row with no bad pair is
+    already purified, so only the others go through ``_purify``, and each
+    piece's cardinality comes from the walk that looks for a bad pair.  The
+    second list's pieces are indexed once by their 1-slots.  A piece of the
+    second list that holds 1 on a 0-slot of a piece of the first misses it,
+    so only the other pieces go to ``_intersection_card``, in list order; a
+    skipped pair would have added 0.
     """
     if rows_a.width != rows_b.width:
         raise ValueError("row lists have different widths")
     w = rows_a.width
-    pa = _purified(rows_a)
-    pb = [(ones, bubbles) for _, ones, bubbles in _purified(rows_b)]
-    cards = [_card(w, ones, bubbles) for _, ones, bubbles in pa]
-    na = sum(cards)
-    nb = sum(_card(w, ones, bubbles) for ones, bubbles in pb)
+    pa, pb = _purified(rows_a), _purified(rows_b)
+    na = sum(card for *_, card in pa)
+    nb = sum(card for *_, card in pb)
     if na != nb:
         return EquivalenceResult(False, None, f"model counts differ: {na} != {nb}")
-    one = _bit_index((ones for ones, _ in pb), 2 * w)
-    every = (1 << len(pb)) - 1
-    for (i, ones, bubbles), card in zip(pa, cards):
+    masks_b = [(ones, bubbles) for _, ones, bubbles, _ in pb]
+    one = _bit_index((ones for ones, _ in masks_b), 2 * w)
+    every = (1 << len(masks_b)) - 1
+    for i, ones, bubbles, card in pa:
         meets = every & ~_gather(one, _mates(ones, w))
         inside = 0
         while meets:
             low = meets & -meets
-            inside += _intersection_card(w, ones, bubbles, *pb[low.bit_length() - 1])
+            inside += _intersection_card(w, ones, bubbles, *masks_b[low.bit_length() - 1])
             meets ^= low
         if inside != card:
             return EquivalenceResult(

@@ -528,9 +528,9 @@ def purify(row: Row012e) -> list[Row012e]:
     """Split a row into disjoint purified rows covering the same bitstrings.
 
     Every bad pair is instantiated both ways (value 1 first, variables in
-    increasing order), each instantiation one ``_pin`` of the chosen slots;
-    instantiations that contradict are dropped.  At least one row survives.
-    The pieces are built from the masks ``_purify`` answers.
+    increasing order); instantiations that contradict are dropped.  At
+    least one row survives.  The pieces are built from the masks
+    ``_purify`` answers.
     """
     return [_row012e(row.width, *piece) for piece in _purify(row.width, row.ones, row.bubble_masks)]
 
@@ -538,21 +538,47 @@ def purify(row: Row012e) -> list[Row012e]:
 def _purify(width: int, ones: int, bubbles: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
     """``purify`` on an e-row's masks, answered as masks: ``(ones,
     bubbles)`` per piece, the bubbles a tuple in order of their lowest bit;
-    the row's own masks when it has no bad pair."""
+    the row's own masks when it has no bad pair.
+
+    A depth-first split pins one bad pair's variable per level.  Bubbles
+    are disjoint and hold no fixed slot, so pinning a slot to 1 drops the
+    bubble holding it and shrinks the one holding its mate; ``_pin`` runs
+    only when that bubble is left with one slot.  That cascade fixes one
+    free slot per round, so it never contradicts: a prefix is dropped, with
+    its subtree, only when its next variable is already fixed the other
+    way.  Unit propagation is order-free, so the pieces and their order are
+    those of pinning each instantiation at once, in ``itertools.product``
+    order.
+    """
     bub = _union(bubbles)
     bad = bub & bub >> 1 & _evens(width)
     if not bad:
         return [(ones, _in_order(bubbles))]
     bad, out = list(_slots_of(bad)), []
-    for values in itertools.product((1, 0), repeat=len(bad)):
-        new = 0
-        for s, v in zip(bad, values):
-            new |= 1 << (s if v else s + 1)
-        try:
-            piece_ones, piece_bubbles = _pin(width, ones, bubbles, new)
-        except EmptyRowError:
+    stack = [(0, ones, bubbles)]
+    while stack:
+        i, ones, bubbles = stack.pop()
+        if i == len(bad):
+            out.append((ones, _in_order(bubbles)))
             continue
-        out.append((piece_ones, _in_order(piece_bubbles)))
+        s = bad[i]
+        for bit, mate in ((2 << s, 1 << s), (1 << s, 2 << s)):  # value 0 pushed first, so value 1 pops first
+            if ones & bit:
+                stack.append((i + 1, ones, bubbles))
+                continue
+            if ones & mate:
+                continue
+            kept, rest = [], 0
+            for b in bubbles:
+                if b & bit:
+                    continue
+                if b & mate:
+                    b ^= mate
+                    if not b & (b - 1):
+                        rest = b
+                        continue
+                kept.append(b)
+            stack.append((i + 1, *_pin(width, ones | bit, kept, rest)) if rest else (i + 1, ones | bit, kept))
     if not out:
         raise RuntimeError("purification of a nonempty row produced nothing")
     return out
@@ -748,7 +774,14 @@ def _intersection_card(
             ones, bubbles = _pin(width, ones_p, bubbles_p, ones_q)
         except EmptyRowError:
             return 0
-    open_q = [b for b in bubbles_q if not settles(ones, bubbles, b)]
+    open_q = []
+    for b in bubbles_q:  # the bubbles that settles(ones, bubbles, b) leaves open, inlined
+        if not ones & b:
+            for c in bubbles:
+                if not c & ~b:
+                    break
+            else:
+                open_q.append(b)
     if not open_q:
         return _card(width, ones, bubbles)
     total = 0
@@ -900,8 +933,8 @@ _SLOT_TOKENS = [t[::-1] for t in itertools.product(("2", "1", "0", "1"), repeat=
 def format_rows(rows: RowList) -> str:
     """The row list as text, read off its masks.  An e-row's tokens are
     read off its 1-slots four variables at a time, then its bubbles write
-    their eK/nK tokens.  Raises ValueError for a row whose width is not the
-    list's, and PurityError for an e-row with bad pairs."""
+    their eK/nK tokens.  Raises PurityError for an e-row with bad pairs;
+    the widths were checked when the list was built."""
     w, even = rows.width, _evens(rows.width)
     lines = [f"rows w={w} n={len(rows)}"]
     for ones, rest in rows.masks:

@@ -10,6 +10,7 @@ from conftest import row012
 from oracle import (
     cnf_mask,
     equivalent_pairwise,
+    from_row012,
     models_of_mask,
     random_cnf,
     random_purified_row,
@@ -23,7 +24,7 @@ from wildsat.analysis import count_by_cardinality, equivalent
 from wildsat.bench import GenSpec, gen_random_cnf
 from wildsat.engine import EngineConfig, Method, run
 from wildsat.formulas import Clause, Cnf, weight
-from wildsat.rows import Row012, Row012e, RowList
+from wildsat.rows import Row012, Row012e, RowList, expand_to_012
 
 
 def eq1_rowlist():
@@ -255,3 +256,56 @@ class TestEquivalentIndex:
         assert equivalent(rows_a, rows_b).equal
         assert len(calls) == meeting
         assert len(calls) * 5 < len(pa) * len(pb)
+
+
+class TestRowsReadAsTheyAre:
+    """``equivalent`` and ``count_by_cardinality`` take an e-row with no bad
+    pair as it is and cut only the others with ``_purify``.  The lists mix
+    012-rows, purified e-rows and e-rows with bad pairs, made disjoint by
+    two leading variables that number the rows."""
+
+    @staticmethod
+    def _mixed(rng: random.Random, w: int) -> tuple[RowList, RowList]:
+        """Four rows over w + 2 variables, each kind at least once, and a
+        list of the same members written another way: an e-row with bad
+        pairs as its purified pieces, a purified e-row as its 012 expansion,
+        a 012-row as an e-row."""
+        rows, alt = [], []
+        for i, kind in enumerate(("bad", "pure", "012", rng.choice(("bad", "pure", "012")))):
+            number = (i & 1, i >> 1)
+            if kind == "012":
+                row = Row012(number + tuple(rng.choice((0, 1, 2, 2)) for _ in range(w)))
+                rows.append(row)
+                alt.append(from_row012(row))
+                continue
+            core = None
+            while core is None or (kind == "bad") != bool(core.bad_pairs()) or not core.bubble_masks:
+                core = random_row012e(rng, w, max_bubbles=4)
+            row = Row012e(w + 2, tuple(s for b in number for s in ((1, 0) if b else (0, 1))) + core.slots)
+            rows.append(row)
+            alt.extend(ref_purify(row) if kind == "bad" else expand_to_012(row))
+        return RowList(w + 2, rows), RowList(w + 2, alt)
+
+    def test_mixed_lists_match_the_oracles(self, monkeypatch):
+        rng = random.Random(457)
+        calls = []
+        cut = wildsat.analysis._purify
+        monkeypatch.setattr(wildsat.analysis, "_purify", lambda w, *masks: calls.append(masks) or cut(w, *masks))
+        seen = set()
+        for _ in range(60):
+            w = rng.randint(2, 6)
+            rows, alt = self._mixed(rng, w)
+            impure = [(r.ones, r.bubble_masks) for r in rows if isinstance(r, Row012e) and r.bad_pairs()]
+            expected = [0] * (w + 3)
+            for u in models_of_mask(w + 2, rows_mask(w + 2, rows)):
+                expected[weight(u)] += 1
+            calls.clear()
+            assert list(count_by_cardinality(rows).coefficients) == expected
+            assert calls == impure  # only the rows with a bad pair are cut
+            assert list(count_by_cardinality(alt).coefficients) == expected
+            dropped = RowList(w + 2, alt.rows[:-1])
+            for x, y in ((rows, alt), (alt, rows), (rows, dropped), (dropped, rows)):
+                got = equivalent(x, y)
+                assert got == equivalent_pairwise(x, y)
+                seen.add(got.equal)
+        assert seen == {True, False}

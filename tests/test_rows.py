@@ -23,6 +23,7 @@ from oracle import (
     random_purified_row,
     random_row012e,
     ref_bit_index,
+    ref_purify,
     row_mask,
 )
 import wildsat.rows as rows_module
@@ -238,6 +239,62 @@ class TestPurify:
             assert pieces, "purify returned nothing"
             assert all(p.is_purified() for p in pieces)
             assert_disjoint_cover(w, pieces, row_mask(w, r))
+
+
+# One variable of a dense row: a kind, the label of its positive slot and
+# an offset to its negative slot's label, so that the two slots sit in
+# distinct bubbles of at most six.  Kinds 16 and 17 leave one slot free,
+# 18 and 19 fix the variable.
+_DENSE_VAR = st.tuples(st.integers(0, 19), st.integers(0, 5), st.integers(0, 4))
+
+
+@st.composite
+def dense_e_rows(draw) -> Row012e:
+    """Rows of 4-8 variables with up to six bubbles over most slots.  Most
+    hold three or more bad pairs, and their splits meet contradicting
+    prefixes and one-slot cascades."""
+    slots: list[int] = []
+    for kind, label, offset in draw(st.lists(_DENSE_VAR, min_size=4, max_size=8)):
+        if kind >= 18:
+            slots += (1, 0) if kind == 18 else (0, 1)
+            continue
+        mate = (label + 1 + offset) % 6
+        slots += (2 if kind == 16 else 3 + label, 2 if kind == 17 else 3 + mate)
+    for v in set(slots):
+        if v >= 3 and slots.count(v) == 1:  # a bubble needs two slots
+            slots[slots.index(v)] = 2
+    return Row012e(len(slots) // 2, tuple(slots))
+
+
+class TestPurifySplit:
+    """``purify`` splits depth first over the bad pairs and pins one slot
+    per level; the oracle pins each instantiation a variable at a time."""
+
+    @given(dense_e_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_dense_rows_match_the_oracle(self, row):
+        assert purify(row) == ref_purify(row)
+
+    def test_a_contradicting_prefix_runs_no_pin(self, monkeypatch):
+        # bubbles {x1, ~x2}, {~x1, x3, x4} and {x2, x5, x6}: the bad pairs
+        # are x1 and x2.  Pinning x1 = 0 and x2 = 1 at once empties {x1, ~x2}.
+        # The split pins ~x1, and {x1, ~x2} left with ~x2 cascades: the one
+        # _pin of the run.  x2 = 1 then meets a 0-slot, so that prefix is
+        # dropped with no pin, and x1 = 1 shrinks {~x1, x3, x4} to two slots.
+        row = erow("e1 e2 e3 e1 e2 2 e2 2 e3 2 e3 2")
+        assert row.bad_pairs() == (1, 2)
+        expected = ref_purify(row)
+        calls = []
+        pin = rows_module._pin
+
+        def counting(*args):
+            calls.append(args)
+            return pin(*args)
+
+        monkeypatch.setattr(rows_module, "_pin", counting)
+        assert purify(row) == expected
+        assert len(expected) == 3
+        assert [(ones, new) for _, ones, _, new in calls] == [(1 << neg_slot(1), 1 << neg_slot(2))]
 
 
 class TestPickModel:
