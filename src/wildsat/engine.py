@@ -526,14 +526,21 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
 
     A var-012 run with the built-in search and no screen,
     ``final_override`` or ``on_split`` walks a popped entry to a final,
-    making the searches, pops and observer calls of the per-level split in
-    the same order: the son that the path's witness misses is searched from
-    the witness's fixpoint, the other takes the witness, and the path goes
-    on through the admitted 0-son, pushing the admitted 1-son, or else
-    through the 1-son.
+    making the pops and observer calls of the per-level split in the same
+    order: the son that the path's witness misses is searched from the
+    witness's fixpoint, the other takes the witness, and the path goes on
+    through the admitted 0-son, pushing the admitted 1-son, or else through
+    the 1-son.  Under a bound k the witness has k ones, and the path's ones
+    and its fixpoint's ones lie in them.  Once those number k, every son
+    left to search is refuted before it propagates, moving no counter: a
+    1-son off the witness would hold k + 1 ones, a 0-son on it clashes
+    with the fixpoint.  The walk then sets the levels left from the
+    witness, with one pop each and no search.
 
     Pops (as admitted sons, per split), hint hits and solver calls are
     counted in local ints and written to ``stats`` when the loop returns.
+    The walk counts a call and a hint hit per level as it starts, so its
+    solver calls include the sons it refutes without a search.
     """
     method, filt = config.method, config.spmod
     w, clauses, masks = cnf.num_vars, cnf.clauses, cnf.masks
@@ -663,6 +670,22 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
                 hint_hits += top - deg  # and the other takes the witness
                 for deg in range(deg + 1, top + 1):
                     bit, (m, start) = 1 << deg - 1, hint
+                    if k is not None and (ones | start[0]).bit_count() == k:
+                        # m's k ones are fixed: the path follows m to the end
+                        pops += top - deg + 1
+                        if on_pop is None:
+                            tail = (1 << w) - bit  # the levels left
+                            ones |= m & tail
+                            zeros |= tail & ~m
+                        else:
+                            for deg in range(deg, top + 1):
+                                bit = 1 << deg - 1
+                                if m & bit:
+                                    ones |= bit
+                                else:
+                                    zeros |= bit
+                                on_pop(ones, zeros, deg, len(stack), len(finals))
+                        break
                     if not m & bit:  # the 0-son keeps m, the 1-son is searched
                         wit = search_from(w, masks, ones | bit, zeros, start, k, stats)
                         if wit is not None:

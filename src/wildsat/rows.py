@@ -824,11 +824,13 @@ def _totals(width: int, masks: Iterable[tuple]) -> tuple[int, int]:
 class RunStats:
     """Machine-readable statistics of one enumeration run: every number the
     command line reports.  ``prob`` is the paper's finality probability
-    ``prob_final`` at the run's ``gamma_avg``.  ``decisions``,
-    ``propagations`` and ``conflicts`` are the built-in solver's counters,
-    summed over the run's searches under policy solver and over the
-    k-searches of ``CardinalityFilter``; the ``sat`` functions that take
-    ``stats`` count into a ``RunStats``.  ``weight_pruned`` counts the
+    ``prob_final`` at the run's ``gamma_avg``.  ``solver_calls`` counts the
+    searches the driver makes, plus the sons that var-012's walk refutes
+    under a bound k without searching them (see ``engine._drive``).
+    ``decisions``, ``propagations`` and ``conflicts`` are the built-in
+    solver's counters, summed over the run's searches under policy solver
+    and over the k-searches of ``CardinalityFilter``; the ``sat`` functions
+    that take ``stats`` count into a ``RunStats``.  ``weight_pruned`` counts the
     candidates that a filter's ``admit`` rejected as a screen (any filter
     that is not exact), and ``weight_discards`` the subrows of final rows
     that a filter's ``refine_final`` dropped.  ``hint_hits`` (the sons that

@@ -8,10 +8,11 @@ solver-backed test is perfect; Test 1 and Test 2 are cheap weak tests
 
 The solver is one iterative DPLL over bitmasks.  A clause is its pair of
 (pos, neg) variable masks (``Clause.masks``, bit v-1 for variable v) and an
-assignment is two ints, ``ones`` and ``zeros``.  ``_propagate`` is its unit
-propagation and ``search_from`` its search under a row's pins, from the
-root fixpoint of an ancestor row when it has one, with or without a
-cardinality bound k; the engine calls it on a 012-son's masks.
+assignment is two ints, ``ones`` and ``zeros``.  ``search_from`` is the
+whole of it: its loop runs the unit propagation of each node, then the
+search under a row's pins, from the root fixpoint of an ancestor row when
+it has one, with or without a cardinality bound k; the engine calls it on
+a 012-son's masks.
 ``solve_row`` is the search inside a row object: it adds the e-row case
 and the plugged ``SolverFn``.
 ``dpll_sat``, ``find_model`` and ``find_k_model`` wrap them with a tuple
@@ -38,43 +39,6 @@ SolverFn = Callable[[Cnf], "tuple[int, ...] | None"]
 Fixpoint = tuple[int, int, "list[tuple[int, int]]"]
 
 
-def _propagate(
-    clauses: Sequence[tuple[int, int]], ones: int, zeros: int, full: int, stats: RunStats
-) -> tuple[int, int, int, list[tuple[int, int]]] | None:
-    """Unit propagation to a fixpoint: (ones, zeros, open, left), or None on
-    a conflict.  ``left`` lists, in clause order, the clauses the fixpoint
-    leaves unresolved, and ``open`` is the union of their free variables.
-    A pass reads only the previous pass's ``left``; the clauses it skips
-    stay satisfied, so the units and conflicts are those of full passes."""
-    while True:
-        free = full & ~(ones | zeros)
-        open_ = 0
-        left = []
-        unit = False
-        for clause in clauses:
-            pos, neg = clause
-            if pos & ones or neg & zeros:
-                continue
-            lits = (pos | neg) & free
-            if not lits:
-                stats.conflicts += 1
-                return None
-            if lits & (lits - 1):
-                open_ |= lits
-                left.append(clause)
-                continue
-            if pos & lits:
-                ones |= lits
-            else:
-                zeros |= lits
-            free ^= lits
-            unit = True
-            stats.propagations += 1
-        if not unit:
-            return ones, zeros, open_, left
-        clauses = left
-
-
 def search_from(
     num_vars: int,
     clauses: Sequence[tuple[int, int]],
@@ -89,15 +53,21 @@ def search_from(
     over ``clauses`` and then ``extra`` (an e-row's bubbles), as the pair
     (ones mask, root ``Fixpoint``), or None.
 
-    ``clauses`` need hold only those the pins leave unsatisfied.  A node
-    branches on the lowest variable of its open clauses, 1 first, keeping
-    its 0 branch on a trail; variables never forced stay 0, so the model is
-    a fixed function of the clauses and pins.  ``start``, the root fixpoint
-    of a row that holds the pinned one, joins its pins to them (None on a
-    clash) and its open clauses replace ``clauses``.  With ``k`` only
-    models with exactly k ones count, the lowest free variables completing
-    one; a k-node is pruned when its ones plus a greedy packing of its
-    all-positive open clauses with disjoint free variables exceed k.
+    ``clauses`` need hold only those the pins leave unsatisfied.  Each node
+    first runs unit propagation to a fixpoint, in passes: a pass reads, in
+    order, the clauses the previous one left unresolved (the clauses it
+    skips stay satisfied, so the units and conflicts are those of full
+    passes), and a pass ends at the first conflict.  A node branches on the
+    lowest variable of its open clauses, 1 first, keeping its 0 branch on a
+    trail; variables never forced stay 0, so the model is a fixed function
+    of the clauses and pins.  ``start``, the root fixpoint of a row that
+    holds the pinned one, joins its pins to them (None on a clash) and its
+    open clauses replace ``clauses``.  With ``k`` only models with exactly
+    k ones count, the lowest free variables completing one; a k-node is
+    pruned when its ones plus a greedy packing of its all-positive open
+    clauses with disjoint free variables exceed k.  The search counts its
+    units, conflicts and decisions in locals and adds them to ``stats`` as
+    it returns.
     """
     if start is not None:
         f1, f0, clauses = start
@@ -107,50 +77,86 @@ def search_from(
         zeros |= f0
     if extra:
         clauses = [*clauses, *extra]
-    if stats is None:
-        stats = RunStats()
     full = (1 << num_vars) - 1
     if k is not None and not 0 <= k - ones.bit_count() <= (full & ~(ones | zeros)).bit_count():
         return None
-    node = root = _propagate(clauses, ones, zeros, full, stats)
+    units = conflicts = decisions = 0
+    root = None  # the first node's fixpoint
     trail: list[tuple[int, int, list]] = []  # (ones, zeros, open clauses) of each pending 0 branch
     while True:
-        if node is not None:
-            ones, zeros, open_, clauses = node
-            if k is not None:
-                free = full & ~(ones | zeros)
-                spare = k - ones.bit_count()  # the ones still to place
-                if not 0 <= spare <= free.bit_count():
-                    node = None
-                elif 2 * (spare + 1) <= open_.bit_count():
-                    # an open clause has 2 or more free variables, so fewer
-                    # than 2 * (spare + 1) open variables cannot pack spare + 1
-                    packed = 0  # the free variables of the packed clauses
-                    for pos, neg in clauses:  # all unresolved at this node
-                        if neg & free or pos & packed:
-                            continue
-                        packed |= pos & free
-                        spare -= 1
-                        if spare < 0:
-                            node = None
-                            break
-        if node is None:
-            if not trail:
-                return None
-            ones, zeros, clauses = trail.pop()
-            node = _propagate(clauses, ones, zeros, full, stats)
-            continue
+        # unit propagation from the node's pins over its clauses
+        free = full & ~(ones | zeros)
+        dead = False
+        while True:
+            open_ = 0
+            left = []
+            unit = False
+            for clause in clauses:
+                pos, neg = clause
+                if pos & ones or neg & zeros:
+                    continue
+                lits = (pos | neg) & free
+                if not lits:
+                    dead = True
+                    break
+                if lits & (lits - 1):
+                    open_ |= lits
+                    left.append(clause)
+                    continue
+                if pos & lits:
+                    ones |= lits
+                else:
+                    zeros |= lits
+                free ^= lits
+                unit = True
+                units += 1
+            if dead or not unit:
+                break
+            clauses = left
+        if dead:
+            conflicts += 1
+        elif k is not None:
+            spare = k - ones.bit_count()  # the ones still to place
+            if not 0 <= spare <= free.bit_count():
+                dead = True
+            elif 2 * (spare + 1) <= open_.bit_count():
+                # an open clause has 2 or more free variables, so fewer
+                # than 2 * (spare + 1) open variables cannot pack spare + 1
+                packed = 0  # the free variables of the packed clauses
+                for pos, neg in left:  # all unresolved at this node
+                    if neg & free or pos & packed:
+                        continue
+                    packed |= pos & free
+                    spare -= 1
+                    if spare < 0:
+                        dead = True
+                        break
+        if dead:
+            if trail:
+                ones, zeros, clauses = trail.pop()
+                continue
+            found = None
+            break
+        if root is None:
+            root = ones, zeros, left
         if not open_:
-            if k is not None:  # free is this node's, set above
+            if k is not None:
                 for _ in range(k - ones.bit_count()):
                     low = free & -free
                     ones |= low
                     free ^= low
-            return ones, (root[0], root[1], root[3])
+            found = ones, root
+            break
         bit = open_ & -open_
-        stats.decisions += 1
-        trail.append((ones, zeros | bit, clauses))
-        node = _propagate(clauses, ones | bit, zeros, full, stats)
+        decisions += 1
+        trail.append((ones, zeros | bit, left))
+        ones |= bit
+        clauses = left
+    if stats is not None:
+        stats.propagations += units
+        stats.conflicts += conflicts
+        stats.decisions += decisions
+    return found
 
 
 def _bits(ones: int, num_vars: int) -> tuple[int, ...]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Sequence
 
 from wildsat.analysis import EquivalenceResult
 from wildsat.formulas import Clause, Cnf, Dnf
@@ -28,7 +29,8 @@ from wildsat.rows import (
     purify,
     slot_var,
 )
-from wildsat.rows import _card, _condense, _pin, _row012, _row012e, _row_text, _slots_of, _spread, _union
+from wildsat.rows import _condense, _pin, _row012, _row012e, _row_text, _slots_of, _spread, _union
+from wildsat.sat import Fixpoint
 
 _B = 3  # slot values >= _B reference bubble number (value - _B)
 
@@ -239,6 +241,128 @@ def ref_k_search(
         ones |= bit
 
 
+# ---------------------------------------------------------------------------
+# The DPLL search as it stood with a separate propagation function: three
+# calls (the root, each decision, each trail pop) that write the counters to
+# ``stats`` as they go.  ``sat.search_from`` runs the same passes inline and
+# must agree with it node for node: answer, root fixpoint and counters.
+
+
+def ref_propagate(
+    clauses: Sequence[tuple[int, int]], ones: int, zeros: int, full: int, stats: RunStats
+) -> tuple[int, int, int, list[tuple[int, int]]] | None:
+    """Unit propagation to a fixpoint: (ones, zeros, open, left), or None on
+    a conflict.  ``left`` lists, in clause order, the clauses the fixpoint
+    leaves unresolved, and ``open`` is the union of their free variables.
+    A pass reads only the previous pass's ``left``; the clauses it skips
+    stay satisfied, so the units and conflicts are those of full passes."""
+    while True:
+        free = full & ~(ones | zeros)
+        open_ = 0
+        left = []
+        unit = False
+        for clause in clauses:
+            pos, neg = clause
+            if pos & ones or neg & zeros:
+                continue
+            lits = (pos | neg) & free
+            if not lits:
+                stats.conflicts += 1
+                return None
+            if lits & (lits - 1):
+                open_ |= lits
+                left.append(clause)
+                continue
+            if pos & lits:
+                ones |= lits
+            else:
+                zeros |= lits
+            free ^= lits
+            unit = True
+            stats.propagations += 1
+        if not unit:
+            return ones, zeros, open_, left
+        clauses = left
+
+
+def ref_search_from(
+    num_vars: int,
+    clauses: Sequence[tuple[int, int]],
+    ones: int = 0,
+    zeros: int = 0,
+    start: Fixpoint | None = None,
+    k: int | None = None,
+    stats: RunStats | None = None,
+    extra: Sequence[tuple[int, int]] = (),
+) -> tuple[int, Fixpoint] | None:
+    """The first model in branching order under the pins ``ones``/``zeros``,
+    over ``clauses`` and then ``extra`` (an e-row's bubbles), as the pair
+    (ones mask, root ``Fixpoint``), or None.
+
+    ``clauses`` need hold only those the pins leave unsatisfied.  A node
+    branches on the lowest variable of its open clauses, 1 first, keeping
+    its 0 branch on a trail; variables never forced stay 0, so the model is
+    a fixed function of the clauses and pins.  ``start``, the root fixpoint
+    of a row that holds the pinned one, joins its pins to them (None on a
+    clash) and its open clauses replace ``clauses``.  With ``k`` only
+    models with exactly k ones count, the lowest free variables completing
+    one; a k-node is pruned when its ones plus a greedy packing of its
+    all-positive open clauses with disjoint free variables exceed k.
+    """
+    if start is not None:
+        f1, f0, clauses = start
+        if ones & f0 or zeros & f1:
+            return None
+        ones |= f1
+        zeros |= f0
+    if extra:
+        clauses = [*clauses, *extra]
+    if stats is None:
+        stats = RunStats()
+    full = (1 << num_vars) - 1
+    if k is not None and not 0 <= k - ones.bit_count() <= (full & ~(ones | zeros)).bit_count():
+        return None
+    node = root = ref_propagate(clauses, ones, zeros, full, stats)
+    trail: list[tuple[int, int, list]] = []  # (ones, zeros, open clauses) of each pending 0 branch
+    while True:
+        if node is not None:
+            ones, zeros, open_, clauses = node
+            if k is not None:
+                free = full & ~(ones | zeros)
+                spare = k - ones.bit_count()  # the ones still to place
+                if not 0 <= spare <= free.bit_count():
+                    node = None
+                elif 2 * (spare + 1) <= open_.bit_count():
+                    # an open clause has 2 or more free variables, so fewer
+                    # than 2 * (spare + 1) open variables cannot pack spare + 1
+                    packed = 0  # the free variables of the packed clauses
+                    for pos, neg in clauses:  # all unresolved at this node
+                        if neg & free or pos & packed:
+                            continue
+                        packed |= pos & free
+                        spare -= 1
+                        if spare < 0:
+                            node = None
+                            break
+        if node is None:
+            if not trail:
+                return None
+            ones, zeros, clauses = trail.pop()
+            node = ref_propagate(clauses, ones, zeros, full, stats)
+            continue
+        if not open_:
+            if k is not None:  # free is this node's, set above
+                for _ in range(k - ones.bit_count()):
+                    low = free & -free
+                    ones |= low
+                    free ^= low
+            return ones, (root[0], root[1], root[3])
+        bit = open_ & -open_
+        stats.decisions += 1
+        trail.append((ones, zeros | bit, clauses))
+        node = ref_propagate(clauses, ones | bit, zeros, full, stats)
+
+
 def ref_purify(row: Row012e) -> list[Row012e]:
     """Every bad pair instantiated both ways, value 1 first, pinned one
     variable at a time; contradicting instantiations are dropped."""
@@ -278,16 +402,21 @@ def card_012(row: Row012) -> int:
 
 def card_purified(row: Row012e) -> int:
     """Cardinality of a purified row: product of (2^len - 1) over bubbles
-    times 2^(free variables)."""
+    times 2^(free variables), read off the slot and bubble tables: a free
+    variable has both slots free."""
     if row.bad_pairs():
         raise PurityError(f"row has bad pairs at variables {row.bad_pairs()}")
-    return _card(row.width, row.ones, row.bubble_masks)
+    n = 1
+    for members in row.bubbles:
+        n *= (1 << len(members)) - 1
+    slots = row.slots
+    return n << sum(slots[2 * v] == slots[2 * v + 1] == TWO for v in range(row.width))
 
 
 def card_e(row: Row012e) -> int:
-    """Cardinality of an arbitrary 012e-row, summed over its ``purify``
+    """Cardinality of an arbitrary 012e-row, summed over its ``ref_purify``
     pieces (a purified row is its own one piece)."""
-    return sum(card_purified(p) for p in purify(row))
+    return sum(card_purified(p) for p in ref_purify(row))
 
 
 def from_row012(row: Row012) -> Row012e:

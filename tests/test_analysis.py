@@ -5,9 +5,14 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import row012
 from oracle import (
+    card_012,
+    card_e,
+    card_purified,
     cnf_mask,
     equivalent_pairwise,
     from_row012,
@@ -24,7 +29,7 @@ from wildsat.analysis import count_by_cardinality, equivalent
 from wildsat.bench import GenSpec, gen_random_cnf
 from wildsat.engine import EngineConfig, Method, run
 from wildsat.formulas import Clause, Cnf, weight
-from wildsat.rows import Row012, Row012e, RowList, expand_to_012
+from wildsat.rows import TWO, Row012, Row012e, RowList, _card, _row012e, _spread, _totals, expand_to_012
 
 
 def eq1_rowlist():
@@ -309,3 +314,63 @@ class TestRowsReadAsTheyAre:
                 assert got == equivalent_pairwise(x, y)
                 seen.add(got.equal)
         assert seen == {True, False}
+
+
+@st.composite
+def mixed_row_lists(draw) -> RowList:
+    """Lists of one to six rows over 2-6 variables, each a 012-row, a
+    purified e-row or an e-row that may hold bad pairs.  An e-row's
+    variable is free, fixed, one slot in one of three bubbles, or, in the
+    last kind, both slots in two distinct bubbles."""
+    w = draw(st.integers(2, 6))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(("bad", "pure", "012")), min_size=1, max_size=6)):
+        if kind == "012":
+            rows.append(Row012(tuple(draw(st.lists(st.sampled_from((0, 1, 2)), min_size=w, max_size=w)))))
+            continue
+        slots: list[int] = []
+        forms = (5, 5, 3, 4, 0, 1) if kind == "bad" else (3, 4, 0, 1, 2)
+        for _ in range(w):
+            form, label = draw(st.sampled_from(forms)), draw(st.integers(0, 2))
+            if form == 5:  # the mate's bubble is another of the three
+                slots += (3 + label, 3 + (label + 1 + draw(st.integers(0, 1))) % 3)
+            else:
+                slots += ((2, 2), (1, 0), (0, 1), (3 + label, 2), (2, 3 + label))[form]
+        for v in set(slots):
+            if v >= 3 and slots.count(v) == 1:  # a bubble needs two slots
+                slots[slots.index(v)] = 2
+        rows.append(Row012e(w, tuple(slots)))
+    return RowList(w, rows)
+
+
+class TestCountWalks:
+    """The purified-row count (the product of ``2^len - 1`` over the
+    bubbles, shifted by the free variables) is written out in
+    ``rows._card``, ``rows._totals`` and ``analysis._purified``.  All three
+    agree with the oracle's counts and with the members counted one by
+    one."""
+
+    @given(mixed_row_lists())
+    @settings(max_examples=300, deadline=None)
+    def test_the_three_count_walks_match_the_oracle(self, rows):
+        w, cards, free = rows.width, [], 0
+        for row in rows.rows:
+            if isinstance(row, Row012):
+                card = card_012(row)
+                assert _card(w, _spread(row.ones) | _spread(row.zeros) << 1, ()) == card
+                free += row.free_count
+            else:
+                card = card_e(row) if row.bad_pairs() else card_purified(row)
+                if not row.bad_pairs():
+                    assert _card(w, row.ones, row.bubble_masks) == card
+                free += sum(row.slots[2 * v] == row.slots[2 * v + 1] == TWO for v in range(w))
+            assert card == row_mask(w, row).bit_count()
+            cards.append(card)
+        assert _totals(w, rows.masks) == (sum(cards), free)
+        pieces = wildsat.analysis._purified(rows)
+        assert [i for i, *_ in pieces] == sorted(i for i, *_ in pieces)
+        for i, card in enumerate(cards):
+            mine = [(ones, bubbles, n) for j, ones, bubbles, n in pieces if j == i]
+            assert sum(n for *_, n in mine) == card
+            for ones, bubbles, n in mine:
+                assert n == _card(w, ones, bubbles) == card_purified(_row012e(w, ones, bubbles))

@@ -55,6 +55,7 @@ from wildsat.rows import (
     Row012,
     Row012e,
     RowList,
+    RunStats,
     format_rows,
     impose_on_slots,
     parse_rows,
@@ -695,7 +696,9 @@ class TestWitnessWalk:
     """A var-012 run with the built-in search, no screen, no override and
     no ``on_split`` walks a popped entry's levels in one inner loop, in the
     per-level loop's order; setting ``on_split`` keeps the per-level loop.
-    Both make the same searches and give the same rows and counters."""
+    Both give the same rows, counters and ``on_pop`` calls.  The walk makes
+    the per-level searches in order, less those that a k-run's witness
+    refutes before they propagate once its k ones are fixed."""
 
     class PopLog(EngineObserver):
         def __init__(self):
@@ -727,12 +730,18 @@ class TestWitnessWalk:
         ]
 
     @staticmethod
-    def recorder(monkeypatch):
+    def recorder(monkeypatch, answers=None):
+        """The (ones, zeros) of each search the driver makes; with
+        ``answers``, that list also gets each search's arguments and its
+        answer."""
         searched, search = [], wildsat.engine.search_from
 
         def recording(w, masks, ones, zeros, *rest):
             searched.append((ones, zeros))
-            return search(w, masks, ones, zeros, *rest)
+            found = search(w, masks, ones, zeros, *rest)
+            if answers is not None:
+                answers.append(((w, masks, ones, zeros, *rest), found))
+            return found
 
         monkeypatch.setattr(wildsat.engine, "search_from", recording)
         return searched
@@ -762,8 +771,13 @@ class TestWitnessWalk:
         assert walked > 100
 
     def test_the_walk_makes_the_per_level_searches(self, monkeypatch):
-        searched = self.recorder(monkeypatch)
-        walked = 0
+        # on_pop keeps the walk's searches; the per-level loop of an
+        # on_split run makes them in the same order, and each search it
+        # makes on top answers None with no counter moved: a son refuted
+        # before propagation
+        answers = []
+        searched = self.recorder(monkeypatch, answers)
+        walked = skipped = 0
         for cnf in self.cnfs(33):
             for config in self.configs(cnf):
                 calls = []
@@ -771,9 +785,46 @@ class TestWitnessWalk:
                     run(cnf, replace(config, observer=obs))
                     calls.append(searched[:])
                     searched.clear()
-                assert calls[0] == calls[1] == calls[2]
+                assert calls[0] == calls[1]
+                walk = iter(calls[0])
+                step = next(walk, None)
+                for (args, found), masks in zip(answers[-len(calls[2]) :], calls[2]):
+                    if masks == step:
+                        step = next(walk, None)
+                        continue
+                    assert found is None
+                    stats = RunStats()
+                    assert wildsat.sat.search_from(*args[:6], stats) is None and stats == RunStats()
+                    skipped += 1
+                assert step is None  # the walk's list lies in the per-level one
+                answers.clear()
                 walked += len(calls[0]) > 2
-        assert walked > 100
+        assert walked > 100 and skipped > 100
+
+    def test_the_walk_ends_once_the_witness_ones_are_fixed(self, monkeypatch):
+        # the 2-hitting sets of the edges {1, 2} and {3, 4} on five vertices.
+        # Each path fixes its witness's two ones by level 3, with the
+        # witness's fixpoint.  A 1-son off the witness would then hold three
+        # ones, and a 0-son on it clashes with the fixpoint, so the walk
+        # sets levels 4 and 5 from the witness without searching them
+        edges, k, n = [(1, 2), (3, 4)], 2, 5
+        cnf = Cnf(n, tuple(Clause(e) for e in edges))
+        config = EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(cnf, k))
+        searched = self.recorder(monkeypatch)
+        walked = enumerate_hitting_sets(edges, k, n)
+        made = len(searched)
+        searched.clear()
+        reference = self.PopLog()
+        reference.on_split = lambda *args: None
+        per_level = run(cnf, replace(config, observer=reference))
+        assert (made, len(searched)) == (6, 14)  # fewer searches on the walk
+        assert [str(row) for row in walked.rows] == ["01010", "01100", "10010", "10100"]
+        assert format_rows(walked) == format_rows(per_level)
+        assert replace(walked.stats, time_s=0) == replace(per_level.stats, time_s=0)
+        obs = self.PopLog()
+        run(cnf, replace(config, observer=obs))
+        assert obs.popped == reference.popped
+        assert len(obs.popped) == walked.stats.pops
 
     @pytest.mark.parametrize("observer", [None, "on_pop", "on_split"])
     def test_a_zero_son_with_its_own_witness_takes_the_path(self, monkeypatch, observer):
@@ -1294,28 +1345,36 @@ class TestRunRecord:
 
     def test_k_searches_from_the_ancestor_fixpoint_match_fresh_ones(self, monkeypatch):
         # the driver starts a k-son's search from its ancestor's fixpoint;
-        # from scratch the run is the same
+        # from scratch the run is the same.  The per-level loop of an
+        # on_split run makes every counted search; the walk counts the sons
+        # its k rule refutes without searching them
         search_from, bounds = wildsat.engine.search_from, []
 
         def scratch(w, clauses, ones, zeros, start, k, stats):
             bounds.append(k)
             return search_from(w, clauses, ones, zeros, None, k, stats)
 
+        splits = EngineObserver()
+        splits.on_split = lambda *args: None
         rng = random.Random(181)
         for trial in range(24):
             w = rng.randint(3, 12)
             cnf = random_cnf(rng, w, rng.randint(1, 16), rng.randint(1, min(4, w)), positive=trial % 2 == 0)
             for k in range(w + 1):
                 config = EngineConfig(method=Method.VAR012, spmod=CardinalityFilter(cnf, k))
-                outs = [run(cnf, config)]
-                bounds.clear()
+                outs, made = [run(cnf, config)], []
                 with monkeypatch.context() as patched:
                     patched.setattr(wildsat.engine, "search_from", scratch)
-                    outs.append(run(cnf, config))
-                ours, fresh = (o.stats for o in outs)
-                assert len(bounds) == fresh.solver_calls > 0 and set(bounds) == {k}
-                assert format_rows(outs[0]) == format_rows(outs[1])
-                assert ours.solver_calls == fresh.solver_calls
+                    for cfg in (replace(config, observer=splits), config):
+                        bounds.clear()
+                        outs.append(run(cnf, cfg))
+                        made.append(len(bounds))
+                        assert set(bounds) == {k}
+                ours, per_level, fresh = (o.stats for o in outs)
+                assert made[0] == per_level.solver_calls > 0
+                assert made[1] <= fresh.solver_calls
+                assert format_rows(outs[0]) == format_rows(outs[1]) == format_rows(outs[2])
+                assert ours.solver_calls == per_level.solver_calls == fresh.solver_calls
                 assert ours.decisions == fresh.decisions
                 assert ours.propagations <= fresh.propagations
 

@@ -7,6 +7,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import row012
 from oracle import (
@@ -19,6 +21,8 @@ from oracle import (
     random_row012,
     random_row012e,
     ref_k_search,
+    ref_propagate,
+    ref_search_from,
     row_mask,
     varwise_split,
 )
@@ -28,7 +32,6 @@ from wildsat.rows import Row012, Row012e, RunStats, _var_masks, slot_of_lit
 from wildsat.sat import test1 as weak_test1
 from wildsat.sat import test2 as weak_test2
 from wildsat.sat import (
-    _propagate,
     augment_cnf,
     dpll_sat,
     final_e,
@@ -501,7 +504,7 @@ class TestOpenClauses:
             w = rng.randint(1, 10)
             cnf = random_cnf(rng, w, rng.randint(0, 16), rng.randint(1, min(4, w)), positive=trial % 3 == 0)
             row = random_row012(rng, w)
-            node = _propagate(cnf.masks, row.ones, row.zeros, (1 << w) - 1, RunStats())
+            node = ref_propagate(cnf.masks, row.ones, row.zeros, (1 << w) - 1, RunStats())
             if node is None:
                 continue
             ones, zeros, open_, left = node
@@ -583,6 +586,55 @@ class TestOpenClauses:
         stats = RunStats()
         assert solve_row(row012("22222"), cnf, (0b101, 0b10, []), stats, 1) is None
         assert stats == RunStats()
+
+
+@st.composite
+def dense_searches(draw):
+    """The arguments of a search on 2-8 variables: clauses of one to three
+    literals, w to 4w of them, so that most examples meet a conflict
+    partway through a pass; random pins; half the time the root fixpoint
+    of a search under some of those pins as ``start``; a bound k or none;
+    and up to two ``extra`` clauses."""
+    w = draw(st.integers(2, 8))
+
+    def clause():
+        pos = neg = 0
+        for v in draw(st.lists(st.integers(0, w - 1), min_size=1, max_size=3, unique=True)):
+            if draw(st.booleans()):
+                pos |= 1 << v
+            else:
+                neg |= 1 << v
+        return pos, neg
+
+    clauses = [clause() for _ in range(draw(st.integers(w, 4 * w)))]
+    extra = [clause() for _ in range(draw(st.integers(0, 2)))]
+    fixed, values = draw(st.integers(0, (1 << w) - 1)), draw(st.integers(0, (1 << w) - 1))
+    ones, zeros = fixed & values, fixed & ~values
+    start = None
+    if draw(st.booleans()):
+        kept = draw(st.integers(0, (1 << w) - 1))
+        found = ref_search_from(w, clauses, ones & kept, zeros & kept)
+        start = None if found is None else found[1]
+    k = draw(st.integers(0, w)) if draw(st.booleans()) else None
+    return w, clauses, ones, zeros, start, k, extra
+
+
+class TestInlinePropagation:
+    """``search_from`` propagates inside its own loop and counts in
+    locals; the reference calls a propagation function at the root, at
+    each decision and at each trail pop, counting into ``stats`` as it
+    goes.  Both give the same answer, root fixpoint and counters."""
+
+    @given(dense_searches())
+    @settings(max_examples=400, deadline=None)
+    def test_the_search_matches_the_reference(self, search):
+        w, clauses, ones, zeros, start, k, extra = search
+        ours, reference = RunStats(), RunStats()
+        want = ref_search_from(w, clauses, ones, zeros, start, k, reference, extra)
+        got = search_from(w, clauses, ones, zeros, start, k, ours, extra)
+        assert got == want  # the root's open clauses equal and in order
+        assert ours == reference
+        assert search_from(w, clauses, ones, zeros, start, k, None, extra) == want
 
 
 class TestDeepInstance:

@@ -7,7 +7,9 @@ The engine dispatches on no filter class: it reads a filter's attributes,
 and every filter it defines records in ``__init__`` the width it was built
 for, which ``validate_config`` checks once per run; every hook it defines
 takes a 012 entry's ``(ones, zeros)`` masks.  The driver builds no row:
-its finals stay masks, and it admits a son in one place.  The CLI reads
+its finals stay masks, and it admits a son in one place.  The built-in
+search propagates in one place too: ``search_from`` alone writes the unit
+and conflict counters, and no ``_propagate`` is left.  The CLI reads
 no filter's methods and no width, so those rules have no second home.
 A module imports no name it never uses, save the ones the benchmark's
 trace probes wrap on it, which its "unused here but stay" comment lists.
@@ -406,3 +408,62 @@ def test_the_driver_admits_a_son_in_one_place():
         ]
     )
     assert _admission_marks(ast.parse(probe)) == {"degree check": [1, 4], "hint hit": [2, 6]}
+
+
+def _solver_counter_writes(tree: ast.AST) -> tuple[list[tuple[str | None, str]], list[int]]:
+    """(innermost function, attribute) of each write to a ``propagations``
+    or ``conflicts`` attribute, the function None at module level, and the
+    lines that bind the name ``_propagate``."""
+    writes, binds = [], []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name == "_propagate":
+                    binds.append(child.lineno)
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Store):
+                if child.attr in ("propagations", "conflicts"):
+                    writes.append((fn, child.attr))
+            elif isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store) and child.id == "_propagate":
+                binds.append(child.lineno)
+            visit(child, fn)
+
+    visit(tree, None)
+    return writes, binds
+
+
+def test_the_search_propagates_in_one_place():
+    # unit propagation runs inside search_from's loop, which alone counts
+    # units and conflicts: no second propagation path in the package
+    writes, binds = [], []
+    for path in SOURCES:
+        found = _solver_counter_writes(ast.parse(path.read_text(), filename=str(path)))
+        writes += found[0]
+        binds += [f"{path.name}:{line}" for line in found[1]]
+    assert not binds, f"the package defines _propagate at {binds}"
+    # each counter is written once, as the search returns
+    assert sorted(writes) == [("search_from", "conflicts"), ("search_from", "propagations")], writes
+    # the scan sees writes in nested functions and at module level, and
+    # bindings of the name by def and by assignment
+    probe = "\n".join(
+        [
+            "def search_from(stats):",
+            "    stats.propagations += 1",
+            "    def _propagate(stats):",
+            "        stats.conflicts = 0",
+            "    stats.conflicts += 1",
+            "_propagate = search_from",
+            "st.propagations -= 1",
+            "stats.decisions += 1",
+        ]
+    )
+    writes, binds = _solver_counter_writes(ast.parse(probe))
+    assert writes == [
+        ("search_from", "propagations"),
+        ("_propagate", "conflicts"),
+        ("search_from", "conflicts"),
+        (None, "propagations"),
+    ]
+    assert binds == [3, 6]
