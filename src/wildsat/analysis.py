@@ -9,7 +9,7 @@ from .formulas import _check_k
 from .rows import (
     RowList,
     _bit_index,
-    _card,
+    _census,
     _evens,
     _gather,
     _intersection_card,
@@ -54,21 +54,18 @@ def _purified(rows: RowList) -> list[tuple[int, int, tuple[int, ...], int]]:
     """The purified pieces of a list's rows as ``(row index, ones, bubbles,
     cardinality)``: a 012-row's masks spread to slots, an e-row with no bad
     pair as it is (a ``RowList`` holds its bubbles in lowest-bit order), an
-    e-row with one cut by ``_purify``.  The walk that looks for a bad pair
-    also counts the row."""
+    e-row with one cut by ``_purify``.  The ``_census`` that looks for a
+    bad pair also counts the row."""
     w, even, out = rows.width, _evens(rows.width), []
     for i, (ones, rest) in enumerate(rows.masks):
         if type(rest) is int:
             out.append((i, _spread(ones) | _spread(rest) << 1, (), 1 << (w - (ones | rest).bit_count())))
             continue
-        n, bub = 1, 0
-        for b in rest:
-            n *= (1 << b.bit_count()) - 1
-            bub |= b
-        if bub & bub >> 1 & even:
-            out.extend((i, *piece, _card(w, *piece)) for piece in _purify(w, ones, rest))
-        else:  # _free_count inlined, on the union the loop takes
-            out.append((i, ones, rest, n << (w - ones.bit_count() - ((bub | bub >> 1) & even).bit_count())))
+        n, _, bad = _census(even, ones, rest)
+        if bad:
+            out.extend((i, *piece, _census(even, *piece)[0]) for piece in _purify(w, ones, rest))
+        else:
+            out.append((i, ones, rest, n))
     return out
 
 
@@ -102,7 +99,7 @@ def _row_polynomial(width: int, ones: int, bubbles: tuple[int, ...]) -> list[int
     poly = [1]
     fixed_ones = (ones & even).bit_count()
     poly = _poly_mul(poly, [0] * fixed_ones + [1]) if fixed_ones else poly
-    free = width - ones.bit_count() - sum(b.bit_count() for b in bubbles)  # one slot per set variable
+    free = _census(even, ones, bubbles)[1]
     if free:
         poly = _poly_mul(poly, _binomials(free))
     for b in bubbles:

@@ -115,12 +115,12 @@ class Row012:
         ones = zeros = 0
         bit = 1
         for s in symbols:
+            if not _is_symbol(s):
+                raise ValueError("row symbols must be 0, 1 or 2")
             if s == ONE:
                 ones |= bit
             elif s == ZERO:
                 zeros |= bit
-            elif s != TWO:
-                raise ValueError("row symbols must be 0, 1 or 2")
             bit <<= 1
         _set_width(self, len(symbols))
         _set_ones(self, ones)
@@ -156,14 +156,14 @@ class Row012:
         """The row with variable ``var`` set to ``value`` (2 frees it)."""
         if not 0 < var <= self.width:
             raise IndexError(f"variable {var} outside 1..{self.width}")
+        if not _is_symbol(value):
+            raise ValueError("row symbols must be 0, 1 or 2")
         bit = 1 << (var - 1)
         ones, zeros = self.ones & ~bit, self.zeros & ~bit
         if value == ONE:
             ones |= bit
         elif value == ZERO:
             zeros |= bit
-        elif value != TWO:
-            raise ValueError("row symbols must be 0, 1 or 2")
         return _row012(self.width, ones, zeros)
 
     def contains(self, member: Sequence[int] | int) -> bool:
@@ -200,6 +200,11 @@ _set_width = Row012.width.__set__
 _set_ones = Row012.ones.__set__
 _set_zeros = Row012.zeros.__set__
 _BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _is_symbol(s: object) -> bool:
+    """True for an int 0, 1 or 2; a bool or a float equal to one is none."""
+    return isinstance(s, int) and not isinstance(s, bool) and ZERO <= s <= TWO
 
 
 def _row012(width: int, ones: int, zeros: int) -> Row012:
@@ -285,7 +290,7 @@ class Row012e:
             raise ValueError("slot vector must have length 2w")
         masks: dict[int, int] = {}  # the slots holding each value
         for s, v in enumerate(slots):
-            if not isinstance(v, int) or v < 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError("slot values must be 0, 1, 2 or a bubble label >= 3")
             masks[v] = masks.get(v, 0) | 1 << s
         zeros, ones, _ = (masks.pop(v, 0) for v in (ZERO, ONE, TWO))
@@ -330,22 +335,17 @@ class Row012e:
 
     def bad_pairs(self) -> tuple[int, ...]:
         """Variables whose two slots are covered by distinct bubbles, in
-        increasing order (``purify`` instantiates them in this order).
-
-        With ``bub`` the union of the bubble masks, the bad variables'
-        positive slots are the set bits of ``bub & (bub >> 1) & even``: a
-        bubble never covers both slots of one variable, so they lie in
-        distinct bubbles.
-        """
-        return tuple(slot_var(s) for s in _slots_of(_bad(self)))
+        increasing order (``purify`` instantiates them in this order), as
+        ``_census`` finds them."""
+        return tuple(slot_var(s) for s in _slots_of(_census(_evens(self.width), self.ones, self.bubble_masks)[2]))
 
     def is_purified(self) -> bool:
-        return not _bad(self)
+        return not _census(_evens(self.width), self.ones, self.bubble_masks)[2]
 
     @property
     def free_count(self) -> int:
         """Number of variables with both slots at don't-care."""
-        return _free_count(self.width, self.ones, _union(self.bubble_masks))
+        return _census(_evens(self.width), self.ones, self.bubble_masks)[1]
 
     def condense(self) -> Row012:
         """Project a bubble-free row onto the w variable positions."""
@@ -451,15 +451,22 @@ def _gather(index: list[int], mask: int) -> int:
     return out
 
 
-def _bad(row: Row012e) -> int:
-    """The positive slots of the row's bad pairs."""
-    bub = _union(row.bubble_masks)
-    return bub & bub >> 1 & _evens(row.width)
-
-
-def _free_count(width: int, ones: int, bub: int) -> int:
-    """The variables with no 1-slot and no bubbled slot."""
-    return width - ones.bit_count() - ((bub | bub >> 1) & _evens(width)).bit_count()
+def _census(even: int, ones: int, bubbles: Iterable[int]) -> tuple[int, int, int]:
+    """``(members, free, bad)`` of an e-row's masks, from one walk over its
+    bubbles; ``even`` is ``_evens`` of the row's width, which the callers
+    hoist out of their loops.  ``members`` counts a purified row's
+    bitstrings: (2^len - 1) per bubble, 2 per free variable.  ``free`` is
+    the number of variables with no 1-slot and no bubbled slot.  ``bad``
+    holds the positive slots of the bad pairs, the variables whose two
+    slots are both bubbled: a bubble never covers both slots of one
+    variable, so they lie in distinct bubbles."""
+    n, bub = 1, 0
+    for b in bubbles:
+        n *= (1 << b.bit_count()) - 1
+        bub |= b
+    fixed = ones | bub
+    free = (even & ~(fixed | fixed >> 1)).bit_count()
+    return n << free, free, bub & bub >> 1 & even
 
 
 def _spread(mask: int) -> int:
@@ -512,16 +519,6 @@ def _pin(width: int, ones: int, bubbles: Sequence[int], new: int) -> tuple[int, 
                 raise EmptyRowError("all slots of a bubble pinned to 0")
         bubbles = kept
     return ones, bubbles
-
-
-def _card(width: int, ones: int, bubbles: Iterable[int]) -> int:
-    """Members of a purified row: (2^len - 1) per bubble, 2 per free variable."""
-    n = 1
-    bub = 0
-    for b in bubbles:
-        n *= (1 << b.bit_count()) - 1
-        bub |= b
-    return n << _free_count(width, ones, bub)
 
 
 def purify(row: Row012e) -> list[Row012e]:
@@ -732,7 +729,7 @@ def intersection_card_ie(r: Row012e, rho: Row012e) -> int:
     """Cardinality of the intersection of two purified rows, counted by
     ``_intersection_card`` on their masks.  Raises PurityError when either
     row has a bad pair and ValueError when their widths differ."""
-    if _bad(r) or _bad(rho):
+    if not (r.is_purified() and rho.is_purified()):
         raise PurityError("intersection_card_ie requires purified rows")
     if r.width != rho.width:
         raise ValueError("row widths differ")
@@ -783,12 +780,12 @@ def _intersection_card(
             else:
                 open_q.append(b)
     if not open_q:
-        return _card(width, ones, bubbles)
+        return _census(even, ones, bubbles)[0]
     total = 0
     for bits in itertools.product((0, 1), repeat=len(open_q)):
         violated = _union(b for b, v in zip(open_q, bits) if v)
         try:
-            term = _card(width, *_pin(width, ones, bubbles, _mates(violated, width)))
+            term = _census(even, *_pin(width, ones, bubbles, _mates(violated, width)))[0]
         except EmptyRowError:
             continue
         total += -term if sum(bits) % 2 else term
@@ -806,12 +803,8 @@ def _totals(width: int, masks: Iterable[tuple]) -> tuple[int, int]:
             f = width - (ones | rest).bit_count()
             models += 1 << f
         else:
-            n, bub = 1, 0
-            for b in rest:
-                n *= (1 << b.bit_count()) - 1
-                bub |= b
-            f = width - ones.bit_count() - ((bub | bub >> 1) & even).bit_count()  # _free_count inlined
-            models += sum(_card(width, *p) for p in _purify(width, ones, rest)) if bub & bub >> 1 & even else n << f
+            n, f, bad = _census(even, ones, rest)
+            models += sum(_census(even, *p)[0] for p in _purify(width, ones, rest)) if bad else n
         free += f
     return models, free
 
@@ -957,7 +950,7 @@ def format_rows(rows: RowList) -> str:
                 s = low.bit_length() - 1
                 toks[s >> 1] = n if s & 1 else e
                 b ^= low
-        if bub & bub >> 1 & even:  # _bad inlined, on the union the loop takes
+        if bub & bub >> 1 & even:  # _census's bad pairs, on the union the loop takes
             raise PurityError("serialize purified rows only (purify first)")
         lines.append(" ".join(toks))
     return "\n".join(lines) + "\n"

@@ -29,7 +29,7 @@ from wildsat.analysis import count_by_cardinality, equivalent
 from wildsat.bench import GenSpec, gen_random_cnf
 from wildsat.engine import EngineConfig, Method, run
 from wildsat.formulas import Clause, Cnf, weight
-from wildsat.rows import TWO, Row012, Row012e, RowList, _card, _row012e, _spread, _totals, expand_to_012
+from wildsat.rows import TWO, Row012, Row012e, RowList, _census, _evens, _row012e, _spread, _totals, expand_to_012
 
 
 def eq1_rowlist():
@@ -344,11 +344,10 @@ def mixed_row_lists(draw) -> RowList:
 
 
 class TestCountWalks:
-    """The purified-row count (the product of ``2^len - 1`` over the
-    bubbles, shifted by the free variables) is written out in
-    ``rows._card``, ``rows._totals`` and ``analysis._purified``.  All three
-    agree with the oracle's counts and with the members counted one by
-    one."""
+    """An e-row's count, free variables and bad pairs come from one walk,
+    ``rows._census``, which ``rows._totals`` and ``analysis._purified``
+    read.  All three agree with the oracle's counts, with the members
+    counted one by one and with the slot view."""
 
     @given(mixed_row_lists())
     @settings(max_examples=300, deadline=None)
@@ -357,13 +356,20 @@ class TestCountWalks:
         for row in rows.rows:
             if isinstance(row, Row012):
                 card = card_012(row)
-                assert _card(w, _spread(row.ones) | _spread(row.zeros) << 1, ()) == card
+                assert _census(_evens(w), _spread(row.ones) | _spread(row.zeros) << 1, ()) == (card, row.free_count, 0)
                 free += row.free_count
             else:
-                card = card_e(row) if row.bad_pairs() else card_purified(row)
-                if not row.bad_pairs():
-                    assert _card(w, row.ones, row.bubble_masks) == card
-                free += sum(row.slots[2 * v] == row.slots[2 * v + 1] == TWO for v in range(w))
+                slots = row.slots
+                bad = [v for v in range(w) if slots[2 * v] >= 3 and slots[2 * v + 1] >= 3]
+                card = card_e(row) if bad else card_purified(row)
+                members, f, bad_slots = _census(_evens(w), row.ones, row.bubble_masks)
+                assert f == row.free_count == sum(slots[2 * v] == slots[2 * v + 1] == TWO for v in range(w))
+                assert bad_slots == sum(1 << 2 * v for v in bad)
+                assert row.bad_pairs() == tuple(v + 1 for v in bad)
+                assert row.is_purified() == (not bad)
+                if not bad:
+                    assert members == card
+                free += f
             assert card == row_mask(w, row).bit_count()
             cards.append(card)
         assert _totals(w, rows.masks) == (sum(cards), free)
@@ -373,4 +379,4 @@ class TestCountWalks:
             mine = [(ones, bubbles, n) for j, ones, bubbles, n in pieces if j == i]
             assert sum(n for *_, n in mine) == card
             for ones, bubbles, n in mine:
-                assert n == _card(w, ones, bubbles) == card_purified(_row012e(w, ones, bubbles))
+                assert n == _census(_evens(w), ones, bubbles)[0] == card_purified(_row012e(w, ones, bubbles))

@@ -754,6 +754,12 @@ class TestArgumentChecks:
             (lambda: Row012e(2, (2, 2, 2)), ValueError, "length 2w"),
             (lambda: Row012e(2, (3, 2, 2, 2)), ValueError, "at least two slots"),
             (lambda: Row012e(2, (3, 3, 2, 2)), ValueError, "both slots"),
+            (lambda: Row012e(1, (True, False)), ValueError, "slot values must be"),
+            (lambda: Row012e(1, (1.0, 0)), ValueError, "slot values must be"),
+            (lambda: Row012((1.0, 0, 2)), ValueError, "row symbols must be"),
+            (lambda: Row012((True, 0)), ValueError, "row symbols must be"),
+            (lambda: Row012((2, 2)).with_value(1, True), ValueError, "row symbols must be"),
+            (lambda: Row012((2, 2)).with_value(1, 2.0), ValueError, "row symbols must be"),
             (lambda: Row012.full(-1), ValueError, "non-negative"),
             (lambda: erow("e1 2 e1 2", 2).condense(), ValueError, "still has bubbles"),
             (lambda: Row012e.full(2).contains((1,)), ValueError, "length"),

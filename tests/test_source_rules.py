@@ -9,7 +9,9 @@ for, which ``validate_config`` checks once per run; every hook it defines
 takes a 012 entry's ``(ones, zeros)`` masks.  The driver builds no row:
 its finals stay masks, and it admits a son in one place.  The built-in
 search propagates in one place too: ``search_from`` alone writes the unit
-and conflict counters, and no ``_propagate`` is left.  The CLI reads
+and conflict counters, and no ``_propagate`` is left.  An e-row's
+member count and free variables are written once, in ``rows._census``.
+The CLI reads
 no filter's methods and no width, so those rules have no second home.
 A module imports no name it never uses, save the ones the benchmark's
 trace probes wrap on it, which its "unused here but stay" comment lists.
@@ -467,3 +469,75 @@ def test_the_search_propagates_in_one_place():
         (None, "propagations"),
     ]
     assert binds == [3, 6]
+
+
+def _census_formulas(tree: ast.AST) -> list[tuple[str | None, str]]:
+    """(innermost function, formula) of each bubble product ``(1 <<
+    b.bit_count()) - 1`` and each bubbled-variable union ``bub | bub >>
+    1``, whatever the names, the function None at module level."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.BinOp):
+                left, right = child.left, child.right
+                if (
+                    isinstance(child.op, ast.Sub)
+                    and ast.unparse(right) == "1"
+                    and isinstance(left, ast.BinOp)
+                    and isinstance(left.op, ast.LShift)
+                    and ast.unparse(left.left) == "1"
+                    and isinstance(left.right, ast.Call)
+                    and isinstance(left.right.func, ast.Attribute)
+                    and left.right.func.attr == "bit_count"
+                ):
+                    found.append((fn, "product"))
+                elif (
+                    isinstance(child.op, ast.BitOr)
+                    and isinstance(right, ast.BinOp)
+                    and isinstance(right.op, ast.RShift)
+                    and ast.unparse(right.right) == "1"
+                    and ast.unparse(right.left) == ast.unparse(left)
+                ):
+                    found.append((fn, "free"))
+            visit(child, fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_an_e_rows_census_is_written_once():
+    # the purified-row count and the free-variable rule of an e-row live in
+    # rows._census, which every counter and the slot views call
+    found = []
+    for path in SOURCES:
+        found += [(path.name, *f) for f in _census_formulas(ast.parse(path.read_text(), filename=str(path)))]
+    assert sorted(found) == [("rows.py", "_census", "free"), ("rows.py", "_census", "product")], found
+    # the scan finds a copy in another function, a nested one or at module
+    # level, under any names, and leaves the mate swap and other masks alone
+    probe = "\n".join(
+        [
+            "def _census(width, ones, bubbles):",
+            "    n *= (1 << b.bit_count()) - 1",
+            "    f = width - ((bub | bub >> 1) & even).bit_count()",
+            "def _totals(width, masks):",
+            "    def count(rest):",
+            "        return (1 << piece.bit_count()) - 1",
+            "    f = width - ((u | u >> 1) & even).bit_count()",
+            "every = (1 << len(masks)) - 1",
+            "zeros = (ones & even) << 1 | ones >> 1 & even",
+            "top = (1 << b.bit_count()) - 2",
+            "x = a | b >> 1",
+            "n = (1 << x.bit_count()) - 1",
+        ]
+    )
+    assert _census_formulas(ast.parse(probe)) == [
+        ("_census", "product"),
+        ("_census", "free"),
+        ("count", "product"),
+        ("_totals", "free"),
+        (None, "product"),
+    ]
