@@ -20,16 +20,15 @@ One driver loop serves all three, and its stack holds masks, not rows:
 a 012 entry is (ones, zeros), a clause-e entry (ones, bubbles), split by
 ``rows.impose_masks``.  Each son is admitted where it is made, by one
 admission in ``_drive``: its degree comes straight from the masks, and
-the built-in search (``sat.search_from``) and the hint test read them.
-A clause-012 entry carries the mask of the clauses its row settles, whose
-lowest zero bit is its degree.  Finals leave as masks, from which ``run``
-makes its ``RowList``; the driver builds a row only for a consumer that
-reads one: a weak test or an observer hook that is set, through the
-adapter ``_on_row``, and a plugged solver's or clause-e's search, through
-``sat.solve_row``.  Sons are screened by a feasibility policy (perfect solver
-check, the weak tests, or none) and by the filter, if any.  With a weak
-policy an infeasible row can enter the stack; it is unmasked only when
-none of its sons is admitted (or, for var-012, when it is a bitstring
+the hint test, the weak tests and every search (``sat.search_from``, else
+``sat.solve_masks``) read them too.  A clause-012 entry carries the mask
+of the clauses its row settles, whose lowest zero bit is its degree.
+Finals leave as masks, from which ``run`` makes its ``RowList``; the
+driver builds a row only for an observer hook that is set, through the
+adapter ``_on_row``.  Sons are screened by a feasibility policy (perfect
+solver check, the weak tests, or none) and by the filter, if any.  With a
+weak policy an infeasible row can enter the stack; it is unmasked only
+when none of its sons is admitted (or, for var-012, when it is a bitstring
 that is no model), and its removal then counts as a harmful deletion.
 """
 
@@ -39,6 +38,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterable, Sequence
 
 from .formulas import Clause, Cnf, Dnf, _check_k, evaluate
@@ -51,11 +51,11 @@ from .rows import (
     _gather,
     _pack,
     _purify,
+    _row,
     _row012,
     _row012e,
     _row_list,
     _slots_of,
-    _spread,
     _totals,
     impose_masks,
     impose_on_slots,
@@ -65,6 +65,8 @@ from .rows import (
 # perfbench's trace probes wrap these names
 from .sat import (
     SolverFn,
+    _test1,
+    _test2,
     dpll_sat,
     find_k_model,
     first_unsettled,
@@ -73,9 +75,7 @@ from .sat import (
     prob_final,
     row_satisfies_clause,
     search_from,
-    solve_row,
-    test1,
-    test2,
+    solve_masks,
 )
 
 
@@ -450,54 +450,35 @@ def _scan_rows(cnf: Cnf) -> list[tuple[int, int]]:
     return out
 
 
-def _admission(cnf: Cnf, config: EngineConfig, build):
-    """The son screen of a run: (screen, check, search).  The screen and the
-    check are called with a son's two masks, the search with
-    ``sat.search_from``'s seven arguments, which hold the son's masks.
-
+def _admission(cnf: Cnf, config: EngineConfig):
+    """The son screen of a run: (screen, check, search), each called with a
+    son's two masks, the search then with ``start``, ``k`` and ``stats``.
     A search counts as one solver call and answers None or the witness
-    (model as a variable mask, root fixpoint ``(ones, zeros, open
-    clauses)``, None for a plugged solver).  ``sat.search_from`` itself is
-    the built-in search on a 012-son; a plugged solver and clause-e search
-    the son's row.  A clause-e witness holds the model's true literal slots
-    in place of the variable mask, so that its hint test reads the masks
-    too.
+    (model, root fixpoint, None for a plugged solver): ``sat.search_from``
+    on a 012-son, else ``sat.solve_masks``, whose clause-e model holds the
+    true literal slots for the hint test.
     """
-    filt, policy, solver, w = config.spmod, config.policy, config.solver, cnf.num_vars
-    clause_e, every = config.method == Method.CLAUSE_E, (1 << w) - 1
-
-    def search_row(w, masks, ones, rest, start, k, stats):
-        found = solve_row(build(w, ones, rest), cnf, start, stats, solver=solver)
-        if found is None or not clause_e:
-            return found
-        model, fixpoint = found
-        return _spread(model) | _spread(every ^ model) << 1, fixpoint
-
-    screen = check = search = None
+    filt, policy, solver = config.spmod, config.policy, config.solver
+    built_in = partial(search_from, cnf.num_vars, cnf.masks)
     if filt is not None and filt.exact:  # a perfect filter replaces the policy
-        if filt.cardinality is None:
-            check = filt.admit
-        else:
-            search = search_from
-    else:
-        screen = None if filt is None else filt.admit
-        if policy == Policy.SOLVER:
-            search = search_row if clause_e or is_plug(solver) else search_from
-        elif policy == Policy.TEST1:
-            check = _on_row(lambda row: test1(row, cnf), build, w)
-        elif policy == Policy.TEST12:
-            check = _on_row(lambda row: test1(row, cnf) and test2(row, cnf), build, w)
-    return screen, check, search
+        return (None, filt.admit, None) if filt.cardinality is None else (None, None, built_in)
+    screen = None if filt is None else filt.admit
+    if policy == Policy.SOLVER:
+        plain = config.method != Method.CLAUSE_E and not is_plug(solver)  # a 012-son's built-in search
+        return screen, None, built_in if plain else partial(solve_masks, cnf, solver)
+    if policy == Policy.TEST12:
+        return screen, lambda ones, zeros: _test1(cnf, ones, zeros) and _test2(cnf, ones, zeros), None
+    return screen, None if policy == Policy.NONE else partial(_test1, cnf), None
 
 
-def _on_row(fn, build, w: int):
-    """``fn`` for the driver's entries of width w, which the driver calls
-    with an entry's two masks, then the call's other arguments: ``fn`` gets
-    the row ``build(w, *masks)`` in place of the masks.  None stays None."""
-    return None if fn is None else lambda a, b, *rest: fn(build(w, a, b), *rest)
+def _on_row(fn, w: int):
+    """``fn`` called with an entry's two masks, then the call's other
+    arguments, as the driver calls a hook: ``fn`` gets the row of width w
+    that ``rows._row`` builds in place of the masks.  None stays None."""
+    return None if fn is None else lambda a, b, *rest: fn(_row(w, a, b), *rest)
 
 
-def _observer_hooks(obs: EngineObserver | None, build, w: int) -> tuple:
+def _observer_hooks(obs: EngineObserver | None, w: int) -> tuple:
     """(on_pop, on_split, on_emit, on_harmful) of a run: the observer's
     hooks, each None when the observer leaves it None or has no such
     attribute (every one, with no observer).  A hook gets the rows of the
@@ -507,9 +488,9 @@ def _observer_hooks(obs: EngineObserver | None, build, w: int) -> tuple:
     on_pop, on_split, on_emit, on_harmful = (getattr(obs, name, None) for name in names)
     if on_split is not None:
         on_split = lambda parent, degree, sons, son_degrees, hook=on_split: hook(
-            build(w, *parent), degree, tuple(build(w, *son) for son in sons), son_degrees
+            _row(w, *parent), degree, tuple(_row(w, *son) for son in sons), son_degrees
         )
-    return _on_row(on_pop, build, w), on_split, _on_row(on_emit, build, w), _on_row(on_harmful, build, w)
+    return _on_row(on_pop, w), on_split, _on_row(on_emit, w), _on_row(on_harmful, w)
 
 
 def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
@@ -545,13 +526,12 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     method, filt = config.method, config.spmod
     w, clauses, masks = cnf.num_vars, cnf.clauses, cnf.masks
     var012, clause_e = method == Method.VAR012, method == Method.CLAUSE_E
-    build = _row012e if clause_e else _row012
-    screen, check, search = _admission(cnf, config, build)
+    screen, check, search = _admission(cnf, config)
     exact = filt is not None and filt.exact
     k = filt.cardinality if exact else None
     override, refine = (None, None) if filt is None else (filt.final_override, filt.refine_final)
     top = w if var012 else len(clauses)
-    on_pop, on_split, on_emit, on_harmful = _observer_hooks(config.observer, build, w)
+    on_pop, on_split, on_emit, on_harmful = _observer_hooks(config.observer, w)
     slot_masks, staircase = cnf.slot_masks, not (var012 or clause_e)
     if staircase:
         # clause-012, per clause, its staircase steps: a literal's variable
@@ -563,7 +543,8 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     # a bitstring passed only by a weak screen may still miss the model set;
     # on a bitstring, settling every clause (sat.final_e) means being a model
     check_model = var012 and config.policy != Policy.SOLVER and not exact
-    walk = var012 and search is search_from and screen is None and override is None and on_split is None
+    walk = var012 and search is not None and not is_plug(config.solver)
+    walk = walk and screen is None and override is None and on_split is None
 
     def finish(entry) -> list | None:
         """The output masks of a final entry; None when it holds no model."""
@@ -636,7 +617,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
                 wit = hint
             elif search is not None:
                 calls += 1
-                wit = search(w, masks, son_ones, son_rest, start, k, stats)
+                wit = search(son_ones, son_rest, start, k, stats)
                 if wit is None:
                     continue
             elif check is not None and not check(son_ones, son_rest):

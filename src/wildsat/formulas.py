@@ -25,7 +25,9 @@ class DimacsError(ValueError):
 
 @dataclass(frozen=True)
 class Clause:
-    """A disjunction of literals.  Duplicates are dropped, order is kept."""
+    """A disjunction of literals.  Duplicates are dropped, order is kept.
+    It is built with its (pos, neg) variable ``masks`` (bit v-1 for variable
+    v), its literal ``slots`` in literal order and their ``slot_mask``."""
 
     lits: tuple[int, ...]
 
@@ -40,31 +42,9 @@ class Clause:
                 seen.append(lit)
         if not seen:
             raise ValueError("empty clause")
-        object.__setattr__(self, "lits", tuple(seen))
-
-    @cached_property
-    def masks(self) -> tuple[int, int]:
-        """(pos, neg) variable bitmasks; bit v-1 stands for variable v."""
-        pos = neg = 0
-        for lit in self.lits:
-            if lit > 0:
-                pos |= 1 << (lit - 1)
-            else:
-                neg |= 1 << (-lit - 1)
-        return pos, neg
-
-    @cached_property
-    def slots(self) -> tuple[int, ...]:
-        """The literal slots ``slot_of_lit(l)``, in literal order."""
-        return tuple(map(slot_of_lit, self.lits))
-
-    @cached_property
-    def slot_mask(self) -> int:
-        """Literal-slot bitmask; bit ``slot_of_lit(l)`` stands for literal l."""
-        mask = 0
-        for s in self.slots:
-            mask |= 1 << s
-        return mask
+        masks = sum(1 << l - 1 for l in seen if l > 0), sum(1 << -l - 1 for l in seen if l < 0)
+        slots = tuple(map(slot_of_lit, seen))
+        vars(self).update(lits=tuple(seen), masks=masks, slots=slots, slot_mask=sum(1 << s for s in slots))
 
     def __len__(self) -> int:
         return len(self.lits)
@@ -89,22 +69,17 @@ class Cnf:
         n = self.num_vars
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("num_vars must be a non-negative integer")
-        clauses = tuple(
-            c if isinstance(c, Clause) else Clause(tuple(c)) for c in self.clauses
-        )
+        clauses = tuple(c if isinstance(c, Clause) else Clause(tuple(c)) for c in self.clauses)
+        if any((pos | neg) >> n for pos, neg in (c.masks for c in clauses)):
+            raise ValueError("literal outside 1..num_vars")
         object.__setattr__(self, "clauses", clauses)
-        for c in clauses:
-            if any(abs(l) > self.num_vars for l in c.lits):
-                raise ValueError("literal outside 1..num_vars")
 
     @classmethod
-    def _unchecked(cls, num_vars: int, clauses: tuple[Clause, ...]) -> "Cnf":
+    def _unchecked(cls, num_vars: int, clauses: tuple[Clause, ...], tautologies_dropped: int = 0) -> "Cnf":
         """A Cnf over Clause objects already known to lie within 1..num_vars,
         built without re-running the validation of ``__post_init__``."""
         cnf = object.__new__(cls)
-        object.__setattr__(cnf, "num_vars", num_vars)
-        object.__setattr__(cnf, "clauses", clauses)
-        object.__setattr__(cnf, "tautologies_dropped", 0)
+        vars(cnf).update(num_vars=num_vars, clauses=clauses, tautologies_dropped=tautologies_dropped)
         return cnf
 
     @cached_property
@@ -225,7 +200,7 @@ def parse_dimacs(text: str | bytes) -> Cnf:
     found = len(clauses) + tautologies
     if found != declared:
         raise DimacsError(f"header declares {declared} clauses, found {found}", len(lines))
-    return Cnf(num_vars, tuple(clauses), tautologies_dropped=tautologies)
+    return Cnf._unchecked(num_vars, tuple(clauses), tautologies)
 
 
 def serialize_dimacs(cnf: Cnf) -> str:

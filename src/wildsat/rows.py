@@ -397,6 +397,16 @@ def _row012e(width: int, ones: int, bubbles: Sequence[int]) -> Row012e:
     return row
 
 
+def _row(width: int, ones: int, rest: int | Sequence[int]) -> Row012 | Row012e:
+    """The row whose ``_masks`` these are, built without checks."""
+    return _row012(width, ones, rest) if type(rest) is int else _row012e(width, ones, rest)
+
+
+def _masks(row: Row012 | Row012e) -> tuple:
+    """A row's masks: ``(ones, zeros)``, or an e-row's ``(ones, bubbles)``."""
+    return (row.ones, row.zeros) if isinstance(row, Row012) else (row.ones, row.bubble_masks)
+
+
 def _in_order(bubbles: Sequence[int]) -> tuple[int, ...]:
     """The bubble masks as a tuple in order of their lowest bit."""
     return tuple(sorted(bubbles, key=lambda b: b & -b)) if len(bubbles) > 1 else tuple(bubbles)
@@ -866,16 +876,12 @@ class RowList:
         rows = tuple(rows)
         if any(r.width != width for r in rows):
             raise ValueError("row widths differ")
-        masks = tuple((r.ones, r.zeros) if isinstance(r, Row012) else (r.ones, r.bubble_masks) for r in rows)
-        vars(self).update(width=width, masks=masks, stats=stats, rows=rows)
+        vars(self).update(width=width, masks=tuple(map(_masks, rows)), stats=stats, rows=rows)
 
     @cached_property
     def rows(self) -> tuple:
         """The rows, built from the masks on the first read and kept."""
-        w = self.width
-        return tuple(
-            _row012(w, ones, rest) if type(rest) is int else _row012e(w, ones, rest) for ones, rest in self.masks
-        )
+        return tuple(_row(self.width, *entry) for entry in self.masks)
 
     def __len__(self) -> int:
         return len(self.masks)

@@ -12,11 +12,9 @@ assignment is two ints, ``ones`` and ``zeros``.  ``search_from`` is the
 whole of it: its loop runs the unit propagation of each node, then the
 search under a row's pins, from the root fixpoint of an ancestor row when
 it has one, with or without a cardinality bound k; the engine calls it on
-a 012-son's masks.
-``solve_row`` is the search inside a row object: it adds the e-row case
-and the plugged ``SolverFn``.
-``dpll_sat``, ``find_model`` and ``find_k_model`` wrap them with a tuple
-result.
+a 012-son's masks.  ``solve_masks``, which adds the e-row case and the
+plugged ``SolverFn``, ``_test1`` and ``_test2`` take a son's masks too; the
+functions that take a row read its masks in ``_checked`` and call them.
 """
 
 from __future__ import annotations
@@ -24,7 +22,21 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from .formulas import Clause, Cnf, evaluate
-from .rows import Row012, Row012e, RunStats, _pack, _slots_of, _var_masks, lit_of_slot, settles
+from .rows import (
+    Row012,
+    Row012e,
+    RunStats,
+    _in_order,
+    _masks,
+    _mates,
+    _pack,
+    _row,
+    _slots_of,
+    _spread,
+    _var_masks,
+    lit_of_slot,
+    settles,
+)
 
 _FROM_TEXT = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -174,21 +186,18 @@ def dpll_sat(cnf: Cnf, stats: RunStats | None = None) -> tuple[int, ...] | None:
 _BUILT_IN = dpll_sat  # the function above, whatever later stands under its name
 
 
-def find_k_model(
-    row: Row012, cnf: Cnf, k: int, stats: RunStats | None = None
-) -> tuple[int, ...] | None:
+def find_k_model(row: Row012, cnf: Cnf, k: int, stats: RunStats | None = None) -> tuple[int, ...] | None:
     """A model with exactly k ones inside the row, or None: ``solve_row``
     with the bound k, with the model as a tuple."""
     found = solve_row(row, cnf, None, stats, k)
     return None if found is None else _bits(found[0], row.width)
 
 
-def _width(row: Row012 | Row012e, cnf: Cnf) -> int:
-    """The row's width, which must be the formula's number of variables."""
-    w = row.width
-    if w != cnf.num_vars:
+def _checked(row: Row012 | Row012e, cnf: Cnf) -> tuple:
+    """``rows._masks`` of a row as wide as the formula, else ValueError."""
+    if row.width != cnf.num_vars:
         raise ValueError("row width does not match num_vars")
-    return w
+    return _masks(row)
 
 
 def augment_cnf(cnf: Cnf, row: Row012 | Row012e) -> Cnf:
@@ -199,14 +208,13 @@ def augment_cnf(cnf: Cnf, row: Row012 | Row012e) -> Cnf:
     The base clauses were validated when ``cnf`` was built, so only the
     row's clauses are checked here.
     """
-    w = _width(row, cnf)
-    if isinstance(row, Row012):
-        ones, zeros, bubbles = row.ones, row.zeros, ()
-    else:  # the 1-slots fix their variables: a negative slot to 0
-        (ones, zeros), bubbles = _var_masks(w, row.ones), row.bubble_masks
-    units = tuple(Clause((i + 1 if ones >> i & 1 else -i - 1,)) for i in _slots_of(ones | zeros))
-    rest = tuple(Clause(tuple(map(lit_of_slot, _slots_of(b)))) for b in bubbles)
-    return Cnf._unchecked(w, cnf.clauses + units + rest)
+    ones, rest = _checked(row, cnf)
+    bubbles = ()
+    if type(rest) is not int:  # the 1-slots fix their variables: a negative slot to 0
+        (ones, rest), bubbles = _var_masks(cnf.num_vars, ones), rest
+    units = tuple(Clause((i + 1 if ones >> i & 1 else -i - 1,)) for i in _slots_of(ones | rest))
+    clauses = tuple(Clause(tuple(map(lit_of_slot, _slots_of(b)))) for b in bubbles)
+    return Cnf._unchecked(cnf.num_vars, cnf.clauses + units + clauses)
 
 
 def find_model(row: Row012 | Row012e, cnf: Cnf, solver: SolverFn = dpll_sat) -> tuple[int, ...] | None:
@@ -236,41 +244,62 @@ def solve_row(
     k: int | None = None,
     solver: SolverFn | None = None,
 ) -> tuple[int, Fixpoint | None] | None:
-    """The search inside a row: None, or the pair (ones mask of the model,
-    root fixpoint), with the root's open clauses cut to the formula's.
+    """The search inside a row, ``solve_masks`` on its masks: None, or the
+    pair (ones mask of the model, root fixpoint), with the root's open
+    clauses cut to the formula's."""
+    ones, rest = _checked(row, cnf)
+    found = solve_masks(cnf, solver, ones, rest, start, k, stats)
+    if found is None or type(rest) is int:
+        return found
+    return _var_masks(row.width, found[0])[0], found[1]
 
-    The built-in search is ``search_from`` on the row's pins: a 012-row's
-    ``ones``/``zeros``, or the variables of an e-row's 1-slots, with each
-    e-bubble as one more (pos, neg) clause after the formula's.  ``start``,
-    ``stats`` and ``k`` go to it.
 
-    A plugged ``solver`` (``is_plug``) gets ``augment_cnf(cnf, row)``
-    instead, ignores ``start`` and ``stats`` and takes no ``k``.  Its answer
-    must be None or a 0/1 sequence of length w inside the row that
-    satisfies the formula, else ValueError.  The model comes back with no
-    fixpoint.
+def solve_masks(
+    cnf: Cnf,
+    solver: SolverFn | None,
+    ones: int,
+    rest: int | Sequence[int],
+    start: Fixpoint | None = None,
+    k: int | None = None,
+    stats: RunStats | None = None,
+) -> tuple[int, Fixpoint | None] | None:
+    """``solve_row`` on a row's masks, ``(ones, zeros)`` or ``(ones,
+    bubbles)``, unchecked, with an e-row's model as its true literal slots.
+
+    The built-in search is ``search_from`` on a 012-row's pins, or on the
+    variables of an e-row's 1-slots with each bubble, in order of its
+    lowest slot, as one more (pos, neg) clause after the formula's; the
+    bubbles left open at the root are cut from its list.  A plugged
+    ``solver`` (``is_plug``) gets ``augment_cnf`` of the row, ignores
+    ``start`` and ``stats``, takes no ``k`` and must answer None or a 0/1
+    sequence of length w inside the row that satisfies the formula, else
+    ValueError.  Its model has no fixpoint.
     """
-    w = _width(row, cnf)
+    w = cnf.num_vars
     if is_plug(solver):
         if k is not None:
             raise ValueError("a plugged solver takes no cardinality bound")
-        model = solver(augment_cnf(cnf, row))
-        if model is None:
+        row = _row(w, ones, rest)
+        bits = solver(augment_cnf(cnf, row))
+        if bits is None:
             return None
-        if not (isinstance(model, Sequence) and len(model) == w and all(b in (0, 1) for b in model)):
-            raise ValueError(f"the plugged solver answered {model!r}, not a bitstring of width {w}")
-        mask = _pack([b == 1 for b in model])
-        if not (row.contains(mask) and evaluate(cnf, model)):
-            raise ValueError(f"the plugged solver answered {model!r}, not a model inside the row")
-        return mask, None
-    if isinstance(row, Row012):
-        return search_from(w, cnf.masks, row.ones, row.zeros, start, k, stats)
-    (ones, zeros), bubbles = _var_masks(w, row.ones), [_var_masks(w, b) for b in row.bubble_masks]
-    found = search_from(w, cnf.masks, ones, zeros, start, k, stats, bubbles)
-    if found is None or not bubbles:
-        return found
-    mask, (f1, f0, left) = found  # the open bubbles close the root's list: cut them
-    return mask, (f1, f0, left[: len(left) - sum(not (p & f1 or n & f0) for p, n in bubbles)])
+        if not (isinstance(bits, Sequence) and len(bits) == w and all(b in (0, 1) for b in bits)):
+            raise ValueError(f"the plugged solver answered {bits!r}, not a bitstring of width {w}")
+        model, fixpoint = _pack([b == 1 for b in bits]), None
+        if not (row.contains(model) and evaluate(cnf, bits)):
+            raise ValueError(f"the plugged solver answered {bits!r}, not a model inside the row")
+        if type(rest) is int:
+            return model, None
+    elif type(rest) is int:
+        return search_from(w, cnf.masks, ones, rest, start, k, stats)
+    else:
+        bubbles = [_var_masks(w, b) for b in _in_order(rest)]
+        found = search_from(w, cnf.masks, *_var_masks(w, ones), start, k, stats, bubbles)
+        if found is None:
+            return None
+        model, (f1, f0, left) = found  # the open bubbles close the root's list: cut them
+        fixpoint = f1, f0, left[: len(left) - sum(not (p & f1 or n & f0) for p, n in bubbles)]
+    return _spread(model) | _spread(((1 << w) - 1) ^ model) << 1, fixpoint
 
 
 def row_satisfies_clause(row: Row012 | Row012e, clause: Clause) -> bool:
@@ -285,10 +314,11 @@ def row_satisfies_clause(row: Row012 | Row012e, clause: Clause) -> bool:
     Splitting only narrows a row, so a clause settled by a row stays
     settled in all its sons.
     """
-    if isinstance(row, Row012):
+    ones, rest = _masks(row)
+    if type(rest) is int:
         pos, neg = clause.masks
-        return bool(pos & row.ones or neg & row.zeros)
-    return settles(row.ones, row.bubble_masks, clause.slot_mask)
+        return bool(pos & ones or neg & rest)
+    return settles(ones, rest, clause.slot_mask)
 
 
 def first_unsettled(row: Row012 | Row012e, cnf: Cnf, start: int = 0) -> int:
@@ -297,7 +327,7 @@ def first_unsettled(row: Row012 | Row012e, cnf: Cnf, start: int = 0) -> int:
     ValueError for a ``start`` below 0 or a row of another width."""
     if start < 0:
         raise ValueError("clause indices start at 0")
-    _width(row, cnf)
+    _checked(row, cnf)
     clauses = cnf.clauses
     for i in range(start, len(clauses)):
         if not row_satisfies_clause(row, clauses[i]):
@@ -313,11 +343,15 @@ def test1(row: Row012 | Row012e, cnf: Cnf) -> bool:
     every non-zero position to 1 then witnesses feasibility.  A row of
     another width than the formula's is a ValueError.
     """
-    _width(row, cnf)
-    if isinstance(row, Row012):
-        not_zero, not_one = ~row.zeros, ~row.ones
+    return _test1(cnf, *_checked(row, cnf))
+
+
+def _test1(cnf: Cnf, ones: int, rest: int | Sequence[int]) -> bool:
+    """``test1`` on a row's masks, which it does not check."""
+    if type(rest) is int:
+        not_zero, not_one = ~rest, ~ones
         return all(pos & not_zero or neg & not_one for pos, neg in cnf.masks)
-    not_zero = ~row.zeros
+    not_zero = ~_mates(ones, cnf.num_vars)
     return all(mask & not_zero for mask in cnf.slot_masks)
 
 
@@ -332,10 +366,14 @@ def test2(row: Row012, cnf: Cnf) -> bool:
     An e-row's masks are slot masks, so it raises TypeError; a row of
     another width than the formula's raises ValueError.
     """
-    if not isinstance(row, Row012):
+    ones, zeros = _checked(row, cnf)
+    if type(zeros) is not int:
         raise TypeError("test2 is defined on 012-rows")
-    _width(row, cnf)
-    ones, zeros = row.ones, row.zeros
+    return _test2(cnf, ones, zeros)
+
+
+def _test2(cnf: Cnf, ones: int, zeros: int) -> bool:
+    """``test2`` on a 012-row's masks, which it does not check."""
     masks = cnf.masks
     for i, (pi, ni) in enumerate(masks):
         if ni & ~ones:

@@ -1384,8 +1384,8 @@ class TestRunRecord:
         # that fixpoint, and the rows and decisions those of a search from
         # scratch, which rediscovers the fixpoint's units and conflicts.
         # clause-012 runs the mask search itself, clause-e goes through
-        # solve_row
-        search_from, solve_row = wildsat.engine.search_from, wildsat.engine.solve_row
+        # solve_masks on the son's (ones, bubbles)
+        search_from, solve_masks = wildsat.engine.search_from, wildsat.engine.solve_masks
         calls = []
 
         def masks_every_clause(w, clauses, ones, zeros, start, k, stats):
@@ -1396,17 +1396,17 @@ class TestRunRecord:
             calls.append(start)
             return search_from(w, clauses, ones, zeros, None, k, stats)
 
-        def row_every_clause(row, cnf, start, stats, solver):
+        def e_masks_every_clause(cnf, solver, ones, bubbles, start, k, stats):
             calls.append(start)
-            return solve_row(row, cnf, start and (start[0], start[1], cnf.masks), stats, solver=solver)
+            return solve_masks(cnf, solver, ones, bubbles, start and (start[0], start[1], cnf.masks), k, stats)
 
-        def row_scratch(row, cnf, start, stats, solver):
+        def e_masks_scratch(cnf, solver, ones, bubbles, start, k, stats):
             calls.append(start)
-            return solve_row(row, cnf, None, stats, solver=solver)
+            return solve_masks(cnf, solver, ones, bubbles, None, k, stats)
 
         seams = {
             Method.CLAUSE012: ("search_from", search_from, masks_every_clause, masks_scratch),
-            Method.CLAUSE_E: ("solve_row", solve_row, row_every_clause, row_scratch),
+            Method.CLAUSE_E: ("solve_masks", solve_masks, e_masks_every_clause, e_masks_scratch),
         }
         counters = lambda st: (st.solver_calls, st.decisions, st.propagations, st.conflicts)
         rng = random.Random(199)

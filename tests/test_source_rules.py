@@ -309,16 +309,32 @@ def _calls(tree: ast.AST, fn: str, names: set[str]) -> list[str]:
     ]
 
 
+def _callers(tree: ast.AST, name: str) -> set[str]:
+    """The names of the module-level functions and classes that call
+    ``name`` (a name or an attribute), ``<module>`` for a call outside
+    them."""
+    return {
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+    }
+
+
 def test_the_driver_builds_no_row():
-    # a run's finals stay masks until a caller reads RowList.rows; the
-    # adapters of _admission and _observer_hooks build a row only for a
-    # consumer that reads one
-    names = {"build", "_row012", "_row012e"}
+    # a run's finals stay masks until a caller reads RowList.rows; the weak
+    # tests and every search take a son's masks, so only the adapter of
+    # _observer_hooks builds a row, for a hook that reads one
+    names = {"build", "_row", "_row012", "_row012e"}
     path = Path(engine.__file__)
     tree = ast.parse(path.read_text(), filename=str(path))
-    assert any(isinstance(node, ast.FunctionDef) and node.name == "_drive" for node in ast.walk(tree))
+    for fn in ("_drive", "_admission"):
+        assert any(isinstance(node, ast.FunctionDef) and node.name == fn for node in ast.walk(tree))
     found = _calls(tree, "_drive", names)
     assert not found, f"engine._drive builds rows at lines {', '.join(found)}"
+    found = _calls(tree, "_admission", names | {"solve_row"})
+    assert not found, f"engine._admission builds or searches rows at lines {', '.join(found)}"
+    assert _callers(tree, "_on_row") == {"_observer_hooks"}
     # the rule sees a call in a nested function and through a module, and
     # leaves a builder passed as a value and other functions alone
     probe = "\n".join(
@@ -333,6 +349,34 @@ def test_the_driver_builds_no_row():
         ]
     )
     assert set(_calls(ast.parse(probe), "_drive", names)) == {"3 build", "5 _row012e"}
+    # the same for _admission, whose probe searches a row in a closure
+    probe = "\n".join(
+        [
+            "def _admission(cnf, config):",
+            "    search = lambda ones, rest: sat.solve_row(_row(w, ones, rest), cnf)",
+            "    return None, partial(test1, cnf), search",
+            "def other():",
+            "    return solve_row(row, cnf)",
+        ]
+    )
+    assert set(_calls(ast.parse(probe), "_admission", names | {"solve_row"})) == {"2 solve_row", "2 _row"}
+    # the callers of _on_row are the module-level functions and classes
+    # that hold a call, however deep, and the module itself
+    probe = "\n".join(
+        [
+            "def _observer_hooks(obs, w):",
+            "    return _on_row(obs.on_pop, w)",
+            "def _admission(cnf, config):",
+            "    check = engine._on_row(lambda row: test1(row, cnf), w)",
+            "class Hooks:",
+            "    def on_pop(self):",
+            "        return [_on_row(f, w) for f in fs]",
+            "hook = _on_row(print, 3)",
+            "def other(fn=_on_row):",
+            "    return fn",
+        ]
+    )
+    assert _callers(ast.parse(probe), "_on_row") == {"_observer_hooks", "_admission", "Hooks", "<module>"}
 
 
 def _empty_methods(tree: ast.AST) -> list[str]:
