@@ -11,9 +11,7 @@ from .rows import (
     _bit_index,
     _census,
     _evens,
-    _gather,
     _intersection_card,
-    _mates,
     _purify,
     _spread,
 )
@@ -135,10 +133,13 @@ def equivalent(rows_a: RowList, rows_b: RowList) -> EquivalenceResult:
     Each list's rows are read as they are: an e-row with no bad pair is
     already purified, so only the others go through ``_purify``, and each
     piece's cardinality comes from the walk that looks for a bad pair.  The
-    second list's pieces are indexed once by their 1-slots.  A piece of the
-    second list that holds 1 on a 0-slot of a piece of the first misses it,
-    so only the other pieces go to ``_intersection_card``, in list order; a
-    skipped pair would have added 0.
+    second list's pieces are indexed once by their 1-slots, as one table per
+    byte of a slot mask: entry v is the set of pieces holding 1 on a slot of
+    v.  A piece of the second list that holds 1 on a 0-slot of a piece of
+    the first misses it, and a skipped pair would add 0, so only the other
+    pieces are counted: two bubble-free pieces meet in the cube of their
+    joint 1-slots, which ``_census`` counts, and every other pair goes to
+    ``_intersection_card``.
     """
     if rows_a.width != rows_b.width:
         raise ValueError("row lists have different widths")
@@ -149,11 +150,30 @@ def equivalent(rows_a: RowList, rows_b: RowList) -> EquivalenceResult:
     if na != nb:
         return EquivalenceResult(False, None, f"model counts differ: {na} != {nb}")
     masks_b = [(ones, bubbles) for _, ones, bubbles, _ in pb]
-    one = _bit_index((ones for ones, _ in masks_b), 2 * w)
+    ones_b = [ones for ones, _ in masks_b]
+    one = _bit_index(ones_b, 2 * w)
+    tables = []
+    for j in range(0, 2 * w, 8):
+        table = [0]
+        for pieces in one[j : j + 8]:
+            table += [t | pieces for t in table]
+        tables.append(table)
     every = (1 << len(masks_b)) - 1
+    plain = sum(1 << j for j, (_, bubbles) in enumerate(masks_b) if not bubbles)
+    even = _evens(w)
     for i, ones, bubbles, card in pa:
-        meets = every & ~_gather(one, _mates(ones, w))
+        clash, mates = 0, (ones & even) << 1 | ones >> 1 & even  # _mates inlined
+        for table in tables:
+            clash |= table[mates & 255]
+            mates >>= 8
+        meets = every & ~clash
         inside = 0
+        if not bubbles:  # two cubes that meet share the cube of their joint 1-slots
+            cubes, meets = meets & plain, meets & ~plain
+            while cubes:
+                low = cubes & -cubes
+                inside += _census(even, ones | ones_b[low.bit_length() - 1], ())[0]
+                cubes ^= low
         while meets:
             low = meets & -meets
             inside += _intersection_card(w, ones, bubbles, *masks_b[low.bit_length() - 1])

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .rows import Row012, slot_of_lit
+from .rows import Row012
 
 
 class DimacsError(ValueError):
@@ -23,7 +23,23 @@ class DimacsError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
+def _distinct(lits: tuple) -> list[int]:
+    """The distinct literals in order, checked one at a time: the first
+    that is no nonzero int, or that meets its negation, raises ValueError."""
+    seen = []
+    for lit in lits:
+        if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
+            raise ValueError("literals are nonzero integers")
+        if -lit in seen:
+            raise ValueError(f"tautologous clause: {lit} and {-lit}")
+        if lit not in seen:
+            seen.append(lit)
+    if not seen:
+        raise ValueError("empty clause")
+    return seen
+
+
+@dataclass(frozen=True, init=False)
 class Clause:
     """A disjunction of literals.  Duplicates are dropped, order is kept.
     It is built with its (pos, neg) variable ``masks`` (bit v-1 for variable
@@ -31,20 +47,24 @@ class Clause:
 
     lits: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        seen = []
-        for lit in self.lits:
-            if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
-                raise ValueError("literals are nonzero integers")
-            if -lit in seen:
-                raise ValueError(f"tautologous clause: {lit} and {-lit}")
-            if lit not in seen:
-                seen.append(lit)
-        if not seen:
-            raise ValueError("empty clause")
-        masks = sum(1 << l - 1 for l in seen if l > 0), sum(1 << -l - 1 for l in seen if l < 0)
-        slots = tuple(map(slot_of_lit, seen))
-        vars(self).update(lits=tuple(seen), masks=masks, slots=slots, slot_mask=sum(1 << s for s in slots))
+    def __init__(self, lits: tuple[int, ...]) -> None:
+        # all but a tuple of plain ints take the checked walk: it reads an
+        # iterator once, and the dict would merge True or 1.0 with an equal int
+        seen = dict.fromkeys(lits) if type(lits) is tuple and set(map(type, lits)) == {int} else _distinct(lits)
+        pos = neg = slot_mask = 0
+        slots = []
+        for lit in seen:
+            if not lit or -lit in seen:
+                _distinct(lits)  # raises the first error in literal order
+            if lit > 0:
+                pos |= 1 << lit - 1
+                s = 2 * lit - 2
+            else:
+                neg |= 1 << -lit - 1
+                s = -2 * lit - 1
+            slots.append(s)
+            slot_mask |= 1 << s
+        vars(self).update(lits=tuple(seen), masks=(pos, neg), slots=tuple(slots), slot_mask=slot_mask)
 
     def __len__(self) -> int:
         return len(self.lits)
@@ -145,7 +165,9 @@ def parse_dimacs(text: str | bytes) -> Cnf:
     on the returned Cnf); duplicate literals inside a clause are merged.
     The one ``p cnf`` header comes before the first clause: a second one is
     an error, and so is a file with none, at its last line, or a clause
-    count other than the header's (dropped tautologies count as written)."""
+    count other than the header's (dropped tautologies count as written).
+    A line that holds exactly one clause and its 0 is converted at once;
+    any other line is read token by token, which names the first error."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     num_vars = None
@@ -174,6 +196,19 @@ def parse_dimacs(text: str | bytes) -> Cnf:
             continue
         if num_vars is None:
             raise DimacsError("clause before 'p cnf' header", lineno)
+        if not pending:  # a line of one whole clause: one conversion, one zero and one range check
+            try:
+                lits = list(map(int, line.split()))
+                whole = lits.index(0) == len(lits) - 1 > 0  # its one 0 ends it, after a literal
+            except ValueError:  # a token that is no integer, or no 0
+                whole = False
+            if whole and max(map(abs, lits)) <= num_vars:
+                lits.pop()
+                try:
+                    clauses.append(Clause(tuple(lits)))
+                except ValueError:
+                    tautologies += 1
+                continue
         for tok in line.split():
             try:
                 lit = int(tok)

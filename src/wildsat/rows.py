@@ -924,30 +924,34 @@ def member_complement(rows: RowList) -> RowList:
 # are per row.  A header line "rows w=<w> n=<count>" precedes the rows.
 
 
-# the tokens of four variables, indexed by the eight slot bits of their
+# the text of four variables, indexed by the eight slot bits of their
 # 1-slots, two per variable from the lowest: 2 with neither slot, 1 with the
 # positive one, 0 with the negative one (a row never holds both); product
 # varies its last item fastest, hence the reversal
-_SLOT_TOKENS = [t[::-1] for t in itertools.product(("2", "1", "0", "1"), repeat=4)]
+_SLOT_TEXTS = [" ".join(t[::-1]) for t in itertools.product("2101", repeat=4)]
 
 
 def format_rows(rows: RowList) -> str:
-    """The row list as text, read off its masks.  An e-row's tokens are
-    read off its 1-slots four variables at a time, then its bubbles write
-    their eK/nK tokens.  Raises PurityError for an e-row with bad pairs;
-    the widths were checked when the list was built."""
-    w, even = rows.width, _evens(rows.width)
-    lines = [f"rows w={w} n={len(rows)}"]
-    for ones, rest in rows.masks:
-        if type(rest) is int:
-            lines.append(_row_text(w, ones, rest))
+    """The row list as text, read off its masks one column of four
+    variables at a time: a 012-row's column is a ``_CHUNK_TEXTS`` entry and
+    an e-row's one of its 1-slots' ``_SLOT_TEXTS``; the columns are joined
+    row by row and cut at the width.  Then the bubbles of each e-row that
+    has some write their eK/nK tokens.  Raises PurityError for an e-row
+    with bad pairs; the widths were checked when the list was built."""
+    w, even, masks = rows.width, _evens(rows.width), rows.masks
+    columns = [
+        [
+            _CHUNK_TEXTS[ones >> c & 15 | (rest >> c & 15) << 4] if type(rest) is int else _SLOT_TEXTS[ones >> 2 * c & 255]
+            for ones, rest in masks
+        ]
+        for c in range(0, w, 4)
+    ]
+    cut = 2 * w - 1
+    lines = [line[:cut] for line in map(" ".join, zip(*columns))] if w else [""] * len(masks)
+    for i, (_, rest) in enumerate(masks):
+        if type(rest) is int or not rest:
             continue
-        toks: list[str] = []
-        for _ in range((w + 3) // 4):
-            toks.extend(_SLOT_TOKENS[ones & 255])
-            ones >>= 8
-        del toks[w:]
-        bub = 0
+        toks, bub = lines[i].split(" "), 0
         for k, b in enumerate(rest, 1):
             bub |= b
             e, n = f"e{k}", f"n{k}"
@@ -958,8 +962,8 @@ def format_rows(rows: RowList) -> str:
                 b ^= low
         if bub & bub >> 1 & even:  # _census's bad pairs, on the union the loop takes
             raise PurityError("serialize purified rows only (purify first)")
-        lines.append(" ".join(toks))
-    return "\n".join(lines) + "\n"
+        lines[i] = " ".join(toks)
+    return "\n".join([f"rows w={w} n={len(masks)}", *lines]) + "\n"
 
 
 def parse_rows(text: str) -> RowList:

@@ -12,9 +12,11 @@ assignment is two ints, ``ones`` and ``zeros``.  ``search_from`` is the
 whole of it: its loop runs the unit propagation of each node, then the
 search under a row's pins, from the root fixpoint of an ancestor row when
 it has one, with or without a cardinality bound k; the engine calls it on
-a 012-son's masks.  ``solve_masks``, which adds the e-row case and the
-plugged ``SolverFn``, ``_test1`` and ``_test2`` take a son's masks too; the
-functions that take a row read its masks in ``_checked`` and call them.
+a 012-son's masks.  ``_solve``, which adds the e-row case and the plugged
+``SolverFn``, ``_test1`` and ``_test2`` take a son's masks too; the engine
+calls ``_solve`` through ``solve_masks``, which answers an e-son's model as
+literal slots.  The functions that take a row read its masks in
+``_checked`` and call these kernels.
 """
 
 from __future__ import annotations
@@ -244,14 +246,10 @@ def solve_row(
     k: int | None = None,
     solver: SolverFn | None = None,
 ) -> tuple[int, Fixpoint | None] | None:
-    """The search inside a row, ``solve_masks`` on its masks: None, or the
-    pair (ones mask of the model, root fixpoint), with the root's open
-    clauses cut to the formula's."""
-    ones, rest = _checked(row, cnf)
-    found = solve_masks(cnf, solver, ones, rest, start, k, stats)
-    if found is None or type(rest) is int:
-        return found
-    return _var_masks(row.width, found[0])[0], found[1]
+    """The search inside a row, ``_solve`` on its masks: None, or the pair
+    (ones mask of the model, root fixpoint), with the root's open clauses
+    cut to the formula's."""
+    return _solve(cnf, solver, *_checked(row, cnf), start, k, stats)
 
 
 def solve_masks(
@@ -263,8 +261,26 @@ def solve_masks(
     k: int | None = None,
     stats: RunStats | None = None,
 ) -> tuple[int, Fixpoint | None] | None:
+    """``_solve`` as the driver calls it, with an e-son's model as its true
+    literal slots, which its hint test reads."""
+    found = _solve(cnf, solver, ones, rest, start, k, stats)
+    if found is None or type(rest) is int:
+        return found
+    model = found[0]
+    return _spread(model) | _spread(((1 << cnf.num_vars) - 1) ^ model) << 1, found[1]
+
+
+def _solve(
+    cnf: Cnf,
+    solver: SolverFn | None,
+    ones: int,
+    rest: int | Sequence[int],
+    start: Fixpoint | None,
+    k: int | None,
+    stats: RunStats | None,
+) -> tuple[int, Fixpoint | None] | None:
     """``solve_row`` on a row's masks, ``(ones, zeros)`` or ``(ones,
-    bubbles)``, unchecked, with an e-row's model as its true literal slots.
+    bubbles)``, unchecked.
 
     The built-in search is ``search_from`` on a 012-row's pins, or on the
     variables of an e-row's 1-slots with each bubble, in order of its
@@ -285,21 +301,18 @@ def solve_masks(
             return None
         if not (isinstance(bits, Sequence) and len(bits) == w and all(b in (0, 1) for b in bits)):
             raise ValueError(f"the plugged solver answered {bits!r}, not a bitstring of width {w}")
-        model, fixpoint = _pack([b == 1 for b in bits]), None
+        model = _pack([b == 1 for b in bits])
         if not (row.contains(model) and evaluate(cnf, bits)):
             raise ValueError(f"the plugged solver answered {bits!r}, not a model inside the row")
-        if type(rest) is int:
-            return model, None
-    elif type(rest) is int:
+        return model, None
+    if type(rest) is int:
         return search_from(w, cnf.masks, ones, rest, start, k, stats)
-    else:
-        bubbles = [_var_masks(w, b) for b in _in_order(rest)]
-        found = search_from(w, cnf.masks, *_var_masks(w, ones), start, k, stats, bubbles)
-        if found is None:
-            return None
-        model, (f1, f0, left) = found  # the open bubbles close the root's list: cut them
-        fixpoint = f1, f0, left[: len(left) - sum(not (p & f1 or n & f0) for p, n in bubbles)]
-    return _spread(model) | _spread(((1 << w) - 1) ^ model) << 1, fixpoint
+    bubbles = [_var_masks(w, b) for b in _in_order(rest)]
+    found = search_from(w, cnf.masks, *_var_masks(w, ones), start, k, stats, bubbles)
+    if found is None:
+        return None
+    model, (f1, f0, left) = found  # the open bubbles close the root's list: cut them
+    return model, (f1, f0, left[: len(left) - sum(not (p & f1 or n & f0) for p, n in bubbles)])
 
 
 def row_satisfies_clause(row: Row012 | Row012e, clause: Clause) -> bool:

@@ -13,7 +13,7 @@ import random
 from typing import Sequence
 
 from wildsat.analysis import EquivalenceResult
-from wildsat.formulas import Clause, Cnf, Dnf
+from wildsat.formulas import Clause, Cnf, DimacsError, Dnf
 from wildsat.rows import (
     TWO,
     EmptyRowError,
@@ -27,6 +27,7 @@ from wildsat.rows import (
     neg_slot,
     pos_slot,
     purify,
+    slot_of_lit,
     slot_var,
 )
 from wildsat.rows import _condense, _pin, _row012, _row012e, _row_text, _slots_of, _spread, _union
@@ -361,6 +362,89 @@ def ref_search_from(
         stats.decisions += 1
         trail.append((ones, zeros | bit, clauses))
         node = ref_propagate(clauses, ones | bit, zeros, full, stats)
+
+
+def ref_clause(lits) -> tuple:
+    """A ``Clause``'s fields, ``(lits, masks, slots, slot_mask)``, from a
+    walk that checks one literal at a time, or its ValueError: the first
+    literal that is no nonzero int, or that meets its negation, raises."""
+    seen = []
+    for lit in lits:
+        if not isinstance(lit, int) or isinstance(lit, bool) or lit == 0:
+            raise ValueError("literals are nonzero integers")
+        if -lit in seen:
+            raise ValueError(f"tautologous clause: {lit} and {-lit}")
+        if lit not in seen:
+            seen.append(lit)
+    if not seen:
+        raise ValueError("empty clause")
+    masks = sum(1 << l - 1 for l in seen if l > 0), sum(1 << -l - 1 for l in seen if l < 0)
+    slots = tuple(map(slot_of_lit, seen))
+    return tuple(seen), masks, slots, sum(1 << s for s in slots)
+
+
+# ``parse_dimacs`` as it read every clause, one token at a time
+def ref_parse_dimacs(text: str | bytes) -> Cnf:
+    """Parse DIMACS CNF.  Tautologous clauses are dropped (the count is kept
+    on the returned Cnf); duplicate literals inside a clause are merged.
+    The one ``p cnf`` header comes before the first clause: a second one is
+    an error, and so is a file with none, at its last line, or a clause
+    count other than the header's (dropped tautologies count as written)."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    num_vars = None
+    declared = None
+    clauses: list[Clause] = []
+    tautologies = 0
+    pending: list[int] = []
+    pending_line = 0
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        if line.startswith("p"):
+            if num_vars is not None:
+                raise DimacsError("duplicate 'p cnf' header", lineno)
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise DimacsError("malformed header (expected 'p cnf <vars> <clauses>')", lineno)
+            try:
+                num_vars, declared = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise DimacsError("malformed header (non-integer fields)", lineno) from None
+            if num_vars < 0 or declared < 0:
+                raise DimacsError("malformed header (negative counts)", lineno)
+            continue
+        if num_vars is None:
+            raise DimacsError("clause before 'p cnf' header", lineno)
+        for tok in line.split():
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise DimacsError(f"bad literal {tok!r}", lineno) from None
+            if lit == 0:
+                if not pending:
+                    raise DimacsError("empty clause", lineno)
+                try:
+                    clauses.append(Clause(tuple(pending)))
+                except ValueError:
+                    tautologies += 1
+                pending = []
+                continue
+            if abs(lit) > num_vars:
+                raise DimacsError(f"literal {lit} exceeds declared {num_vars} variables", lineno)
+            if not pending:
+                pending_line = lineno
+            pending.append(lit)
+    if num_vars is None:
+        raise DimacsError("missing 'p cnf' header", len(lines) or 1)
+    if pending:
+        raise DimacsError("clause not terminated by 0", pending_line)
+    found = len(clauses) + tautologies
+    if found != declared:
+        raise DimacsError(f"header declares {declared} clauses, found {found}", len(lines))
+    return Cnf._unchecked(num_vars, tuple(clauses), tautologies)
 
 
 def ref_purify(row: Row012e) -> list[Row012e]:

@@ -242,7 +242,8 @@ class TestEquivalentIndex:
 
     def test_calls_only_the_pairs_without_a_slot_clash(self, monkeypatch):
         # the golden pair (1, "reorder", 1): equal lists, so every row of the
-        # first list is read
+        # first list is read; two bubble-free pieces that meet are counted
+        # as a cube, so only the meeting pairs with a bubble make a call
         cnf = gen_random_cnf(GenSpec(10, 24, 3, seed=1))
         clauses = list(cnf.clauses)
         random.Random(1).shuffle(clauses)
@@ -254,12 +255,18 @@ class TestEquivalentIndex:
         def clash(p, q):
             return any({x, y} == {0, 1} for x, y in zip(p.slots, q.slots))
 
-        meeting = sum(not clash(p, q) for p in pa for q in pb)
-        calls = []
-        kernel = wildsat.analysis._intersection_card
+        meeting = [(p, q) for p in pa for q in pb if not clash(p, q)]
+        bubbled = sum(bool(p.bubble_masks or q.bubble_masks) for p, q in meeting)
+        assert 0 < bubbled < len(meeting)
+        calls, indexed, cubes = [], [], []
+        kernel, census, index = (getattr(wildsat.analysis, f) for f in ("_intersection_card", "_census", "_bit_index"))
         monkeypatch.setattr(wildsat.analysis, "_intersection_card", lambda *masks: calls.append(1) or kernel(*masks))
+        # the pair loop follows the index; its census calls are the cube counts
+        monkeypatch.setattr(wildsat.analysis, "_bit_index", lambda *a: indexed.append(1) or index(*a))
+        monkeypatch.setattr(wildsat.analysis, "_census", lambda *m: indexed and cubes.append(m[2]) or census(*m))
         assert equivalent(rows_a, rows_b).equal
-        assert len(calls) == meeting
+        assert len(calls) == bubbled
+        assert len(calls) + len(cubes) == len(meeting) and cubes == [()] * len(cubes)
         assert len(calls) * 5 < len(pa) * len(pb)
 
 

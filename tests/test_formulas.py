@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PHI2_DIMACS, row012
-from oracle import all_bitstrings, dnf_mask, evaluate_naive, index_of, random_cnf, rows_mask
+from oracle import (
+    all_bitstrings,
+    dnf_mask,
+    evaluate_naive,
+    index_of,
+    random_cnf,
+    ref_clause,
+    ref_parse_dimacs,
+    rows_mask,
+)
 from wildsat.formulas import (
     Clause,
     Cnf,
@@ -47,6 +56,45 @@ class TestClause:
     def test_slot_mask(self):
         # slots x1 ~x1 x2 ~x2 ...: x1 -> 0, ~x2 -> 3, x3 -> 4
         assert Clause((1, -2, 3)).slot_mask == 0b11001
+
+    @pytest.mark.parametrize(
+        "lits, message",
+        [
+            # the first bad literal in literal order names the error
+            ((1, -1, True), "tautologous clause: -1 and 1"),
+            ((True, 1, -1), "literals are nonzero integers"),
+            ((2, 0, -2), "literals are nonzero integers"),
+            ((2, -2, 0), "tautologous clause: -2 and 2"),
+            ((3, -1, 2, 1, 0), "tautologous clause: 1 and -1"),
+            # equal to an earlier literal, yet no int
+            ((1, True), "literals are nonzero integers"),
+            ((1, 1.0), "literals are nonzero integers"),
+            ((-1, True), "literals are nonzero integers"),
+            ((), "empty clause"),
+        ],
+    )
+    def test_the_first_error_wins(self, lits, message):
+        with pytest.raises(ValueError) as err:
+            Clause(lits)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as ref:
+            ref_clause(lits)
+        assert str(ref.value) == message
+
+    @given(st.lists(st.one_of(st.integers(-6, 6), st.sampled_from([True, False, 1.0, -2.0, "1", None])), max_size=7))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_checked_walk(self, lits):
+        try:
+            want = ref_clause(lits)
+        except ValueError as err:
+            want = str(err)
+        for given_as in (tuple(lits), list(lits), iter(lits)):  # any iterable, read once
+            try:
+                c = Clause(given_as)
+            except ValueError as err:
+                assert str(err) == want
+                continue
+            assert (c.lits, c.masks, c.slots, c.slot_mask) == want
 
 
 class TestParseDimacs:
@@ -118,6 +166,98 @@ class TestParseDimacs:
         with pytest.raises(DimacsError) as err:
             parse_dimacs(text)
         assert str(err.value) == message
+
+
+def _token(lit: int, style: int) -> str:
+    """A literal as DIMACS text: plain, or with a sign int() accepts (+3, -0)."""
+    if style == 1 and lit >= 0:
+        return f"+{lit}"
+    if style == 2 and lit == 0:
+        return "-0"
+    return str(lit)
+
+
+def dimacs_text(seed: int) -> str:
+    """DIMACS text with the shapes both parsers must agree on: comments and
+    blank lines, clauses split across lines or sharing one, tautologies,
+    duplicate literals, +3 and -0 tokens, out-of-range and non-integer
+    tokens, and a missing, duplicate, late or wrong header; about half the
+    texts parse."""
+    rng = random.Random(seed)
+    n = rng.randint(0, 6)
+    # the literals of 1..n, and sometimes of n + 1, out of range
+    lits = [v for v in range(-n - 1, n + 2) if v] if rng.random() < 0.2 else [v for v in range(-n, n + 1) if v]
+    clauses = [[rng.choice(lits) for _ in range(rng.randint(1, 4))] for _ in range(rng.randint(0, 6) if lits else 0)]
+    tokens = []
+    for clause in clauses + [[]] * (rng.random() < 0.05):  # rarely an empty clause
+        tokens += [_token(lit, rng.randrange(4)) for lit in clause]
+        tokens.append(_token(0, rng.randrange(4)))
+    if rng.random() < 0.1:  # a token that is no integer
+        tokens.insert(rng.randint(0, len(tokens)), rng.choice(["x", "1.5", "--1", "2a", "0x1"]))
+    if tokens and rng.random() < 0.05:  # an unterminated last clause
+        tokens.pop()
+    lines, line = [], []
+    for tok in tokens:
+        line.append(tok)
+        if rng.random() < 0.6 and tok not in ("0", "+0", "-0") or rng.random() < 0.3:
+            continue  # most lines end at a clause's 0, some hold two clauses
+        lines.append(" ".join(line))
+        line = []
+        if rng.random() < 0.15:
+            lines.append(rng.choice(["", "c a comment", "   ", "c", "\t"]))
+    if line:
+        lines.append(" ".join(line))
+    declared = len(clauses) if rng.random() < 0.9 else rng.randint(0, 8)
+    header = f"p cnf {n} {declared}"
+    if rng.random() < 0.1:
+        header = rng.choice([f"p cnf {n}", "p dnf 2 1", f"p cnf -1 {declared}", "p cnf x 1"])
+    if rng.random() < 0.95:  # else no header
+        lines.insert(0 if rng.random() < 0.9 else rng.randint(0, len(lines)), header)
+        if rng.random() < 0.05:
+            lines.insert(rng.randint(0, len(lines)), header)
+    if rng.random() < 0.3:
+        lines.insert(0, "c leading comment")
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def _parsed(parse, text):
+    """The Cnf with its dropped tautologies, or the DimacsError's text and line."""
+    try:
+        cnf = parse(text)
+    except DimacsError as err:
+        return str(err), err.line
+    return cnf, cnf.tautologies_dropped
+
+
+class TestParseAgainstTokenLoop:
+    """``parse_dimacs`` reads a line of one whole clause in one conversion
+    and every other line token by token; ``ref_parse_dimacs`` reads every
+    line by tokens.  They must agree on every text."""
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=500, deadline=None)
+    def test_same_formula_or_same_error(self, seed):
+        text = dimacs_text(seed)
+        assert _parsed(parse_dimacs, text) == _parsed(ref_parse_dimacs, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p cnf 3 2\n+1 -2 0 3 -0\n",
+            "p cnf 3 1\n1 -1 2 0\n",
+            "p cnf 3 1\n1 1 -2 1 0\n",
+            "p cnf 3 1\n1 4 0\n",
+            "p cnf 3 1\n1 x 0\n",
+            "p cnf 3 1\n0 1 0\n",
+            "p cnf 3 2\n1 0 2 0\n",
+            "p cnf 3 1\n1 2\n3 0\n",
+            "p cnf 3 1\n1 2\n-1 0\n",
+            "p cnf 3 1\n1 0 2\n",
+            "p cnf 3 1\n-3 0\np cnf 3 1\n",
+        ],
+    )
+    def test_cases(self, text):
+        assert _parsed(parse_dimacs, text) == _parsed(ref_parse_dimacs, text)
 
 
 class TestSerializeDimacs:

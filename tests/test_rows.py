@@ -21,8 +21,10 @@ from oracle import (
     models_of_mask,
     pick_model,
     random_purified_row,
+    random_row012,
     random_row012e,
     ref_bit_index,
+    ref_e_row_text,
     ref_purify,
     row_mask,
 )
@@ -46,6 +48,7 @@ from wildsat.rows import (
     purify,
     _bit_index,
     _row012e,
+    _row_text,
 )
 
 # Purified row over x1..x8 with bubbles {x1, ~x2} and {~x5, x6, ~x7, x8},
@@ -690,6 +693,35 @@ class TestRowTextFormat:
         back = parse_rows(text)
         assert [row_mask(w, p) for p in back.rows] == [row_mask(w, r) for r in rows]
         assert format_rows(back) == text
+
+    @staticmethod
+    def _mixed(rng, w):
+        """Up to eight 012-rows and purified e-rows (0-3 bubbles) in any mix."""
+        return [
+            random_purified_row(rng, w) if rng.random() < 0.5 else random_row012(rng, w)
+            for _ in range(rng.randint(0, 8))
+        ]
+
+    @given(st.integers(0, 21), st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_each_line_is_its_rows_text(self, w, seed):
+        # the column-wise text against each row's own: _row_text for a
+        # 012-row, the table-free oracle text for an e-row
+        rows = self._mixed(random.Random(seed), w)
+        want = [_row_text(w, r.ones, r.zeros) if isinstance(r, Row012) else ref_e_row_text(r) for r in rows]
+        assert format_rows(RowList(w, rows)) == "\n".join([f"rows w={w} n={len(rows)}", *want]) + "\n"
+
+    @given(st.integers(2, 21), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_a_bad_pair_anywhere_is_rejected(self, w, seed):
+        rng = random.Random(seed)
+        rows = self._mixed(rng, w)
+        u, v = sorted(rng.sample(range(w), 2))
+        bad = _row012e(w, 0, (1 << 2 * u | 1 << 2 * v, 2 << 2 * u | 2 << 2 * v))  # x_u, x_v and ~x_u, ~x_v
+        assert bad.bad_pairs() == (u + 1, v + 1)
+        rows.insert(rng.randint(0, len(rows)), bad)
+        with pytest.raises(PurityError):
+            format_rows(RowList(w, rows))
 
 
 class TestEmptyWidthRowFiles:

@@ -28,7 +28,7 @@ from oracle import (
 )
 from wildsat.engine import clausewise012_split, clausewise_e_split
 from wildsat.formulas import Clause, Cnf, evaluate, weight
-from wildsat.rows import Row012, Row012e, RunStats, _var_masks, slot_of_lit
+from wildsat.rows import Row012, Row012e, RunStats, _var_masks, lit_of_slot, slot_of_lit
 from wildsat.sat import test1 as weak_test1
 from wildsat.sat import test2 as weak_test2
 from wildsat.sat import (
@@ -635,6 +635,60 @@ class TestInlinePropagation:
         assert got == want  # the root's open clauses equal and in order
         assert ours == reference
         assert search_from(w, clauses, ones, zeros, start, k, None, extra) == want
+
+
+class TestERowSearch:
+    """``solve_row``, ``find_model`` and ``find_k_model`` answer an e-row's
+    model as a variable mask, as the reference search does on the row's
+    pins and bubbles, which the test reads off its slot view."""
+
+    @staticmethod
+    def _pins(row: Row012e) -> tuple[int, int, list[tuple[int, int]]]:
+        """The variables an e-row fixes to 1 and to 0, and each bubble as a
+        (pos, neg) clause, in the row's bubble order."""
+        def lit_masks(slots):
+            pos = neg = 0
+            for s in slots:
+                lit = lit_of_slot(s)
+                if lit > 0:
+                    pos |= 1 << lit - 1
+                else:
+                    neg |= 1 << -lit - 1
+            return pos, neg
+
+        ones, zeros = lit_masks(s for s, v in enumerate(row.slots) if v == 1)
+        return ones, zeros, [lit_masks(b) for b in row.bubbles]
+
+    @given(st.integers(0, 2**32), st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_answers_match_the_reference(self, seed, from_start, bounded):
+        rng = random.Random(seed)
+        w = rng.randint(1, 8)
+        cnf = random_cnf(rng, w, rng.randint(0, 14), rng.randint(1, min(4, w)), positive=rng.random() < 0.3)
+        row = random_row012e(rng, w)
+        ones, zeros, extra = self._pins(row)
+        start = None
+        if from_start:  # the full row's root fixpoint: an ancestor of every row
+            root = ref_search_from(w, cnf.masks)
+            start = None if root is None else root[1]
+        k = rng.randint(0, w) if bounded else None
+        reference, ours = RunStats(), RunStats()
+        want = ref_search_from(w, cnf.masks, ones, zeros, start, k, reference, extra)
+        got = solve_row(row, cnf, start, ours, k)
+        assert ours == reference
+        if want is None:
+            assert got is None
+        else:
+            model, (f1, f0, left) = want
+            # the root's list without the bubbles it leaves open
+            assert got == (model, (f1, f0, [c for c in left if not any(c is b for b in extra)]))
+            assert row.contains(model) and (k is None or model.bit_count() == k)
+        plain = ref_search_from(w, cnf.masks, ones, zeros, extra=extra)
+        assert find_model(row, cnf) == (None if plain is None else bitstring_of(w, plain[0]))
+        assert solve_row(row, cnf, solver=lambda f: dpll_sat(f)) == (None if plain is None else (plain[0], None))
+        if k is not None:
+            bound = ref_search_from(w, cnf.masks, ones, zeros, k=k, extra=extra)
+            assert find_k_model(row, cnf, k) == (None if bound is None else bitstring_of(w, bound[0]))
 
 
 class TestDeepInstance:
