@@ -505,18 +505,23 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     goes down the first, or unmasks the entry when it admits none; then it
     pops until an entry splits, emitting the finals on the way.
 
-    A var-012 run with the built-in search and no screen,
+    A var-012 final is model-tested only when its admission tested
+    nothing, under policy none: a search, a check or an exact filter
+    admits a bitstring only when it is a (special) model, as Test 1 on a
+    bitstring is the model test.
+
+    A var-012 run with a search, built in or plugged, and no screen,
     ``final_override`` or ``on_split`` walks a popped entry to a final,
-    making the pops and observer calls of the per-level split in the same
-    order: the son that the path's witness misses is searched from the
-    witness's fixpoint, the other takes the witness, and the path goes on
-    through the admitted 0-son, pushing the admitted 1-son, or else through
-    the 1-son.  Under a bound k the witness has k ones, and the path's ones
-    and its fixpoint's ones lie in them.  Once those number k, every son
-    left to search is refuted before it propagates, moving no counter: a
-    1-son off the witness would hold k + 1 ones, a 0-son on it clashes
-    with the fixpoint.  The walk then sets the levels left from the
-    witness, with one pop each and no search.
+    making the searches, pops and observer calls of the per-level split
+    in the same order: the son that the path's witness misses is searched
+    from the witness's fixpoint, the other takes the witness, and the path
+    goes on through the admitted 0-son, pushing the admitted 1-son, or
+    else through the 1-son.  Under a bound k the witness has k ones, and
+    the path's ones and its fixpoint's ones lie in them.  Once those
+    number k, every son left to search is refuted before it propagates,
+    moving no counter: a 1-son off the witness would hold k + 1 ones, a
+    0-son on it clashes with the fixpoint.  The walk then sets the levels
+    left from the witness, with one pop each and no search.
 
     Pops (as admitted sons, per split), hint hits and solver calls are
     counted in local ints and written to ``stats`` when the loop returns.
@@ -524,7 +529,7 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
     solver calls include the sons it refutes without a search.
     """
     method, filt = config.method, config.spmod
-    w, clauses, masks = cnf.num_vars, cnf.clauses, cnf.masks
+    w, clauses = cnf.num_vars, cnf.clauses
     var012, clause_e = method == Method.VAR012, method == Method.CLAUSE_E
     screen, check, search = _admission(cnf, config)
     exact = filt is not None and filt.exact
@@ -540,18 +545,16 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
         occ = _bit_index(slot_masks, 2 * w)
         steps = [tuple((1 << (s >> 1), s & 1, occ[s], occ[s ^ 1]) for s in c.slots) for c in clauses]
 
-    # a bitstring passed only by a weak screen may still miss the model set;
-    # on a bitstring, settling every clause (sat.final_e) means being a model
-    check_model = var012 and config.policy != Policy.SOLVER and not exact
-    walk = var012 and search is not None and not is_plug(config.solver)
-    walk = walk and screen is None and override is None and on_split is None
+    # a bitstring that no search or check admitted may miss the model set
+    check_model = var012 and check is None and search is None
+    walk = var012 and search is not None and screen is None and override is None and on_split is None
 
     def finish(entry) -> list | None:
         """The output masks of a final entry; None when it holds no model."""
         if clause_e:
             return _purify(w, *entry)
         ones, zeros = entry
-        if check_model and not all(pos & ones or neg & zeros for pos, neg in masks):
+        if check_model and not _test1(cnf, ones, zeros):
             return None
         if k is not None and ones.bit_count() != k:
             raise RuntimeError(f"the k-search admitted a final of weight {ones.bit_count()}, not {k}")
@@ -654,25 +657,20 @@ def _drive(cnf: Cnf, config: EngineConfig, stats: RunStats) -> list:
                     if k is not None and (ones | start[0]).bit_count() == k:
                         # m's k ones are fixed: the path follows m to the end
                         pops += top - deg + 1
-                        if on_pop is None:
-                            tail = (1 << w) - bit  # the levels left
-                            ones |= m & tail
-                            zeros |= tail & ~m
-                        else:
-                            for deg in range(deg, top + 1):
-                                bit = 1 << deg - 1
-                                if m & bit:
-                                    ones |= bit
-                                else:
-                                    zeros |= bit
-                                on_pop(ones, zeros, deg, len(stack), len(finals))
+                        if on_pop is not None:  # one pop per level left
+                            for d in range(deg, top + 1):
+                                low = (1 << d) - bit  # the levels deg..d
+                                on_pop(ones | m & low, zeros | low & ~m, d, len(stack), len(finals))
+                        tail = (1 << w) - bit  # the levels left
+                        ones |= m & tail
+                        zeros |= tail & ~m
                         break
                     if not m & bit:  # the 0-son keeps m, the 1-son is searched
-                        wit = search_from(w, masks, ones | bit, zeros, start, k, stats)
+                        wit = search(ones | bit, zeros, start, k, stats)
                         if wit is not None:
                             stack.append(((ones | bit, zeros), deg, wit, 0))
                         zeros |= bit
-                    elif (wit := search_from(w, masks, ones, zeros | bit, start, k, stats)) is None:
+                    elif (wit := search(ones, zeros | bit, start, k, stats)) is None:
                         ones |= bit  # the 1-son alone, with m
                     else:  # the 0-son with its own witness, the 1-son pushed with m
                         stack.append(((ones | bit, zeros), deg, hint, 0))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from .formulas import Clause, Cnf, evaluate
+from .formulas import Clause, Cnf
 from .rows import (
     Row012,
     Row012e,
@@ -302,7 +302,7 @@ def _solve(
         if not (isinstance(bits, Sequence) and len(bits) == w and all(b in (0, 1) for b in bits)):
             raise ValueError(f"the plugged solver answered {bits!r}, not a bitstring of width {w}")
         model = _pack([b == 1 for b in bits])
-        if not (row.contains(model) and evaluate(cnf, bits)):
+        if not (row.contains(model) and _test1(cnf, model, ((1 << w) - 1) ^ model)):
             raise ValueError(f"the plugged solver answered {bits!r}, not a model inside the row")
         return model, None
     if type(rest) is int:

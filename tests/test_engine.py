@@ -355,6 +355,39 @@ class TestPoliciesAgree:
             ]
             assert outs[0] == outs[1] == outs[2]
 
+    @pytest.mark.parametrize("policy", [Policy.TEST1, Policy.TEST12, Policy.NONE])
+    def test_a_varwise_final_is_model_tested_once(self, policy, monkeypatch):
+        # Test 1 on a bitstring is the model test.  Under none the admission
+        # tests nothing, so each popped bitstring gets it once, as it is
+        # popped; under test1 and test12 its admission ran it, and a popped
+        # final is not tested again
+        tested, kernel = [], wildsat.engine._test1
+
+        def counting(cnf, ones, zeros):
+            tested.append((ones, zeros))
+            return kernel(cnf, ones, zeros)
+
+        monkeypatch.setattr(wildsat.engine, "_test1", counting)
+        rng = random.Random(233)
+        finals = harmful = 0
+        for _ in range(25):
+            w = rng.randint(1, 7)
+            cnf = random_cnf(rng, w, rng.randint(1, 8), rng.randint(1, min(3, w)))
+            weights = [rng.randint(0, 3) for _ in range(2 * w)]
+            for spmod in (None, WeightFilter(weights, sum(weights) // 2)):
+                rec = _PopRecorder()
+                out = run(cnf, EngineConfig(method=Method.VAR012, policy=policy, spmod=spmod, observer=rec))
+                every = (1 << w) - 1
+                popped = [(r.ones, r.zeros) for r in rec.pops if r.ones | r.zeros == every]
+                if policy == Policy.NONE:
+                    assert tested == popped
+                else:
+                    assert all(tested.count(final) == 1 for final in popped)
+                finals += len(popped)
+                harmful += out.stats.harmful_deletions
+                tested.clear()
+        assert finals > 100 and harmful > 0
+
 
 class TestEngineInvariants:
     def test_oracle_equivalence_all_methods(self):
@@ -693,9 +726,10 @@ class TestRowListPaths:
 
 
 class TestWitnessWalk:
-    """A var-012 run with the built-in search, no screen, no override and
-    no ``on_split`` walks a popped entry's levels in one inner loop, in the
-    per-level loop's order; setting ``on_split`` keeps the per-level loop.
+    """A var-012 run with a search, built in or plugged, no screen, no
+    override and no ``on_split`` walks a popped entry's levels in one inner
+    loop, in the per-level loop's order; setting ``on_split`` keeps the
+    per-level loop.
     Both give the same rows, counters and ``on_pop`` calls.  The walk makes
     the per-level searches in order, less those that a k-run's witness
     refutes before they propagate once its k ones are fixed."""
@@ -754,8 +788,9 @@ class TestWitnessWalk:
 
     def test_the_walk_matches_the_per_level_loop(self):
         walked = 0
+        plugged = EngineConfig(method=Method.VAR012, solver=lambda c: wildsat.sat.dpll_sat(c))
         for cnf in self.cnfs(30):
-            for config in self.configs(cnf):
+            for config in [*self.configs(cnf), plugged]:
                 plain = run(cnf, config)
                 reference = self.PopLog()  # on_split keeps the per-level loop
                 reference.on_split = lambda *args: None

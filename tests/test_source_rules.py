@@ -7,7 +7,8 @@ The engine dispatches on no filter class: it reads a filter's attributes,
 and every filter it defines records in ``__init__`` the width it was built
 for, which ``validate_config`` checks once per run; every hook it defines
 takes a 012 entry's ``(ones, zeros)`` masks.  The driver builds no row:
-its finals stay masks, and it admits a son in one place.  The built-in
+its finals stay masks, and it admits a son in one place.  It decides no
+policy or solver: ``_admission`` does, once per run.  The built-in
 search propagates in one place too: ``search_from`` alone writes the unit
 and conflict counters, and no ``_propagate`` is left.  An e-row's
 member count and free variables are written once, in ``rows._census``.
@@ -377,6 +378,58 @@ def test_the_driver_builds_no_row():
         ]
     )
     assert _callers(ast.parse(probe), "_on_row") == {"_observer_hooks", "_admission", "Hooks", "<module>"}
+
+
+def _decisions(tree: ast.AST, fn: str) -> list[str]:
+    """``line name`` for each use, inside the functions named ``fn``, of
+    ``Policy``, ``is_plug`` or ``search_from`` (a name or an attribute)
+    and each read of a ``policy``, ``solver`` or ``masks`` attribute."""
+    names, attrs = {"Policy", "is_plug", "search_from"}, {"policy", "solver", "masks"}
+    found = []
+    for top in ast.walk(tree):
+        if isinstance(top, ast.FunctionDef) and top.name == fn:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id in names:
+                    found.append(f"{node.lineno} {node.id}")
+                elif isinstance(node, ast.Attribute) and node.attr in names | attrs:
+                    found.append(f"{node.lineno} {node.attr}")
+    return found
+
+
+def test_the_driver_decides_no_policy_or_solver():
+    # _admission alone reads the policy and the solver: _drive takes the
+    # (screen, check, search) it hands out, model-tests a var-012 final
+    # only when neither was given, with sat._test1 in place of a scan of
+    # the clause masks, and walks with the search it is handed
+    path = Path(engine.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "_drive" for node in ast.walk(tree))
+    found = _decisions(tree, "_drive")
+    assert not found, f"engine._drive decides a policy or a solver, or scans clause masks, at {found}"
+    assert _decisions(tree, "_admission")  # the rule sees where they are decided
+    # the rule sees names, module attributes and reads in a nested
+    # function, and leaves other attributes and functions alone
+    probe = "\n".join(
+        [
+            "def _drive(cnf, config):",
+            "    every = config.policy == Policy.NONE",
+            "    def finish(entry):",
+            "        return all(p & entry[0] for p, n in cnf.masks)",
+            "    walk = not sat.is_plug(config.solver)",
+            "    step = search_from",
+            "    slots, policy_name = cnf.slot_masks, config.method",
+            "def other(config):",
+            "    return config.policy, search_from, cnf.masks",
+        ]
+    )
+    assert set(_decisions(ast.parse(probe), "_drive")) == {
+        "2 policy",
+        "2 Policy",
+        "4 masks",
+        "5 is_plug",
+        "5 solver",
+        "6 search_from",
+    }
 
 
 def _empty_methods(tree: ast.AST) -> list[str]:
